@@ -19,6 +19,10 @@ class NegativeEntry(QnetdetError):
     """A vector argument contained an entry below -1e-12."""
 
 
+class NonFiniteEntry(QnetdetError):
+    """A vector argument contained NaN or an infinity."""
+
+
 class ZeroSum(QnetdetError):
     """A vector argument sums to zero and cannot be normalized."""
 

@@ -1,23 +1,31 @@
 """Quantum networks of bipartite links and their series-parallel reduction.
 
 A network is an undirected multigraph whose edges carry Schmidt vectors
-of a common local dimension, with two distinguished terminal nodes.
-For series-parallel topologies the deterministically transmissible
-Schmidt vector between the terminals is computed by alternating two
-moves until a single terminal-to-terminal edge remains:
+of a common local dimension, with two distinguished terminal nodes A
+and B.  Its shape alone fixes an ordered list of moves that shrinks it
+to one A-B edge.  Self-loops transmit nothing and are dropped, first on
+input and then whenever a contraction closes one.  The moves then come
+in rounds, repeated until a round changes nothing:
 
-* parallel: every bundle of edges sharing both endpoints is replaced by
-  one edge carrying the purification of the tensor product of the
-  bundle's vectors;
-* series: every non-terminal node of degree two is contracted, its two
-  edges replaced by one carrying the swap of their vectors, walking
-  nodes outward from terminal A so chains are folded left to right.
+* parallel: every bundle of edges sharing both endpoints becomes one
+  edge, bundles taken in sorted endpoint order, members in edge order;
+* series: every non-terminal node of degree two is contracted, nodes
+  taken by breadth-first distance from A and then by name, both the
+  degrees and the distances as at the start of the series pass.  A
+  node whose degree is no longer two when its turn comes waits for the
+  next round.  The first input is the edge towards the neighbour that
+  comes first by the same key.
 
-Self-loops transmit nothing and are dropped whenever they appear.  The
-same engine with scalar payloads yields the network's probabilistic
-conversion figure: each link is scored by its probability of conversion
-to a maximally entangled pair, series edges multiply scores, parallel
-bundles combine as complements.
+Edges are ordered by id: the network's edges in input order, then the
+edges the moves create, in creation order.
+
+The reduction folds these moves over the links: a series move swaps
+its two vectors and a parallel move purifies the tensor product of the
+bundle.  The fold order is part of the answer, because from dimension
+4 on the series rule is not associative (the associativity boundary
+check of the verification suite).  The same moves fold scalar scores
+into the probabilistic conversion figure, and the topology class is
+read from their shape.
 """
 
 from __future__ import annotations
@@ -173,29 +181,31 @@ def parse_network(text: str) -> QuantumNetwork:
 
 
 # ---------------------------------------------------------------------------
-# generic reduction engine
+# decomposition and the folds over it
 
 
 class _Multigraph:
-    def __init__(self, network: QuantumNetwork, payload_of):
-        self.edges: Dict[int, list] = {}
+    """Edge ids mapped to endpoints, and each node's incident edge ids."""
+
+    def __init__(self, network: QuantumNetwork):
+        self.edges: Dict[int, Tuple[str, str]] = {}
         self.adj: Dict[str, set] = {}
         self.next_id = 0
         for t in network.terminals:
             self.adj.setdefault(t, set())
         for e in network.edges:
-            self.add(e.u, e.v, payload_of(e))
+            self.add(e.u, e.v)
 
-    def add(self, u, v, payload) -> int:
+    def add(self, u, v) -> int:
         eid = self.next_id
         self.next_id += 1
-        self.edges[eid] = [u, v, payload]
+        self.edges[eid] = (u, v)
         self.adj.setdefault(u, set()).add(eid)
         self.adj.setdefault(v, set()).add(eid)
         return eid
 
     def remove(self, eid) -> None:
-        u, v, _ = self.edges.pop(eid)
+        u, v = self.edges.pop(eid)
         self.adj[u].discard(eid)
         self.adj[v].discard(eid)
         for n in {u, v}:
@@ -203,7 +213,7 @@ class _Multigraph:
                 del self.adj[n]
 
     def other(self, eid, node) -> str:
-        u, v, _ = self.edges[eid]
+        u, v = self.edges[eid]
         return v if u == node else u
 
     def distances(self, start) -> Dict[str, int]:
@@ -219,55 +229,46 @@ class _Multigraph:
         return dist
 
 
-def _reduce_engine(network, series_fn, parallel_fn, payload_of, payload_json):
-    """Run the alternating parallel/series reduction.
+def _decompose(network: QuantumNetwork):
+    """Series-parallel decomposition of the network's shape.
 
-    Returns (payload, trace).  Raises DisconnectedTerminals when B is
-    unreachable from A and NotSeriesParallel when the loop stalls before
-    reaching a single A-B edge.
+    Returns (moves, root).  Edge i of the network has id i and every
+    series or parallel move creates the next id.  Each move is the
+    reduction-trace event with edge ids where the trace has vectors:
+    ``inputs`` and ``output`` of a series or parallel move, ``link`` of
+    a dropped self-loop.  ``root`` is the id of the final A-B edge.
+
+    Raises DisconnectedTerminals when B is unreachable from A and
+    NotSeriesParallel when the rounds stall before reaching a single
+    A-B edge.
     """
     a, b = network.terminals
-    g = _Multigraph(network, payload_of)
+    g = _Multigraph(network)
     if b not in g.distances(a):
         raise DisconnectedTerminals(f"no path between {a} and {b}")
-    trace = []
-
-    def drop_self_loops():
-        for eid in sorted(g.edges):
-            u, v, payload = g.edges[eid]
-            if u == v:
-                g.remove(eid)
-                if payload_json is not None:
-                    trace.append({"op": "drop_self_loop", "node": u, "link": payload_json(payload)})
-
-    drop_self_loops()
+    moves = []
+    for eid in sorted(g.edges):
+        u, v = g.edges[eid]
+        if u == v:
+            g.remove(eid)
+            moves.append({"op": "drop_self_loop", "node": u, "link": eid})
     while True:
         changed = False
         # parallel pass: merge every bundle sharing both endpoints
         groups: Dict[Tuple[str, str], list] = {}
         for eid in sorted(g.edges):
-            u, v, _ = g.edges[eid]
-            key = (u, v) if u <= v else (v, u)
-            groups.setdefault(key, []).append(eid)
+            u, v = g.edges[eid]
+            groups.setdefault((u, v) if u <= v else (v, u), []).append(eid)
         for key in sorted(groups):
             eids = groups[key]
             if len(eids) < 2:
                 continue
-            payloads = [g.edges[eid][2] for eid in eids]
-            merged = parallel_fn(payloads)
             for eid in eids:
                 g.remove(eid)
-            g.add(key[0], key[1], merged)
-            if payload_json is not None:
-                trace.append(
-                    {
-                        "op": "parallel",
-                        "nodes": [key[0], key[1]],
-                        "arity": len(eids),
-                        "inputs": [payload_json(p) for p in payloads],
-                        "output": payload_json(merged),
-                    }
-                )
+            out = g.add(*key)
+            moves.append(
+                {"op": "parallel", "nodes": list(key), "arity": len(eids), "inputs": eids, "output": out}
+            )
             changed = True
         # series pass: contract degree-2 non-terminals, nearest to A first
         dist = g.distances(a)
@@ -286,35 +287,22 @@ def _reduce_engine(network, series_fn, parallel_fn, payload_of, payload_json):
             if kw < ku:
                 e1, e2 = e2, e1
                 u, w = w, u
-            p1 = g.edges[e1][2]
-            p2 = g.edges[e2][2]
-            merged = series_fn(p1, p2)
             g.remove(e1)
             g.remove(e2)
-            if payload_json is not None:
-                trace.append(
-                    {
-                        "op": "series",
-                        "node": node,
-                        "through": [u, w],
-                        "inputs": [payload_json(p1), payload_json(p2)],
-                        "output": payload_json(merged),
-                    }
-                )
+            out = g.add(u, w)
+            moves.append(
+                {"op": "series", "node": node, "through": [u, w], "inputs": [e1, e2], "output": out}
+            )
             if u == w:
-                if payload_json is not None:
-                    trace.append({"op": "drop_self_loop", "node": u, "link": payload_json(merged)})
-            else:
-                g.add(u, w, merged)
+                g.remove(out)
+                moves.append({"op": "drop_self_loop", "node": u, "link": out})
             changed = True
         if not changed:
             break
     remaining = sorted(g.edges)
-    if len(remaining) == 1:
-        u, v, payload = g.edges[remaining[0]]
-        if {u, v} == {a, b}:
-            return payload, trace
-    remnant = [(g.edges[eid][0], g.edges[eid][1]) for eid in remaining]
+    if len(remaining) == 1 and set(g.edges[remaining[0]]) == {a, b}:
+        return moves, remaining[0]
+    remnant = [g.edges[eid] for eid in remaining]
     pair = min((tuple(sorted(p)) for p in remnant), default=(a, b))
     raise NotSeriesParallel(
         f"reduction stalled with {len(remaining)} edges, e.g. between "
@@ -323,12 +311,39 @@ def _reduce_engine(network, series_fn, parallel_fn, payload_of, payload_json):
     )
 
 
+def _fold(moves, values, series_fn, parallel_fn) -> dict:
+    """Apply the moves to per-edge values, in order; returns the value
+    of every edge id."""
+    values = dict(enumerate(values))
+    for move in moves:
+        if move["op"] == "series":
+            values[move["output"]] = series_fn(*(values[e] for e in move["inputs"]))
+        elif move["op"] == "parallel":
+            values[move["output"]] = parallel_fn([values[e] for e in move["inputs"]])
+    return values
+
+
 def _det_parallel(links: List[SchmidtVector]) -> SchmidtVector:
     d = links[0].dimension
     prod = [1.0]
     for vec in links:
         prod = [a * b for a in prod for b in vec.entries]
     return purify_rule(prod, d)
+
+
+def _reduce(network, moves, root):
+    links = _fold(moves, [e.link for e in network.edges], swap_rule, _det_parallel)
+    shown = {eid: [float(v) for v in vec] for eid, vec in links.items()}
+    trace = []
+    for move in moves:
+        event = dict(move)
+        if "link" in event:
+            event["link"] = shown[event["link"]]
+        else:
+            event["inputs"] = [shown[e] for e in event["inputs"]]
+            event["output"] = shown[event["output"]]
+        trace.append(event)
+    return links[root], trace
 
 
 def reduce_series_parallel(network: QuantumNetwork):
@@ -345,13 +360,18 @@ def reduce_series_parallel(network: QuantumNetwork):
     ------
     DisconnectedTerminals, NotSeriesParallel
     """
-    return _reduce_engine(
-        network,
-        series_fn=swap_rule,
-        parallel_fn=_det_parallel,
-        payload_of=lambda e: e.link,
-        payload_json=lambda vec: [float(v) for v in vec],
-    )
+    return _reduce(network, *_decompose(network))
+
+
+def _cep(network, moves, root) -> float:
+    d = network.dimension
+    uniform = SchmidtVector([1.0 / d] * d)
+    return _fold(
+        moves,
+        [conversion_probability(e.link, uniform) for e in network.edges],
+        lambda p, q: p * q,
+        lambda ps: 1.0 - math.prod(1.0 - p for p in ps),
+    )[root]
 
 
 def cep_probability(network: QuantumNetwork) -> float:
@@ -360,23 +380,62 @@ def cep_probability(network: QuantumNetwork) -> float:
     probabilistically and successes are wired together.
 
     Each link succeeds with its conversion probability to the uniform
-    vector; series compositions multiply, parallel bundles succeed when
+    vector; the scores are folded over the same moves as the reduction,
+    series moves multiplying them and parallel bundles succeeding when
     any member does.
 
     Raises
     ------
     DisconnectedTerminals, NotSeriesParallel
     """
-    d = network.dimension
-    uniform = SchmidtVector([1.0 / d] * d)
-    value, _ = _reduce_engine(
-        network,
-        series_fn=lambda p, q: p * q,
-        parallel_fn=lambda ps: 1.0 - math.prod(1.0 - p for p in ps),
-        payload_of=lambda e: conversion_probability(e.link, uniform),
-        payload_json=None,
-    )
-    return value
+    return _cep(network, *_decompose(network))
+
+
+_LEAF = (None, 0, 0, 0)
+
+
+def _shape(op, parts):
+    """Shape of the edge that move `op` makes from `parts`, as (op,
+    leaves, plain, other): how many of its parts, nested `op` moves
+    flattened, are single links, the other operator over single links
+    only, or anything else.  A single link is _LEAF."""
+    leaves = plain = other = 0
+    for part_op, part_leaves, part_plain, part_other in parts:
+        if part_op == op:
+            leaves += part_leaves
+            plain += part_plain
+            other += part_other
+        elif part_op is None:
+            leaves += 1
+        elif part_plain == part_other == 0:
+            plain += 1
+        else:
+            other += 1
+    return op, leaves, plain, other
+
+
+def _classify(network, moves, root) -> TopologyClass:
+    """Class of a decomposed network: series of links is a simple
+    series, parallel of links a simple parallel, series of links and
+    parallels of links is parallel-then-series, and parallel of series
+    of links with at most one single link is series-then-parallel."""
+    n = len(network.edges)
+    if any(m["op"] == "drop_self_loop" and m["link"] >= n for m in moves):
+        # a contraction closed a cycle hanging off the A-B paths
+        return TopologyClass.SERIES_PARALLEL
+    op, leaves, plain, other = _fold(
+        moves,
+        [_LEAF] * n,
+        lambda p, q: _shape("series", (p, q)),
+        lambda ps: _shape("parallel", ps),
+    )[root]
+    if plain == other == 0:
+        return TopologyClass.SIMPLE_PARALLEL if op == "parallel" else TopologyClass.SIMPLE_SERIES
+    if other:
+        return TopologyClass.SERIES_PARALLEL
+    if op == "series":
+        return TopologyClass.PARALLEL_THEN_SERIES
+    return TopologyClass.SERIES_THEN_PARALLEL if leaves <= 1 else TopologyClass.SERIES_PARALLEL
 
 
 def classify_topology(network: QuantumNetwork) -> TopologyClass:
@@ -387,88 +446,11 @@ def classify_topology(network: QuantumNetwork) -> TopologyClass:
     DisconnectedTerminals
         Terminals not connected (no class applies).
     """
-    a, b = network.terminals
-    g = _Multigraph(network, lambda e: None)
-    if b not in g.distances(a):
-        raise DisconnectedTerminals(f"no path between {a} and {b}")
-    edges = [(u, v) for u, v, _ in (g.edges[eid] for eid in sorted(g.edges)) if u != v]
-    if all({u, v} == {a, b} for u, v in edges):
-        return (
-            TopologyClass.SIMPLE_SERIES
-            if len(edges) == 1
-            else TopologyClass.SIMPLE_PARALLEL
-        )
-    # multigraph degree and bundle structure
-    degree: Dict[str, int] = {}
-    bundles: Dict[Tuple[str, str], int] = {}
-    for u, v in edges:
-        degree[u] = degree.get(u, 0) + 1
-        degree[v] = degree.get(v, 0) + 1
-        key = (u, v) if u <= v else (v, u)
-        bundles[key] = bundles.get(key, 0) + 1
-    nodes = set(degree)
-    internal = nodes - {a, b}
-    # chain test on the bundle graph: A and B see one neighbour, internal
-    # nodes two, and the chain visits every node
-    simple_adj: Dict[str, set] = {n: set() for n in nodes}
-    for u, v in bundles:
-        simple_adj[u].add(v)
-        simple_adj[v].add(u)
-    if (
-        len(simple_adj.get(a, ())) == 1
-        and len(simple_adj.get(b, ())) == 1
-        and all(len(simple_adj[n]) == 2 for n in internal)
-    ):
-        path = [a]
-        prev = None
-        while path[-1] != b and len(path) <= len(nodes):
-            nxt = [n for n in simple_adj[path[-1]] if n != prev]
-            if len(nxt) != 1:
-                break
-            prev = path[-1]
-            path.append(nxt[0])
-        if path[-1] == b and len(path) == len(nodes):
-            return (
-                TopologyClass.SIMPLE_SERIES
-                if all(c == 1 for c in bundles.values())
-                else TopologyClass.PARALLEL_THEN_SERIES
-            )
-    # branch test: internally disjoint chains of single edges from A to B
-    if all(degree[n] == 2 for n in internal) and all(c == 1 for c in bundles.values()):
-        adj2: Dict[str, list] = {n: [] for n in nodes}
-        for u, v in edges:
-            adj2[u].append(v)
-            adj2[v].append(u)
-        visited = set()
-        ok = True
-        for first in sorted(adj2.get(a, ())):
-            node, prev = first, a
-            while node not in (a, b):
-                if node in visited:
-                    ok = False
-                    break
-                visited.add(node)
-                nxt = [n for n in adj2[node] if n != prev]
-                if len(nxt) != 1:
-                    ok = False
-                    break
-                prev, node = node, nxt[0]
-            if not ok or node == a:
-                ok = False
-                break
-        if ok and visited == internal:
-            return TopologyClass.SERIES_THEN_PARALLEL
     try:
-        _reduce_engine(
-            network,
-            series_fn=lambda p, q: None,
-            parallel_fn=lambda ps: None,
-            payload_of=lambda e: None,
-            payload_json=None,
-        )
+        moves, root = _decompose(network)
     except NotSeriesParallel:
         return TopologyClass.NOT_SERIES_PARALLEL
-    return TopologyClass.SERIES_PARALLEL
+    return _classify(network, moves, root)
 
 
 def report(network: QuantumNetwork) -> dict:
@@ -479,16 +461,16 @@ def report(network: QuantumNetwork) -> dict:
     ------
     DisconnectedTerminals, NotSeriesParallel
     """
-    topo = classify_topology(network)
-    vec, trace = reduce_series_parallel(network)
+    moves, root = _decompose(network)
+    vec, trace = _reduce(network, moves, root)
     d = network.dimension
     return {
         "dimension": d,
         "terminals": list(network.terminals),
         "edge_count": len(network.edges),
-        "topology": topo.value,
+        "topology": _classify(network, moves, root).value,
         "det_vector": [float(v) for v in vec],
         "concurrence": {f"C_{k}": concurrence(vec, k) for k in range(1, d + 1)},
-        "cep_probability": cep_probability(network),
+        "cep_probability": _cep(network, moves, root),
         "reduction_trace": trace,
     }

@@ -21,6 +21,7 @@ from .errors import (
     KOutOfRange,
     LengthMismatch,
     NegativeEntry,
+    NonFiniteEntry,
     ZeroSum,
 )
 
@@ -31,6 +32,23 @@ MAJORIZATION_ATOL = 1e-9
 
 # Entries this far below zero are treated as roundoff and clamped.
 _NEG_EPS = 1e-12
+
+
+def _clamped(vals: list) -> list:
+    """Entries with roundoff negatives set to zero.
+
+    Raises
+    ------
+    NonFiniteEntry, NegativeEntry
+    """
+    out = []
+    for v in vals:
+        if not math.isfinite(v):
+            raise NonFiniteEntry(f"entry {v!r} is not finite")
+        if v < -_NEG_EPS:
+            raise NegativeEntry(f"entry {v!r} below zero")
+        out.append(v if v > 0.0 else 0.0)
+    return out
 
 
 def _values_of(x) -> list:
@@ -52,7 +70,7 @@ class SchmidtVector:
 
     Raises
     ------
-    EmptyInput, NegativeEntry, ValueError
+    EmptyInput, NonFiniteEntry, NegativeEntry, ValueError
     """
 
     entries: Tuple[float, ...]
@@ -61,11 +79,7 @@ class SchmidtVector:
         vals = [float(v) for v in entries]
         if not vals:
             raise EmptyInput("SchmidtVector needs at least one entry")
-        clamped = []
-        for v in vals:
-            if v < -_NEG_EPS:
-                raise NegativeEntry(f"entry {v!r} below zero")
-            clamped.append(v if v > 0.0 else 0.0)
+        clamped = _clamped(vals)
         clamped.sort(reverse=True)
         total = math.fsum(clamped)
         if abs(total - 1.0) > 1e-12:
@@ -134,6 +148,8 @@ def normalize_descending(values: Iterable[float]) -> SchmidtVector:
     ------
     EmptyInput
         No entries.
+    NonFiniteEntry
+        An entry is NaN or infinite.
     NegativeEntry
         An entry below -1e-12.
     ZeroSum
@@ -142,11 +158,7 @@ def normalize_descending(values: Iterable[float]) -> SchmidtVector:
     vals = [float(v) for v in values]
     if not vals:
         raise EmptyInput("nothing to normalize")
-    clamped = []
-    for v in vals:
-        if v < -_NEG_EPS:
-            raise NegativeEntry(f"entry {v!r} below zero")
-        clamped.append(v if v > 0.0 else 0.0)
+    clamped = _clamped(vals)
     total = math.fsum(clamped)
     if total <= 0.0:
         raise ZeroSum("entries sum to zero")

@@ -103,6 +103,18 @@ class TestReduceFailures:
         code, _ = run("reduce", "networks/no_such_network.json")
         assert code == EXIT_USAGE
 
+    def test_nan_link_rejected(self, tmp_path, run, capsys):
+        # json accepts NaN, and NaN slips past the sum check
+        path = tmp_path / "nan.json"
+        path.write_text(
+            '{"dimension": 2, "terminals": ["A", "B"], '
+            '"edges": [{"u": "A", "v": "B", "schmidt": [NaN, 0.5]}]}',
+            encoding="utf-8",
+        )
+        code, text = run("reduce", str(path))
+        assert code == EXIT_USAGE and text == ""
+        assert "not finite" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_bytes_identical_across_runs(self, run):
@@ -229,6 +241,10 @@ class TestOutcomes:
         assert code == EXIT_USAGE
         code, _ = run("outcomes")
         assert code == EXIT_USAGE
+
+    def test_nan_link_rejected(self, run):
+        code, text = run("outcomes", "--links", "nan,0.5", "0.9,0.1")
+        assert code == EXIT_USAGE and text == ""
 
     def test_mismatched_link_lengths(self, run):
         code, _ = run("outcomes", "--links", "0.9,0.1", "0.5,0.3,0.2")

@@ -14,6 +14,8 @@ from qnetdet.errors import (
     NotSeriesParallel,
     SchemaError,
 )
+from qnetdet import network as network_module
+from qnetdet._jsonio import render_json
 from qnetdet.network import (
     Edge,
     QuantumNetwork,
@@ -120,27 +122,56 @@ class TestIngestion:
             QuantumNetwork(2, ("A", "A"), [])
 
 
+# One network per class, then shapes at the edges of the classes:
+# off-path loops and cycles, pendants, islands and nested bundles.
+CLASS_CASES = [
+    ("single_link", [("A", "B")], TopologyClass.SIMPLE_SERIES),
+    ("two_hop_chain", [("A", "M"), ("M", "B")], TopologyClass.SIMPLE_SERIES),
+    ("parallel_pair", [("A", "B"), ("A", "B")], TopologyClass.SIMPLE_PARALLEL),
+    (
+        "chain_of_bundles",
+        [("A", "M"), ("A", "M"), ("M", "B"), ("M", "B")],
+        TopologyClass.PARALLEL_THEN_SERIES,
+    ),
+    ("triangle", [("A", "M"), ("M", "B"), ("A", "B")], TopologyClass.SERIES_THEN_PARALLEL),
+    ("self_loop_on_chain", [("A", "M"), ("M", "B"), ("M", "M")], TopologyClass.SIMPLE_SERIES),
+    ("isolated_loop", [("A", "B"), ("C", "C")], TopologyClass.SIMPLE_SERIES),
+    (
+        "triangle_hanging_at_relay",
+        [("A", "M"), ("M", "B"), ("M", "X"), ("X", "Y"), ("Y", "M")],
+        TopologyClass.SERIES_PARALLEL,
+    ),
+    (
+        "triangle_at_terminal",
+        [("A", "B"), ("A", "X"), ("X", "Y"), ("Y", "A")],
+        TopologyClass.SERIES_PARALLEL,
+    ),
+    ("pendant_edge", [("A", "M"), ("M", "B"), ("M", "P")], TopologyClass.NOT_SERIES_PARALLEL),
+    ("separate_two_cycle", [("A", "B"), ("I", "J"), ("I", "J")], TopologyClass.NOT_SERIES_PARALLEL),
+    (
+        "two_direct_links_and_chain",
+        [("A", "B"), ("A", "B"), ("A", "M"), ("M", "B")],
+        TopologyClass.SERIES_PARALLEL,
+    ),
+    (
+        "bundle_inside_branch",
+        [("A", "M"), ("A", "M"), ("M", "B"), ("A", "B")],
+        TopologyClass.SERIES_PARALLEL,
+    ),
+    (
+        "two_two_hop_chains",
+        [("A", "M"), ("M", "B"), ("A", "N"), ("N", "B")],
+        TopologyClass.SERIES_THEN_PARALLEL,
+    ),
+]
+
+
 class TestClassification:
-    def test_shapes(self):
-        assert classify_topology(_net(("A", "B", LAM))) is TopologyClass.SIMPLE_SERIES
-        assert (
-            classify_topology(_net(("A", "M", LAM), ("M", "B", LAM)))
-            is TopologyClass.SIMPLE_SERIES
-        )
-        assert (
-            classify_topology(_net(("A", "B", LAM), ("A", "B", LAM)))
-            is TopologyClass.SIMPLE_PARALLEL
-        )
-        assert (
-            classify_topology(
-                _net(("A", "M", LAM), ("A", "M", LAM), ("M", "B", LAM), ("M", "B", LAM))
-            )
-            is TopologyClass.PARALLEL_THEN_SERIES
-        )
-        assert (
-            classify_topology(_net(("A", "M", LAM), ("M", "B", LAM), ("A", "B", LAM)))
-            is TopologyClass.SERIES_THEN_PARALLEL
-        )
+    @pytest.mark.parametrize(
+        "pairs, expected", [c[1:] for c in CLASS_CASES], ids=[c[0] for c in CLASS_CASES]
+    )
+    def test_class(self, pairs, expected):
+        assert classify_topology(_net(*((u, v, LAM) for u, v in pairs))) is expected
 
     def test_bridge_not_series_parallel(self):
         bridge = _net(
@@ -237,7 +268,53 @@ class TestCep:
         assert cep_probability(net) == pytest.approx(0.232, abs=1e-12)
 
 
+# A-x, A-w-x, x-y-B at d=4, where swap_rule is not associative: the
+# bytes pin the order in which the reduction folds the moves today.
+ORDER_SENSITIVE_D4 = [
+    ("A", "x", [0.4, 0.3, 0.2, 0.1]),
+    ("A", "w", [0.5, 0.25, 0.15, 0.1]),
+    ("w", "x", [0.7, 0.1, 0.1, 0.1]),
+    ("x", "y", [0.35, 0.3, 0.2, 0.15]),
+    ("y", "B", [0.6, 0.2, 0.15, 0.05]),
+]
+ORDER_SENSITIVE_D4_REPORT = (
+    '{"dimension": 4, "terminals": ["A", "B"], "edge_count": 5, "topology": "SeriesParallel", '
+    '"det_vector": [0.619550435537, 0.210397428066, 0.127294093581, 0.0427580428158], '
+    '"concurrence": {"C_1": 1, "C_2": 0.859347150344, "C_3": 0.752990807946, "C_4": 0.652823504206}, '
+    '"cep_probability": 0.05952, "reduction_trace": ['
+    '{"op": "series", "node": "w", "through": ["A", "x"], '
+    '"inputs": [[0.5, 0.25, 0.15, 0.1], [0.7, 0.1, 0.1, 0.1]], '
+    '"output": [0.74470907284, 0.13738620655, 0.0727846686515, 0.0451200519587]}, '
+    '{"op": "series", "node": "y", "through": ["x", "B"], '
+    '"inputs": [[0.35, 0.3, 0.2, 0.15], [0.6, 0.2, 0.15, 0.05]], '
+    '"output": [0.617341718572, 0.21038634392, 0.128931871456, 0.0433400660513]}, '
+    '{"op": "parallel", "nodes": ["A", "x"], "arity": 2, '
+    '"inputs": [[0.4, 0.3, 0.2, 0.1], [0.74470907284, 0.13738620655, 0.0727846686515, 0.0451200519587]], '
+    '"output": [0.297883629136, 0.234038790288, 0.234038790288, 0.234038790288]}, '
+    '{"op": "series", "node": "x", "through": ["A", "B"], '
+    '"inputs": [[0.297883629136, 0.234038790288, 0.234038790288, 0.234038790288], '
+    '[0.617341718572, 0.21038634392, 0.128931871456, 0.0433400660513]], '
+    '"output": [0.619550435537, 0.210397428066, 0.127294093581, 0.0427580428158]}]}\n'
+)
+
+
 class TestReport:
+    def test_order_sensitive_d4_bytes(self):
+        doc = report(_net(*ORDER_SENSITIVE_D4, dimension=4))
+        assert render_json(doc) == ORDER_SENSITIVE_D4_REPORT
+
+    def test_decomposes_once(self, monkeypatch):
+        calls = []
+        decompose = network_module._decompose
+
+        def counted(net):
+            calls.append(net)
+            return decompose(net)
+
+        monkeypatch.setattr(network_module, "_decompose", counted)
+        report(_net(("A", "M", LAM), ("M", "B", LAM), ("A", "B", LAM)))
+        assert len(calls) == 1
+
     def test_document_shape(self):
         doc = report(_net(("A", "M", LAM), ("M", "B", LAM), ("A", "B", LAM)))
         assert doc["dimension"] == 2

@@ -11,6 +11,7 @@ from qnetdet.errors import (
     KOutOfRange,
     LengthMismatch,
     NegativeEntry,
+    NonFiniteEntry,
     ZeroSum,
 )
 from qnetdet.sampling import dominated_vector, random_schmidt, substream
@@ -51,6 +52,11 @@ class TestSchmidtVector:
         with pytest.raises(ValueError):
             SchmidtVector([0.5, 0.4])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(NonFiniteEntry):
+            SchmidtVector([bad, 1.0])
+
     def test_rejects_empty(self):
         with pytest.raises(EmptyInput):
             SchmidtVector([])
@@ -78,6 +84,11 @@ class TestNormalize:
     def test_negative(self):
         with pytest.raises(NegativeEntry):
             normalize_descending([1.0, -1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite(self, bad):
+        with pytest.raises(NonFiniteEntry):
+            normalize_descending([bad, 0.5])
 
     def test_empty(self):
         with pytest.raises(EmptyInput):
