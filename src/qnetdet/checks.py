@@ -14,6 +14,7 @@ replayable.
 """
 
 import functools
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -414,6 +415,80 @@ def check_lemma_convexity_purify(cfg: CheckConfig) -> CheckReport:
                 "inputs": [_floats(x) for x in xs],
                 "mix_of_maps": _floats(mix_of_maps),
                 "map_of_mix": _floats(map_of_mix),
+            },
+        )
+    return acc.report(name, cfg.trials)
+
+
+def _fold_link(d, rng) -> SchmidtVector:
+    """A link for the fold check: a flat Dirichlet draw, or a shape on
+    which the parallel rule's levelling switches: integer weights (ties
+    and zeros), a product state, the uniform vector or a cut support."""
+    kind = int(rng.integers(0, 5))
+    if kind == 0:
+        return sampling.random_schmidt(d, rng)
+    if kind == 1:
+        w = rng.integers(0, 4, size=d).astype(float)
+        w[0] += 1.0
+    elif kind == 2:
+        w = np.eye(d)[0]
+    elif kind == 3:
+        w = np.ones(d)
+    else:
+        w = rng.dirichlet(np.ones(d))
+        w[int(rng.integers(1, d)):] = 0.0
+    return normalize_descending(w)
+
+
+def check_lemma_parallel_fold(cfg: CheckConfig) -> CheckReport:
+    """The reduction folds a bundle pairwise, P(..P(P(a(x)b)(x)c)..),
+    where P is the parallel rule down to d entries and (x) the tensor
+    product; this equals P of the full product of the bundle.  Each
+    trial reduces an A-B bundle of 2..5 links, members in drawn and in
+    reversed order, against the full product (capped at 4096 entries).
+
+    Proof sketch, P(P(x)(x)c) = P(x(x)c) for x with at least d entries
+    and unit total: P(w) is the least d-vector majorizing w (the
+    ordering behind Nielsen's conversion criterion, PRL 83, 436, 1999),
+    since its prefix sums are the least concave majorant of the points
+    (k, S_k(w)), k < d, and (d, total); so y majorizing w makes P(y)
+    majorize P(w).  P(x) majorizes x, so P(x)(x)c majorizes x(x)c and
+    P(P(x)(x)c) majorizes P(x(x)c).  Conversely write P(x) = (x_1..x_r,
+    t..t), d - r level entries t <= x_r, and take the k < d largest
+    entries of P(x)(x)c, each column's head products x_i c_j before its
+    level ones: h head entries summing to H, and q = k - h level ones in
+    columns J.  Each column in J holds all r head entries, so h >= r and
+    its level mass (d - r) t c_j lies outside H; the level entries sum
+    to at most q t max_J c_j <= q (1 - H) / (d - h).  The concave prefix
+    sums of P(x(x)c) lie above (h, H) and reach 1 at d, so at k they are
+    at least H + q (1 - H) / (d - h): P(x(x)c) majorizes P(x)(x)c, hence
+    P(P(x)(x)c).  The two majorize each other, so they are equal, and
+    induction over the members gives the fold.  The slack is the largest
+    entry difference, which is rounding only."""
+    name = "lemma_parallel_fold"
+    d = cfg.dimension
+    most = 5
+    while d**most > 4096:
+        most -= 1
+    acc = _Acc(cfg.tolerance)
+    for t in range(cfg.trials):
+        rng = sampling.substream(cfg.seed, name, t)
+        links = [_fold_link(d, rng) for _ in range(int(rng.integers(2, most + 1)))]
+        product = [math.prod(p) for p in itertools.product(*(v.entries for v in links))]
+        full = purify_rule(product, d).entries
+        folded = [
+            reduce_series_parallel(
+                QuantumNetwork(d, ("A", "B"), [Edge("A", "B", v) for v in members])
+            )[0].entries
+            for members in (links, links[::-1])
+        ]
+        acc.slack(
+            max(abs(a - b) for vec in folded for a, b in zip(vec, full)),
+            lambda: {
+                "trial": t,
+                "links": [_floats(v.entries) for v in links],
+                "full_product": _floats(full),
+                "folded": [_floats(vec) for vec in folded],
             },
         )
     return acc.report(name, cfg.trials)
@@ -1039,6 +1114,7 @@ CHECKS = {
     "lemma_sum_product": check_lemma_sum_product,
     "isotone_maps": check_isotone_maps,
     "prefix_power": check_prefix_power,
+    "lemma_parallel_fold": check_lemma_parallel_fold,
     "reverse_amgm": check_reverse_amgm,
     "theorem_single_link": check_theorem_single_link,
     "theorem_simple_series": check_theorem_simple_series,
@@ -1058,6 +1134,7 @@ GROUPS = {
         "lemma_sum_product",
         "isotone_maps",
         "prefix_power",
+        "lemma_parallel_fold",
     ),
     "amgm": ("reverse_amgm",),
     "theorems": (

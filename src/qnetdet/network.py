@@ -8,7 +8,7 @@ input and then whenever a contraction closes one.  The moves then come
 in rounds, repeated until a round changes nothing:
 
 * parallel: every bundle of edges sharing both endpoints becomes one
-  edge, bundles taken in sorted endpoint order, members in edge order;
+  edge, bundles taken in sorted endpoint order;
 * series: every non-terminal node of degree two is contracted, nodes
   taken by breadth-first distance from A and then by name, both the
   degrees and the distances as at the start of the series pass.  A
@@ -19,13 +19,18 @@ in rounds, repeated until a round changes nothing:
 Edges are ordered by id: the network's edges in input order, then the
 edges the moves create, in creation order.
 
-The reduction folds these moves over the links: a series move swaps
-its two vectors and a parallel move purifies the tensor product of the
-bundle.  The fold order is part of the answer, because from dimension
-4 on the series rule is not associative (the associativity boundary
-check of the verification suite).  The same moves fold scalar scores
-into the probabilistic conversion figure, and the topology class is
-read from their shape.
+The reduction folds these moves over the links.  A series move swaps
+its two vectors.  A parallel move folds its bundle pairwise, members in
+ascending order of their vectors (the order its trace event lists
+them): each member joins the running vector in a d*d tensor product
+that is purified back to d entries.  That costs O(k d^2 log d) for k
+links and equals purifying the full d^k product (the
+lemma_parallel_fold check of the verification suite), and no order of
+the bundle's edges changes a bit of it.  The order of the moves is part
+of the answer, because from dimension 4 on the series rule is not
+associative (the associativity boundary check of the verification
+suite).  The same moves fold scalar scores into the probabilistic
+conversion figure, and the topology class is read from their shape.
 """
 
 from __future__ import annotations
@@ -324,11 +329,13 @@ def _fold(moves, values, series_fn, parallel_fn) -> dict:
 
 
 def _det_parallel(links: List[SchmidtVector]) -> SchmidtVector:
+    """Parallel rule on a bundle, folded pairwise in ascending order of
+    the members' vectors; no purify call sees more than d*d entries."""
     d = links[0].dimension
-    prod = [1.0]
-    for vec in links:
-        prod = [a * b for a in prod for b in vec.entries]
-    return purify_rule(prod, d)
+    acc, *rest = sorted(links, key=lambda vec: vec.entries)
+    for vec in rest:
+        acc = purify_rule([a * b for a in acc.entries for b in vec.entries], d)
+    return acc
 
 
 def _reduce(network, moves, root):
@@ -340,7 +347,9 @@ def _reduce(network, moves, root):
         if "link" in event:
             event["link"] = shown[event["link"]]
         else:
-            event["inputs"] = [shown[e] for e in event["inputs"]]
+            inputs = [shown[e] for e in event["inputs"]]
+            # a bundle is listed in the order _det_parallel folds it
+            event["inputs"] = sorted(inputs) if event["op"] == "parallel" else inputs
             event["output"] = shown[event["output"]]
         trace.append(event)
     return links[root], trace
@@ -370,7 +379,8 @@ def _cep(network, moves, root) -> float:
         moves,
         [conversion_probability(e.link, uniform) for e in network.edges],
         lambda p, q: p * q,
-        lambda ps: 1.0 - math.prod(1.0 - p for p in ps),
+        # sorted, so that no order of a bundle's edges changes a bit
+        lambda ps: 1.0 - math.prod(sorted(1.0 - p for p in ps)),
     )[root]
 
 

@@ -114,8 +114,10 @@ def purify_rule(x, d: int) -> SchmidtVector:
 
     Entry l of the result is the larger of the l-th largest entry of x
     and an equal share of the mass not yet assigned; the scan preserves
-    the total.  x may be longer than d (a bundle of links is combined by
-    applying this to their tensor product).
+    the total.  x may be longer than d: the network reduction folds a
+    bundle of links pairwise, applying this to the d*d tensor product of
+    the running vector and the next link, which equals applying it once
+    to the product of the whole bundle (the lemma_parallel_fold check).
 
     Raises
     ------

@@ -51,7 +51,7 @@ class TestRegistry:
     def test_groups_cover_all_checks(self):
         grouped = set(GROUPS["all"])
         assert grouped == set(CHECKS)
-        assert len(GROUPS["all"]) == len(CHECKS) == 15
+        assert len(GROUPS["all"]) == len(CHECKS) == 16
 
     def test_group_contents(self):
         assert set(GROUPS["theorems"]) == {
@@ -63,7 +63,7 @@ class TestRegistry:
         }
         assert GROUPS["amgm"] == ("reverse_amgm",)
         assert GROUPS["counterexample"] == ("counterexample",)
-        assert len(GROUPS["lemmas"]) == 8
+        assert len(GROUPS["lemmas"]) == 9
 
     def test_unknown_selector(self):
         with pytest.raises(KeyError):

@@ -129,7 +129,7 @@ class TestVerify:
         assert code == EXIT_OK
         doc = json.loads(text)
         schema_validator("verify_output.schema.json").validate(doc)
-        assert len(doc["reports"]) == 15
+        assert len(doc["reports"]) == 16
         assert doc["manifest"]["config"]["trials"] == 5
 
     def test_violations_exit_code(self, run):

@@ -16,6 +16,7 @@ from qnetdet.errors import (
 )
 from qnetdet import network as network_module
 from qnetdet._jsonio import render_json
+from qnetdet.cli import EXIT_OK, main
 from qnetdet.network import (
     Edge,
     QuantumNetwork,
@@ -28,8 +29,8 @@ from qnetdet.network import (
     report,
 )
 from qnetdet.rules import purify_rule, swap_rule
-from qnetdet.sampling import random_network, substream
-from qnetdet.schmidt import SchmidtVector, kron
+from qnetdet.sampling import random_network, random_schmidt, substream
+from qnetdet.schmidt import SchmidtVector, kron, normalize_descending
 
 SEED = 20240811
 
@@ -249,6 +250,77 @@ class TestReduction:
         vec, _ = reduce_series_parallel(net)
         assert vec.dimension == d
         assert math.fsum(vec.entries) == pytest.approx(1.0, abs=1e-9)
+
+
+def _strong_link(d, low, rng):
+    """Link whose top entry is drawn from [low, 1), low >= 1/2."""
+    top = rng.uniform(low, 1.0)
+    return normalize_descending([top, *(rng.dirichlet(np.ones(d - 1)) * (1.0 - top))])
+
+
+class TestBundles:
+    """A bundle is folded pairwise, so its cost grows linearly in its
+    size, and its answer does not depend on the order of its edges."""
+
+    @pytest.mark.parametrize("d, k", [(4, 9), (2, 12)])
+    def test_purify_sees_at_most_d_squared_entries(self, monkeypatch, d, k):
+        sizes = []
+        purify = network_module.purify_rule
+
+        def spy(x, dim):
+            sizes.append(len(x))
+            return purify(x, dim)
+
+        monkeypatch.setattr(network_module, "purify_rule", spy)
+        rng = substream(SEED, "bundle_spy", d)
+        reduce_series_parallel(
+            _net(*[("A", "B", random_schmidt(d, rng)) for _ in range(k)], dimension=d)
+        )
+        assert len(sizes) == k - 1
+        assert max(sizes) <= d * d
+
+    @pytest.mark.parametrize(
+        "d, k, low, above",
+        [(2, 40, 0.985, True), (4, 20, 0.95, True), (2, 40, 0.5, False), (4, 20, 0.5, False)],
+    )
+    def test_top_entry_closed_form(self, d, k, low, above):
+        # the largest product of the bundle, or the level 1/d if that is larger
+        rng = substream(SEED, "bundle_top", d * 1000 + round(low * 1000))
+        links = [_strong_link(d, low, rng) for _ in range(k)]
+        vec, _ = reduce_series_parallel(_net(*[("A", "B", v) for v in links], dimension=d))
+        prod = math.prod(v.entries[0] for v in links)
+        assert (prod > 1.0 / d) == above
+        assert vec.entries[0] == pytest.approx(max(prod, 1.0 / d), abs=1e-12)
+        assert math.fsum(vec.entries) == pytest.approx(1.0, abs=1e-12)
+
+    def test_cli_thirty_link_qubit_bundle(self, tmp_path):
+        rng = substream(SEED, "bundle_cli", 0)
+        tops = rng.uniform(0.5, 1.0, size=30).tolist()
+        doc = {
+            "dimension": 2,
+            "terminals": ["A", "B"],
+            "edges": [{"u": "A", "v": "M", "schmidt": [p, 1.0 - p]} for p in tops]
+            + [{"u": "M", "v": "B", "schmidt": [0.9, 0.1]}],
+        }
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out.json"
+        assert main(["reduce", str(path), "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text(encoding="utf-8"))["reduction_trace"][0]["arity"] == 30
+
+    @pytest.mark.parametrize("d", [4, 5])
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_edge_order_of_bundle_is_irrelevant(self, d, k):
+        rng = substream(SEED, "bundle_order", d * 10 + k)
+        links = [random_schmidt(d, rng) for _ in range(k - 1)]
+        links.append(links[0])  # equal members too
+        rest = [("M", "B", random_schmidt(d, rng)), ("A", "B", random_schmidt(d, rng))]
+        base = report(_net(*[("A", "M", v) for v in links], *rest, dimension=d))
+        for _ in range(4):
+            perm = [links[i] for i in rng.permutation(k)]
+            doc = report(_net(*rest, *[("A", "M", v) for v in perm], dimension=d))
+            assert np.max(np.abs(np.subtract(doc["det_vector"], base["det_vector"]))) <= 1e-15
+            assert render_json(doc) == render_json(base)
 
 
 class TestCep:
