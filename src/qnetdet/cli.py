@@ -9,6 +9,7 @@ violations, 6 invalid measurement.
 """
 
 import argparse
+import contextlib
 import csv
 import datetime
 import io
@@ -324,6 +325,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Deterministic entanglement transmission over series-parallel networks.",
     )
     parser.add_argument("--version", action="version", version=f"qnetdet {__version__}")
+    parser.add_argument(
+        "-v",
+        "--verbose",
+        action="count",
+        default=0,
+        help="log to stderr: -v for notices such as skipped checks, -vv also for debug detail",
+    )
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     p_red = subs.add_parser("reduce", help="reduce a network file to its final state report")
@@ -371,20 +379,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _log_to_stderr(verbosity: int):
+    """Send the package's log records to stderr while a command runs:
+    INFO and up for -v, DEBUG and up for -vv, nothing without the flag."""
+    if not verbosity:
+        yield
+        return
+    package = logging.getLogger("qnetdet")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("qnetdet: %(levelname)s %(name)s: %(message)s"))
+    level = package.level
+    package.addHandler(handler)
+    package.setLevel(logging.INFO if verbosity == 1 else logging.DEBUG)
+    try:
+        yield
+    finally:
+        package.removeHandler(handler)
+        package.setLevel(level)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except NotSeriesParallel as exc:
-        return _fail(str(exc), EXIT_NOT_SERIES_PARALLEL)
-    except DisconnectedTerminals as exc:
-        return _fail(str(exc), EXIT_DISCONNECTED)
-    except InvalidPovm as exc:
-        return _fail(str(exc), EXIT_INVALID_POVM)
-    except FileNotFoundError as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    except (QnetdetError, ValueError) as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    with _log_to_stderr(args.verbose):
+        try:
+            return args.func(args)
+        except NotSeriesParallel as exc:
+            return _fail(str(exc), EXIT_NOT_SERIES_PARALLEL)
+        except DisconnectedTerminals as exc:
+            return _fail(str(exc), EXIT_DISCONNECTED)
+        except InvalidPovm as exc:
+            return _fail(str(exc), EXIT_INVALID_POVM)
+        except FileNotFoundError as exc:
+            return _fail(str(exc), EXIT_USAGE)
+        except (QnetdetError, ValueError) as exc:
+            return _fail(str(exc), EXIT_USAGE)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """Command-line behavior: golden outputs, exit codes, formats, seeds."""
 
 import json
+import logging
 
 import pytest
 
@@ -286,3 +287,47 @@ class TestManifest:
         with pytest.raises(SystemExit) as exc:
             main(["reduce", "--format", "xml", "x.json"])
         assert exc.value.code == 2
+
+
+class TestVerbose:
+    """-v sends the package's log records to stderr and leaves the
+    output bytes alone."""
+
+    @pytest.fixture
+    def stdio(self, capsys, monkeypatch, repo_root):
+        monkeypatch.chdir(repo_root)
+
+        def _run(*argv):
+            code = main(list(argv))
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        return _run
+
+    def test_reduce_stdout_unchanged(self, stdio):
+        code, plain, quiet = stdio("reduce", "networks/triangle.json")
+        assert code == EXIT_OK and quiet == ""
+        for flag in ("-v", "-vv", "--verbose"):
+            code, out, _ = stdio(flag, "reduce", "networks/triangle.json")
+            assert code == EXIT_OK
+            assert out == plain
+
+    def test_skip_notice_on_stderr(self, stdio):
+        _, _, quiet = stdio("verify", "all", "--d", "3", "--trials", "2")
+        assert "theorem_worst_case_d2" not in quiet
+        code, _, err = stdio("-v", "verify", "all", "--d", "3", "--trials", "2")
+        assert code == EXIT_OK
+        assert "skipping theorem_worst_case_d2" in err
+
+    def test_debug_line_per_decomposition(self, stdio):
+        _, _, info = stdio("-v", "reduce", "networks/triangle.json")
+        assert "decomposed" not in info
+        _, _, debug = stdio("-vv", "reduce", "networks/triangle.json")
+        assert debug.count("decomposed 3 edges:") == 1
+        assert "series_moves=1 parallel_moves=1" in debug
+
+    def test_logging_restored_after_run(self, stdio):
+        package = logging.getLogger("qnetdet")
+        handlers, level = list(package.handlers), package.level
+        stdio("-vv", "reduce", "networks/bridge.json")
+        assert package.handlers == handlers and package.level == level
