@@ -28,13 +28,6 @@ from .schmidt import (
     trace_vec,
     adjugate_vec,
 )
-from .matrices import (
-    ComplexMatrix,
-    fourier_matrix,
-    singular_values_desc,
-    hermitian_eigenvalues_desc,
-    frobenius_norm_sq,
-)
 from .rules import (
     Povm,
     swap_rule,
@@ -72,11 +65,6 @@ __all__ = [
     "det_vec",
     "trace_vec",
     "adjugate_vec",
-    "ComplexMatrix",
-    "fourier_matrix",
-    "singular_values_desc",
-    "hermitian_eigenvalues_desc",
-    "frobenius_norm_sq",
     "Povm",
     "swap_rule",
     "purify_rule",

@@ -1,8 +1,10 @@
 """Deterministic JSON rendering with fixed float precision.
 
 Every float is printed with 12 significant digits, so identical data
-produces identical bytes across runs and platforms; golden files can
-then be compared verbatim.
+produces identical bytes across runs; golden files can then be compared
+verbatim.  The data are reproducible for one kernel backend: the
+compiled and pure-Python kernels may differ in the last bits of a value,
+and a verify report prints some of its slacks at that precision.
 """
 
 import json

@@ -1,32 +1,15 @@
 """Kernel backend selection.
 
-The compiled extension is preferred when present; the pure-Python
-kernels are a drop-in replacement.  Set QNETDET_BACKEND=py or
-QNETDET_BACKEND=c to force a choice (forcing "c" raises if the
-extension was not built).
+The compiled extension is used when it can be imported; otherwise the
+pure-Python kernels, a drop-in replacement, are.
 """
 
 from __future__ import annotations
 
-import os
-
-
-def _load():
-    choice = os.environ.get("QNETDET_BACKEND", "auto")
-    if choice not in ("auto", "c", "py"):
-        raise ValueError(f"QNETDET_BACKEND must be auto, c or py, got {choice!r}")
-    if choice in ("auto", "c"):
-        try:
-            from . import _kernels_c as impl
-            return impl
-        except ImportError:
-            if choice == "c":
-                raise
-    from . import _kernels_py as impl
-    return impl
-
-
-kernels = _load()
+try:
+    from . import _kernels_c as kernels
+except ImportError:
+    from . import _kernels_py as kernels
 
 
 def backend_name() -> str:

@@ -219,9 +219,12 @@ def _purify_raw(xs, d) -> list:
 
 
 def _numpy_outcomes(x_entries, y_entries, elements) -> list:
-    """Swap-outcome ensemble (probability, sorted spectrum) computed on
-    the plain numpy path; independent of the library kernels so the
-    Monte Carlo loops do not assume what they test."""
+    """Outcome ensemble (probability, sorted spectrum) of operators
+    X_a acting on a state: each X_a becomes
+    diag(sqrt(x)) X_a diag(sqrt(y)).  Two-sided swap measurements pass
+    both link spectra; one-sided Kraus operators pass x = ones.
+    Computed on the plain numpy path, independent of the library
+    kernels, so the Monte Carlo loops do not assume what they test."""
     rx = np.sqrt(np.asarray(x_entries, dtype=float))
     ry = np.sqrt(np.asarray(y_entries, dtype=float))
     out = []
@@ -233,27 +236,6 @@ def _numpy_outcomes(x_entries, y_entries, elements) -> list:
         sv = np.linalg.svd(psi, compute_uv=False)
         out.append((p, np.sort(sv * sv)[::-1] / p))
     return out
-
-
-def _kraus_outcomes(entries, kraus) -> list:
-    """Ensemble produced by one-sided operators K_a acting on a state
-    with the given spectrum: probability and sorted outcome spectrum of
-    each K_a diag(sqrt(entries))."""
-    root = np.sqrt(np.asarray(entries, dtype=float))
-    out = []
-    for k in kraus:
-        m = k * root[None, :]
-        p = float(np.vdot(m, m).real)
-        if p < _PROB_FLOOR:
-            continue
-        sv = np.linalg.svd(m, compute_uv=False)
-        out.append((p, np.sort(sv * sv)[::-1] / p))
-    return out
-
-
-@functools.lru_cache(maxsize=None)
-def _det_povm_arrays(d) -> np.ndarray:
-    return np.array([e.to_rows() for e in deterministic_swap_povm(d)], dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +701,7 @@ def check_theorem_single_link(cfg: CheckConfig) -> CheckReport:
         lam = sampling.random_schmidt(d, rng)
         count = 1 if t % 10 == 0 else int(rng.integers(2, 5))
         kraus = sampling.sample_local_kraus(d, count, rng)
-        ens = _kraus_outcomes(lam.entries, kraus)
+        ens = _numpy_outcomes(np.ones(kraus.shape[1]), lam.entries, kraus)
         states = [normalize_descending(vec) for _, vec in ens]
 
         mix = np.sum([p * vec for p, vec in ens], axis=0)
@@ -810,7 +792,7 @@ def check_theorem_simple_series(cfg: CheckConfig) -> CheckReport:
         lb = sampling.random_schmidt(d, rng)
         deterministic = t % 10 == 0
         if deterministic:
-            els = _det_povm_arrays(d)
+            els = deterministic_swap_povm(d).elements
         else:
             els = sampling.sample_povm_arrays(d, cfg.resolved_povm_size, rng)
         outs = _numpy_outcomes(la.entries, lb.entries, els)
@@ -864,7 +846,7 @@ def check_theorem_simple_parallel(cfg: CheckConfig) -> CheckReport:
         joint = kron(la, lb)
         count = int(rng.integers(d, d + 3))
         kraus = sampling.sample_wide_kraus(d, count, rng)
-        ens = _kraus_outcomes(joint.entries, kraus)
+        ens = _numpy_outcomes(np.ones(kraus.shape[1]), joint.entries, kraus)
         states = [normalize_descending(vec) for _, vec in ens]
         pur = purify_rule(joint, d)
 
@@ -982,7 +964,7 @@ def check_theorem_worst_case_d2(cfg: CheckConfig) -> CheckReport:
         idx = int(rng.integers(0, len(net.edges)))
         count = 1 if t % 10 == 0 else int(rng.integers(2, 5))
         kraus = sampling.sample_local_kraus(2, count, rng)
-        ens = _kraus_outcomes(net.edges[idx].link.entries, kraus)
+        ens = _numpy_outcomes(np.ones(kraus.shape[1]), net.edges[idx].link.entries, kraus)
         worst_branch = math.inf
         for _, vec in ens:
             edges = list(net.edges)

@@ -2,7 +2,9 @@
 verification, and swap-outcome enumeration.
 
 All machine output is JSON with a manifest at the head and floats at
-12 significant digits, so a fixed seed reproduces identical bytes.
+12 significant digits, so a fixed seed reproduces identical bytes with
+one kernel backend.  The compiled and pure-Python kernels may differ in
+the last bits of a value, which can show in a verify report's slacks.
 Exit codes: 0 success, 2 usage or input schema problems, 3 network not
 series-parallel, 4 terminals disconnected, 5 verification found
 violations, 6 invalid measurement.

@@ -39,16 +39,13 @@ class EmptyEnsemble(QnetdetError):
     """A probabilistic ensemble had no outcomes."""
 
 
-class NotHermitian(QnetdetError):
-    """Matrix argument was not Hermitian within tolerance."""
-
-
 class ShapeMismatch(QnetdetError):
-    """Matrix data length inconsistent with the declared shape."""
+    """Measurement elements are not a non-empty stack of equally sized
+    square matrices, or a dimension is not positive."""
 
 
 class DimensionTooLarge(QnetdetError):
-    """Dense kernel invoked above its supported dimension (16)."""
+    """Local dimension above what the verification suite supports (8)."""
 
 
 class DimensionMismatch(QnetdetError):

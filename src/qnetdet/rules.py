@@ -17,9 +17,10 @@ and the verification suite.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import TYPE_CHECKING
 
 from .backend import kernels
 from .errors import (
@@ -29,35 +30,48 @@ from .errors import (
     LengthMismatchAfterPadding,
     ShapeMismatch,
 )
-from .matrices import ComplexMatrix
 from .schmidt import MAJORIZATION_ATOL, SchmidtVector, ProbabilisticEnsemble, majorizes, normalize_descending
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Measurement outcomes below this probability are dropped when
 # enumerating swap outcomes.
 OUTCOME_PROB_FLOOR = 1e-14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Povm:
-    """Measurement in vectorized form: square matrices X_alpha whose
-    vectorizations satisfy the completeness relation
-    sum_alpha conj(X_alpha[mu,nu]) X_alpha[mu',nu'] = delta delta."""
+    """Measurement in vectorized form: a read-only complex array of
+    shape (K, d, d) holding square matrices X_alpha whose vectorizations
+    satisfy the completeness relation
+    sum_alpha conj(X_alpha[mu,nu]) X_alpha[mu',nu'] = delta delta.
 
-    elements: Tuple[ComplexMatrix, ...]
+    Raises
+    ------
+    ShapeMismatch
+        The elements are empty, not 3-D or not square.
+    """
 
-    def __init__(self, elements: Iterable[ComplexMatrix]):
-        elems = tuple(elements)
-        if not elems:
-            raise ShapeMismatch("measurement needs at least one element")
-        d = elems[0].rows
-        for e in elems:
-            if e.rows != e.cols or e.rows != d:
-                raise ShapeMismatch("elements must be square and equally sized")
-        object.__setattr__(self, "elements", elems)
+    elements: np.ndarray
+
+    def __init__(self, elements):
+        # numpy is imported here and in validate_povm only, so that
+        # reducing a network does not load it
+        import numpy as np
+
+        try:
+            arr = np.array(elements, dtype=complex)
+        except ValueError as exc:
+            raise ShapeMismatch("elements must be square and equally sized") from exc
+        if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or arr.size == 0:
+            raise ShapeMismatch(f"elements of shape {arr.shape} are not a non-empty stack of square matrices")
+        arr.setflags(write=False)
+        object.__setattr__(self, "elements", arr)
 
     @property
     def dimension(self) -> int:
-        return self.elements[0].rows
+        return self.elements.shape[1]
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -199,12 +213,9 @@ def enumerate_swap_outcomes(x: SchmidtVector, y: SchmidtVector, povm: Povm) -> P
     rx = [math.sqrt(v) for v in x.entries]
     ry = [math.sqrt(v) for v in y.entries]
     outcomes = []
-    for elem in povm:
-        psi = [
-            rx[j] * elem.data[j * d + k] * ry[k]
-            for j in range(d)
-            for k in range(d)
-        ]
+    # the kernels take lists of Python complex numbers
+    for elem in povm.elements.tolist():
+        psi = [rx[j] * row[k] * ry[k] for j, row in enumerate(elem) for k in range(d)]
         p = math.fsum(v.real * v.real + v.imag * v.imag for v in psi)
         if p < OUTCOME_PROB_FLOOR:
             continue
@@ -217,45 +228,39 @@ def validate_povm(povm: Povm, tol: float = 1e-10) -> bool:
     """Check the vectorized completeness relation: the Gram matrix of the
     vectorized elements must be the identity within tol (max entry
     deviation)."""
+    import numpy as np
+
     d = povm.dimension
-    n = d * d
-    vecs = [list(e.data) for e in povm]
-    for i in range(n):
-        for j in range(i, n):
-            acc = 0j
-            for v in vecs:
-                acc += v[i].conjugate() * v[j]
-            want = 1.0 if i == j else 0.0
-            if abs(acc - want) > tol:
-                return False
-    return True
+    vecs = povm.elements.reshape(len(povm), d * d)
+    gram = vecs.conj().T @ vecs
+    return bool(np.max(np.abs(gram - np.eye(d * d))) <= tol)
 
 
+@functools.lru_cache(maxsize=None)
 def deterministic_swap_povm(d: int) -> Povm:
     """The d*d-element measurement whose every outcome reproduces the
     series rule exactly: element alpha = 1..d^2 has entries
     exp(-alpha(d mu + nu) 2 pi i / d^2 - 2 pi i mu nu / d) / d
-    for mu, nu = 1..d."""
+    for mu, nu = 1..d.  Cached per d; the elements are read-only."""
     if d < 1:
         raise ShapeMismatch("dimension must be positive")
-    elems = []
-    for alpha in range(1, d * d + 1):
-        data = []
-        for mu in range(1, d + 1):
-            for nu in range(1, d + 1):
-                ang = -2.0 * math.pi * alpha * (d * mu + nu) / (d * d) - 2.0 * math.pi * mu * nu / d
-                data.append(cmath.exp(1j * ang) / d)
-        elems.append(ComplexMatrix(d, d, data))
-    return Povm(elems)
+
+    def entry(alpha, mu, nu):
+        ang = -2.0 * math.pi * alpha * (d * mu + nu) / (d * d) - 2.0 * math.pi * mu * nu / d
+        return cmath.exp(1j * ang) / d
+
+    idx = range(1, d + 1)
+    return Povm([[[entry(alpha, mu, nu) for nu in idx] for mu in idx] for alpha in range(1, d * d + 1)])
 
 
 def bell_povm_d2() -> Povm:
     """The four-element qubit Bell measurement in vectorized form."""
     s = 1.0 / math.sqrt(2.0)
-    mats = [
-        [[s, 0], [0, s]],
-        [[s, 0], [0, -s]],
-        [[0, s], [s, 0]],
-        [[0, s], [-s, 0]],
-    ]
-    return Povm(ComplexMatrix.from_rows(m) for m in mats)
+    return Povm(
+        [
+            [[s, 0], [0, s]],
+            [[s, 0], [0, -s]],
+            [[0, s], [s, 0]],
+            [[0, s], [-s, 0]],
+        ]
+    )

@@ -12,7 +12,6 @@ import logging
 import numpy as np
 
 from .errors import RejectionBudgetExceeded, SingularNormalizer
-from .matrices import ComplexMatrix
 from .network import Edge, QuantumNetwork
 from .rules import Povm
 from .schmidt import SchmidtVector, majorizes
@@ -115,11 +114,7 @@ def sample_povm_arrays(dimension, count, rng):
 
 def sample_povm(dimension, count, rng):
     """Random complete swap measurement; see sample_povm_arrays."""
-    arrays = sample_povm_arrays(dimension, count, rng)
-    return Povm(
-        ComplexMatrix(dimension, dimension, [complex(v) for v in m.ravel()])
-        for m in arrays
-    )
+    return Povm(sample_povm_arrays(dimension, count, rng))
 
 
 def _right_normalized(raw, rng_label):

@@ -1,10 +1,5 @@
 """Compiled and pure-Python kernels must be interchangeable."""
 
-import importlib
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -116,30 +111,3 @@ def test_esym_parity():
         xs = _rng.standard_normal(n).tolist()
         for k in range(n + 1):
             assert kc.esym(xs, k) == pytest.approx(kpy.esym(xs, k), rel=1e-12, abs=1e-13)
-
-
-def test_forced_pure_backend_subprocess():
-    code = (
-        "from qnetdet.backend import backend_name\n"
-        "from qnetdet.rules import swap_rule\n"
-        "from qnetdet.schmidt import SchmidtVector\n"
-        "assert backend_name() == 'py'\n"
-        "v = swap_rule(SchmidtVector((0.9, 0.1)), SchmidtVector((0.9, 0.1)))\n"
-        "print(f'{v.entries[0]:.12f}')\n"
-    )
-    env = dict(os.environ, QNETDET_BACKEND="py")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "0.966476151588"
-
-
-def test_invalid_backend_value(monkeypatch):
-    import qnetdet.backend as backend
-
-    monkeypatch.setenv("QNETDET_BACKEND", "fortran")
-    with pytest.raises(ValueError):
-        importlib.reload(backend)
-    monkeypatch.undo()
-    importlib.reload(backend)
-    assert backend.backend_name() in ("c", "py")

@@ -1,19 +1,9 @@
-"""Complex matrix container and spectral routines against numpy."""
-
-import math
+"""Dense-matrix kernels of the pure-Python backend against numpy."""
 
 import numpy as np
 import pytest
 
-from qnetdet.errors import DimensionTooLarge, NotHermitian, ShapeMismatch
-from qnetdet.matrices import (
-    MAX_DIM,
-    ComplexMatrix,
-    fourier_matrix,
-    frobenius_norm_sq,
-    hermitian_eigenvalues_desc,
-    singular_values_desc,
-)
+from qnetdet import _kernels_py as kpy
 from qnetdet.sampling import substream
 
 SEED = 20240811
@@ -24,37 +14,6 @@ def _random_complex(shape, rng):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-class TestComplexMatrix:
-    def test_shape_checked(self):
-        with pytest.raises(ShapeMismatch):
-            ComplexMatrix(2, 2, [1, 2, 3])
-
-    def test_from_rows_ragged(self):
-        with pytest.raises(ShapeMismatch):
-            ComplexMatrix.from_rows([[1, 2], [3]])
-
-    def test_entry_and_roundtrip(self):
-        m = ComplexMatrix.from_rows([[1, 2j], [3, 4]])
-        assert m.entry(0, 1) == 2j
-        assert m.to_rows() == [[1 + 0j, 2j], [3 + 0j, 4 + 0j]]
-
-
-class TestFourier:
-    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 8])
-    def test_unitary(self, d):
-        f = np.array(fourier_matrix(d).to_rows())
-        assert np.allclose(f.conj().T @ f, np.eye(d), atol=1e-12)
-
-    def test_one_based_qubit_entries(self):
-        # with 1-based indices the qubit matrix starts at exp(-i pi)
-        f = fourier_matrix(2)
-        s = 1.0 / math.sqrt(2.0)
-        assert f.entry(0, 0) == pytest.approx(-s, abs=1e-12)
-        assert f.entry(0, 1) == pytest.approx(s, abs=1e-12)
-        assert f.entry(1, 0) == pytest.approx(s, abs=1e-12)
-        assert f.entry(1, 1) == pytest.approx(s, abs=1e-12)
-
-
 class TestSpectra:
     @pytest.mark.parametrize("trial", range(TRIALS))
     def test_singular_values_match_numpy(self, trial):
@@ -62,7 +21,7 @@ class TestSpectra:
         r = int(rng.integers(1, 7))
         c = int(rng.integers(1, 7))
         a = _random_complex((r, c), rng)
-        got = singular_values_desc(ComplexMatrix(r, c, a.reshape(-1)))
+        got = kpy.sv_desc(r, c, a.ravel().tolist())
         want = np.linalg.svd(a, compute_uv=False)
         assert np.allclose(got, want, atol=1e-10)
         assert all(x >= y - 1e-15 for x, y in zip(got, got[1:]))
@@ -73,25 +32,6 @@ class TestSpectra:
         n = int(rng.integers(1, 8))
         a = _random_complex((n, n), rng)
         h = a + a.conj().T
-        got = hermitian_eigenvalues_desc(ComplexMatrix(n, n, h.reshape(-1)))
+        got = kpy.eigh_desc(n, h.ravel().tolist())
         want = np.sort(np.linalg.eigvalsh(h))[::-1]
         assert np.allclose(got, want, atol=1e-10)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitian):
-            hermitian_eigenvalues_desc(ComplexMatrix.from_rows([[0, 1], [0, 0]]))
-
-    def test_rejects_non_square_eigh(self):
-        with pytest.raises(ShapeMismatch):
-            hermitian_eigenvalues_desc(ComplexMatrix(1, 2, [1, 2]))
-
-    def test_dimension_cap(self):
-        n = MAX_DIM + 1
-        with pytest.raises(DimensionTooLarge):
-            singular_values_desc(ComplexMatrix(n, 1, [0.0] * n))
-        with pytest.raises(DimensionTooLarge):
-            hermitian_eigenvalues_desc(ComplexMatrix(n, n, [0.0] * (n * n)))
-
-    def test_frobenius(self):
-        m = ComplexMatrix.from_rows([[3, 4j], [0, 0]])
-        assert frobenius_norm_sq(m) == pytest.approx(25.0)

@@ -12,7 +12,6 @@ from qnetdet.errors import (
     LengthMismatchAfterPadding,
     ShapeMismatch,
 )
-from qnetdet.matrices import ComplexMatrix
 from qnetdet.rules import (
     Povm,
     _swap_raw,
@@ -156,29 +155,75 @@ class TestConversionProbability:
             conversion_probability(SchmidtVector([1.0]), SchmidtVector([0.5, 0.5]))
 
 
+def _matrix_units(d):
+    """The d*d matrix units E_jk: vectorized, exactly the standard basis."""
+    return np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+
+
 class TestPovmContainer:
     def test_needs_elements(self):
         with pytest.raises(ShapeMismatch):
             Povm([])
+        with pytest.raises(ShapeMismatch):
+            Povm(np.zeros((0, 2, 2)))
+        with pytest.raises(ShapeMismatch):
+            Povm(np.zeros((3, 0, 0)))
 
     def test_needs_square_equal_sizes(self):
         with pytest.raises(ShapeMismatch):
-            Povm([ComplexMatrix(1, 2, [1, 2])])
+            Povm(np.zeros((1, 1, 2)))
         with pytest.raises(ShapeMismatch):
-            Povm([ComplexMatrix(1, 1, [1]), ComplexMatrix(2, 2, [1, 0, 0, 1])])
+            Povm([np.eye(1), np.eye(2)])
+
+    def test_needs_three_axes(self):
+        with pytest.raises(ShapeMismatch):
+            Povm(np.eye(2))
+        with pytest.raises(ShapeMismatch):
+            Povm(np.zeros((2, 2, 2, 2)))
+
+    def test_holds_one_read_only_array(self):
+        els = _matrix_units(2)
+        povm = Povm(els)
+        assert povm.elements.shape == (4, 2, 2)
+        assert povm.elements.dtype == complex
+        assert povm.dimension == 2 and len(povm) == 4
+        assert [m.tolist() for m in povm] == [m.tolist() for m in els]
+        with pytest.raises(ValueError):
+            povm.elements[0, 0, 0] = 2.0
+        els[0, 0, 0] = 2.0  # the caller's array is copied, not shared
+        assert povm.elements[0, 0, 0] == 1.0
 
     def test_validate_rejects_scaled_elements(self):
-        bad = Povm(
-            ComplexMatrix(2, 2, [2.0 * v for v in e.data]) for e in bell_povm_d2()
-        )
+        bad = Povm(2.0 * bell_povm_d2().elements)
         assert not validate_povm(bad)
 
-    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_validate_rejects_nan_elements(self):
+        els = _matrix_units(2)
+        els[0, 0, 0] = math.nan
+        assert not validate_povm(Povm(els))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
     def test_deterministic_povm_complete(self, d):
         assert validate_povm(deterministic_swap_povm(d))
 
+    def test_deterministic_povm_cached(self):
+        assert deterministic_swap_povm(3) is deterministic_swap_povm(3)
+        assert not deterministic_swap_povm(3).elements.flags.writeable
+
     def test_bell_povm_complete(self):
         assert validate_povm(bell_povm_d2())
+
+    @pytest.mark.parametrize("entry", ["diagonal", "off_diagonal"])
+    @pytest.mark.parametrize("factor,accepted", [(0.5, True), (2.0, False)])
+    def test_gram_deviation_boundary(self, entry, factor, accepted):
+        # one Gram entry of the matrix units moves by factor * tol
+        tol = 1e-10
+        els = _matrix_units(3)
+        if entry == "diagonal":
+            els[0] *= math.sqrt(1.0 + factor * tol)
+        else:
+            els[0, 0, 1] = factor * tol
+        assert validate_povm(Povm(els), tol=tol) is accepted
 
 
 class TestEnumerateOutcomes:
@@ -220,9 +265,7 @@ class TestEnumerateOutcomes:
             assert math.fsum(p for p, _ in ens) == pytest.approx(1.0, abs=1e-10)
 
     def test_invalid_povm_rejected(self):
-        bad = Povm(
-            ComplexMatrix(2, 2, [0.5 * v for v in e.data]) for e in bell_povm_d2()
-        )
+        bad = Povm(0.5 * bell_povm_d2().elements)
         with pytest.raises(InvalidPovm):
             enumerate_swap_outcomes(
                 SchmidtVector([0.9, 0.1]), SchmidtVector([0.9, 0.1]), bad

@@ -107,6 +107,11 @@ class TestMeasurements:
         povm = sample_povm(2, 5, rng)
         assert validate_povm(povm)
 
+    def test_povm_wrapper_holds_sampled_array(self):
+        povm = sample_povm(3, 11, substream(SEED, "povmw", 1))
+        els = sample_povm_arrays(3, 11, substream(SEED, "povmw", 1))
+        assert np.array_equal(povm.elements, els)
+
     def test_undersized_povm_rejected(self):
         rng = substream(SEED, "povmu", 0)
         with pytest.raises(SingularNormalizer):
