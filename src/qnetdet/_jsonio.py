@@ -1,20 +1,32 @@
-"""Deterministic JSON rendering with fixed float precision.
+"""Deterministic JSON rendering with one float format.
 
-Every float is printed with 12 significant digits, so identical data
-produces identical bytes across runs; golden files can then be compared
-verbatim.  The data are reproducible for one kernel backend: the
-compiled and pure-Python kernels may differ in the last bits of a value,
-and a verify report prints some of its slacks at that precision.
+`render_json` accepts None, bool, int, float and str, and lists, tuples
+and dicts of these, subclasses included; a dict key of another type is
+rendered as the string `str(key)`.  Every float is printed by
+`format_float`: 12 significant digits, zero of either sign as `0`, and
+NaN or an infinity raise ValueError.  Any other type raises TypeError,
+numpy scalars and arrays included: the module imports no numpy, so
+`qnetdet reduce` runs without loading it, and the commands that use
+numpy convert their values to Python numbers first.
+
+The output is compact (`", "` between items, `": "` after a key) and
+newline-terminated, so identical data produce identical bytes across
+runs; golden files can then be compared verbatim.  The data are
+reproducible for one kernel backend: the compiled and pure-Python
+kernels may differ in the last bits of a value, and a verify report
+prints some of its slacks at that precision.
 """
 
 import json
 import math
-
-import numpy as np
+import re
 
 __all__ = ["format_float", "render_json"]
 
-_INDENT = "  "
+# the characters json.dumps escapes in a string when ensure_ascii is off
+_needs_escape = re.compile(r'[\x00-\x1f"\\]').search
+
+_FLOATS_ONLY = frozenset((float,))
 
 
 def format_float(value: float) -> str:
@@ -29,69 +41,95 @@ def format_float(value: float) -> str:
     return format(v, ".12g")
 
 
-def _render(obj, pretty: bool, depth: int, out: list):
-    if isinstance(obj, np.generic):
-        obj = obj.item()
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=False))
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(format_float(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        pad = _INDENT * (depth + 1) if pretty else ""
-        sep = ",\n" if pretty else ", "
-        out.append("{\n" if pretty else "{")
-        for i, (key, val) in enumerate(obj.items()):
-            if i:
-                out.append(sep)
-            out.append(pad)
-            out.append(json.dumps(str(key), ensure_ascii=False))
-            out.append(": ")
-            _render(val, pretty, depth + 1, out)
-        out.append("\n" + _INDENT * depth + "}" if pretty else "}")
-    elif isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
-        items = list(obj)
-        if not items:
-            out.append("[]")
-            return
-        # short numeric runs stay on one line even in pretty mode
-        flat = not pretty or all(
-            isinstance(v, (int, float, np.generic)) and not isinstance(v, bool)
-            for v in items
-        )
-        if flat:
-            out.append("[")
-            for i, val in enumerate(items):
-                if i:
-                    out.append(", ")
-                _render(val, False, depth + 1, out)
-            out.append("]")
-        else:
-            pad = _INDENT * (depth + 1)
-            out.append("[\n")
-            for i, val in enumerate(items):
-                if i:
-                    out.append(",\n")
-                out.append(pad)
-                _render(val, pretty, depth + 1, out)
-            out.append("\n" + _INDENT * depth + "]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+def _string(s: str) -> str:
+    if _needs_escape(s) is None:
+        return '"' + s + '"'
+    return json.dumps(s, ensure_ascii=False)
 
 
-def render_json(obj, pretty: bool = False) -> str:
-    """Serialize to a JSON string, newline-terminated."""
-    out = []
-    _render(obj, pretty, 0, out)
-    out.append("\n")
-    return "".join(out)
+def _key(k) -> str:
+    return _string(str(k)) + ": "
+
+
+class _Texts(dict):
+    """Exact strings mapped to their rendered text, filled on lookup.
+    A key of any other type is rendered but not stored: True and 1 are
+    equal dict keys, yet render as "True" and "1"."""
+
+    def __init__(self, render):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, s):
+        text = self.render(s)
+        if type(s) is str:
+            self[s] = text
+        return text
+
+
+def render_json(obj) -> str:
+    """Serialize to a compact JSON string, newline-terminated.
+
+    One pass dispatches on the exact type and falls back to isinstance
+    checks for subclasses.  Within a call each string and key is
+    rendered once, and so is each list object of floats: a reduction
+    trace lists a vector as one move's output and the next move's input.
+    """
+    strings = _Texts(_string)
+    keys = _Texts(_key)
+    float_lists = {}  # id of a list or tuple of floats inside obj -> its text
+
+    def value(o):
+        t = type(o)
+        if t is str:
+            return strings[o]
+        if t is list or t is tuple:
+            return sequence(o)
+        if t is float:
+            return format_float(o)
+        if t is dict:
+            return mapping(o)
+        if t is int:
+            return str(o)
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        return subclass(o)
+
+    def sequence(o):
+        if not o:
+            return "[]"
+        text = float_lists.get(id(o))
+        if text is not None:
+            return text
+        if not _FLOATS_ONLY.issuperset(map(type, o)):
+            return "[" + ", ".join(map(value, o)) + "]"
+        text = ", ".join([format(v, ".12g") for v in o])
+        if "n" in text or 0.0 in o:
+            # "nan" or "inf", which raise, or a zero of either sign
+            text = ", ".join(map(format_float, o))
+        text = float_lists[id(o)] = "[" + text + "]"
+        return text
+
+    def mapping(o):
+        return "{" + ", ".join([keys[k] + value(v) for k, v in o.items()]) + "}"
+
+    def subclass(o):
+        if type(o).__module__ == "numpy":
+            raise TypeError(f"cannot serialize numpy {type(o).__name__}; convert it to a Python value")
+        if isinstance(o, str):
+            return _string(o)
+        if isinstance(o, int):
+            return str(o)
+        if isinstance(o, float):
+            return format_float(o)
+        if isinstance(o, dict):
+            return mapping(o)
+        if isinstance(o, (list, tuple)):
+            return "[" + ", ".join(map(value, o)) + "]"
+        raise TypeError(f"cannot serialize {type(o).__name__}")
+
+    return value(obj) + "\n"

@@ -8,21 +8,26 @@ the last bits of a value, which can show in a verify report's slacks.
 Exit codes: 0 success, 2 usage or input schema problems, 3 network not
 series-parallel, 4 terminals disconnected, 5 verification found
 violations, 6 invalid measurement.
+
+`reduce` loads no numpy: `checks` and `sampling`, which need it, are
+imported inside the `verify` and `outcomes` code that uses them, so a
+cold `qnetdet reduce` pays for the interpreter and the pure-Python
+modules only (importing this module takes about a third of the time it
+took with numpy).  The argument parser is built once per process.
 """
 
 import argparse
 import contextlib
 import csv
 import datetime
+import functools
 import io
 import logging
-import math
 import os
 import sys
 
-from . import __version__, sampling
+from . import __version__
 from ._jsonio import format_float, render_json
-from .checks import CheckConfig, run_checks
 from .errors import (
     DisconnectedTerminals,
     InvalidPovm,
@@ -159,6 +164,8 @@ def _verify_pretty(reports) -> str:
 
 
 def cmd_verify(args) -> int:
+    from .checks import CheckConfig, run_checks
+
     seed = _default_seed(args.seed)
     cfg = CheckConfig(
         dimension=args.d,
@@ -230,6 +237,8 @@ def _build_povm(spec: str, dimension: int, seed: int):
                 count = int(spec.split(":", 1)[1])
             except ValueError:
                 raise QnetdetError(f"malformed element count in {spec!r}")
+        from . import sampling
+
         rng = sampling.substream(seed, "outcomes", 0)
         try:
             return sampling.sample_povm(dimension, count, rng)
@@ -401,8 +410,15 @@ def _log_to_stderr(verbosity: int):
         package.setLevel(level)
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on the first call: parsing
+    leaves it unchanged, so every `main` call can share it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     with _log_to_stderr(args.verbose):
         try:
             return args.func(args)

@@ -2,9 +2,13 @@
 
 import json
 import logging
+import os
+import subprocess
+import sys
 
 import pytest
 
+from qnetdet import cli
 from qnetdet.cli import (
     EXIT_DISCONNECTED,
     EXIT_INVALID_POVM,
@@ -331,3 +335,117 @@ class TestVerbose:
         handlers, level = list(package.handlers), package.level
         stdio("-vv", "reduce", "networks/bridge.json")
         assert package.handlers == handlers and package.level == level
+
+
+# Runs `cli.main(argv)` (or only imports `qnetdet.cli` when argv is
+# null) in a fresh interpreter and prints what happened as JSON.
+_FRESH = """
+import contextlib, io, json, logging, sys
+from qnetdet import cli
+argv = json.loads(sys.argv[1])
+code, out, err = None, io.StringIO(), io.StringIO()
+if argv is not None:
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+package = logging.getLogger("qnetdet")
+print(json.dumps({"code": code, "out": out.getvalue(), "err": err.getvalue(),
+                  "numpy": "numpy" in sys.modules,
+                  "logger": [package.level, len(package.handlers)]}))
+"""
+
+
+def _fresh(repo_root, argv):
+    paths = [str(repo_root / "src"), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH, json.dumps(argv)],
+        cwd=repo_root,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+class TestColdStart:
+    """`reduce` runs without numpy; the commands that need it load it."""
+
+    def test_import_loads_no_numpy(self, repo_root):
+        assert _fresh(repo_root, None)["numpy"] is False
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["reduce", "networks/chain.json"], EXIT_OK),
+            (["reduce", "networks/parallel_then_series.json", "--format", "csv"], EXIT_OK),
+            (["reduce", "networks/nested_qutrit.json", "--pretty"], EXIT_OK),
+            (["-vv", "reduce", "networks/triangle.json"], EXIT_OK),
+            (["reduce", "networks/bridge.json"], EXIT_NOT_SERIES_PARALLEL),
+            (["--help"], EXIT_OK),
+        ],
+        ids=["json", "csv", "pretty", "verbose", "bridge", "help"],
+    )
+    def test_reduce_loads_no_numpy(self, repo_root, argv, code):
+        got = _fresh(repo_root, argv)
+        assert got["code"] == code
+        assert got["out"] or got["err"]
+        assert got["numpy"] is False
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "reverse_amgm", "--trials", "5"],
+            ["outcomes", "--links", "0.9,0.1", "0.9,0.1", "--povm", "bell"],
+            ["outcomes", "networks/chain.json", "--povm", "random:6", "--seed", "5"],
+        ],
+        ids=["verify", "outcomes-bell", "outcomes-random"],
+    )
+    def test_numpy_commands_still_run(self, repo_root, argv):
+        got = _fresh(repo_root, argv)
+        assert got["code"] == EXIT_OK, got["err"]
+        assert json.loads(got["out"])["manifest"]["subcommand"] == argv[0]
+        assert got["numpy"] is True
+
+
+class TestParserReuse:
+    """`main` builds its argument parser once per process, and reusing it
+    changes no output byte and no logger state."""
+
+    SEQUENCE = [
+        ["-vv", "reduce", "networks/triangle.json"],
+        ["reduce", "networks/triangle.json"],
+        ["reduce", "networks/chain.json", "--format", "csv"],
+        ["reduce", "networks/chain.json"],
+        ["verify", "reverse_amgm", "--trials", "5"],
+        ["reduce", "networks/parallel_pair.json", "--pretty"],
+        ["-v", "verify", "all", "--d", "3", "--trials", "2"],
+        ["reduce", "networks/bridge.json"],
+        ["outcomes", "--links", "0.9,0.1", "0.9,0.1", "--povm", "bell", "--pretty"],
+    ]
+
+    def test_successive_calls_match_fresh_runs(self, monkeypatch, repo_root, capsys):
+        monkeypatch.chdir(repo_root)
+        built = []
+        build = cli.build_parser
+
+        def counted():
+            built.append(1)
+            return build()
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", counted)
+        package = logging.getLogger("qnetdet")
+        try:
+            for argv in self.SEQUENCE:
+                code = main(argv)
+                captured = capsys.readouterr()
+                fresh = _fresh(repo_root, argv)
+                assert (code, captured.out, captured.err) == (fresh["code"], fresh["out"], fresh["err"]), argv
+                assert [package.level, len(package.handlers)] == fresh["logger"], argv
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1

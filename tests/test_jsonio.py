@@ -1,0 +1,235 @@
+"""The single-pass JSON renderer: the same bytes as the recursive
+renderer it replaced (kept in _render_oracle.py), one float format, and
+a closed set of accepted types."""
+
+import math
+import random
+import struct
+
+import numpy as np
+import pytest
+from _render_oracle import render_json as oracle_render
+
+from qnetdet import checks
+from qnetdet import cli
+from qnetdet._jsonio import format_float, render_json
+from qnetdet.network import report
+from qnetdet.sampling import random_network, substream
+
+SEED = 20261018
+
+FLOATS = (
+    0.0,
+    -0.0,
+    5e-324,
+    -5e-324,
+    2.2250738585072014e-308,
+    1e-310,
+    1.7976931348623157e308,
+    -1.7976931348623157e308,
+    1e-5,
+    1e-4,
+    0.1,
+    1 / 3,
+    1.0,
+    -1.0,
+    123456789012.5,
+    1234567890123.0,
+    1e16,
+    1e21,
+    1e22,
+    2.0**53 + 2,
+)
+INTS = (0, 1, -1, 7, 2**31, 2**53, 2**53 + 1, -(2**53) - 1, 2**64, -(2**70), 10**30)
+STRINGS = (
+    "",
+    "A",
+    "node_7",
+    'say "hi"',
+    "back\\slash",
+    "tab\there",
+    "line\nbreak\r",
+    "\x00\x01\x08\x0c\x1f",
+    "\x7f",
+    "é",
+    "量子",
+    "\U0001f600",
+    "  ",
+    "/slash",
+    "'single'",
+)
+KEYS = STRINGS + (0, 1, -3, 2**60, 1.5, -0.0, True, False, None, (1, 2))
+
+
+def _float(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.choice(FLOATS)
+    if kind == 1:
+        return rng.random()
+    if kind == 2:
+        return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-320, 300)
+    # any finite double, from its bit pattern
+    while True:
+        v = struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+        if math.isfinite(v):
+            return v
+
+
+def _string(rng):
+    if rng.random() < 0.6:
+        return rng.choice(STRINGS)
+    alphabet = 'ab"\\\n\t\x00\x1fé量 '
+    return "".join(rng.choice(alphabet) for _ in range(rng.randrange(8)))
+
+
+def _value(rng, depth, shared):
+    """A random JSON-able value; float lists are sometimes reused
+    objects, as a reduction trace reuses each output vector."""
+    kind = rng.randrange(11 if depth < 4 else 6)
+    if kind == 0:
+        return None
+    if kind == 1:
+        return rng.random() < 0.5
+    if kind == 2:
+        return rng.choice(INTS) if rng.random() < 0.5 else rng.getrandbits(rng.randrange(1, 80)) - 2**40
+    if kind == 3:
+        return _float(rng)
+    if kind == 4:
+        return _string(rng)
+    if kind == 5:
+        return rng.choice(([], (), {}))
+    if kind in (6, 7):
+        if shared and rng.random() < 0.4:
+            return rng.choice(shared)
+        vec = [_float(rng) for _ in range(rng.randrange(1, 9))]
+        vec = tuple(vec) if rng.random() < 0.2 else vec
+        shared.append(vec)
+        return vec
+    if kind == 8:
+        items = [_value(rng, depth + 1, shared) for _ in range(rng.randrange(1, 5))]
+        return tuple(items) if rng.random() < 0.3 else items
+    return {
+        (rng.choice(KEYS) if rng.random() < 0.5 else _string(rng)): _value(rng, depth + 1, shared)
+        for _ in range(rng.randrange(1, 6))
+    }
+
+
+class TestDifferential:
+    """Byte-for-byte agreement with the recursive renderer."""
+
+    def test_random_values(self):
+        rng = random.Random(SEED)
+        for _ in range(3000):
+            doc = _value(rng, 0, [])
+            assert render_json(doc) == oracle_render(doc), doc
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            -0.0,
+            [0.0, -0.0, 1.0],
+            [5e-324, 1.7976931348623157e308, -1e-310],
+            [2**53 + 1, -(2**70), 1.0],
+            [True, 1, False, 0, 1.0],
+            {True: 1, None: 0, 2: [], 1.5: {}, "": ()},
+            {"k": "é 量 \U0001f600", 'q"': "\x00\n\\"},
+            [[], {}, (), ""],
+        ],
+    )
+    def test_edge_values(self, doc):
+        assert render_json(doc) == oracle_render(doc)
+
+    def test_reused_vector_rendered_the_same(self):
+        vec = [0.9, 0.1]
+        doc = {"output": vec, "next": {"inputs": [vec, vec]}, "again": vec}
+        assert render_json(doc) == oracle_render(doc)
+        vec[0] = 0.8
+        assert render_json(doc) == oracle_render(doc)
+        assert '"again": [0.8, 0.1]' in render_json(doc)
+
+    def test_goldens(self, monkeypatch, repo_root, golden_dir, tmp_path):
+        """Every JSON golden, with the documents the CLI actually renders."""
+        monkeypatch.chdir(repo_root)
+        docs = []
+
+        def spy(doc):
+            docs.append(doc)
+            return render_json(doc)
+
+        monkeypatch.setattr(cli, "render_json", spy)
+        commands = {
+            f"reduce_{path.stem}.json": ["reduce", f"networks/{path.stem}.json"]
+            for path in sorted((repo_root / "networks").glob("*.json"))
+            if (golden_dir / f"reduce_{path.stem}.json").exists()
+        }
+        commands["outcomes_bell.json"] = ["outcomes", "--links", "0.9,0.1", "0.9,0.1", "--povm", "bell"]
+        assert {p.name for p in golden_dir.glob("*.json")} == set(commands)
+        for golden, argv in commands.items():
+            out = tmp_path / golden
+            assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_OK
+            expected = (golden_dir / golden).read_text(encoding="utf-8")
+            assert out.read_text(encoding="utf-8") == expected
+            assert oracle_render(docs[-1]) == expected
+        assert len(docs) == len(commands)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_random_reports(self, d):
+        rng = substream(SEED, "render_reports", d)
+        for _ in range(100):
+            doc = report(random_network(d, 30, rng))
+            assert render_json(doc) == oracle_render(doc)
+
+    @pytest.mark.parametrize("d, trials", [(2, 40), (3, 10), (4, 4)])
+    def test_verify_all_docs(self, d, trials):
+        cfg = checks.CheckConfig(dimension=d, trials=trials, seed=3)
+        doc = {"reports": [r.to_dict() for r in checks.run_checks("all", cfg)]}
+        assert render_json(doc) == oracle_render(doc)
+
+
+class TestTypeContract:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_every_violation_payload_renders(self, monkeypatch, d):
+        """With every slack recorded as a violation, each check's report,
+        payloads included, holds only types the renderer accepts."""
+        slack = checks._Acc.slack
+        monkeypatch.setattr(
+            checks._Acc, "slack", lambda self, value, payload, tol=None: slack(self, value, payload, -math.inf)
+        )
+        cfg = checks.CheckConfig(dimension=d, trials=3, seed=1)
+        reports = checks.run_checks("all", cfg)
+        assert [r.name for r in reports] == list(checks.GROUPS["all"])
+        for r in reports:
+            if "skipped" in r.extras:
+                continue
+            assert not r.passed and r.violations, r.name
+            doc = r.to_dict()
+            assert render_json(doc) == oracle_render(doc)
+
+    @pytest.mark.parametrize(
+        "value",
+        [np.float64(0.5), np.int64(3), np.bool_(True), np.zeros(2), np.float32(0.5)],
+        ids=["float64", "int64", "bool_", "ndarray", "float32"],
+    )
+    def test_numpy_values_rejected(self, value):
+        for doc in (value, [value], [0.5, value], {"k": value}):
+            with pytest.raises(TypeError, match="numpy"):
+                render_json(doc)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        for doc in (bad, [bad], [0.5, bad], [1, bad], {"k": bad}):
+            with pytest.raises(ValueError, match="non-finite value"):
+                render_json(doc)
+        with pytest.raises(ValueError, match="non-finite value"):
+            format_float(bad)
+
+    @pytest.mark.parametrize("value", [object(), {1, 2}, b"bytes", 1j])
+    def test_other_types_rejected(self, value):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            render_json({"k": [value]})
+
+    def test_one_float_format(self):
+        assert render_json([0.0, -0.0, 1e-5, 1.0, 0.1 + 0.2]) == "[0, 0, 1e-05, 1, 0.3]\n"
+        assert render_json(-0.0) == "0\n"
+        assert render_json({"x": 2**53 + 1, "y": True}) == '{"x": 9007199254740993, "y": true}\n'
