@@ -17,6 +17,7 @@ import functools
 import itertools
 import logging
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -224,18 +225,28 @@ def _numpy_outcomes(x_entries, y_entries, elements) -> list:
     diag(sqrt(x)) X_a diag(sqrt(y)).  Two-sided swap measurements pass
     both link spectra; one-sided Kraus operators pass x = ones.
     Computed on the plain numpy path, independent of the library
-    kernels, so the Monte Carlo loops do not assume what they test."""
+    kernels, so the Monte Carlo loops do not assume what they test.
+
+    All operators are scaled in one broadcast and every outcome above
+    the probability floor goes through one stacked SVD.  The scaled
+    stack is built C-contiguous: ``sample_povm_arrays`` returns a
+    strided stack, and ``np.vdot`` over a strided row can round
+    differently in the last bit from the contiguous per-operator array
+    it replaces.  The probability is one ``vdot`` per row for the same
+    reason: a batched reduction sums in another order.  The ensemble
+    is thus the one a per-operator loop gives, bit for bit."""
     rx = np.sqrt(np.asarray(x_entries, dtype=float))
     ry = np.sqrt(np.asarray(y_entries, dtype=float))
-    out = []
-    for m in elements:
-        psi = rx[:, None] * m * ry[None, :]
-        p = float(np.vdot(psi, psi).real)
-        if p < _PROB_FLOOR:
-            continue
-        sv = np.linalg.svd(psi, compute_uv=False)
-        out.append((p, np.sort(sv * sv)[::-1] / p))
-    return out
+    psi = np.multiply(rx[:, None], elements, order="C")
+    psi *= ry[None, :]
+    probs = [float(np.vdot(row, row).real) for row in psi]
+    keep = [a for a, p in enumerate(probs) if p >= _PROB_FLOOR]
+    kept = [probs[a] for a in keep]
+    if len(keep) < len(probs):
+        psi = psi[keep]
+    sv = np.linalg.svd(psi, compute_uv=False)
+    spectra = np.sort(sv * sv, axis=-1)[:, ::-1] / np.array(kept)[:, None]
+    return list(zip(kept, spectra))
 
 
 # ---------------------------------------------------------------------------
@@ -893,6 +904,15 @@ def _nested_qubit_demo() -> dict:
     }
 
 
+def _product_measurement(ys, zs):
+    """Every ``np.kron(yi, zj)``, yi outer and zj inner, as one stack
+    built in one broadcast: (K, d, d) and (L, d, d) arrays give
+    (K·L, d², d²)."""
+    prod = ys[:, None, :, None, :, None] * zs[None, :, None, :, None, :]
+    k, l, r1, r2, c1, c2 = prod.shape
+    return prod.reshape(k * l, r1 * r2, c1 * c2)
+
+
 def check_theorem_parallel_then_series(cfg: CheckConfig) -> CheckReport:
     """Two parallel pairs joined in series: any sampled complete swap
     measurement on the two joint states, followed by purifying each
@@ -914,7 +934,7 @@ def check_theorem_parallel_then_series(cfg: CheckConfig) -> CheckReport:
         if nested:
             ys = sampling.sample_povm_arrays(d, d * d, rng)
             zs = sampling.sample_povm_arrays(d, d * d, rng)
-            els = [np.kron(yi, zj) for yi in ys for zj in zs]
+            els = _product_measurement(ys, zs)
         else:
             els = sampling.sample_povm_arrays(big, big * big, rng)
         outs = _numpy_outcomes(joint_left.entries, joint_right.entries, els)
@@ -1131,6 +1151,21 @@ GROUPS = {
 GROUPS["all"] = GROUPS["lemmas"] + GROUPS["amgm"] + GROUPS["theorems"] + GROUPS["counterexample"]
 
 
+def _timed(check_name: str, cfg: CheckConfig) -> CheckReport:
+    """Run one check and log its wall time and trial rate at DEBUG."""
+    start = time.perf_counter()
+    rep = CHECKS[check_name](cfg)
+    elapsed = time.perf_counter() - start
+    logger.debug(
+        "check %s: %d trials in %.3f s (%.1f trials/s)",
+        check_name,
+        rep.trials_run,
+        elapsed,
+        rep.trials_run / elapsed if elapsed > 0.0 else math.inf,
+    )
+    return rep
+
+
 def run_checks(selector: str, cfg: CheckConfig) -> list:
     """Run one named check or a named group.
 
@@ -1149,7 +1184,7 @@ def run_checks(selector: str, cfg: CheckConfig) -> list:
         reports = []
         for check_name in GROUPS[selector]:
             try:
-                reports.append(CHECKS[check_name](cfg))
+                reports.append(_timed(check_name, cfg))
             except DimensionNotTwo as exc:
                 logger.info("skipping %s: %s", check_name, exc)
                 reports.append(
@@ -1157,7 +1192,7 @@ def run_checks(selector: str, cfg: CheckConfig) -> list:
                 )
         return reports
     if selector in CHECKS:
-        return [CHECKS[selector](cfg)]
+        return [_timed(selector, cfg)]
     raise KeyError(
         f"unknown check or group {selector!r}; groups: {sorted(GROUPS)}, "
         f"checks: {sorted(CHECKS)}"

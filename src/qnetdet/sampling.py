@@ -117,7 +117,7 @@ def sample_povm(dimension, count, rng):
     return Povm(sample_povm_arrays(dimension, count, rng))
 
 
-def _right_normalized(raw, rng_label):
+def _right_normalized(raw):
     # raw has shape (count, rows, cols); right-normalize so that
     # sum_a K_a^dagger K_a = identity on the cols space
     t = np.einsum("aji,ajk->ik", raw.conj(), raw)
@@ -137,7 +137,7 @@ def sample_local_kraus(dimension, count, rng):
     spectrum, the locality limit every protocol check builds on.
     """
     for _ in range(RESAMPLE_BUDGET):
-        out = _right_normalized(_complex_gaussian((count, dimension, dimension), rng), "local")
+        out = _right_normalized(_complex_gaussian((count, dimension, dimension), rng))
         if out is not None:
             return out
     raise SingularNormalizer("one-sided Kraus normalizer stayed singular")
@@ -154,7 +154,7 @@ def sample_wide_kraus(dimension, count, rng):
     """
     n = dimension * dimension
     for _ in range(RESAMPLE_BUDGET):
-        out = _right_normalized(_complex_gaussian((count, dimension, n), rng), "wide")
+        out = _right_normalized(_complex_gaussian((count, dimension, n), rng))
         if out is not None:
             return out
     raise SingularNormalizer(

@@ -51,6 +51,12 @@ def _clamped(vals: list) -> list:
     return out
 
 
+def _check_unit_total(entries: list) -> None:
+    total = math.fsum(entries)
+    if abs(total - 1.0) > 1e-12:
+        raise ValueError(f"entries sum to {total!r}, expected 1 within 1e-12")
+
+
 def _values_of(x) -> list:
     if isinstance(x, SchmidtVector):
         return list(x.entries)
@@ -81,9 +87,7 @@ class SchmidtVector:
             raise EmptyInput("SchmidtVector needs at least one entry")
         clamped = _clamped(vals)
         clamped.sort(reverse=True)
-        total = math.fsum(clamped)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"entries sum to {total!r}, expected 1 within 1e-12")
+        _check_unit_total(clamped)
         object.__setattr__(self, "entries", tuple(clamped))
 
     @property
@@ -144,6 +148,12 @@ class ProbabilisticEnsemble:
 def normalize_descending(values: Iterable[float]) -> SchmidtVector:
     """Clamp roundoff negatives, divide by the total, sort descending.
 
+    One validation pass: the quotients of clamped entries by their
+    positive total are already nonnegative and finite (never ``-0.0``),
+    so the result skips the ``SchmidtVector`` constructor's second
+    clamp and sort and keeps only its 1e-12 total check.  The entries
+    equal those of ``SchmidtVector(v / total for v in clamped)``.
+
     Raises
     ------
     EmptyInput
@@ -154,15 +164,21 @@ def normalize_descending(values: Iterable[float]) -> SchmidtVector:
         An entry below -1e-12.
     ZeroSum
         All entries vanish, nothing to normalize.
+    ValueError
+        The quotients sum to 1 only beyond 1e-12.
     """
-    vals = [float(v) for v in values]
-    if not vals:
+    clamped = _clamped([float(v) for v in values])
+    if not clamped:
         raise EmptyInput("nothing to normalize")
-    clamped = _clamped(vals)
     total = math.fsum(clamped)
     if total <= 0.0:
         raise ZeroSum("entries sum to zero")
-    return SchmidtVector(v / total for v in clamped)
+    out = [v / total for v in clamped]
+    out.sort(reverse=True)
+    _check_unit_total(out)
+    vec = object.__new__(SchmidtVector)
+    object.__setattr__(vec, "entries", tuple(out))
+    return vec
 
 
 def majorizes(x, y, tol: float = MAJORIZATION_ATOL) -> bool:

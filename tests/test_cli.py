@@ -3,6 +3,7 @@
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 
@@ -329,6 +330,26 @@ class TestVerbose:
         _, _, debug = stdio("-vv", "reduce", "networks/triangle.json")
         assert debug.count("decomposed 3 edges:") == 1
         assert "series_moves=1 parallel_moves=1" in debug
+
+    def test_debug_line_per_check(self, stdio):
+        from qnetdet.checks import GROUPS
+
+        argv = ("verify", "all", "--d", "3", "--trials", "2")
+        code, plain, _ = stdio(*argv)
+        assert code == EXIT_OK
+        code, out, err = stdio("-vv", *argv)
+        assert code == EXIT_OK and out == plain
+        for name in GROUPS["all"]:
+            assert len(re.findall(rf"\b{name}\b", err)) == 1, name
+        # every check that ran logs its trials, seconds and trial rate;
+        # the qubit-only check is skipped at d=3 and logs only the skip
+        ran = [name for name in GROUPS["all"] if name != "theorem_worst_case_d2"]
+        for name in ran:
+            trials = 1 if name == "counterexample" else 2
+            pattern = rf"DEBUG qnetdet\.checks: check {name}: {trials} trials in \d+\.\d{{3}} s \((\d+\.\d|inf) trials/s\)\n"
+            assert re.search(pattern, err), name
+        _, _, info = stdio("-v", *argv)
+        assert "trials/s" not in info
 
     def test_logging_restored_after_run(self, stdio):
         package = logging.getLogger("qnetdet")

@@ -18,6 +18,7 @@ from qnetdet.sampling import dominated_vector, random_schmidt, substream
 from qnetdet.schmidt import (
     ProbabilisticEnsemble,
     SchmidtVector,
+    _clamped,
     adjugate_vec,
     average_concurrence,
     concurrence,
@@ -93,6 +94,30 @@ class TestNormalize:
     def test_empty(self):
         with pytest.raises(EmptyInput):
             normalize_descending([])
+
+    def test_single_pass_matches_constructor_route(self):
+        # the route before the single validation pass: clamp, divide, and
+        # let the SchmidtVector constructor clamp and sort once more
+        def two_pass(values):
+            clamped = _clamped([float(v) for v in values])
+            total = math.fsum(clamped)
+            return SchmidtVector(v / total for v in clamped)
+
+        rng = np.random.default_rng(SEED)
+        for t in range(TRIALS):
+            n = int(rng.integers(1, 82))
+            vals = (rng.exponential(size=n) * 10.0 ** rng.uniform(-6, 6)).tolist()
+            for i in rng.choice(n, size=int(rng.integers(0, n)), replace=False):
+                kind = int(rng.integers(0, 3))
+                vals[i] = (0.0, -0.0, -float(rng.uniform(0.0, 1e-12)))[kind]
+            if max(vals) <= 0.0:
+                vals[0] = 1.0
+            got = normalize_descending(vals)
+            want = two_pass(vals)
+            assert type(got) is SchmidtVector
+            assert [v.hex() for v in got.entries] == [v.hex() for v in want.entries]
+            assert got == want and hash(got) == hash(want)
+            assert all(math.copysign(1.0, v) > 0.0 for v in got.entries)
 
 
 class TestMajorization:
