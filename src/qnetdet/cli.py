@@ -9,11 +9,13 @@ Exit codes: 0 success, 2 usage or input schema problems, 3 network not
 series-parallel, 4 terminals disconnected, 5 verification found
 violations, 6 invalid measurement.
 
-`reduce` loads no numpy: `checks` and `sampling`, which need it, are
-imported inside the `verify` and `outcomes` code that uses them, so a
-cold `qnetdet reduce` pays for the interpreter and the pure-Python
-modules only (importing this module takes about a third of the time it
-took with numpy).  The argument parser is built once per process.
+`reduce` on a network of d <= 3 loads no numpy: `checks` and
+`sampling`, which need it, are imported inside the `verify` and
+`outcomes` code that uses them, so a cold `qnetdet reduce` pays for the
+interpreter and the pure-Python modules only (importing this module
+takes about a third of the time it took with numpy).  From d = 4 up the
+series rule loads numpy for its SVD.  The argument parser is built once
+per process.
 """
 
 import argparse

@@ -432,6 +432,41 @@ class TestColdStart:
         assert got["numpy"] is True
 
 
+class TestBlasThreads:
+    """The d >= 4 series rule runs on LAPACK; its bytes do not depend on
+    how many threads BLAS may use."""
+
+    def test_d8_chain_reduce_bytes(self, repo_root, tmp_path):
+        import numpy as np
+
+        rng = np.random.default_rng(60)
+        nodes = ["A", *(f"n{i}" for i in range(1, 60)), "B"]
+        doc = {
+            "dimension": 8,
+            "terminals": ["A", "B"],
+            "edges": [
+                {"u": u, "v": v, "schmidt": rng.dirichlet(np.ones(8)).tolist()} for u, v in zip(nodes, nodes[1:])
+            ],
+        }
+        path = tmp_path / "chain_d8.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        paths = [str(repo_root / "src"), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths), OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-m", "qnetdet", "reduce", str(path)],
+                cwd=repo_root,
+                env=env,
+                capture_output=True,
+                timeout=120,
+            )
+            assert proc.returncode == EXIT_OK, proc.stderr
+            outs.append(proc.stdout)
+        assert json.loads(outs[0])["edge_count"] == 60
+        assert outs[0] == outs[1]
+
+
 class TestParserReuse:
     """`main` builds its argument parser once per process, and reusing it
     changes no output byte and no logger state."""

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from qnetdet import rules
+from qnetdet.backend import kernels
 from qnetdet.errors import (
     DimensionMismatch,
     DimensionTooSmall,
@@ -25,7 +27,7 @@ from qnetdet.rules import (
     validate_povm,
 )
 from qnetdet.sampling import random_schmidt, substream
-from qnetdet.schmidt import SchmidtVector, det_vec, kron, majorizes
+from qnetdet.schmidt import SchmidtVector, det_vec, kron, majorizes, normalize_descending
 
 SEED = 20240811
 
@@ -77,6 +79,141 @@ class TestSwapRule:
         a = _swap_raw(x, y)
         b = _swap_raw_sv(x, y)
         assert np.allclose(a, b, atol=1e-11)
+
+
+def _hard_links(d, rng, n):
+    """n raw links of each hard kind: log-uniform entries over
+    [1e-12, 1], Dirichlet(0.1) draws with min/max above 1e-14, and
+    Dirichlet(1) draws with a few entries moved near 1e-12; shuffled so
+    that the kinds meet each other."""
+    links = [10.0 ** rng.uniform(-12.0, 0.0, d) for _ in range(n)]
+    while len(links) < 2 * n:
+        v = rng.dirichlet(np.full(d, 0.1))
+        if v.min() > 1e-14 * v.max():
+            links.append(v)
+    for _ in range(n):
+        v = rng.dirichlet(np.ones(d))
+        k = int(rng.integers(1, d // 2 + 1))
+        v[rng.permutation(d)[:k]] = 1e-12 * rng.uniform(0.5, 2.0, k)
+        links.append(v / v.sum())
+    return [links[i].tolist() for i in rng.permutation(len(links))]
+
+
+def _worst_rel(a, b):
+    return max(abs(u - v) / v for u, v in zip(sorted(a, reverse=True), sorted(b, reverse=True)))
+
+
+def _log_det_gap(out, x, y):
+    # |log prod(out) - log(d^d prod(x) prod(y))|, the relative error of
+    # the det identity while it is small
+    d = len(x)
+    want = d * math.log(d) + math.fsum(map(math.log, x)) + math.fsum(map(math.log, y))
+    return abs(math.fsum(map(math.log, out)) - want)
+
+
+@pytest.mark.parametrize("d", [4, 5, 6, 7, 8])
+class TestSeriesAccuracy:
+    """Small entries keep their relative accuracy (Demmel and Veselic):
+    the production route matches the one-sided Jacobi route entrywise,
+    and the determinant identity holds on entries spread down to 1e-12."""
+
+    def test_raw_matches_one_sided_jacobi(self, d):
+        links = _hard_links(d, substream(SEED, "swap_hard_raw", d), 12)
+        for x, y in zip(links[0::2], links[1::2]):
+            out = _swap_raw(x, y)
+            assert _worst_rel(out, _swap_raw_sv(x, y)) <= 1e-13
+            assert _log_det_gap(out, x, y) <= 1e-12
+
+    def test_rule_matches_one_sided_jacobi(self, d):
+        links = _hard_links(d, substream(SEED, "swap_hard_rule", d), 12)
+        for a, b in zip(links[0::2], links[1::2]):
+            x, y = normalize_descending(a), normalize_descending(b)
+            out = swap_rule(x, y).entries
+            ref = _swap_raw_sv(x.entries, y.entries)
+            total = math.fsum(ref)
+            assert _worst_rel(out, [v / total for v in ref]) <= 1e-13
+            assert _log_det_gap(out, x.entries, y.entries) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [4, 5, 8])
+class TestSeriesRouteEdges:
+    def test_commutative_bit_for_bit(self, d):
+        rng = substream(SEED, "swap_bits", d)
+        for _ in range(50):
+            x, y = rng.dirichlet(np.ones(d)).tolist(), rng.dirichlet(np.ones(d)).tolist()
+            assert _swap_raw(x, y) == _swap_raw(y, x)
+            sx, sy = SchmidtVector(x), SchmidtVector(y)
+            assert swap_rule(sx, sy).entries == swap_rule(sy, sx).entries
+
+    def test_commutative_on_equal_flatness(self, d):
+        # equal min/max ratio, different middle entries: the tie is
+        # broken by the entries, not by the argument order
+        rng = substream(SEED, "swap_ties", d)
+        for _ in range(50):
+            x, y = ([1.0, *rng.uniform(0.25, 1.0, d - 2), 0.25] for _ in range(2))
+            assert _swap_raw(x, y) == _swap_raw(y, x)
+            assert _swap_raw(x, y[::-1]) == _swap_raw(y, x[::-1])
+
+    def test_exact_zero_entries(self, d):
+        rng = substream(SEED, "swap_zeros", d)
+        for zx in range(d):
+            zy = int(rng.integers(0, d))
+            x = rng.dirichlet(np.ones(d))
+            y = rng.dirichlet(np.ones(d))
+            x[rng.permutation(d)[:zx]] = 0.0
+            y[rng.permutation(d)[:zy]] = 0.0
+            rank = d - max(zx, zy)
+            raw = _swap_raw(x.tolist(), y.tolist())
+            out = swap_rule(normalize_descending(x), normalize_descending(y)).entries
+            for vec in (raw, out):
+                assert all(v > 0.0 for v in vec[:rank])
+                assert list(vec[rank:]) == [0.0] * (d - rank)
+                assert all(math.copysign(1.0, v) == 1.0 for v in vec)
+        assert _swap_raw([0.0] * d, y.tolist()) == _swap_raw(y.tolist(), [0.0] * d) == [0.0] * d
+
+    def test_product_link_absorbs(self, d):
+        rng = substream(SEED, "swap_product", d)
+        e = SchmidtVector([1.0] + [0.0] * (d - 1))
+        y = random_schmidt(d, rng)
+        for out in (swap_rule(e, y), swap_rule(y, e)):
+            assert out.entries[0] == pytest.approx(1.0, rel=1e-15)
+            assert out.entries[1:] == (0.0,) * (d - 1)
+
+    def test_maximally_entangled_is_identity(self, d):
+        rng = substream(SEED, "swap_unit", d)
+        u = SchmidtVector([1.0 / d] * d)
+        for _ in range(10):
+            y = random_schmidt(d, rng)
+            assert swap_rule(u, y).entries == pytest.approx(y.entries, rel=1e-12)
+            assert swap_rule(y, u).entries == pytest.approx(y.entries, rel=1e-12)
+
+    def test_dimension_mismatch(self, d):
+        with pytest.raises(DimensionMismatch):
+            swap_rule(SchmidtVector([1.0 / d] * d), SchmidtVector([1.0 / (d + 1)] * (d + 1)))
+        with pytest.raises(DimensionMismatch):
+            _swap_raw([1.0] * d, [1.0] * (d + 1))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_series_route_by_dimension(monkeypatch, d):
+    # d <= 3 stays on the pure-Python kernel; from d = 4 up each swap is
+    # one LAPACK SVD
+    calls = {"svd": 0, "eig": 0}
+    svd, eig = np.linalg.svd, kernels.swap_eig
+
+    def count(key, fn):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(np.linalg, "svd", count("svd", svd))
+    monkeypatch.setattr(kernels, "swap_eig", count("eig", eig))
+    x = SchmidtVector([1.0 / d] * d)
+    swap_rule(x, x)
+    lapack = d >= rules.SERIES_LAPACK_MIN_D
+    assert calls == {"svd": int(lapack), "eig": int(not lapack)}
 
 
 class TestAssociativity:
