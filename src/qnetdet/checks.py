@@ -19,7 +19,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -250,167 +250,375 @@ def _numpy_outcomes(x_entries, y_entries, elements) -> list:
 
 
 # ---------------------------------------------------------------------------
+# registry and trial driver
+
+
+class _Check(NamedTuple):
+    group: str
+    run: Callable[[CheckConfig], CheckReport]
+    # skip reason of a statement about qubits only, None for any dimension
+    qubit_only: Optional[str] = None
+
+
+# name -> _Check in report order; CHECKS and GROUPS are derived from it
+_REGISTRY = {}
+
+
+def _unmet(name: str, cfg: CheckConfig) -> Optional[str]:
+    """Why ``cfg`` misses the dimension precondition of check ``name``,
+    or None when it meets it."""
+    why = _REGISTRY[name].qubit_only
+    if why is None or cfg.dimension == 2:
+        return None
+    return f"{why}; configured dimension {cfg.dimension}"
+
+
+def _trials(name: str, group: str, fold=None, qubit_only: Optional[str] = None):
+    """Register the decorated per-trial body as check ``name`` in
+    ``group``.
+
+    ``trial(cfg, t, rng, acc)`` runs trial ``t`` on the substream
+    (seed, name, t), records its slacks on ``acc`` and returns the
+    trial's record.  ``fold(cfg, records)`` turns the records of all
+    trials, in trial order, into the report extras.  A check with a
+    ``qubit_only`` reason raises DimensionNotTwo at any other dimension."""
+
+    def register(trial):
+        def run(cfg: CheckConfig) -> CheckReport:
+            why = _unmet(name, cfg)
+            if why:
+                raise DimensionNotTwo(why)
+            acc = _Acc(cfg.tolerance)
+            records = [
+                trial(cfg, t, sampling.substream(cfg.seed, name, t), acc)
+                for t in range(cfg.trials)
+            ]
+            return acc.report(name, cfg.trials, fold and fold(cfg, records))
+
+        _REGISTRY[name] = _Check(group, run, qubit_only)
+        return trial
+
+    return register
+
+
+def _fixed(name: str, group: str):
+    """Register the decorated fixed-instance body as check ``name`` in
+    ``group``: ``body(acc)`` records its claims on ``acc`` once and
+    returns the report extras."""
+
+    def register(body):
+        def run(cfg: CheckConfig) -> CheckReport:
+            acc = _Acc(cfg.tolerance)
+            return acc.report(name, 1, body(acc))
+
+        _REGISTRY[name] = _Check(group, run)
+        return body
+
+    return register
+
+
+def _hits(records) -> list:
+    """The records of the trials that returned one."""
+    return [r for r in records if r is not None]
+
+
+# ---------------------------------------------------------------------------
 # spectral-map identities
 
 
-def check_lemma_convexity_swap(cfg: CheckConfig) -> CheckReport:
+@_trials("lemma_convexity_swap", "lemmas")
+def _(cfg, t, rng, acc):
     """Mixing swap inputs spreads the output spectrum upward: the
     weighted sum of per-input swap spectra majorizes the swap spectrum
     of the weighted input sum, for nonnegative weights."""
-    name = "lemma_convexity_swap"
     d = cfg.dimension
-    acc = _Acc(cfg.tolerance)
-    for t in range(cfg.trials):
-        rng = sampling.substream(cfg.seed, name, t)
-        count = int(rng.integers(2, 5))
-        xs = [sorted(sampling.random_positive(d, rng), reverse=True) for _ in range(count)]
-        ps = rng.uniform(0.2, 2.0, size=count).tolist()
-        z = sampling.random_positive(d, rng)
-        mix_of_maps = np.zeros(d)
-        mixed_input = np.zeros(d)
-        for p, x in zip(ps, xs):
-            mix_of_maps += p * np.asarray(_swap_raw(x, z))
-            mixed_input += p * np.asarray(x)
-        map_of_mix = _swap_raw(mixed_input.tolist(), z)
-        acc.slack(
-            _maj_slack(mix_of_maps, map_of_mix),
-            lambda: {
-                "trial": t,
-                "weights": _floats(ps),
-                "inputs": [_floats(x) for x in xs],
-                "z": _floats(z),
-                "mix_of_maps": _floats(mix_of_maps),
-                "map_of_mix": _floats(map_of_mix),
-            },
-        )
-    return acc.report(name, cfg.trials)
+    count = int(rng.integers(2, 5))
+    xs = [sorted(sampling.random_positive(d, rng), reverse=True) for _ in range(count)]
+    ps = rng.uniform(0.2, 2.0, size=count).tolist()
+    z = sampling.random_positive(d, rng)
+    mix_of_maps = np.zeros(d)
+    mixed_input = np.zeros(d)
+    for p, x in zip(ps, xs):
+        mix_of_maps += p * np.asarray(_swap_raw(x, z))
+        mixed_input += p * np.asarray(x)
+    map_of_mix = _swap_raw(mixed_input.tolist(), z)
+    acc.slack(
+        _maj_slack(mix_of_maps, map_of_mix),
+        lambda: {
+            "trial": t,
+            "weights": _floats(ps),
+            "inputs": [_floats(x) for x in xs],
+            "z": _floats(z),
+            "mix_of_maps": _floats(mix_of_maps),
+            "map_of_mix": _floats(map_of_mix),
+        },
+    )
 
 
-def check_lemma_det_preserving(cfg: CheckConfig) -> CheckReport:
+@_trials("lemma_det_preserving", "lemmas")
+def _(cfg, t, rng, acc):
     """The swap output determinant equals d^d times the product of the
     input determinants, to relative accuracy."""
-    name = "lemma_det_preserving"
     d = cfg.dimension
-    acc = _Acc(cfg.tolerance)
-    for t in range(cfg.trials):
-        rng = sampling.substream(cfg.seed, name, t)
-        x = sampling.random_schmidt(d, rng)
-        y = sampling.random_schmidt(d, rng)
-        lhs = det_vec(swap_rule(x, y))
-        rhs = d**d * det_vec(x) * det_vec(y)
-        rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-        acc.slack(
-            rel,
-            lambda: {
-                "trial": t,
-                "x": _floats(x.entries),
-                "y": _floats(y.entries),
-                "lhs": float(lhs),
-                "rhs": float(rhs),
-            },
-        )
-    return acc.report(name, cfg.trials)
+    x = sampling.random_schmidt(d, rng)
+    y = sampling.random_schmidt(d, rng)
+    lhs = det_vec(swap_rule(x, y))
+    rhs = d**d * det_vec(x) * det_vec(y)
+    rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
+    acc.slack(
+        rel,
+        lambda: {
+            "trial": t,
+            "x": _floats(x.entries),
+            "y": _floats(y.entries),
+            "lhs": float(lhs),
+            "rhs": float(rhs),
+        },
+    )
 
 
-def check_lemma_duality(cfg: CheckConfig) -> CheckReport:
+@_trials("lemma_duality", "lemmas")
+def _(cfg, t, rng, acc):
     """Entrywise-reciprocal duality: the sorted adjugate spectrum of a
     swap output equals d^(d-2) times the swap of the input adjugates.
     Sampled on interior vectors so the reciprocals stay conditioned."""
-    name = "lemma_duality"
     d = cfg.dimension
-    acc = _Acc(cfg.tolerance)
     scale = d ** (d - 2)
-    for t in range(cfg.trials):
-        rng = sampling.substream(cfg.seed, name, t)
-        raw = rng.dirichlet(np.ones(d)) + 0.02
-        x = SchmidtVector(raw / raw.sum())
-        raw = rng.dirichlet(np.ones(d)) + 0.02
-        y = SchmidtVector(raw / raw.sum())
-        lhs = sorted(adjugate_vec(swap_rule(x, y)), reverse=True)
-        rhs = [scale * v for v in _swap_raw(adjugate_vec(x), adjugate_vec(y))]
-        ref = max(abs(v) for v in lhs)
-        worst = max(abs(a - b) for a, b in zip(lhs, rhs)) / max(ref, 1e-300)
-        acc.slack(
-            worst,
-            lambda: {
-                "trial": t,
-                "x": _floats(x.entries),
-                "y": _floats(y.entries),
-                "lhs": _floats(lhs),
-                "rhs": _floats(rhs),
-            },
-        )
-    return acc.report(name, cfg.trials)
+    raw = rng.dirichlet(np.ones(d)) + 0.02
+    x = SchmidtVector(raw / raw.sum())
+    raw = rng.dirichlet(np.ones(d)) + 0.02
+    y = SchmidtVector(raw / raw.sum())
+    lhs = sorted(adjugate_vec(swap_rule(x, y)), reverse=True)
+    rhs = [scale * v for v in _swap_raw(adjugate_vec(x), adjugate_vec(y))]
+    ref = max(abs(v) for v in lhs)
+    worst = max(abs(a - b) for a, b in zip(lhs, rhs)) / max(ref, 1e-300)
+    acc.slack(
+        worst,
+        lambda: {
+            "trial": t,
+            "x": _floats(x.entries),
+            "y": _floats(y.entries),
+            "lhs": _floats(lhs),
+            "rhs": _floats(rhs),
+        },
+    )
 
 
-def check_lemma_extremity(cfg: CheckConfig) -> CheckReport:
+def _extremity_extras(cfg, records):
+    return {
+        "rejection_fallbacks": sum(fallback for fallback, _ in records),
+        "mean_draws_per_trial": round(sum(draws for _, draws in records) / cfg.trials, 3),
+    }
+
+
+@_trials("lemma_extremity", "lemmas", fold=_extremity_extras)
+def _(cfg, t, rng, acc):
     """The parallel rule output is the majorization-least dominator:
     any d-entry unit vector whose zero-padding majorizes the input also
     majorizes the rule output.  Candidates come from rejection sampling
-    with a deterministic tail-collapse fallback."""
-    name = "lemma_extremity"
+    with a deterministic tail-collapse fallback.  The record is
+    (fallback used, draws)."""
     d = cfg.dimension
-    acc = _Acc(cfg.tolerance)
-    fallbacks = 0
-    draws = 0
-    for t in range(cfg.trials):
-        rng = sampling.substream(cfg.seed, name, t)
-        m = d + 1 + (t % 2)
-        x = sampling.random_schmidt(m, rng)
-        try:
-            cand, used = sampling.dominating_candidate(x.entries, d, _REJECTION_BUDGET, rng)
-            draws += used
-        except RejectionBudgetExceeded:
-            cand = SchmidtVector(sampling.tail_collapse(x.entries, d))
-            fallbacks += 1
-            draws += _REJECTION_BUDGET
-        pur = purify_rule(x, d)
-        acc.slack(
-            _maj_slack(cand.entries, pur.entries),
-            lambda: {
-                "trial": t,
-                "x": _floats(x.entries),
-                "candidate": _floats(cand.entries),
-                "purified": _floats(pur.entries),
-            },
-        )
-    extras = {
-        "rejection_fallbacks": fallbacks,
-        "mean_draws_per_trial": round(draws / cfg.trials, 3),
-    }
-    return acc.report(name, cfg.trials, extras)
+    m = d + 1 + (t % 2)
+    x = sampling.random_schmidt(m, rng)
+    try:
+        cand, used = sampling.dominating_candidate(x.entries, d, _REJECTION_BUDGET, rng)
+        record = (0, used)
+    except RejectionBudgetExceeded:
+        cand = SchmidtVector(sampling.tail_collapse(x.entries, d))
+        record = (1, _REJECTION_BUDGET)
+    pur = purify_rule(x, d)
+    acc.slack(
+        _maj_slack(cand.entries, pur.entries),
+        lambda: {
+            "trial": t,
+            "x": _floats(x.entries),
+            "candidate": _floats(cand.entries),
+            "purified": _floats(pur.entries),
+        },
+    )
+    return record
 
 
-def check_lemma_convexity_purify(cfg: CheckConfig) -> CheckReport:
+@_trials("lemma_convexity_purify", "lemmas")
+def _(cfg, t, rng, acc):
     """Mixing inputs of the parallel rule spreads the output upward:
     the weighted sum of per-input outputs majorizes the output of the
     weighted input sum."""
-    name = "lemma_convexity_purify"
     d = cfg.dimension
-    acc = _Acc(cfg.tolerance)
-    for t in range(cfg.trials):
-        rng = sampling.substream(cfg.seed, name, t)
-        m = d + 1 + (t % 2)
-        count = int(rng.integers(2, 5))
-        xs = [sorted(sampling.random_positive(m, rng), reverse=True) for _ in range(count)]
-        ps = rng.uniform(0.2, 2.0, size=count).tolist()
-        mix_of_maps = np.zeros(d)
-        mixed_input = np.zeros(m)
-        for p, x in zip(ps, xs):
-            mix_of_maps += p * np.asarray(_purify_raw(x, d))
-            mixed_input += p * np.asarray(x)
-        map_of_mix = _purify_raw(mixed_input.tolist(), d)
-        acc.slack(
-            _maj_slack(mix_of_maps, map_of_mix),
-            lambda: {
-                "trial": t,
-                "weights": _floats(ps),
-                "inputs": [_floats(x) for x in xs],
-                "mix_of_maps": _floats(mix_of_maps),
-                "map_of_mix": _floats(map_of_mix),
-            },
-        )
-    return acc.report(name, cfg.trials)
+    m = d + 1 + (t % 2)
+    count = int(rng.integers(2, 5))
+    xs = [sorted(sampling.random_positive(m, rng), reverse=True) for _ in range(count)]
+    ps = rng.uniform(0.2, 2.0, size=count).tolist()
+    mix_of_maps = np.zeros(d)
+    mixed_input = np.zeros(m)
+    for p, x in zip(ps, xs):
+        mix_of_maps += p * np.asarray(_purify_raw(x, d))
+        mixed_input += p * np.asarray(x)
+    map_of_mix = _purify_raw(mixed_input.tolist(), d)
+    acc.slack(
+        _maj_slack(mix_of_maps, map_of_mix),
+        lambda: {
+            "trial": t,
+            "weights": _floats(ps),
+            "inputs": [_floats(x) for x in xs],
+            "mix_of_maps": _floats(mix_of_maps),
+            "map_of_mix": _floats(map_of_mix),
+        },
+    )
+
+
+@_trials("lemma_sum_product", "lemmas")
+def _(cfg, t, rng, acc):
+    """Log-domain mixing bound for the parallel rule: whenever the log
+    of z is weakly submajorized by the summed logs of x and y, the same
+    holds after applying the rule to all three.
+
+    z is built on the equality boundary (entrywise product of the
+    sorted inputs), then pushed strictly inside the premise by
+    entrywise damping and pairwise log-domain transfers, both of which
+    can only lower sorted log prefix sums."""
+    d = cfg.dimension
+    m = d + 1 + (t % 2)
+    x = sorted(sampling.random_positive(m, rng), reverse=True)
+    y = sorted(sampling.random_positive(m, rng), reverse=True)
+    z = [a * b for a, b in zip(x, y)]
+    if t % 5:
+        z = sampling.log_damped(z, rng)
+        steps = int(rng.integers(0, 3))
+        if steps:
+            z = np.exp(sampling.dominated_vector(np.log(z), steps, rng)).tolist()
+    lhs = np.log(_purify_raw(x, d)) + np.log(_purify_raw(y, d))
+    rhs = np.log(_purify_raw(z, d))
+    acc.slack(
+        _wsub_slack(rhs, lhs),
+        lambda: {
+            "trial": t,
+            "x": _floats(x),
+            "y": _floats(y),
+            "z": _floats(z),
+            "lhs_logs": _floats(lhs),
+            "rhs_logs": _floats(rhs),
+        },
+    )
+
+
+# the largest dimension at which the swap part of isotone_maps is asserted
+_SWAP_ISOTONE_MAX_D = 3
+
+
+def _isotone_extras(cfg, swap_slacks):
+    if cfg.dimension <= _SWAP_ISOTONE_MAX_D:
+        return None
+    worst = max(range(cfg.trials), key=swap_slacks.__getitem__)
+    return {"swap_max_slack": float(swap_slacks[worst]), "swap_worst_trial": worst}
+
+
+@_trials("isotone_maps", "lemmas", fold=_isotone_extras)
+def _(cfg, t, rng, acc):
+    """Order preservation of everything downstream of a majorization:
+    swap and purify map a dominating input to a dominating output, and
+    every concurrence order is monotone under domination and concave
+    under mixing.
+
+    The swap part is asserted only up to dimension 3.  From d = 4 on it
+    is false: sampled x majorizing y give swap(x, z) that fails to
+    majorize swap(y, z) by ~1e-4, far above the series rule's error
+    (tests/test_checks.py pins one such triple).  There its largest
+    slack and that trial go to the extras instead."""
+    d = cfg.dimension
+    x = sorted(sampling.random_positive(d, rng), reverse=True)
+    y = sampling.dominated_vector(x, int(rng.integers(1, 5)), rng)
+    z = sampling.random_positive(d, rng)
+    s_swap = _maj_slack(_swap_raw(x, z), _swap_raw(y, z))
+
+    m = d + 1 + (t % 2)
+    xm = sorted(sampling.random_positive(m, rng), reverse=True)
+    ym = sampling.dominated_vector(xm, int(rng.integers(1, 5)), rng)
+    s_pur = _maj_slack(_purify_raw(xm, d), _purify_raw(ym, d))
+
+    tot = math.fsum(x)
+    lam_hi = SchmidtVector([v / tot for v in x])
+    lam_lo = SchmidtVector([v / tot for v in y])
+    s_mono = max(
+        concurrence(lam_hi, k) - concurrence(lam_lo, k) for k in range(1, d + 1)
+    )
+
+    count = int(rng.integers(2, 5))
+    members = [sampling.random_schmidt(d, rng) for _ in range(count)]
+    weights = rng.dirichlet(np.ones(count)).tolist()
+    mix = SchmidtVector(
+        np.sum([p * np.asarray(v.entries) for p, v in zip(weights, members)], axis=0)
+    )
+    s_conc = max(
+        math.fsum(p * concurrence(v, k) for p, v in zip(weights, members))
+        - concurrence(mix, k)
+        for k in range(1, d + 1)
+    )
+
+    if d <= _SWAP_ISOTONE_MAX_D:
+        worst = max(s_swap, s_pur, s_mono, s_conc)
+    else:
+        worst = max(s_pur, s_mono, s_conc)
+    acc.slack(
+        worst,
+        lambda: {
+            "trial": t,
+            "swap_slack": float(s_swap),
+            "purify_slack": float(s_pur),
+            "monotonicity_slack": float(s_mono),
+            "concavity_slack": float(s_conc),
+            "x": _floats(x),
+            "y": _floats(y),
+        },
+    )
+    return s_swap
+
+
+def _prefix_term(values, l, k, s) -> float:
+    """Product of the l-1 largest values times the power sum, exponent
+    s, of the values ranked l..k."""
+    vs = sorted(values, reverse=True)
+    prod = 1.0
+    for v in vs[: l - 1]:
+        prod *= v
+    return prod * math.fsum(v**s for v in vs[l - 1 : k])
+
+
+@_trials("prefix_power", "lemmas")
+def _(cfg, t, rng, acc):
+    """Prefix-product power-sum dominance: when the sorted logs of x
+    weakly submajorize those of y, the product of the l-1 largest
+    entries times the power sum of entries l..k is at least as large
+    for x as for y, for every valid k, l and exponent 0 <= s <= k-l+1.
+    Exponent boundaries are cycled in deterministically."""
+    n = cfg.dimension + (t % 4)
+    x = sorted(sampling.random_positive(n, rng), reverse=True)
+    y = sampling.log_damped(x, rng)
+    k = int(rng.integers(1, n + 1))
+    l = int(rng.integers(1, k + 1))
+    cyc = t % 7
+    if cyc == 0:
+        s = 0.0
+    elif cyc == 1:
+        s = float(k - l + 1)
+    else:
+        s = float(rng.uniform(0.0, k - l + 1))
+    tx = _prefix_term(x, l, k, s)
+    ty = _prefix_term(y, l, k, s)
+    acc.slack(
+        (ty - tx) / max(abs(tx), 1e-300),
+        lambda: {
+            "trial": t,
+            "x": _floats(x),
+            "y": _floats(y),
+            "k": k,
+            "l": l,
+            "s": float(s),
+            "lhs": float(tx),
+            "rhs": float(ty),
+        },
+    )
 
 
 def _fold_link(d, rng) -> SchmidtVector:
@@ -433,7 +641,8 @@ def _fold_link(d, rng) -> SchmidtVector:
     return normalize_descending(w)
 
 
-def check_lemma_parallel_fold(cfg: CheckConfig) -> CheckReport:
+@_trials("lemma_parallel_fold", "lemmas")
+def _(cfg, t, rng, acc):
     """The reduction folds a bundle pairwise, P(..P(P(a(x)b)(x)c)..),
     where P is the parallel rule down to d entries and (x) the tensor
     product; this equals P of the full product of the bundle.  Each
@@ -458,295 +667,141 @@ def check_lemma_parallel_fold(cfg: CheckConfig) -> CheckReport:
     P(P(x)(x)c).  The two majorize each other, so they are equal, and
     induction over the members gives the fold.  The slack is the largest
     entry difference, which is rounding only."""
-    name = "lemma_parallel_fold"
     d = cfg.dimension
     most = 5
     while d**most > 4096:
         most -= 1
-    acc = _Acc(cfg.tolerance)
-    for t in range(cfg.trials):
-        rng = sampling.substream(cfg.seed, name, t)
-        links = [_fold_link(d, rng) for _ in range(int(rng.integers(2, most + 1)))]
-        product = [math.prod(p) for p in itertools.product(*(v.entries for v in links))]
-        full = purify_rule(product, d).entries
-        folded = [
-            reduce_series_parallel(
-                QuantumNetwork(d, ("A", "B"), [Edge("A", "B", v) for v in members])
-            )[0].entries
-            for members in (links, links[::-1])
-        ]
-        acc.slack(
-            max(abs(a - b) for vec in folded for a, b in zip(vec, full)),
-            lambda: {
-                "trial": t,
-                "links": [_floats(v.entries) for v in links],
-                "full_product": _floats(full),
-                "folded": [_floats(vec) for vec in folded],
-            },
-        )
-    return acc.report(name, cfg.trials)
+    links = [_fold_link(d, rng) for _ in range(int(rng.integers(2, most + 1)))]
+    product = [math.prod(p) for p in itertools.product(*(v.entries for v in links))]
+    full = purify_rule(product, d).entries
+    folded = [
+        reduce_series_parallel(
+            QuantumNetwork(d, ("A", "B"), [Edge("A", "B", v) for v in members])
+        )[0].entries
+        for members in (links, links[::-1])
+    ]
+    acc.slack(
+        max(abs(a - b) for vec in folded for a, b in zip(vec, full)),
+        lambda: {
+            "trial": t,
+            "links": [_floats(v.entries) for v in links],
+            "full_product": _floats(full),
+            "folded": [_floats(vec) for vec in folded],
+        },
+    )
 
 
-def check_lemma_sum_product(cfg: CheckConfig) -> CheckReport:
-    """Log-domain mixing bound for the parallel rule: whenever the log
-    of z is weakly submajorized by the summed logs of x and y, the same
-    holds after applying the rule to all three.
-
-    z is built on the equality boundary (entrywise product of the
-    sorted inputs), then pushed strictly inside the premise by
-    entrywise damping and pairwise log-domain transfers, both of which
-    can only lower sorted log prefix sums."""
-    name = "lemma_sum_product"
-    d = cfg.dimension
-    acc = _Acc(cfg.tolerance)
-    for t in range(cfg.trials):
-        rng = sampling.substream(cfg.seed, name, t)
-        m = d + 1 + (t % 2)
-        x = sorted(sampling.random_positive(m, rng), reverse=True)
-        y = sorted(sampling.random_positive(m, rng), reverse=True)
-        z = [a * b for a, b in zip(x, y)]
-        if t % 5:
-            z = sampling.log_damped(z, rng)
-            steps = int(rng.integers(0, 3))
-            if steps:
-                z = np.exp(sampling.dominated_vector(np.log(z), steps, rng)).tolist()
-        lhs = np.log(_purify_raw(x, d)) + np.log(_purify_raw(y, d))
-        rhs = np.log(_purify_raw(z, d))
-        acc.slack(
-            _wsub_slack(rhs, lhs),
-            lambda: {
-                "trial": t,
-                "x": _floats(x),
-                "y": _floats(y),
-                "z": _floats(z),
-                "lhs_logs": _floats(lhs),
-                "rhs_logs": _floats(rhs),
-            },
-        )
-    return acc.report(name, cfg.trials)
+def _amgm_extras(cfg, records):
+    tight = _hits(records)
+    return {
+        "equality_trials": len(tight),
+        "equality_max_abs_slack": float(max([0.0, *tight])),
+    }
 
 
-def check_isotone_maps(cfg: CheckConfig) -> CheckReport:
-    """Order preservation of everything downstream of a majorization:
-    swap and purify map a dominating input to a dominating output, and
-    every concurrence order is monotone under domination and concave
-    under mixing."""
-    name = "isotone_maps"
-    d = cfg.dimension
-    acc = _Acc(cfg.tolerance)
-    for t in range(cfg.trials):
-        rng = sampling.substream(cfg.seed, name, t)
-        x = sorted(sampling.random_positive(d, rng), reverse=True)
-        y = sampling.dominated_vector(x, int(rng.integers(1, 5)), rng)
-        z = sampling.random_positive(d, rng)
-        s_swap = _maj_slack(_swap_raw(x, z), _swap_raw(y, z))
-
-        m = d + 1 + (t % 2)
-        xm = sorted(sampling.random_positive(m, rng), reverse=True)
-        ym = sampling.dominated_vector(xm, int(rng.integers(1, 5)), rng)
-        s_pur = _maj_slack(_purify_raw(xm, d), _purify_raw(ym, d))
-
-        tot = math.fsum(x)
-        lam_hi = SchmidtVector([v / tot for v in x])
-        lam_lo = SchmidtVector([v / tot for v in y])
-        s_mono = max(
-            concurrence(lam_hi, k) - concurrence(lam_lo, k) for k in range(1, d + 1)
-        )
-
-        count = int(rng.integers(2, 5))
-        members = [sampling.random_schmidt(d, rng) for _ in range(count)]
-        weights = rng.dirichlet(np.ones(count)).tolist()
-        mix = SchmidtVector(
-            np.sum([p * np.asarray(v.entries) for p, v in zip(weights, members)], axis=0)
-        )
-        s_conc = max(
-            math.fsum(p * concurrence(v, k) for p, v in zip(weights, members))
-            - concurrence(mix, k)
-            for k in range(1, d + 1)
-        )
-
-        worst = max(s_swap, s_pur, s_mono, s_conc)
-        acc.slack(
-            worst,
-            lambda: {
-                "trial": t,
-                "swap_slack": float(s_swap),
-                "purify_slack": float(s_pur),
-                "monotonicity_slack": float(s_mono),
-                "concavity_slack": float(s_conc),
-                "x": _floats(x),
-                "y": _floats(y),
-            },
-        )
-    return acc.report(name, cfg.trials)
-
-
-def check_prefix_power(cfg: CheckConfig) -> CheckReport:
-    """Prefix-product power-sum dominance: when the sorted logs of x
-    weakly submajorize those of y, the product of the l-1 largest
-    entries times the power sum of entries l..k is at least as large
-    for x as for y, for every valid k, l and exponent 0 <= s <= k-l+1.
-    Exponent boundaries are cycled in deterministically."""
-    name = "prefix_power"
-    d = cfg.dimension
-    acc = _Acc(cfg.tolerance)
-
-    def term(values, l, k, s):
-        vs = sorted(values, reverse=True)
-        prod = 1.0
-        for v in vs[: l - 1]:
-            prod *= v
-        return prod * math.fsum(v**s for v in vs[l - 1 : k])
-
-    for t in range(cfg.trials):
-        rng = sampling.substream(cfg.seed, name, t)
-        n = d + (t % 4)
-        x = sorted(sampling.random_positive(n, rng), reverse=True)
-        y = sampling.log_damped(x, rng)
-        k = int(rng.integers(1, n + 1))
-        l = int(rng.integers(1, k + 1))
-        cyc = t % 7
-        if cyc == 0:
-            s = 0.0
-        elif cyc == 1:
-            s = float(k - l + 1)
-        else:
-            s = float(rng.uniform(0.0, k - l + 1))
-        tx = term(x, l, k, s)
-        ty = term(y, l, k, s)
-        acc.slack(
-            (ty - tx) / max(abs(tx), 1e-300),
-            lambda: {
-                "trial": t,
-                "x": _floats(x),
-                "y": _floats(y),
-                "k": k,
-                "l": l,
-                "s": float(s),
-                "lhs": float(tx),
-                "rhs": float(ty),
-            },
-        )
-    return acc.report(name, cfg.trials)
-
-
-def check_reverse_amgm(cfg: CheckConfig) -> CheckReport:
+@_trials("reverse_amgm", "amgm", fold=_amgm_extras)
+def _(cfg, t, rng, acc):
     """Reverse arithmetic-geometric mean bound for slowly growing
     increments: with E_k = offset + sum of the first k increments and
     every increment between its predecessor and E_k/k, the power mean
     (E_n/n)^n is bounded by the increment product times
     (1 + (offset/first)/n)^n, per-prefix variants included.  Evaluated
     in the log domain; equality cases (all increments equal) are cycled
-    in and keep the recorded slack at the floating-point floor."""
-    name = "reverse_amgm"
-    acc = _Acc(cfg.tolerance)
-    equality_trials = 0
-    equality_worst = 0.0
-    for t in range(cfg.trials):
-        rng = sampling.substream(cfg.seed, name, t)
-        n = int(rng.integers(1, 11))
-        mode = t % 25
-        if mode == 0:
-            eps = [float(rng.uniform(0.1, 2.0))] * n
-            delta = 0.0
-        elif mode == 1:
-            eps = [float(rng.uniform(0.1, 2.0))] * n
-            delta = float(rng.exponential(1.0)) + 0.1
-        else:
-            delta = 0.0 if rng.random() < 0.3 else float(rng.exponential(1.0))
-            eps = [float(rng.uniform(0.1, 2.0))]
-            total = delta + eps[0]
-            for k in range(1, n):
-                hi = total / k
-                nxt = float(rng.uniform(eps[-1], hi)) if hi > eps[-1] else eps[-1]
-                eps.append(nxt)
-                total += nxt
-        ln_eps = [math.log(v) for v in eps]
-        ratio = delta / eps[0]
-        prefix = 0.0
-        running = delta
-        worst = -math.inf
-        for j in range(1, n + 1):
-            prefix += ln_eps[j - 1]
-            running += eps[j - 1]
-            mean_ln = j * math.log(running / j)
-            bound_mean = prefix + j * math.log1p(ratio / j)
-            bound_exp = prefix + ratio
-            worst = max(worst, mean_ln - bound_mean, mean_ln - bound_exp)
-        if mode in (0, 1):
-            equality_trials += 1
-            # the (1 + ratio/n)^n form is tight for equal increments
-            prefix = math.fsum(ln_eps)
-            running = delta + math.fsum(eps)
-            tight = n * math.log(running / n) - (prefix + n * math.log1p(ratio / n))
-            equality_worst = max(equality_worst, abs(tight))
-        acc.slack(
-            worst,
-            lambda: {
-                "trial": t,
-                "offset": float(delta),
-                "increments": _floats(eps),
-            },
-        )
-    extras = {
-        "equality_trials": equality_trials,
-        "equality_max_abs_slack": float(equality_worst),
-    }
-    return acc.report(name, cfg.trials, extras)
+    in and keep the recorded slack at the floating-point floor.  The
+    record of an equality trial is its absolute slack."""
+    n = int(rng.integers(1, 11))
+    mode = t % 25
+    if mode == 0:
+        eps = [float(rng.uniform(0.1, 2.0))] * n
+        delta = 0.0
+    elif mode == 1:
+        eps = [float(rng.uniform(0.1, 2.0))] * n
+        delta = float(rng.exponential(1.0)) + 0.1
+    else:
+        delta = 0.0 if rng.random() < 0.3 else float(rng.exponential(1.0))
+        eps = [float(rng.uniform(0.1, 2.0))]
+        total = delta + eps[0]
+        for k in range(1, n):
+            hi = total / k
+            nxt = float(rng.uniform(eps[-1], hi)) if hi > eps[-1] else eps[-1]
+            eps.append(nxt)
+            total += nxt
+    ln_eps = [math.log(v) for v in eps]
+    ratio = delta / eps[0]
+    prefix = 0.0
+    running = delta
+    worst = -math.inf
+    for j in range(1, n + 1):
+        prefix += ln_eps[j - 1]
+        running += eps[j - 1]
+        mean_ln = j * math.log(running / j)
+        bound_mean = prefix + j * math.log1p(ratio / j)
+        bound_exp = prefix + ratio
+        worst = max(worst, mean_ln - bound_mean, mean_ln - bound_exp)
+    acc.slack(
+        worst,
+        lambda: {
+            "trial": t,
+            "offset": float(delta),
+            "increments": _floats(eps),
+        },
+    )
+    if mode in (0, 1):
+        # the (1 + ratio/n)^n form is tight for equal increments
+        prefix = math.fsum(ln_eps)
+        running = delta + math.fsum(eps)
+        return abs(n * math.log(running / n) - (prefix + n * math.log1p(ratio / n)))
+    return None
 
 
 # ---------------------------------------------------------------------------
 # protocol optimality
 
 
-def check_theorem_single_link(cfg: CheckConfig) -> CheckReport:
+@_trials("theorem_single_link", "theorems")
+def _(cfg, t, rng, acc):
     """Converting one link into a measurement ensemble cannot raise any
     average concurrence order, whether the link then feeds a swap or a
     purification.  Also verifies the locality premise: the sorted
     ensemble average majorizes the source spectrum."""
-    name = "theorem_single_link"
     d = cfg.dimension
-    acc = _Acc(cfg.tolerance)
-    for t in range(cfg.trials):
-        rng = sampling.substream(cfg.seed, name, t)
-        lam = sampling.random_schmidt(d, rng)
-        count = 1 if t % 10 == 0 else int(rng.integers(2, 5))
-        kraus = sampling.sample_local_kraus(d, count, rng)
-        ens = _numpy_outcomes(np.ones(kraus.shape[1]), lam.entries, kraus)
-        states = [normalize_descending(vec) for _, vec in ens]
+    lam = sampling.random_schmidt(d, rng)
+    count = 1 if t % 10 == 0 else int(rng.integers(2, 5))
+    kraus = sampling.sample_local_kraus(d, count, rng)
+    ens = _numpy_outcomes(np.ones(kraus.shape[1]), lam.entries, kraus)
+    states = [normalize_descending(vec) for _, vec in ens]
 
-        mix = np.sum([p * vec for p, vec in ens], axis=0)
-        s_local = _maj_slack(mix, lam.entries)
+    mix = np.sum([p * vec for p, vec in ens], axis=0)
+    s_local = _maj_slack(mix, lam.entries)
 
-        z = sampling.random_schmidt(d, rng)
-        w = sampling.random_schmidt(d, rng)
-        swap_base = swap_rule(lam, z)
-        pur_base = purify_rule(kron(lam, w), d)
-        swapped = [swap_rule(v, z) for v in states]
-        purified = [purify_rule(kron(v, w), d) for v in states]
-        s_swap = max(
-            math.fsum(p * concurrence(sv, k) for (p, _), sv in zip(ens, swapped))
-            - concurrence(swap_base, k)
-            for k in range(1, d + 1)
-        )
-        s_pur = max(
-            math.fsum(p * concurrence(pv, k) for (p, _), pv in zip(ens, purified))
-            - concurrence(pur_base, k)
-            for k in range(1, d + 1)
-        )
-        worst = max(s_local, s_swap, s_pur)
-        acc.slack(
-            worst,
-            lambda: {
-                "trial": t,
-                "link": _floats(lam.entries),
-                "locality_slack": float(s_local),
-                "swap_context_slack": float(s_swap),
-                "purify_context_slack": float(s_pur),
-                "probabilities": _floats(p for p, _ in ens),
-            },
-        )
-    return acc.report(name, cfg.trials)
+    z = sampling.random_schmidt(d, rng)
+    w = sampling.random_schmidt(d, rng)
+    swap_base = swap_rule(lam, z)
+    pur_base = purify_rule(kron(lam, w), d)
+    swapped = [swap_rule(v, z) for v in states]
+    purified = [purify_rule(kron(v, w), d) for v in states]
+    s_swap = max(
+        math.fsum(p * concurrence(sv, k) for (p, _), sv in zip(ens, swapped))
+        - concurrence(swap_base, k)
+        for k in range(1, d + 1)
+    )
+    s_pur = max(
+        math.fsum(p * concurrence(pv, k) for (p, _), pv in zip(ens, purified))
+        - concurrence(pur_base, k)
+        for k in range(1, d + 1)
+    )
+    worst = max(s_local, s_swap, s_pur)
+    acc.slack(
+        worst,
+        lambda: {
+            "trial": t,
+            "link": _floats(lam.entries),
+            "locality_slack": float(s_local),
+            "swap_context_slack": float(s_swap),
+            "purify_context_slack": float(s_pur),
+            "probabilities": _floats(p for p, _ in ens),
+        },
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -786,101 +841,96 @@ def _series_low_order_witness(d: int) -> dict:
     }
 
 
-def check_theorem_simple_series(cfg: CheckConfig) -> CheckReport:
+def _series_extras(cfg, records):
+    extras = {"deterministic_equality_gap": float(max([0.0, *_hits(records)]))}
+    if cfg.dimension >= 3:
+        extras["low_order_witness"] = _series_low_order_witness(cfg.dimension)
+    return extras
+
+
+@_trials("theorem_simple_series", "theorems", fold=_series_extras)
+def _(cfg, t, rng, acc):
     """Against sampled complete swap measurements, the series rule is
     average-optimal in the top concurrence order, and its top order
     factorizes into the product of the input values.  The explicit
     measurement that realizes the rule is cycled in to expose the
-    equality case.  Lower orders are not asserted; a fixed witness in
-    the extras shows why."""
-    name = "theorem_simple_series"
+    equality case; the record of such a trial is its absolute gap.
+    Lower orders are not asserted; a fixed witness in the extras shows
+    why."""
     d = cfg.dimension
-    acc = _Acc(cfg.tolerance)
-    equality_gap = 0.0
-    for t in range(cfg.trials):
-        rng = sampling.substream(cfg.seed, name, t)
-        la = sampling.random_schmidt(d, rng)
-        lb = sampling.random_schmidt(d, rng)
-        deterministic = t % 10 == 0
-        if deterministic:
-            els = deterministic_swap_povm(d).elements
-        else:
-            els = sampling.sample_povm_arrays(d, cfg.resolved_povm_size, rng)
-        outs = _numpy_outcomes(la.entries, lb.entries, els)
-        base = swap_rule(la, lb)
-        cd_base = concurrence(base, d)
-        avg = math.fsum(p * concurrence(normalize_descending(v), d) for p, v in outs)
-        s_avg = avg - cd_base
-        prod = concurrence(la, d) * concurrence(lb, d)
-        rel_mult = abs(cd_base - prod) / max(prod, 1e-300)
-        if deterministic:
-            equality_gap = max(equality_gap, abs(s_avg))
-        acc.slack(
-            s_avg,
-            lambda: {
-                "trial": t,
-                "claim": "average_top_order",
-                "links": [_floats(la.entries), _floats(lb.entries)],
-                "average": float(avg),
-                "rule_value": float(cd_base),
-            },
-        )
-        acc.slack(
-            rel_mult,
-            lambda: {
-                "trial": t,
-                "claim": "multiplicativity",
-                "links": [_floats(la.entries), _floats(lb.entries)],
-                "rule_value": float(cd_base),
-                "product": float(prod),
-            },
-            tol=1e-8,
-        )
-    extras = {"deterministic_equality_gap": float(equality_gap)}
-    if d >= 3:
-        extras["low_order_witness"] = _series_low_order_witness(d)
-    return acc.report(name, cfg.trials, extras)
+    la = sampling.random_schmidt(d, rng)
+    lb = sampling.random_schmidt(d, rng)
+    deterministic = t % 10 == 0
+    if deterministic:
+        els = deterministic_swap_povm(d).elements
+    else:
+        els = sampling.sample_povm_arrays(d, cfg.resolved_povm_size, rng)
+    outs = _numpy_outcomes(la.entries, lb.entries, els)
+    base = swap_rule(la, lb)
+    cd_base = concurrence(base, d)
+    avg = math.fsum(p * concurrence(normalize_descending(v), d) for p, v in outs)
+    s_avg = avg - cd_base
+    prod = concurrence(la, d) * concurrence(lb, d)
+    rel_mult = abs(cd_base - prod) / max(prod, 1e-300)
+    acc.slack(
+        s_avg,
+        lambda: {
+            "trial": t,
+            "claim": "average_top_order",
+            "links": [_floats(la.entries), _floats(lb.entries)],
+            "average": float(avg),
+            "rule_value": float(cd_base),
+        },
+    )
+    acc.slack(
+        rel_mult,
+        lambda: {
+            "trial": t,
+            "claim": "multiplicativity",
+            "links": [_floats(la.entries), _floats(lb.entries)],
+            "rule_value": float(cd_base),
+            "product": float(prod),
+        },
+        tol=1e-8,
+    )
+    return abs(s_avg) if deterministic else None
 
 
-def check_theorem_simple_parallel(cfg: CheckConfig) -> CheckReport:
+@_trials("theorem_simple_parallel", "theorems")
+def _(cfg, t, rng, acc):
     """Against sampled rank-reducing measurements on the joint state of
     two parallel links, the parallel rule is average-optimal in every
     concurrence order; the sorted ensemble average majorizes both the
     joint spectrum (padded) and the rule output."""
-    name = "theorem_simple_parallel"
     d = cfg.dimension
-    acc = _Acc(cfg.tolerance)
-    for t in range(cfg.trials):
-        rng = sampling.substream(cfg.seed, name, t)
-        la = sampling.random_schmidt(d, rng)
-        lb = sampling.random_schmidt(d, rng)
-        joint = kron(la, lb)
-        count = int(rng.integers(d, d + 3))
-        kraus = sampling.sample_wide_kraus(d, count, rng)
-        ens = _numpy_outcomes(np.ones(kraus.shape[1]), joint.entries, kraus)
-        states = [normalize_descending(vec) for _, vec in ens]
-        pur = purify_rule(joint, d)
+    la = sampling.random_schmidt(d, rng)
+    lb = sampling.random_schmidt(d, rng)
+    joint = kron(la, lb)
+    count = int(rng.integers(d, d + 3))
+    kraus = sampling.sample_wide_kraus(d, count, rng)
+    ens = _numpy_outcomes(np.ones(kraus.shape[1]), joint.entries, kraus)
+    states = [normalize_descending(vec) for _, vec in ens]
+    pur = purify_rule(joint, d)
 
-        mix = np.sum([p * vec for p, vec in ens], axis=0)
-        s_joint = _maj_slack(mix, joint.entries)
-        s_rule = _maj_slack(mix, pur.entries)
-        s_avg = max(
-            math.fsum(p * concurrence(v, k) for (p, _), v in zip(ens, states))
-            - concurrence(pur, k)
-            for k in range(1, d + 1)
-        )
-        worst = max(s_joint, s_rule, s_avg)
-        acc.slack(
-            worst,
-            lambda: {
-                "trial": t,
-                "links": [_floats(la.entries), _floats(lb.entries)],
-                "joint_slack": float(s_joint),
-                "rule_slack": float(s_rule),
-                "average_slack": float(s_avg),
-            },
-        )
-    return acc.report(name, cfg.trials)
+    mix = np.sum([p * vec for p, vec in ens], axis=0)
+    s_joint = _maj_slack(mix, joint.entries)
+    s_rule = _maj_slack(mix, pur.entries)
+    s_avg = max(
+        math.fsum(p * concurrence(v, k) for (p, _), v in zip(ens, states))
+        - concurrence(pur, k)
+        for k in range(1, d + 1)
+    )
+    worst = max(s_joint, s_rule, s_avg)
+    acc.slack(
+        worst,
+        lambda: {
+            "trial": t,
+            "links": [_floats(la.entries), _floats(lb.entries)],
+            "joint_slack": float(s_joint),
+            "rule_slack": float(s_rule),
+            "average_slack": float(s_avg),
+        },
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -913,98 +963,91 @@ def _product_measurement(ys, zs):
     return prod.reshape(k * l, r1 * r2, c1 * c2)
 
 
-def check_theorem_parallel_then_series(cfg: CheckConfig) -> CheckReport:
+def _parallel_then_series_extras(cfg, records):
+    nested = _hits(records)
+    extras = {
+        "nested_trials": len(nested),
+        "nested_best_average": float(max([0.0, *nested])),
+    }
+    if cfg.dimension == 2:
+        extras["nested_qubit_demo"] = _nested_qubit_demo()
+    return extras
+
+
+@_trials("theorem_parallel_then_series", "theorems", fold=_parallel_then_series_extras)
+def _(cfg, t, rng, acc):
     """Two parallel pairs joined in series: any sampled complete swap
     measurement on the two joint states, followed by purifying each
     outcome, has top-order average at most the value of purifying both
     pairs first and swapping the results.  Product measurements (the
-    nested strategy) are cycled in and tracked separately."""
-    name = "theorem_parallel_then_series"
+    nested strategy) are cycled in and tracked separately: the record
+    of such a trial is its average."""
     d = cfg.dimension
-    big = d * d
-    acc = _Acc(cfg.tolerance)
-    nested_trials = 0
-    nested_best = 0.0
-    for t in range(cfg.trials):
-        rng = sampling.substream(cfg.seed, name, t)
-        links = [sampling.random_schmidt(d, rng) for _ in range(4)]
-        joint_left = kron(links[0], links[1])
-        joint_right = kron(links[2], links[3])
-        nested = t % 5 == 0
-        if nested:
-            ys = sampling.sample_povm_arrays(d, d * d, rng)
-            zs = sampling.sample_povm_arrays(d, d * d, rng)
-            els = _product_measurement(ys, zs)
-        else:
-            els = sampling.sample_povm_arrays(big, big * big, rng)
-        outs = _numpy_outcomes(joint_left.entries, joint_right.entries, els)
-        avg = math.fsum(p * concurrence(purify_rule(vec, d), d) for p, vec in outs)
-        bound = concurrence(
-            swap_rule(purify_rule(joint_left, d), purify_rule(joint_right, d)), d
-        )
-        if nested:
-            nested_trials += 1
-            nested_best = max(nested_best, avg)
-        acc.slack(
-            avg - bound,
-            lambda: {
-                "trial": t,
-                "links": [_floats(v.entries) for v in links],
-                "nested": nested,
-                "average": float(avg),
-                "rule_value": float(bound),
-            },
-        )
-    extras = {
-        "nested_trials": nested_trials,
-        "nested_best_average": float(nested_best),
-    }
-    if d == 2:
-        extras["nested_qubit_demo"] = _nested_qubit_demo()
-    return acc.report(name, cfg.trials, extras)
+    links = [sampling.random_schmidt(d, rng) for _ in range(4)]
+    joint_left = kron(links[0], links[1])
+    joint_right = kron(links[2], links[3])
+    nested = t % 5 == 0
+    if nested:
+        ys = sampling.sample_povm_arrays(d, d * d, rng)
+        zs = sampling.sample_povm_arrays(d, d * d, rng)
+        els = _product_measurement(ys, zs)
+    else:
+        els = sampling.sample_povm_arrays(d * d, d**4, rng)
+    outs = _numpy_outcomes(joint_left.entries, joint_right.entries, els)
+    avg = math.fsum(p * concurrence(purify_rule(vec, d), d) for p, vec in outs)
+    bound = concurrence(
+        swap_rule(purify_rule(joint_left, d), purify_rule(joint_right, d)), d
+    )
+    acc.slack(
+        avg - bound,
+        lambda: {
+            "trial": t,
+            "links": [_floats(v.entries) for v in links],
+            "nested": nested,
+            "average": float(avg),
+            "rule_value": float(bound),
+        },
+    )
+    return avg if nested else None
 
 
-def check_theorem_worst_case_d2(cfg: CheckConfig) -> CheckReport:
+@_trials(
+    "theorem_worst_case_d2",
+    "theorems",
+    qubit_only="worst-case optimality is a qubit statement",
+)
+def _(cfg, t, rng, acc):
     """Qubit networks only: replacing any one link of a random
     series-parallel network by a measurement ensemble and reducing each
     branch deterministically cannot push the worst branch above the
     all-deterministic value.  Single-operator (unitary) ensembles are
     cycled in to expose the equality case."""
-    name = "theorem_worst_case_d2"
-    if cfg.dimension != 2:
-        raise DimensionNotTwo(
-            f"worst-case optimality is a qubit statement; configured dimension {cfg.dimension}"
+    net = sampling.random_network(2, 6, rng)
+    base_vec, _ = reduce_series_parallel(net)
+    base = concurrence(base_vec, 2)
+    idx = int(rng.integers(0, len(net.edges)))
+    count = 1 if t % 10 == 0 else int(rng.integers(2, 5))
+    kraus = sampling.sample_local_kraus(2, count, rng)
+    ens = _numpy_outcomes(np.ones(kraus.shape[1]), net.edges[idx].link.entries, kraus)
+    worst_branch = math.inf
+    for _, vec in ens:
+        edges = list(net.edges)
+        old = edges[idx]
+        edges[idx] = Edge(old.u, old.v, normalize_descending(vec))
+        branch_vec, _ = reduce_series_parallel(
+            QuantumNetwork(2, net.terminals, edges)
         )
-    acc = _Acc(cfg.tolerance)
-    for t in range(cfg.trials):
-        rng = sampling.substream(cfg.seed, name, t)
-        net = sampling.random_network(2, 6, rng)
-        base_vec, _ = reduce_series_parallel(net)
-        base = concurrence(base_vec, 2)
-        idx = int(rng.integers(0, len(net.edges)))
-        count = 1 if t % 10 == 0 else int(rng.integers(2, 5))
-        kraus = sampling.sample_local_kraus(2, count, rng)
-        ens = _numpy_outcomes(np.ones(kraus.shape[1]), net.edges[idx].link.entries, kraus)
-        worst_branch = math.inf
-        for _, vec in ens:
-            edges = list(net.edges)
-            old = edges[idx]
-            edges[idx] = Edge(old.u, old.v, normalize_descending(vec))
-            branch_vec, _ = reduce_series_parallel(
-                QuantumNetwork(2, net.terminals, edges)
-            )
-            worst_branch = min(worst_branch, concurrence(branch_vec, 2))
-        acc.slack(
-            worst_branch - base,
-            lambda: {
-                "trial": t,
-                "edge": idx,
-                "edge_count": len(net.edges),
-                "worst_branch": float(worst_branch),
-                "deterministic_value": float(base),
-            },
-        )
-    return acc.report(name, cfg.trials)
+        worst_branch = min(worst_branch, concurrence(branch_vec, 2))
+    acc.slack(
+        worst_branch - base,
+        lambda: {
+            "trial": t,
+            "edge": idx,
+            "edge_count": len(net.edges),
+            "worst_branch": float(worst_branch),
+            "deterministic_value": float(base),
+        },
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1060,12 +1103,11 @@ def reproduce_counterexample() -> dict:
     }
 
 
-def check_counterexample(cfg: CheckConfig) -> CheckReport:
+@_fixed("counterexample", "counterexample")
+def _(acc):
     """Pins the fixed-instance comparison to its frozen reference
     values: reduction vector, both strategy values, the mixture, and
     the failed majorization."""
-    name = "counterexample"
-    acc = _Acc(cfg.tolerance)
     data = reproduce_counterexample()
     acc.slack(
         abs(data["det_vector"][0] - _TRIANGLE_TOP),
@@ -1101,73 +1143,29 @@ def check_counterexample(cfg: CheckConfig) -> CheckReport:
         },
         tol=0.5,
     )
-    return acc.report(name, 1, extras=data)
+    return data
 
 
 # ---------------------------------------------------------------------------
-# registry
+# the registered checks and their groups, in report order
 
-CHECKS = {
-    "lemma_convexity_swap": check_lemma_convexity_swap,
-    "lemma_det_preserving": check_lemma_det_preserving,
-    "lemma_duality": check_lemma_duality,
-    "lemma_extremity": check_lemma_extremity,
-    "lemma_convexity_purify": check_lemma_convexity_purify,
-    "lemma_sum_product": check_lemma_sum_product,
-    "isotone_maps": check_isotone_maps,
-    "prefix_power": check_prefix_power,
-    "lemma_parallel_fold": check_lemma_parallel_fold,
-    "reverse_amgm": check_reverse_amgm,
-    "theorem_single_link": check_theorem_single_link,
-    "theorem_simple_series": check_theorem_simple_series,
-    "theorem_simple_parallel": check_theorem_simple_parallel,
-    "theorem_parallel_then_series": check_theorem_parallel_then_series,
-    "theorem_worst_case_d2": check_theorem_worst_case_d2,
-    "counterexample": check_counterexample,
-}
-
-GROUPS = {
-    "lemmas": (
-        "lemma_convexity_swap",
-        "lemma_det_preserving",
-        "lemma_duality",
-        "lemma_extremity",
-        "lemma_convexity_purify",
-        "lemma_sum_product",
-        "isotone_maps",
-        "prefix_power",
-        "lemma_parallel_fold",
-    ),
-    "amgm": ("reverse_amgm",),
-    "theorems": (
-        "theorem_single_link",
-        "theorem_simple_series",
-        "theorem_simple_parallel",
-        "theorem_parallel_then_series",
-        "theorem_worst_case_d2",
-    ),
-    "counterexample": ("counterexample",),
-}
-GROUPS["all"] = GROUPS["lemmas"] + GROUPS["amgm"] + GROUPS["theorems"] + GROUPS["counterexample"]
+CHECKS = {name: check.run for name, check in _REGISTRY.items()}
 
 
-def _timed(check_name: str, cfg: CheckConfig) -> CheckReport:
-    """Run one check and log its wall time and trial rate at DEBUG."""
-    start = time.perf_counter()
-    rep = CHECKS[check_name](cfg)
-    elapsed = time.perf_counter() - start
-    logger.debug(
-        "check %s: %d trials in %.3f s (%.1f trials/s)",
-        check_name,
-        rep.trials_run,
-        elapsed,
-        rep.trials_run / elapsed if elapsed > 0.0 else math.inf,
-    )
-    return rep
+def _groups() -> dict:
+    groups = {}
+    for name, check in _REGISTRY.items():
+        groups.setdefault(check.group, []).append(name)
+    return {group: tuple(names) for group, names in groups.items()} | {"all": tuple(_REGISTRY)}
+
+
+GROUPS = _groups()
 
 
 def run_checks(selector: str, cfg: CheckConfig) -> list:
-    """Run one named check or a named group.
+    """Run one named check or a named group, each through its
+    ``CHECKS`` entry, and log each check's wall time and trial rate at
+    DEBUG.
 
     Group runs skip checks whose dimension precondition the
     configuration cannot meet (recorded in the report extras); naming
@@ -1180,20 +1178,28 @@ def run_checks(selector: str, cfg: CheckConfig) -> list:
     DimensionNotTwo
         A directly named check needs dimension 2.
     """
-    if selector in GROUPS:
-        reports = []
-        for check_name in GROUPS[selector]:
-            try:
-                reports.append(_timed(check_name, cfg))
-            except DimensionNotTwo as exc:
-                logger.info("skipping %s: %s", check_name, exc)
-                reports.append(
-                    CheckReport(check_name, 0, True, 0.0, (), {"skipped": str(exc)})
-                )
-        return reports
-    if selector in CHECKS:
-        return [_timed(selector, cfg)]
-    raise KeyError(
-        f"unknown check or group {selector!r}; groups: {sorted(GROUPS)}, "
-        f"checks: {sorted(CHECKS)}"
-    )
+    grouped = selector in GROUPS
+    if not grouped and selector not in CHECKS:
+        raise KeyError(
+            f"unknown check or group {selector!r}; groups: {sorted(GROUPS)}, "
+            f"checks: {sorted(CHECKS)}"
+        )
+    reports = []
+    for name in GROUPS[selector] if grouped else (selector,):
+        why = _unmet(name, cfg) if grouped else None
+        if why:
+            logger.info("skipping %s: %s", name, why)
+            reports.append(CheckReport(name, 0, True, 0.0, (), {"skipped": why}))
+            continue
+        start = time.perf_counter()
+        rep = CHECKS[name](cfg)
+        elapsed = time.perf_counter() - start
+        logger.debug(
+            "check %s: %d trials in %.3f s (%.1f trials/s)",
+            name,
+            rep.trials_run,
+            elapsed,
+            rep.trials_run / elapsed if elapsed > 0.0 else math.inf,
+        )
+        reports.append(rep)
+    return reports

@@ -44,9 +44,10 @@ links and equals purifying the full d^k product (the
 lemma_parallel_fold check of the verification suite), and no order of
 the bundle's edges changes a bit of it.  The order of the moves is part
 of the answer, because from dimension 4 on the series rule is not
-associative (the associativity boundary check of the verification
-suite).  The same moves fold scalar scores into the probabilistic
-conversion figure, and the topology class is read from their shape.
+associative (pinned by tests/test_rules.py::TestAssociativity and
+acceptance criterion 08, not by a verify check).  The same moves fold
+scalar scores into the probabilistic conversion figure, and the
+topology class is read from their shape.
 """
 
 from __future__ import annotations

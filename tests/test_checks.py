@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from qnetdet import checks
 from qnetdet.checks import (
     CHECKS,
     GROUPS,
@@ -14,6 +15,7 @@ from qnetdet.checks import (
     run_checks,
 )
 from qnetdet.errors import DimensionNotTwo, DimensionTooLarge, DimensionTooSmall
+from qnetdet.rules import _swap_raw
 
 FAST = CheckConfig(dimension=2, trials=25, seed=3)
 
@@ -47,6 +49,26 @@ class TestConfig:
             CheckConfig().trials = 5
 
 
+LEMMAS = (
+    "lemma_convexity_swap",
+    "lemma_det_preserving",
+    "lemma_duality",
+    "lemma_extremity",
+    "lemma_convexity_purify",
+    "lemma_sum_product",
+    "isotone_maps",
+    "prefix_power",
+    "lemma_parallel_fold",
+)
+THEOREMS = (
+    "theorem_single_link",
+    "theorem_simple_series",
+    "theorem_simple_parallel",
+    "theorem_parallel_then_series",
+    "theorem_worst_case_d2",
+)
+
+
 class TestRegistry:
     def test_groups_cover_all_checks(self):
         grouped = set(GROUPS["all"])
@@ -54,16 +76,26 @@ class TestRegistry:
         assert len(GROUPS["all"]) == len(CHECKS) == 16
 
     def test_group_contents(self):
-        assert set(GROUPS["theorems"]) == {
-            "theorem_single_link",
-            "theorem_simple_series",
-            "theorem_simple_parallel",
-            "theorem_parallel_then_series",
-            "theorem_worst_case_d2",
-        }
-        assert GROUPS["amgm"] == ("reverse_amgm",)
-        assert GROUPS["counterexample"] == ("counterexample",)
-        assert len(GROUPS["lemmas"]) == 9
+        # registration order is report order: a check registered out of
+        # place changes the bytes of `verify all`
+        assert list(GROUPS.items()) == [
+            ("lemmas", LEMMAS),
+            ("amgm", ("reverse_amgm",)),
+            ("theorems", THEOREMS),
+            ("counterexample", ("counterexample",)),
+            ("all", LEMMAS + ("reverse_amgm",) + THEOREMS + ("counterexample",)),
+        ]
+        assert list(CHECKS) == list(GROUPS["all"])
+
+    def test_only_worst_case_has_a_precondition(self):
+        cfg = CheckConfig(dimension=3, trials=1)
+        unmet = {name for name in CHECKS if checks._unmet(name, cfg)}
+        assert unmet == {"theorem_worst_case_d2"}
+        assert checks._unmet("theorem_worst_case_d2", CheckConfig(dimension=2)) is None
+
+    def test_registered_callable_raises_at_other_dimension(self):
+        with pytest.raises(DimensionNotTwo, match="configured dimension 3"):
+            CHECKS["theorem_worst_case_d2"](CheckConfig(dimension=3, trials=1))
 
     def test_unknown_selector(self):
         with pytest.raises(KeyError):
@@ -71,11 +103,12 @@ class TestRegistry:
 
 
 @pytest.mark.parametrize("name", sorted(CHECKS))
-@pytest.mark.parametrize("dimension", [2, 3])
+@pytest.mark.parametrize("dimension", [2, 3, 4])
 def test_every_check_passes(name, dimension):
-    if name == "theorem_worst_case_d2" and dimension != 2:
-        pytest.skip("qubit-only statement")
     cfg = CheckConfig(dimension=dimension, trials=25, seed=3)
+    why = checks._unmet(name, cfg)
+    if why:
+        pytest.skip(why)
     rep = CHECKS[name](cfg)
     assert rep.passed
     assert rep.violations == ()
@@ -175,6 +208,38 @@ class TestEqualityTracking:
         assert demo["rule_value"] == pytest.approx(0.6156, abs=1e-12)
         assert demo["nested_average"] == pytest.approx(0.5344277544238201, abs=1e-12)
         assert demo["nested_average"] < demo["rule_value"]
+
+
+class TestSwapIsotoneBoundary:
+    """From d = 4 on, the swap map is not isotone: x majorizing y does not
+    make swap(x, z) majorize swap(y, z).  The triple is trial 5 of
+    `verify all --d 4 --trials 20 --seed 3`; a 50-digit recomputation
+    gives the same slack, 1.0920361e-4, where the series rule at d = 4 is
+    accurate to ~1e-15 relative."""
+
+    X = (3.950038918939517, 0.5342529452869308, 0.3612280790453193, 0.34067587250156656)
+    Y = (3.950038918939517, 0.5342529452869308, 0.35837290611842787, 0.34353104542845797)
+    Z = (0.4163925493275153, 0.5099796351323035, 0.5077443492274303, 0.20838258606125437)
+
+    def test_counterexample_is_not_roundoff(self):
+        assert checks._maj_slack(self.X, self.Y) <= 1e-15
+        slack = checks._maj_slack(_swap_raw(self.X, self.Z), _swap_raw(self.Y, self.Z))
+        assert slack == pytest.approx(1.0920361e-4, rel=1e-6)
+
+    def test_recorded_not_asserted_from_d4(self):
+        rep = CHECKS["isotone_maps"](CheckConfig(dimension=4, trials=20, seed=3))
+        assert rep.passed and rep.max_slack < 1e-12
+        assert rep.extras["swap_max_slack"] == pytest.approx(1.29432398874e-3, rel=1e-9)
+        assert rep.extras["swap_worst_trial"] == 19
+
+    @pytest.mark.parametrize("d, asserted", [(2, True), (3, True), (4, False), (5, False)])
+    def test_swap_part_asserted_through_d3(self, monkeypatch, d, asserted):
+        # a stand-in swap map that loses mass is never isotone: it fails
+        # the check exactly where the swap part is asserted
+        monkeypatch.setattr(checks, "_swap_raw", lambda a, b: [math.sqrt(v) for v in a])
+        rep = CHECKS["isotone_maps"](CheckConfig(dimension=d, trials=10, seed=3))
+        assert rep.passed is not asserted
+        assert ("swap_max_slack" in rep.extras) is not asserted
 
 
 class TestCounterexample:
