@@ -11,10 +11,9 @@ numpy convert their values to Python numbers first.
 
 The output is compact (`", "` between items, `": "` after a key) and
 newline-terminated, so identical data produce identical bytes across
-runs; golden files can then be compared verbatim.  The data are
-reproducible for one kernel backend: the compiled and pure-Python
-kernels may differ in the last bits of a value, and a verify report
-prints some of its slacks at that precision.
+runs; golden files can then be compared verbatim.  Values computed with
+numpy, such as the series rule from d = 4 up, are reproducible for one
+numpy/LAPACK build.
 """
 
 import json

@@ -1,9 +1,8 @@
-"""Dense numerical kernels, pure-Python reference backend.
+"""Dense numerical kernels in pure Python.
 
 All kernels operate on flat Python lists and are sized for the small
-matrices this package needs (dimension <= 16).  The compiled backend in
-_kernels_c.pyx mirrors this module function for function; tests compare
-the two directly.
+matrices this package needs (dimension <= 16).  Library code reaches
+them through qnetdet.backend.kernels.
 
 Eigenvalues use a two-sided cyclic Jacobi iteration, singular values a
 one-sided Jacobi iteration on columns.  The one-sided iteration stops on
@@ -20,8 +19,6 @@ from __future__ import annotations
 
 import cmath
 import math
-
-BACKEND = "py"
 
 # Convergence threshold on relative off-diagonal mass.
 OFF_TOL = 1e-14
@@ -167,26 +164,23 @@ def swap_eig(x, y):
     1-based indices.  Entries of W depend only on index differences, so
     the matrix is assembled from d circulant coefficients.
 
-    Returns a descending list of length d scaled so that the total equals
-    sum(x) * sum(y).
+    Both inputs must be sorted descending; the caller sorts them once
+    (rules._series) and they are used as given.  Returns a descending
+    list of length d scaled so that the total equals sum(x) * sum(y).
+    The eigenvalue relative accuracy is governed by the conditioning of
+    the inner vector y, so the caller passes the flatter vector as y;
+    the bits depend on which is inside.
     """
     d = len(x)
-    xs = sorted(x, reverse=True)
-    ys = sorted(y, reverse=True)
-    # the eigenvalue relative accuracy is governed by the conditioning of
-    # the inner vector, so commutativity is used to put the flatter
-    # vector on the inside
-    if _flatness(ys) < _flatness(xs):
-        xs, ys = ys, xs
     if d == 1:
-        return [xs[0] * ys[0]]
+        return [x[0] * y[0]]
     coef = [0j] * d
     for m in range(d):
         acc = 0j
         for l in range(1, d + 1):
-            acc += ys[l - 1] * cmath.exp(-2j * cmath.pi * m * l / d)
+            acc += y[l - 1] * cmath.exp(-2j * cmath.pi * m * l / d)
         coef[m] = acc / d
-    rx = [math.sqrt(v) if v > 0.0 else 0.0 for v in xs]
+    rx = [math.sqrt(v) if v > 0.0 else 0.0 for v in x]
     a = [0j] * (d * d)
     for j in range(d):
         for k in range(d):
@@ -199,13 +193,6 @@ def swap_eig(x, y):
             w = 0.0
         out.append(w)
     return out
-
-
-def _flatness(sorted_desc):
-    top = sorted_desc[0]
-    if top <= 0.0:
-        return 1.0
-    return sorted_desc[-1] / top
 
 
 def swap_sv(x, y):

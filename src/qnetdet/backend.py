@@ -1,17 +1,15 @@
-"""Kernel backend selection.
+"""The numerical kernels, as one module object.
 
-The compiled extension is used when it can be imported; otherwise the
-pure-Python kernels, a drop-in replacement, are.
+Library code calls `kernels.<name>(...)` through this module, looking
+the name up at call time, so a profiler can wrap a kernel by setting
+the attribute on `kernels`.
 """
 
 from __future__ import annotations
 
-try:
-    from . import _kernels_c as kernels
-except ImportError:
-    from . import _kernels_py as kernels
+from . import _kernels_py as kernels
 
 
 def backend_name() -> str:
-    """Name of the active kernel backend: "c" or "py"."""
-    return kernels.BACKEND
+    """Name of the kernel implementation: always "py"."""
+    return "py"

@@ -2,12 +2,12 @@
 verification, and swap-outcome enumeration.
 
 All machine output is JSON with a manifest at the head and floats at
-12 significant digits, so a fixed seed reproduces identical bytes with
-one kernel backend.  The compiled and pure-Python kernels may differ in
-the last bits of a value, which can show in a verify report's slacks.
-Exit codes: 0 success, 2 usage or input schema problems, 3 network not
-series-parallel, 4 terminals disconnected, 5 verification found
-violations, 6 invalid measurement.
+12 significant digits, so a fixed seed reproduces identical bytes; a
+value computed with numpy, such as the series rule from d = 4 up, is
+reproducible for one numpy/LAPACK build.  Exit codes: 0 success, 2
+usage or input schema problems, 3 network not series-parallel, 4
+terminals disconnected, 5 verification found violations, 6 invalid
+measurement.
 
 `reduce` on a network of d <= 3 loads no numpy: `checks` and
 `sampling`, which need it, are imported inside the `verify` and

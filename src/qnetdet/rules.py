@@ -108,25 +108,28 @@ def _series(xs: list, ys: list) -> list:
     """Spectrum of the series rule on nonnegative float lists of one
     length d, descending, with total sum(xs) * sum(ys).
 
-    For d < SERIES_LAPACK_MIN_D this is kernels.swap_eig.  From there up
-    it is the squared singular values of diag(sqrt x) F diag(sqrt y)
-    (F from _fourier) with both vectors sorted descending, from one
-    np.linalg.svd call.  Zero entries are dropped from the matrix, so
-    the output has exactly d - min(#nonzero x, #nonzero y) trailing
-    zeros (a leading rows-by-columns block of F has full rank).  LAPACK
-    is not bitwise symmetric in its operand order, so the flatter vector
-    (larger min/max; ties broken by the entries) always goes on the rows
-    and swapping the arguments returns the same bits.
-    """
-    d = len(xs)
-    if d < SERIES_LAPACK_MIN_D:
-        return kernels.swap_eig(xs, ys)
-    import numpy as np
+    Neither route is bitwise symmetric in its operands, so both vectors
+    are sorted descending and ordered once, for both routes: the flatter
+    vector (larger min/max; ties broken by the entries) comes first, and
+    swapping the arguments returns the same bits.
 
+    For d < SERIES_LAPACK_MIN_D this is kernels.swap_eig with the
+    flatter vector inside.  From there up it is the squared singular
+    values of diag(sqrt x) F diag(sqrt y) (F from _fourier, the flatter
+    vector on the rows), from one np.linalg.svd call.  Zero entries are
+    dropped from the matrix, so the output has exactly
+    d - min(#nonzero x, #nonzero y) trailing zeros (a leading
+    rows-by-columns block of F has full rank).
+    """
     xs = sorted(xs, reverse=True)
     ys = sorted(ys, reverse=True)
     if (_flatness(ys), ys) > (_flatness(xs), xs):
         xs, ys = ys, xs
+    d = len(xs)
+    if d < SERIES_LAPACK_MIN_D:
+        return kernels.swap_eig(ys, xs)
+    import numpy as np
+
     p = sum(v > 0.0 for v in xs)
     q = sum(v > 0.0 for v in ys)
     m = np.sqrt(xs[:p])[:, None] * _fourier(d)[:p, :q] * np.sqrt(ys[:q])
@@ -153,7 +156,8 @@ def swap_rule(x: SchmidtVector, y: SchmidtVector) -> SchmidtVector:
       Jacobi kernels.swap_sv.  The bits are those of one numpy/LAPACK
       build, and do not depend on the number of BLAS threads.
 
-    The result does not depend on the argument order, bit for bit.
+    Both routes see the same operand ordering, so the result does not
+    depend on the argument order, bit for bit.
 
     Raises
     ------

@@ -1,4 +1,4 @@
-"""Dense-matrix kernels of the pure-Python backend against numpy."""
+"""Dense-matrix kernels against numpy."""
 
 import numpy as np
 import pytest

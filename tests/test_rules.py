@@ -135,8 +135,14 @@ class TestSeriesAccuracy:
             assert _log_det_gap(out, x.entries, y.entries) <= 1e-12
 
 
-@pytest.mark.parametrize("d", [4, 5, 8])
+# d = 2, 3 run swap_eig, d >= 4 the LAPACK route; the remaining tests
+# describe the LAPACK route only
+_BOTH_ROUTES = pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
+_LAPACK_ROUTE = pytest.mark.parametrize("d", [4, 5, 8])
+
+
 class TestSeriesRouteEdges:
+    @_BOTH_ROUTES
     def test_commutative_bit_for_bit(self, d):
         rng = substream(SEED, "swap_bits", d)
         for _ in range(50):
@@ -145,6 +151,7 @@ class TestSeriesRouteEdges:
             sx, sy = SchmidtVector(x), SchmidtVector(y)
             assert swap_rule(sx, sy).entries == swap_rule(sy, sx).entries
 
+    @_BOTH_ROUTES
     def test_commutative_on_equal_flatness(self, d):
         # equal min/max ratio, different middle entries: the tie is
         # broken by the entries, not by the argument order
@@ -154,6 +161,7 @@ class TestSeriesRouteEdges:
             assert _swap_raw(x, y) == _swap_raw(y, x)
             assert _swap_raw(x, y[::-1]) == _swap_raw(y, x[::-1])
 
+    @_LAPACK_ROUTE
     def test_exact_zero_entries(self, d):
         rng = substream(SEED, "swap_zeros", d)
         for zx in range(d):
@@ -171,6 +179,7 @@ class TestSeriesRouteEdges:
                 assert all(math.copysign(1.0, v) == 1.0 for v in vec)
         assert _swap_raw([0.0] * d, y.tolist()) == _swap_raw(y.tolist(), [0.0] * d) == [0.0] * d
 
+    @_LAPACK_ROUTE
     def test_product_link_absorbs(self, d):
         rng = substream(SEED, "swap_product", d)
         e = SchmidtVector([1.0] + [0.0] * (d - 1))
@@ -179,6 +188,7 @@ class TestSeriesRouteEdges:
             assert out.entries[0] == pytest.approx(1.0, rel=1e-15)
             assert out.entries[1:] == (0.0,) * (d - 1)
 
+    @_LAPACK_ROUTE
     def test_maximally_entangled_is_identity(self, d):
         rng = substream(SEED, "swap_unit", d)
         u = SchmidtVector([1.0 / d] * d)
@@ -187,6 +197,7 @@ class TestSeriesRouteEdges:
             assert swap_rule(u, y).entries == pytest.approx(y.entries, rel=1e-12)
             assert swap_rule(y, u).entries == pytest.approx(y.entries, rel=1e-12)
 
+    @_LAPACK_ROUTE
     def test_dimension_mismatch(self, d):
         with pytest.raises(DimensionMismatch):
             swap_rule(SchmidtVector([1.0 / d] * d), SchmidtVector([1.0 / (d + 1)] * (d + 1)))
