@@ -12,7 +12,9 @@ mass falls below OFF_TOL times the Frobenius norm, an absolute
 criterion, so small eigenvalues lose relative accuracy: swap_eig on
 entries spread down to 1e-12 is off by up to 3e-4 relative at d=3 and
 0.9 at d=8.  The series rule uses swap_eig only for d <= 3, where it
-keeps reducing free of numpy (see rules.swap_rule).
+keeps reducing free of numpy (see rules.swap_rule).  sv_desc serves
+swap_sv, the pure-Python cross-check of the series rule; measurement
+outcomes go through one stacked LAPACK SVD (rules._outcome_spectra).
 """
 
 from __future__ import annotations
@@ -105,7 +107,8 @@ def sv_desc(rows, cols, a):
 
     `a` is the row-major flat list of complex entries.  Returns the
     min(rows, cols) singular values via one-sided Jacobi, which keeps
-    small singular values at high relative accuracy.
+    small singular values at high relative accuracy.  Only swap_sv
+    calls it.
     """
     if rows < cols:
         # work on the conjugate transpose, same singular values

@@ -33,6 +33,7 @@ from .errors import (
 )
 from .network import Edge, QuantumNetwork, reduce_series_parallel
 from .rules import (
+    _outcome_spectra,
     _swap_raw,
     bell_povm_d2,
     deterministic_swap_povm,
@@ -60,10 +61,6 @@ __all__ = [
     "run_checks",
     "reproduce_counterexample",
 ]
-
-# outcomes below this probability carry no statistical weight and are
-# numerically unstable to renormalize
-_PROB_FLOOR = 1e-14
 
 # violations stored per report; the total is still counted
 _VIOLATION_CAP = 25
@@ -217,36 +214,6 @@ def _wsub_slack(lo, hi) -> float:
 
 def _purify_raw(xs, d) -> list:
     return kernels.purify_kernel([float(v) for v in xs], d)
-
-
-def _numpy_outcomes(x_entries, y_entries, elements) -> list:
-    """Outcome ensemble (probability, sorted spectrum) of operators
-    X_a acting on a state: each X_a becomes
-    diag(sqrt(x)) X_a diag(sqrt(y)).  Two-sided swap measurements pass
-    both link spectra; one-sided Kraus operators pass x = ones.
-    Computed on the plain numpy path, independent of the library
-    kernels, so the Monte Carlo loops do not assume what they test.
-
-    All operators are scaled in one broadcast and every outcome above
-    the probability floor goes through one stacked SVD.  The scaled
-    stack is built C-contiguous: ``sample_povm_arrays`` returns a
-    strided stack, and ``np.vdot`` over a strided row can round
-    differently in the last bit from the contiguous per-operator array
-    it replaces.  The probability is one ``vdot`` per row for the same
-    reason: a batched reduction sums in another order.  The ensemble
-    is thus the one a per-operator loop gives, bit for bit."""
-    rx = np.sqrt(np.asarray(x_entries, dtype=float))
-    ry = np.sqrt(np.asarray(y_entries, dtype=float))
-    psi = np.multiply(rx[:, None], elements, order="C")
-    psi *= ry[None, :]
-    probs = [float(np.vdot(row, row).real) for row in psi]
-    keep = [a for a, p in enumerate(probs) if p >= _PROB_FLOOR]
-    kept = [probs[a] for a in keep]
-    if len(keep) < len(probs):
-        psi = psi[keep]
-    sv = np.linalg.svd(psi, compute_uv=False)
-    spectra = np.sort(sv * sv, axis=-1)[:, ::-1] / np.array(kept)[:, None]
-    return list(zip(kept, spectra))
 
 
 # ---------------------------------------------------------------------------
@@ -768,7 +735,7 @@ def _(cfg, t, rng, acc):
     lam = sampling.random_schmidt(d, rng)
     count = 1 if t % 10 == 0 else int(rng.integers(2, 5))
     kraus = sampling.sample_local_kraus(d, count, rng)
-    ens = _numpy_outcomes(np.ones(kraus.shape[1]), lam.entries, kraus)
+    ens = _outcome_spectra(np.ones(kraus.shape[1]), lam.entries, kraus)
     states = [normalize_descending(vec) for _, vec in ens]
 
     mix = np.sum([p * vec for p, vec in ens], axis=0)
@@ -812,24 +779,12 @@ def _series_low_order_witness(d: int) -> dict:
     entangled on its support, so the order-2 ensemble average exceeds
     the order-2 value of the rule output.  Recorded, never asserted."""
     link = SchmidtVector([0.5, 0.5] + [0.0] * (d - 2))
-    s = 1.0 / math.sqrt(2.0)
-    blocks = [
-        np.array(b, dtype=complex)
-        for b in ([[s, 0], [0, s]], [[s, 0], [0, -s]], [[0, s], [s, 0]], [[0, s], [-s, 0]])
-    ]
-    els = []
-    for b in blocks:
-        m = np.zeros((d, d), dtype=complex)
-        m[:2, :2] = b
-        els.append(m)
-    for i in range(d):
-        for j in range(d):
-            if i < 2 and j < 2:
-                continue
-            m = np.zeros((d, d), dtype=complex)
-            m[i, j] = 1.0
-            els.append(m)
-    outs = _numpy_outcomes(link.entries, link.entries, els)
+    els = np.zeros((d * d, d, d), dtype=complex)
+    els[:4, :2, :2] = bell_povm_d2().elements
+    units = [(i, j) for i in range(d) for j in range(d) if i >= 2 or j >= 2]
+    for a, (i, j) in enumerate(units, start=4):
+        els[a, i, j] = 1.0
+    outs = _outcome_spectra(link.entries, link.entries, els)
     avg = math.fsum(p * concurrence(normalize_descending(v), 2) for p, v in outs)
     rule_value = concurrence(swap_rule(link, link), 2)
     return {
@@ -865,7 +820,7 @@ def _(cfg, t, rng, acc):
         els = deterministic_swap_povm(d).elements
     else:
         els = sampling.sample_povm_arrays(d, cfg.resolved_povm_size, rng)
-    outs = _numpy_outcomes(la.entries, lb.entries, els)
+    outs = _outcome_spectra(la.entries, lb.entries, els)
     base = swap_rule(la, lb)
     cd_base = concurrence(base, d)
     avg = math.fsum(p * concurrence(normalize_descending(v), d) for p, v in outs)
@@ -908,7 +863,7 @@ def _(cfg, t, rng, acc):
     joint = kron(la, lb)
     count = int(rng.integers(d, d + 3))
     kraus = sampling.sample_wide_kraus(d, count, rng)
-    ens = _numpy_outcomes(np.ones(kraus.shape[1]), joint.entries, kraus)
+    ens = _outcome_spectra(np.ones(kraus.shape[1]), joint.entries, kraus)
     states = [normalize_descending(vec) for _, vec in ens]
     pur = purify_rule(joint, d)
 
@@ -993,7 +948,7 @@ def _(cfg, t, rng, acc):
         els = _product_measurement(ys, zs)
     else:
         els = sampling.sample_povm_arrays(d * d, d**4, rng)
-    outs = _numpy_outcomes(joint_left.entries, joint_right.entries, els)
+    outs = _outcome_spectra(joint_left.entries, joint_right.entries, els)
     avg = math.fsum(p * concurrence(purify_rule(vec, d), d) for p, vec in outs)
     bound = concurrence(
         swap_rule(purify_rule(joint_left, d), purify_rule(joint_right, d)), d
@@ -1028,7 +983,7 @@ def _(cfg, t, rng, acc):
     idx = int(rng.integers(0, len(net.edges)))
     count = 1 if t % 10 == 0 else int(rng.integers(2, 5))
     kraus = sampling.sample_local_kraus(2, count, rng)
-    ens = _numpy_outcomes(np.ones(kraus.shape[1]), net.edges[idx].link.entries, kraus)
+    ens = _outcome_spectra(np.ones(kraus.shape[1]), net.edges[idx].link.entries, kraus)
     worst_branch = math.inf
     for _, vec in ens:
         edges = list(net.edges)

@@ -3,11 +3,11 @@ verification, and swap-outcome enumeration.
 
 All machine output is JSON with a manifest at the head and floats at
 12 significant digits, so a fixed seed reproduces identical bytes; a
-value computed with numpy, such as the series rule from d = 4 up, is
-reproducible for one numpy/LAPACK build.  Exit codes: 0 success, 2
-usage or input schema problems, 3 network not series-parallel, 4
-terminals disconnected, 5 verification found violations, 6 invalid
-measurement.
+value computed with numpy, such as the series rule from d = 4 up or an
+`outcomes` ensemble, is reproducible for one numpy/LAPACK build.  Exit
+codes: 0 success, 2 usage or input schema problems, 3 network not
+series-parallel, 4 terminals disconnected, 5 verification found
+violations, 6 invalid measurement.
 
 `reduce` on a network of d <= 3 loads no numpy: `checks` and
 `sampling`, which need it, are imported inside the `verify` and
@@ -42,7 +42,6 @@ from .rules import (
     bell_povm_d2,
     deterministic_swap_povm,
     enumerate_swap_outcomes,
-    validate_povm,
 )
 from .schmidt import concurrence, normalize_descending
 
@@ -239,6 +238,8 @@ def _build_povm(spec: str, dimension: int, seed: int):
                 count = int(spec.split(":", 1)[1])
             except ValueError:
                 raise QnetdetError(f"malformed element count in {spec!r}")
+            if count < 0:
+                raise QnetdetError(f"malformed element count in {spec!r}: must not be negative")
         from . import sampling
 
         rng = sampling.substream(seed, "outcomes", 0)
@@ -285,8 +286,6 @@ def cmd_outcomes(args) -> int:
         inputs = {"links": [list(la.entries), list(lb.entries)]}
     d = la.dimension
     povm = _build_povm(args.povm, d, seed)
-    if not validate_povm(povm):
-        raise InvalidPovm("measurement elements fail the completeness relation")
     ensemble = list(enumerate_swap_outcomes(la, lb, povm))
     ck_names = [f"C_{k}" for k in range(1, d + 1)]
     outcomes = []

@@ -35,8 +35,8 @@ from .schmidt import MAJORIZATION_ATOL, SchmidtVector, ProbabilisticEnsemble, ma
 if TYPE_CHECKING:
     import numpy as np
 
-# Measurement outcomes below this probability are dropped when
-# enumerating swap outcomes.
+# Measurement outcomes below this probability carry no statistical
+# weight and are numerically unstable to renormalize.
 OUTCOME_PROB_FLOOR = 1e-14
 
 
@@ -56,9 +56,9 @@ class Povm:
     elements: np.ndarray
 
     def __init__(self, elements):
-        # numpy is imported here, in validate_povm and in the d >= 4
-        # series rule only, so that reducing a network of d <= 3 does
-        # not load it
+        # numpy is imported here, in validate_povm, in _outcome_spectra
+        # and in the d >= 4 series rule only, so that reducing a network
+        # of d <= 3 does not load it
         import numpy as np
 
         try:
@@ -259,6 +259,32 @@ def conversion_probability(source: SchmidtVector, target: SchmidtVector) -> floa
     return best
 
 
+def _outcome_spectra(x_entries, y_entries, elements) -> list:
+    """(probability, descending spectrum) pairs of operators X_a acting
+    on a state: X_a becomes Psi_a = diag(sqrt(x)) X_a diag(sqrt(y)),
+    with probability |Psi_a|^2 and spectrum its squared singular values
+    over that probability, a float array.  Swap measurements pass both
+    link spectra, one-sided Kraus operators x = ones.  Outcomes below
+    OUTCOME_PROB_FLOOR are dropped; the rest go through one stacked
+    LAPACK SVD.  The stack is scaled C-contiguous and each probability
+    is one np.vdot per row, so the result equals that of a per-operator
+    loop bit for bit (a strided row or a batched sum rounds otherwise)."""
+    import numpy as np
+
+    rx = np.sqrt(np.asarray(x_entries, dtype=float))
+    ry = np.sqrt(np.asarray(y_entries, dtype=float))
+    psi = np.multiply(rx[:, None], elements, order="C")
+    psi *= ry[None, :]
+    probs = [float(np.vdot(row, row).real) for row in psi]
+    keep = [a for a, p in enumerate(probs) if p >= OUTCOME_PROB_FLOOR]
+    kept = [probs[a] for a in keep]
+    if len(keep) < len(probs):
+        psi = psi[keep]
+    sv = np.linalg.svd(psi, compute_uv=False)
+    spectra = np.sort(sv * sv, axis=-1)[:, ::-1] / np.array(kept)[:, None]
+    return list(zip(kept, spectra))
+
+
 def enumerate_swap_outcomes(x: SchmidtVector, y: SchmidtVector, povm: Povm) -> ProbabilisticEnsemble:
     """All measurement outcomes of swapping links x and y through the
     given measurement, as (probability, Schmidt vector) pairs.
@@ -266,7 +292,10 @@ def enumerate_swap_outcomes(x: SchmidtVector, y: SchmidtVector, povm: Povm) -> P
     Element alpha produces the matrix Psi[j,k] = sqrt(x_j) X_alpha[j,k]
     sqrt(y_k); its squared Frobenius norm is the outcome probability and
     its squared singular values, renormalized, the outcome Schmidt
-    vector.  Outcomes below probability 1e-14 are dropped.
+    vector.  Outcomes below probability OUTCOME_PROB_FLOOR are dropped.
+    One stacked LAPACK SVD per measurement (_outcome_spectra, shared
+    with the Monte Carlo checks), so the bits are those of one numpy
+    build.
 
     Raises
     ------
@@ -281,18 +310,8 @@ def enumerate_swap_outcomes(x: SchmidtVector, y: SchmidtVector, povm: Povm) -> P
         raise DimensionMismatch("links and measurement must share one dimension")
     if not validate_povm(povm):
         raise InvalidPovm("completeness relation fails")
-    rx = [math.sqrt(v) for v in x.entries]
-    ry = [math.sqrt(v) for v in y.entries]
-    outcomes = []
-    # the kernels take lists of Python complex numbers
-    for elem in povm.elements.tolist():
-        psi = [rx[j] * row[k] * ry[k] for j, row in enumerate(elem) for k in range(d)]
-        p = math.fsum(v.real * v.real + v.imag * v.imag for v in psi)
-        if p < OUTCOME_PROB_FLOOR:
-            continue
-        sv = kernels.sv_desc(d, d, psi)
-        outcomes.append((p, normalize_descending(s * s for s in sv)))
-    return ProbabilisticEnsemble(outcomes)
+    outcomes = _outcome_spectra(x.entries, y.entries, povm.elements)
+    return ProbabilisticEnsemble((p, normalize_descending(spec)) for p, spec in outcomes)
 
 
 def validate_povm(povm: Povm, tol: float = 1e-10) -> bool:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import RejectionBudgetExceeded, SingularNormalizer
 from .network import Edge, QuantumNetwork
-from .rules import Povm
+from .rules import Povm, validate_povm
 from .schmidt import SchmidtVector, majorizes
 
 logger = logging.getLogger(__name__)
@@ -95,10 +95,14 @@ def sample_povm_arrays(dimension, count, rng):
     Raises
     ------
     SingularNormalizer
-        The Gram operator stayed numerically singular over the resample
-        budget; always the case when count < d^2.
+        count < d^2, before anything is drawn, or the Gram operator
+        stayed numerically singular over the resample budget.
     """
     n = dimension * dimension
+    if count < n:
+        raise SingularNormalizer(
+            f"{count} elements cannot complete a measurement at dimension {dimension}, which needs {n}"
+        )
     for _ in range(RESAMPLE_BUDGET):
         raw = _complex_gaussian((count, n), rng)
         gram = raw.T @ raw.conj()
@@ -113,8 +117,16 @@ def sample_povm_arrays(dimension, count, rng):
 
 
 def sample_povm(dimension, count, rng):
-    """Random complete swap measurement; see sample_povm_arrays."""
-    return Povm(sample_povm_arrays(dimension, count, rng))
+    """Random complete swap measurement that validate_povm accepts (see
+    sample_povm_arrays).  An ill-conditioned draw can miss completeness
+    by more than its tolerance; it is replaced by the next draw from
+    rng, so a first draw that passes is returned as drawn.  Raises
+    SingularNormalizer if no draw passes within RESAMPLE_BUDGET."""
+    for _ in range(RESAMPLE_BUDGET):
+        povm = Povm(sample_povm_arrays(dimension, count, rng))
+        if validate_povm(povm):
+            return povm
+    raise SingularNormalizer(f"no complete measurement of {count} elements in {RESAMPLE_BUDGET} draws")
 
 
 def _right_normalized(raw):

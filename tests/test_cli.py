@@ -2,6 +2,7 @@
 
 import json
 import logging
+import math
 import os
 import re
 import subprocess
@@ -19,6 +20,7 @@ from qnetdet.cli import (
     EXIT_VIOLATIONS,
     main,
 )
+from qnetdet.rules import Povm, bell_povm_d2
 
 GOLDEN_REDUCE = [
     "single_link",
@@ -237,6 +239,31 @@ class TestOutcomes:
     def test_undersized_random_povm(self, run):
         code, _ = run("outcomes", "--links", "0.9,0.1", "0.9,0.1", "--povm", "random:2")
         assert code == EXIT_INVALID_POVM
+
+    def test_random_povm_redrawn_until_complete(self, run):
+        # the first draw of seed 31 misses completeness by more than
+        # validate_povm allows; the sampler draws again
+        flat = ",".join(["0.125"] * 8)
+        code, text = run("outcomes", "--links", flat, flat, "--povm", "random", "--seed", "31")
+        assert code == EXIT_OK
+        doc = json.loads(text)
+        assert doc["element_count"] == 64
+        assert math.fsum(e["probability"] for e in doc["outcomes"]) == pytest.approx(1.0, abs=1e-9)
+
+    def test_empty_random_povm(self, repo_root):
+        got = _fresh(repo_root, ["outcomes", "--links", "0.9,0.1", "0.9,0.1", "--povm", "random:0"])
+        assert got["code"] == EXIT_INVALID_POVM
+        assert got["err"] == "qnetdet: 0 elements cannot complete a measurement at dimension 2, which needs 4\n"
+
+    def test_negative_random_povm_count(self, run, capsys):
+        code, text = run("outcomes", "--links", "0.9,0.1", "0.9,0.1", "--povm", "random:-3")
+        assert code == EXIT_USAGE and text == ""
+        assert capsys.readouterr().err == "qnetdet: malformed element count in 'random:-3': must not be negative\n"
+
+    def test_incomplete_measurement_exit_code(self, run, monkeypatch):
+        monkeypatch.setattr(cli, "_build_povm", lambda spec, d, seed: Povm(0.5 * bell_povm_d2().elements))
+        code, text = run("outcomes", "--links", "0.9,0.1", "0.9,0.1")
+        assert code == EXIT_INVALID_POVM and text == ""
 
     def test_unknown_povm_name(self, run):
         code, _ = run("outcomes", "--links", "0.9,0.1", "0.9,0.1", "--povm", "mystery")

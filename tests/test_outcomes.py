@@ -1,16 +1,22 @@
-"""The batched outcome helper of the Monte Carlo checks: the same
-ensembles, bit for bit, as the per-operator helper it replaced (kept in
-_outcomes_oracle.py), from one stacked SVD per measurement."""
+"""The one outcome route, `rules._outcome_spectra`, behind both
+`enumerate_swap_outcomes` and the Monte Carlo checks: the same
+ensembles, bit for bit, as the per-operator numpy helper it replaced,
+and within 1e-14 of the pure-Python per-element loop that
+`enumerate_swap_outcomes` ran before (both kept in _outcomes_oracle.py),
+from one stacked SVD per measurement."""
 
 import json
 
 import numpy as np
 import pytest
 from _outcomes_oracle import _numpy_outcomes as oracle_outcomes
+from _outcomes_oracle import per_element_outcomes
 
 from qnetdet import checks, sampling
-from qnetdet.checks import CheckConfig, _numpy_outcomes, _product_measurement
-from qnetdet.schmidt import kron
+from qnetdet.backend import kernels
+from qnetdet.checks import CheckConfig, _product_measurement
+from qnetdet.rules import Povm, _outcome_spectra, bell_povm_d2, deterministic_swap_povm, enumerate_swap_outcomes
+from qnetdet.schmidt import SchmidtVector, kron, normalize_descending
 
 DRAWS = 12
 
@@ -28,7 +34,7 @@ def _assert_same(got, want):
 
 
 def _both(x, y, elements):
-    got = _numpy_outcomes(x, y, elements)
+    got = _outcome_spectra(x, y, elements)
     _assert_same(got, oracle_outcomes(x, y, elements))
     return got
 
@@ -130,10 +136,10 @@ def test_one_svd_per_call(monkeypatch):
     rng = _rng("spy", 0)
     els = sampling.sample_povm_arrays(3, 9, rng)
     x, y = _link(3, rng), _link(3, rng)
-    _numpy_outcomes(x, y, els)
+    _outcome_spectra(x, y, els)
     assert calls == [(9, 3, 3)]
     calls.clear()
-    _numpy_outcomes([1.0, 0.0], [1.0, 0.0], np.array([_unit(2, 1, 1), _unit(2, 0, 1)]))
+    _outcome_spectra([1.0, 0.0], [1.0, 0.0], np.array([_unit(2, 1, 1), _unit(2, 0, 1)]))
     assert len(calls) == 1
     # the per-operator oracle makes one call per element, which the spy sees
     calls.clear()
@@ -161,8 +167,84 @@ def test_theorem_reports_match_the_per_operator_route(d, monkeypatch):
         return json.dumps([r.to_dict() for r in checks.run_checks("theorems", cfg)], sort_keys=True)
 
     batched = run()
-    monkeypatch.setattr(checks, "_numpy_outcomes", oracle_outcomes)
+    monkeypatch.setattr(checks, "_outcome_spectra", oracle_outcomes)
     monkeypatch.setattr(
         checks, "_product_measurement", lambda ys, zs: [np.kron(yi, zj) for yi in ys for zj in zs]
     )
     assert batched == run()
+
+
+def _spread_link(d, rng):
+    """A Schmidt vector with entries log-uniform over [1e-12, 1]."""
+    return normalize_descending(10.0 ** rng.uniform(-12.0, 0.0, d))
+
+
+def _measurements(d, rng):
+    yield deterministic_swap_povm(d)
+    if d == 2:
+        yield bell_povm_d2()
+    for count in (d * d, d * d + 3):
+        yield sampling.sample_povm(d, count, rng)
+
+
+class TestEnumerateSwapOutcomes:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_the_per_element_loop(self, d):
+        for t in range(DRAWS):
+            rng = _rng(f"enumerate{d}", t)
+            if t % 3 == 0:
+                x, y = sampling.random_schmidt(d, rng), sampling.random_schmidt(d, rng)
+            else:
+                x, y = _spread_link(d, rng), _spread_link(d, rng)
+            for povm in _measurements(d, rng):
+                got = list(enumerate_swap_outcomes(x, y, povm))
+                want = per_element_outcomes(x, y, povm)
+                assert len(got) == len(want)
+                for (p, vec), (q, ref) in zip(got, want):
+                    assert isinstance(vec, SchmidtVector)
+                    assert abs(p - q) <= 1e-14
+                    assert max(abs(a - b) for a, b in zip(vec.entries, ref.entries)) <= 1e-14
+
+    def test_outcomes_below_the_floor_are_dropped(self):
+        # rank-one qubit links leave two Bell outcomes at probability 0,
+        # rank-two qutrit links five outcomes of the unit-matrix
+        # measurement
+        units = [_unit(3, i, j) for i in range(3) for j in range(3)]
+        cases = [
+            ([1.0, 0.0], [1.0, 0.0], bell_povm_d2(), 2),
+            ([0.5, 0.5, 0.0], [0.7, 0.3, 0.0], Povm(units), 4),
+        ]
+        for x, y, povm, kept in cases:
+            x, y = SchmidtVector(x), SchmidtVector(y)
+            got = list(enumerate_swap_outcomes(x, y, povm))
+            want = per_element_outcomes(x, y, povm)
+            assert len(got) == len(want) == kept
+            for (p, vec), (q, ref) in zip(got, want):
+                assert abs(p - q) <= 1e-14
+                assert vec.entries == pytest.approx(ref.entries, abs=1e-14)
+
+
+def test_enumerate_makes_one_stacked_svd(monkeypatch):
+    svd_calls = []
+    sv_desc_calls = []
+    svd = np.linalg.svd
+    sv_desc = kernels.sv_desc
+
+    def svd_spy(*args, **kwargs):
+        svd_calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    def sv_desc_spy(*args):
+        sv_desc_calls.append(args[:2])
+        return sv_desc(*args)
+
+    monkeypatch.setattr(np.linalg, "svd", svd_spy)
+    monkeypatch.setattr(kernels, "sv_desc", sv_desc_spy)
+    rng = _rng("enumerate_spy", 0)
+    for d in (2, 3, 4):
+        x, y = _spread_link(d, rng), _spread_link(d, rng)
+        for povm in _measurements(d, rng):
+            svd_calls.clear()
+            enumerate_swap_outcomes(x, y, povm)
+            assert svd_calls == [(len(povm), d, d)]
+            assert sv_desc_calls == []

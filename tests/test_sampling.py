@@ -1,13 +1,14 @@
 """Seeded samplers: determinism, constructed premises, completeness."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from qnetdet.errors import RejectionBudgetExceeded, SingularNormalizer
 from qnetdet.network import reduce_series_parallel
-from qnetdet.rules import validate_povm
+from qnetdet.rules import Povm, validate_povm
 from qnetdet.sampling import (
     dominated_vector,
     dominating_candidate,
@@ -116,6 +117,25 @@ class TestMeasurements:
         rng = substream(SEED, "povmu", 0)
         with pytest.raises(SingularNormalizer):
             sample_povm_arrays(2, 3, rng)
+
+    @pytest.mark.parametrize("count", [-3, 0, 1, 8])
+    def test_undersized_povm_rejected_before_drawing(self, count):
+        rng = substream(SEED, "povmu", 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularNormalizer):
+                sample_povm_arrays(3, count, rng)
+        assert rng.random() == substream(SEED, "povmu", 1).random()
+
+    def test_povm_wrapper_redraws_an_incomplete_draw(self):
+        # the first d = 8 draw of this stream misses completeness by more
+        # than validate_povm's tolerance; the second one is returned
+        first = substream(31, "outcomes", 0)
+        assert not validate_povm(Povm(sample_povm_arrays(8, 64, first)))
+        second = sample_povm_arrays(8, 64, first)
+        povm = sample_povm(8, 64, substream(31, "outcomes", 0))
+        assert validate_povm(povm)
+        assert np.array_equal(povm.elements, second)
 
     @pytest.mark.parametrize("d,count", [(2, 1), (2, 3), (3, 2), (4, 4)])
     def test_local_kraus_complete(self, d, count):
