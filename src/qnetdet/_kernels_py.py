@@ -4,22 +4,27 @@ All kernels operate on flat Python lists and are sized for the small
 matrices this package needs (dimension <= 16).  Library code reaches
 them through qnetdet.backend.kernels.
 
-Eigenvalues use a two-sided cyclic Jacobi iteration, singular values a
-one-sided Jacobi iteration on columns.  The one-sided iteration stops on
-a relative criterion per column pair and keeps small singular values at
-high relative accuracy.  The two-sided one stops once the off-diagonal
-mass falls below OFF_TOL times the Frobenius norm, an absolute
-criterion, so small eigenvalues lose relative accuracy: swap_eig on
-entries spread down to 1e-12 is off by up to 3e-4 relative at d=3 and
-0.9 at d=8.  The series rule uses swap_eig only for d <= 3, where it
-keeps reducing free of numpy (see rules.swap_rule).  sv_desc serves
-swap_sv, the pure-Python cross-check of the series rule; measurement
+Singular values use a one-sided Jacobi iteration on columns (sv_desc).
+It stops on a relative criterion per column pair and keeps small
+singular values at high relative accuracy.  swap_sv, built on it, is
+the series rule at d = 3 (see rules._series): within 1.6e-15 relative
+of 60-digit values on entries spread down to 1e-12.  The rule at d = 2
+is a closed form in rules and from d = 4 up one LAPACK SVD; measurement
 outcomes go through one stacked LAPACK SVD (rules._outcome_spectra).
+
+swap_eig and eigh_desc, a two-sided cyclic Jacobi iteration on the
+Hermitian form, are on no library path.  They stop once the
+off-diagonal mass falls below OFF_TOL times the Frobenius norm, an
+absolute criterion, so small eigenvalues lose relative accuracy (up to
+8e-5 relative at d = 2 and 3 on entries spread down to 1e-12).  They are
+kept only because the profiler in perfbench/tracer.py looks them up by
+name.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 # Convergence threshold on relative off-diagonal mass.
@@ -118,21 +123,25 @@ def sv_desc(rows, cols, a):
     u = [[complex(a[r * cols + k]) for r in range(rows)] for k in range(cols)]
     if cols == 1:
         return [math.sqrt(sum(abs(v) ** 2 for v in u[0]))]
+    # squared column norms, refreshed only by the rotation that changes a
+    # column and summed there in the same row order
+    sq = []
+    for col in u:
+        acc = 0.0
+        for v in col:
+            acc += v.real * v.real + v.imag * v.imag
+        sq.append(acc)
     for _ in range(MAX_SWEEPS):
         rotated = 0
         for p in range(cols):
             for q in range(p + 1, cols):
                 up = u[p]
                 uq = u[q]
-                app = 0.0
-                aqq = 0.0
+                app = sq[p]
+                aqq = sq[q]
                 apq = 0j
                 for i in range(rows):
-                    vp = up[i]
-                    vq = uq[i]
-                    app += vp.real * vp.real + vp.imag * vp.imag
-                    aqq += vq.real * vq.real + vq.imag * vq.imag
-                    apq += vp.conjugate() * vq
+                    apq += up[i].conjugate() * uq[i]
                 g = abs(apq)
                 if g <= OFF_TOL * math.sqrt(app * aqq) or g == 0.0:
                     continue
@@ -147,14 +156,21 @@ def sv_desc(rows, cols, a):
                 s = t * c
                 sp = s * phase
                 spc = sp.conjugate()
+                app = 0.0
+                aqq = 0.0
                 for i in range(rows):
                     vp = up[i]
                     vq = uq[i]
-                    up[i] = c * vp - spc * vq
-                    uq[i] = sp * vp + c * vq
+                    vp, vq = c * vp - spc * vq, sp * vp + c * vq
+                    up[i] = vp
+                    uq[i] = vq
+                    app += vp.real * vp.real + vp.imag * vp.imag
+                    aqq += vq.real * vq.real + vq.imag * vq.imag
+                sq[p] = app
+                sq[q] = aqq
         if rotated == 0:
             break
-    sv = [math.sqrt(sum(v.real * v.real + v.imag * v.imag for v in col)) for col in u]
+    sv = [math.sqrt(v) for v in sq]
     sv.sort(reverse=True)
     return sv
 
@@ -167,12 +183,12 @@ def swap_eig(x, y):
     1-based indices.  Entries of W depend only on index differences, so
     the matrix is assembled from d circulant coefficients.
 
-    Both inputs must be sorted descending; the caller sorts them once
-    (rules._series) and they are used as given.  Returns a descending
-    list of length d scaled so that the total equals sum(x) * sum(y).
-    The eigenvalue relative accuracy is governed by the conditioning of
-    the inner vector y, so the caller passes the flatter vector as y;
-    the bits depend on which is inside.
+    Both inputs must be sorted descending; they are used as given.
+    Returns a descending list of length d scaled so that the total
+    equals sum(x) * sum(y).  The eigenvalue relative accuracy is
+    governed by the conditioning of the inner vector y, so a caller
+    passes the flatter vector as y.  On no library path; see the module
+    docstring.
     """
     d = len(x)
     if d == 1:
@@ -198,10 +214,21 @@ def swap_eig(x, y):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _fourier_factors(d):
+    """Row-major entries exp(-2 pi i jk / d), j, k = 1..d, of the
+    unit-modulus Fourier matrix; cached per d."""
+    return tuple(cmath.exp(-2j * cmath.pi * j * k / d) for j in range(1, d + 1) for k in range(1, d + 1))
+
+
 def swap_sv(x, y):
     """Series rule spectrum via singular values of the asymmetric product.
 
-    Same value as swap_eig; kept as an independent route for cross checks.
+    The squared singular values of diag(sqrt x) F diag(sqrt y), with F
+    the unit-modulus Fourier matrix (1-based indices, factors cached per
+    d) and both inputs sorted descending here; x goes on the rows.
+    Returns a descending list with total sum(x) * sum(y).  The series
+    rule at d = 1 and 3, and the cross-check rules._swap_raw_sv.
     """
     d = len(x)
     xs = sorted(x, reverse=True)
@@ -211,10 +238,8 @@ def swap_sv(x, y):
     rx = [math.sqrt(v) if v > 0.0 else 0.0 for v in xs]
     ry = [math.sqrt(v) if v > 0.0 else 0.0 for v in ys]
     rd = 1.0 / math.sqrt(d)
-    m = [0j] * (d * d)
-    for j in range(1, d + 1):
-        for k in range(1, d + 1):
-            m[(j - 1) * d + (k - 1)] = rx[j - 1] * ry[k - 1] * rd * cmath.exp(-2j * cmath.pi * j * k / d)
+    f = _fourier_factors(d)
+    m = [rx[j] * ry[k] * rd * f[j * d + k] for j in range(d) for k in range(d)]
     sv = sv_desc(d, d, m)
     return [d * s * s for s in sv]
 

@@ -1,11 +1,12 @@
 """Series and parallel combination rules and measurement enumeration."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from _series_oracle import esym, series_esym
 
-from qnetdet import rules
 from qnetdet.backend import kernels
 from qnetdet.errors import (
     DimensionMismatch,
@@ -62,6 +63,14 @@ class TestSwapRule:
         with pytest.raises(DimensionMismatch):
             swap_rule(SchmidtVector([1.0, 0.0]), SchmidtVector([1.0, 0.0, 0.0]))
 
+    def test_qubit_raw_descending_when_outputs_coincide(self):
+        # uniform raw links give two equal outputs 2ab, up to rounding
+        rng = substream(SEED, "swap_qubit_ties", 0)
+        for a, b in rng.uniform(0.1, 10.0, (200, 2)).tolist():
+            out = _swap_raw([a, a], [b, b])
+            assert out[0] >= out[1]
+            assert out == pytest.approx([2.0 * a * b] * 2, rel=1e-15)
+
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_determinant_scaling(self, d):
         rng = substream(SEED, "swap_det", d)
@@ -72,12 +81,14 @@ class TestSwapRule:
 
     @pytest.mark.parametrize("trial", range(100))
     def test_eig_and_sv_routes_agree(self, trial):
+        # kernels.swap_eig is on no library path any more; the profiler
+        # still looks it up by name, so it stays pinned to swap_sv
         rng = substream(SEED, "swap_routes", trial)
         d = int(rng.integers(2, 7))
-        x = rng.dirichlet(np.ones(d)).tolist()
-        y = rng.dirichlet(np.ones(d)).tolist()
-        a = _swap_raw(x, y)
-        b = _swap_raw_sv(x, y)
+        x = sorted(rng.dirichlet(np.ones(d)).tolist(), reverse=True)
+        y = sorted(rng.dirichlet(np.ones(d)).tolist(), reverse=True)
+        a = kernels.swap_eig(y, x)
+        b = kernels.swap_sv(x, y)
         assert np.allclose(a, b, atol=1e-11)
 
 
@@ -111,12 +122,24 @@ def _log_det_gap(out, x, y):
     return abs(math.fsum(map(math.log, out)) - want)
 
 
-@pytest.mark.parametrize("d", [4, 5, 6, 7, 8])
-class TestSeriesAccuracy:
-    """Small entries keep their relative accuracy (Demmel and Veselic):
-    the production route matches the one-sided Jacobi route entrywise,
-    and the determinant identity holds on entries spread down to 1e-12."""
+def _esym_rel_gaps(out, want):
+    # relative error of each e_k of out against the oracle's e_1..e_d
+    return [abs(esym(out, k) - w) / w for k, w in enumerate(want, start=1)]
 
+
+_JACOBI_DIMS = pytest.mark.parametrize("d", [4, 5, 6, 7, 8])
+_ORACLE_DIMS = pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+
+
+class TestSeriesAccuracy:
+    """Small entries keep their relative accuracy (Demmel and Veselic).
+    Every e_k of the output matches the exact Cauchy-Binet sums of
+    tests/_series_oracle.py, and from d = 4 up, where the one-sided
+    Jacobi route is independent of the production route, the output
+    matches it entrywise and keeps the determinant identity, on entries
+    spread down to 1e-12."""
+
+    @_JACOBI_DIMS
     def test_raw_matches_one_sided_jacobi(self, d):
         links = _hard_links(d, substream(SEED, "swap_hard_raw", d), 12)
         for x, y in zip(links[0::2], links[1::2]):
@@ -124,6 +147,7 @@ class TestSeriesAccuracy:
             assert _worst_rel(out, _swap_raw_sv(x, y)) <= 1e-13
             assert _log_det_gap(out, x, y) <= 1e-12
 
+    @_JACOBI_DIMS
     def test_rule_matches_one_sided_jacobi(self, d):
         links = _hard_links(d, substream(SEED, "swap_hard_rule", d), 12)
         for a, b in zip(links[0::2], links[1::2]):
@@ -134,9 +158,50 @@ class TestSeriesAccuracy:
             assert _worst_rel(out, [v / total for v in ref]) <= 1e-13
             assert _log_det_gap(out, x.entries, y.entries) <= 1e-12
 
+    @_ORACLE_DIMS
+    def test_raw_matches_oracle(self, d):
+        links = _hard_links(d, substream(SEED, "swap_oracle_raw", d), 12)
+        for x, y in zip(links[0::2], links[1::2]):
+            assert max(_esym_rel_gaps(_swap_raw(x, y), series_esym(x, y))) <= 1e-13
 
-# d = 2, 3 run swap_eig, d >= 4 the LAPACK route; the remaining tests
-# describe the LAPACK route only
+    @_ORACLE_DIMS
+    def test_rule_matches_oracle(self, d):
+        links = _hard_links(d, substream(SEED, "swap_oracle_rule", d), 12)
+        for a, b in zip(links[0::2], links[1::2]):
+            x, y = normalize_descending(a), normalize_descending(b)
+            raw = series_esym(x.entries, y.entries)
+            want = [v / raw[0] ** k for k, v in enumerate(raw, start=1)]
+            assert max(_esym_rel_gaps(swap_rule(x, y).entries, want)) <= 1e-13
+
+
+def _qubit_reference(x, y):
+    """Both d = 2 series outputs in 50-digit decimal arithmetic, from the
+    textbook discriminant, which loses no digits that matter there."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        (x1, x2), (y1, y2) = (sorted(map(Decimal, v), reverse=True) for v in (x, y))
+        s = (x1 + x2) * (y1 + y2)
+        root = (s * s - 16 * x1 * x2 * y1 * y2).sqrt()
+        return s, [(s + root) / 2, (s - root) / 2]
+
+
+def test_qubit_near_uniform_matches_decimal():
+    # near-uniform links make the two outputs nearly coincide, which the
+    # e_k cannot resolve; the textbook discriminant S^2 - 16 x1 x2 y1 y2
+    # loses half the digits here
+    rng = substream(SEED, "swap_qubit_uniform", 0)
+    worst = 0.0
+    for _ in range(2000):
+        x, y = ([0.5 + e, 0.5 - e] for e in 0.5 * 10.0 ** rng.uniform(-16.0, -1.0, 2))
+        total, ref = _qubit_reference(x, y)
+        rule = swap_rule(SchmidtVector(x), SchmidtVector(y)).entries
+        for out, want in ((_swap_raw(x, y), ref), (rule, [v / total for v in ref])):
+            worst = max(worst, *(float(abs(Decimal(u) - w) / w) for u, w in zip(out, want)))
+    assert worst <= 1e-15
+
+
+# d = 2 runs the closed form, d = 3 the one-sided Jacobi swap_sv, d >= 4
+# the LAPACK route; the remaining tests describe the LAPACK route only
 _BOTH_ROUTES = pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
 _LAPACK_ROUTE = pytest.mark.parametrize("d", [4, 5, 8])
 
@@ -205,12 +270,16 @@ class TestSeriesRouteEdges:
             _swap_raw([1.0] * d, [1.0] * (d + 1))
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 8])
-def test_series_route_by_dimension(monkeypatch, d):
-    # d <= 3 stays on the pure-Python kernel; from d = 4 up each swap is
-    # one LAPACK SVD
-    calls = {"svd": 0, "eig": 0}
-    svd, eig = np.linalg.svd, kernels.swap_eig
+@pytest.mark.parametrize(
+    "d, route",
+    [(2, {}), (3, {"swap_sv": 1, "sv_desc": 1}), (4, {"svd": 1}), (8, {"svd": 1})],
+    ids=["2", "3", "4", "8"],
+)
+def test_series_route_by_dimension(monkeypatch, d, route):
+    # d = 2 is the closed form, with no kernel; d = 3 is one swap_sv;
+    # from d = 4 up each swap is one LAPACK SVD
+    names = ("swap_eig", "eigh_desc", "swap_sv", "sv_desc")
+    calls = dict.fromkeys(("svd", *names), 0)
 
     def count(key, fn):
         def counted(*args, **kwargs):
@@ -219,12 +288,12 @@ def test_series_route_by_dimension(monkeypatch, d):
 
         return counted
 
-    monkeypatch.setattr(np.linalg, "svd", count("svd", svd))
-    monkeypatch.setattr(kernels, "swap_eig", count("eig", eig))
+    monkeypatch.setattr(np.linalg, "svd", count("svd", np.linalg.svd))
+    for name in names:
+        monkeypatch.setattr(kernels, name, count(name, getattr(kernels, name)))
     x = SchmidtVector([1.0 / d] * d)
     swap_rule(x, x)
-    lapack = d >= rules.SERIES_LAPACK_MIN_D
-    assert calls == {"svd": int(lapack), "eig": int(not lapack)}
+    assert calls == {**dict.fromkeys(calls, 0), **route}
 
 
 class TestAssociativity:
