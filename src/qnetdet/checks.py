@@ -31,7 +31,7 @@ from .errors import (
     DimensionTooSmall,
     RejectionBudgetExceeded,
 )
-from .network import Edge, QuantumNetwork, reduce_series_parallel
+from .network import Edge, QuantumNetwork, reduce_series_parallel, report
 from .rules import (
     _outcome_spectra,
     _swap_raw,
@@ -655,6 +655,84 @@ def _(cfg, t, rng, acc):
             "full_product": _floats(full),
             "folded": [_floats(vec) for vec in folded],
         },
+    )
+
+
+def _scrambled(edges, terminals, rng) -> QuantumNetwork:
+    """The network on `edges` with its inner node names shuffled among
+    the inner nodes, and its edges permuted and each reversed with
+    probability 1/2."""
+    inner = sorted({n for e in edges for n in (e.u, e.v)} - set(terminals))
+    names = dict(zip(inner, (inner[int(k)] for k in rng.permutation(len(inner)))))
+    names.update((n, n) for n in terminals)
+    out = []
+    for i in rng.permutation(len(edges)):
+        e = edges[int(i)]
+        u, v = names[e.u], names[e.v]
+        out.append(Edge(v, u, e.link) if rng.random() < 0.5 else Edge(u, v, e.link))
+    return QuantumNetwork(edges[0].link.dimension, terminals, out)
+
+
+@_trials("reduction_invariance", "lemmas")
+def _(cfg, t, rng, acc):
+    """The reduction is a function of the network's shape: shuffling
+    the inner node names, permuting the edges and reversing some of
+    them, and adding edges that lie on no A-B path, changes no bit of
+    the final vector, the conversion figure or the topology class.
+    From d = 4 on the series rule is not associative, so this holds
+    only because the fold order comes from the series-parallel
+    decomposition tree: chains fold left to right from A, bundles in
+    ascending vector order.
+
+    Each trial draws a random series-parallel network of up to 30 links
+    and adds 0..3 off-path edges: self-loops, pendants and triangles
+    hanging off a node, and islands.  Every 10th trial is instead a bare
+    chain of 2..8 links, scrambled, against the left fold
+    swap(..swap(swap(l1, l2), l3).., lk).  The slack is the largest
+    entry difference, with a class mismatch counting 1; the tolerance
+    is zero."""
+    d = cfg.dimension
+    if t % 10 == 0:
+        links = [sampling.random_schmidt(d, rng) for _ in range(int(rng.integers(2, 9)))]
+        path = ["A", *(f"r{int(k)}" for k in rng.permutation(len(links) - 1)), "B"]
+        edges = [Edge(u, v, link) for u, v, link in zip(path, path[1:], links)]
+        got = reduce_series_parallel(_scrambled(edges, ("A", "B"), rng))[0].entries
+        want = functools.reduce(swap_rule, links).entries
+        acc.slack(
+            max(abs(a - b) for a, b in zip(got, want)),
+            lambda: {
+                "trial": t,
+                "links": [_floats(v.entries) for v in links],
+                "reduced": _floats(got),
+                "left_fold": _floats(want),
+            },
+            tol=0.0,
+        )
+        return
+    net = sampling.random_network(d, 30, rng)
+    nodes = sorted({n for e in net.edges for n in (e.u, e.v)})
+    edges = list(net.edges)
+    for i in range(int(rng.integers(0, 4))):
+        n = nodes[int(rng.integers(len(nodes)))]
+        x, y = f"off{i}x", f"off{i}y"
+        pairs = ([(n, n)], [(n, x)], [(n, x), (x, y), (y, n)], [(x, y)])[int(rng.integers(4))]
+        edges += [Edge(u, v, sampling.random_schmidt(d, rng)) for u, v in pairs]
+    base = report(net)
+    other = report(_scrambled(edges, net.terminals, rng))
+    acc.slack(
+        max(
+            float(base["topology"] != other["topology"]),
+            abs(base["cep_probability"] - other["cep_probability"]),
+            *(abs(a - b) for a, b in zip(base["det_vector"], other["det_vector"])),
+        ),
+        lambda: {
+            "trial": t,
+            "edges": [[e.u, e.v, _floats(e.link.entries)] for e in edges],
+            "topology": [base["topology"], other["topology"]],
+            "cep_probability": [base["cep_probability"], other["cep_probability"]],
+            "det_vector": [base["det_vector"], other["det_vector"]],
+        },
+        tol=0.0,
     )
 
 

@@ -3,37 +3,23 @@
 A network is an undirected multigraph whose edges carry Schmidt vectors
 of a common local dimension, with two distinguished terminal nodes A
 and B.  Its shape alone fixes an ordered list of moves that shrinks it
-to one A-B edge.  Self-loops transmit nothing and are dropped, first on
-input and then whenever a contraction closes one.  The moves then come
-in rounds, repeated until a round changes nothing:
+to one A-B edge, read off its series-parallel decomposition tree
+(Valdes, Tarjan and Lawler, SIAM J. Comput. 11(2), 1982):
 
-* parallel: every bundle of edges sharing both endpoints becomes one
-  edge, bundles taken in sorted endpoint order;
-* series: every non-terminal node of degree two is contracted, nodes
-  taken by breadth-first distance from A and then by name, both the
-  degrees and the distances as at the start of the series pass.  A
-  node whose degree is no longer two when its turn comes waits for the
-  next round.  The first input is the edge towards the neighbour that
-  comes first by the same key.
+* every edge on no simple A-B path transmits nothing and is dropped
+  first, in input order: self-loops, pendants, islands and anything
+  hanging off a single node.  One depth-first search finds the rest,
+  the block that would hold a virtual A-B edge (Hopcroft-Tarjan);
+* that block is reduced by parallel and series moves in any order,
+  each live edge carrying the subtree it stands for;
+* the moves are emitted post-order from A.  A chain folds left to
+  right from its A-side end, and a bundle's parts go in order of their
+  smallest network edge id.
 
 Edges are ordered by id: the network's edges in input order, then the
-edges the moves create, in creation order.
-
-Each round touches only what the round before it changed.  The graph
-keeps the edges of every endpoint pair, and the parallel pass sorts
-only the pairs that came to hold two or more edges since the last
-pass.  The series pass looks only at the nodes whose degree changed
-since the last series pass; any other node was not of degree two then
-and is not now.  The distances from A come from one breadth-first
-search.  A contraction only shortens paths, and the distances stay
-exact unless a new edge that is still there at the end of the pass
-joins nodes more than one level apart.  Only then are they lowered,
-from that edge's endpoints, visiting only the nodes whose distance
-drops.  A round so costs time in what it changed and in the nodes
-whose distance drops, times a logarithm for the sorting, not in the
-size of the network: a 2001-edge qubit ladder that unlocks one move per
-round decomposes in about 20 ms, where a full rescan and search per
-round took 2 s.
+edges the moves create, in emission order.  Each step costs time linear
+in the network's size, with no recursion: a 4001-edge qubit ladder,
+2000 levels deep, decomposes in about 30 ms.
 
 The reduction folds these moves over the links.  A series move swaps
 its two vectors.  A parallel move folds its bundle pairwise, members in
@@ -42,10 +28,12 @@ them): each member joins the running vector in a d*d tensor product
 that is purified back to d entries.  That costs O(k d^2 log d) for k
 links and equals purifying the full d^k product (the
 lemma_parallel_fold check of the verification suite), and no order of
-the bundle's edges changes a bit of it.  The order of the moves is part
-of the answer, because from dimension 4 on the series rule is not
-associative (pinned by tests/test_rules.py::TestAssociativity and
-acceptance criterion 08, not by a verify check).  The same moves fold
+the bundle's edges changes a bit of it.  The order of a chain's folds
+is part of the answer, because from dimension 4 on the series rule is
+not associative (pinned by tests/test_rules.py::TestAssociativity and
+acceptance criterion 08); the reduction_invariance check of the
+verification suite pins that no node name, edge order or edge
+direction changes a bit of the answer.  The same moves fold
 scalar scores into the probabilistic conversion figure, and the
 topology class is read from their shape.
 """
@@ -55,7 +43,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterable, List, Tuple
@@ -76,7 +63,7 @@ logger = logging.getLogger(__name__)
 
 class TopologyClass(Enum):
     """Exhaustive, mutually exclusive classification of a two-terminal
-    network (after discarding self-loops):
+    network (after discarding edges on no A-B path):
 
     SIMPLE_SERIES          a single chain from A to B (including the
                            degenerate one-edge chain)
@@ -209,97 +196,148 @@ def parse_network(text: str) -> QuantumNetwork:
 # decomposition and the folds over it
 
 
-_FAR = 1 << 30  # distance key of a node that A cannot reach
+class _Series:
+    """Series subtree: `left` joins `u` and `mid`, `right` joins `mid`
+    and the other end.  `key` is the smallest network edge id below."""
+
+    __slots__ = ("u", "mid", "left", "right", "key")
+
+    def __init__(self, u, mid, left, right):
+        self.u = u
+        self.mid = mid
+        self.left = left
+        self.right = right
+        self.key = min(_key(left), _key(right))
 
 
-class _Multigraph:
-    """Edge ids mapped to endpoints, each node's incident edge ids and
-    each sorted endpoint pair's edge ids in ascending order, plus the
-    pairs that came to hold two or more edges since `grown` was last
-    taken."""
+class _Bundle:
+    """Parallel subtree of two or more parts, none of them a bundle."""
 
-    def __init__(self, network: QuantumNetwork):
-        self.edges: Dict[int, Tuple[str, str]] = {}
-        self.adj: Dict[str, set] = {}
-        self.pairs: Dict[Tuple[str, str], List[int]] = {}
-        self.grown: set = set()
-        self.next_id = 0
-        for t in network.terminals:
-            self.adj.setdefault(t, set())
-        for e in network.edges:
-            self.add(e.u, e.v)
+    __slots__ = ("parts", "key")
 
-    def add(self, u, v) -> int:
-        eid = self.next_id
-        self.next_id += 1
-        self.edges[eid] = (u, v)
-        self.adj.setdefault(u, set()).add(eid)
-        self.adj.setdefault(v, set()).add(eid)
-        key = (u, v) if u <= v else (v, u)
-        bundle = self.pairs.setdefault(key, [])
-        bundle.append(eid)
-        if len(bundle) == 2:
-            self.grown.add(key)
-        return eid
+    def __init__(self, parts):
+        self.parts = parts
+        self.key = min(map(_key, parts))
 
-    def remove(self, eid) -> None:
-        u, v = self.edges.pop(eid)
-        self.adj[u].discard(eid)
-        self.adj[v].discard(eid)
-        for n in {u, v}:
-            if not self.adj[n]:
-                del self.adj[n]
-        key = (u, v) if u <= v else (v, u)
-        bundle = self.pairs[key]
-        bundle.remove(eid)
-        if not bundle:
-            del self.pairs[key]
 
-    def merge(self, key) -> Tuple[List[int], int]:
-        """Replace the edges joining the pair `key` by one new edge;
-        returns their ids and the new id."""
-        eids = self.pairs.pop(key)
-        for eid in eids:
-            del self.edges[eid]
-        for n in key:
-            self.adj[n].difference_update(eids)
-        return eids, self.add(*key)
+def _key(tree) -> int:
+    """Smallest network edge id in a subtree; a network edge is its id."""
+    return tree if tree.__class__ is int else tree.key
 
-    def other(self, eid, node) -> str:
-        u, v = self.edges[eid]
-        return v if u == node else u
 
-    def distances(self, start) -> Dict[str, int]:
-        dist = {start: 0}
-        queue = deque([start])
-        while queue:
-            n = queue.popleft()
-            for eid in self.adj.get(n, ()):
-                w = self.other(eid, n)
-                if w not in dist:
-                    dist[w] = dist[n] + 1
-                    queue.append(w)
-        return dist
+def _core(network: QuantumNetwork) -> List[int]:
+    """Ids of the edges that lie on a simple A-B path.
 
-    def shorten(self, dist, skips) -> None:
-        """Lower `dist`, the exact distances from A before some
-        contractions, to the distances now.  `skips` are the live edges
-        that join nodes more than one level apart; only the nodes whose
-        distance drops are visited."""
-        queue = deque()
-        for u, w in skips:
-            for p, q in ((u, w), (w, u)):
-                if dist[p] + 1 < dist[q]:
-                    dist[q] = dist[p] + 1
-                    queue.append(q)
-        while queue:
-            n = queue.popleft()
-            level = dist[n] + 1
-            for eid in self.adj[n]:
-                m = self.other(eid, n)
-                if level < dist[m]:
-                    dist[m] = level
-                    queue.append(m)
+    These are the edges of the block (Hopcroft-Tarjan) that would hold
+    a virtual A-B edge: one depth-first search enters B from A over that
+    edge, and every other block it closes hangs off the rest at a single
+    cut node, so no simple A-B path runs through it.  Empty when B is
+    unreachable from A."""
+    a, b = network.terminals
+    adj: Dict[str, list] = {}
+    for eid, e in enumerate(network.edges):
+        if e.u != e.v:
+            adj.setdefault(e.u, []).append((eid, e.v))
+            adj.setdefault(e.v, []).append((eid, e.u))
+    order = {a: 0, b: 1}
+    low = [0, 1]
+    path: List[int] = []  # edges of the blocks still open
+    stack = [(b, -1, iter(adj.get(b, ())), 0)]
+    while stack:
+        node, via, todo, mark = stack[-1]
+        here = order[node]
+        for eid, w in todo:
+            there = order.get(w)
+            if there is None:
+                order[w] = len(low)
+                low.append(len(low))
+                stack.append((w, eid, iter(adj[w]), len(path)))
+                path.append(eid)
+                break
+            if there < here and eid != via:
+                path.append(eid)
+                if there < low[here]:
+                    low[here] = there
+        else:
+            stack.pop()
+            if stack:
+                up = order[stack[-1][0]]
+                if low[here] >= up:
+                    del path[mark:]
+                elif low[here] < low[up]:
+                    low[up] = low[here]
+    return path
+
+
+def _link(graph, u, v, tree) -> bool:
+    """Add `tree` as the u-v edge, merged into the one already there if
+    any; returns whether it merged."""
+    old = graph[u].get(v)
+    if old is not None:
+        if old.__class__ is _Bundle:
+            old.parts.append(tree)
+            old.key = min(old.key, _key(tree))
+            tree = old
+        else:
+            tree = _Bundle([old, tree])
+    graph[u][v] = graph[v][u] = tree
+    return old is not None
+
+
+def _chain(tree, start, end):
+    """The parts of a series subtree from its end `start` to `end`, and
+    the nodes around them: part i joins nodes i and i + 1."""
+    parts, nodes = [], [start]
+    todo = [(tree, start, end)]
+    while todo:
+        t, p, q = todo.pop()
+        if t.__class__ is _Series:
+            first, second = (t.left, t.right) if p == t.u else (t.right, t.left)
+            todo.append((second, t.mid, q))
+            todo.append((first, p, t.mid))
+        else:
+            parts.append(t)
+            nodes.append(q)
+    return parts, nodes
+
+
+def _emit(root, a, b, next_id):
+    """The moves that fold the tree of the A-B edge, post-order from A,
+    and the id of the edge they end with: a bundle's parts by smallest
+    network edge id, then its parallel move; a chain from its A-side
+    end, each part after the first followed by the series move that
+    joins it to the running edge."""
+    moves = []
+    done = []  # the edge id of each folded subtree, latest last
+    tasks = [(root, a, b)]
+    while tasks:
+        t, p, q = tasks.pop()
+        cls = t.__class__
+        if cls is int:
+            done.append(t)
+            continue
+        if cls is _Bundle:
+            tasks.append(("parallel", len(t.parts), sorted((p, q))))
+            tasks.extend((s, p, q) for s in sorted(t.parts, key=_key, reverse=True))
+            continue
+        if cls is _Series:
+            parts, nodes = _chain(t, p, q)
+            for i in range(len(parts) - 1, 0, -1):
+                tasks.append(("series", nodes[i], [p, nodes[i + 1]]))
+                tasks.append((parts[i], nodes[i], nodes[i + 1]))
+            tasks.append((parts[0], p, nodes[1]))
+            continue
+        if t == "series":
+            right = done.pop()
+            move = {"op": "series", "node": p, "through": q, "inputs": [done.pop(), right]}
+        else:
+            move = {"op": "parallel", "nodes": q, "arity": p, "inputs": done[-p:]}
+            del done[-p:]
+        move["output"] = next_id
+        moves.append(move)
+        done.append(next_id)
+        next_id += 1
+    return moves, done[0]
 
 
 def _decompose(network: QuantumNetwork):
@@ -309,98 +347,56 @@ def _decompose(network: QuantumNetwork):
     series or parallel move creates the next id.  Each move is the
     reduction-trace event with edge ids where the trace has vectors:
     ``inputs`` and ``output`` of a series or parallel move, ``link`` of
-    a dropped self-loop.  ``root`` is the id of the final A-B edge.
+    a dropped edge.  ``root`` is the id of the final A-B edge.
 
     Raises DisconnectedTerminals when B is unreachable from A and
-    NotSeriesParallel when the rounds stall before reaching a single
-    A-B edge.
+    NotSeriesParallel when series and parallel moves cannot reduce the
+    edges on A-B paths to a single A-B edge.
     """
     a, b = network.terminals
-    g = _Multigraph(network)
-    dist = g.distances(a)
-    if b not in dist:
+    edges = network.edges
+    core = _core(network)
+    if not core:
         raise DisconnectedTerminals(f"no path between {a} and {b}")
-    moves = []
-    for eid in sorted(g.edges):
-        u, v = g.edges[eid]
-        if u == v:
-            g.remove(eid)
-            moves.append({"op": "drop_self_loop", "node": u, "link": eid})
-    # nodes whose degree changed since the last series pass
-    dirty = set(g.adj)
-    rounds = series = parallel = repairs = 0
-    while True:
-        rounds += 1
-        changed = False
-        # parallel pass: merge every bundle sharing both endpoints
-        grown, g.grown = g.grown, set()
-        for key in sorted(k for k in grown if len(g.pairs.get(k, ())) > 1):
-            eids, out = g.merge(key)
-            dirty.update(key)
-            moves.append(
-                {"op": "parallel", "nodes": list(key), "arity": len(eids), "inputs": eids, "output": out}
-            )
-            parallel += 1
-            changed = True
-        # series pass: contract degree-2 non-terminals, nearest to A
-        # first; a node whose degree did not change since the last pass
-        # was not of degree two then and is not now
-        candidates = [n for n in dirty if n != a and n != b and len(g.adj.get(n, ())) == 2]
-        candidates.sort(key=lambda n: (dist.get(n, _FAR), n))
-        dirty = set()
-        created = []
-        for node in candidates:
-            if len(g.adj.get(node, ())) != 2:
-                dirty.add(node)
-                continue
-            e1, e2 = sorted(g.adj[node])
-            u = g.other(e1, node)
-            w = g.other(e2, node)
-            ku = (dist.get(u, _FAR), u)
-            kw = (dist.get(w, _FAR), w)
-            if kw < ku:
-                e1, e2 = e2, e1
-                u, w = w, u
-            g.remove(e1)
-            g.remove(e2)
-            out = g.add(u, w)
-            moves.append(
-                {"op": "series", "node": node, "through": [u, w], "inputs": [e1, e2], "output": out}
-            )
-            if u == w:
-                g.remove(out)
-                dirty.add(u)
-                moves.append({"op": "drop_self_loop", "node": u, "link": out})
-            else:
-                created.append(out)
-            series += 1
-            changed = True
-        # a contraction only shortens paths, and the distances stay exact
-        # unless a new edge that is still there skips a level
-        skips = []
-        for eid in created:
-            ends = g.edges.get(eid)
-            if ends and abs(dist.get(ends[0], _FAR) - dist.get(ends[1], _FAR)) > 1:
-                skips.append(ends)
-        if skips:
-            g.shorten(dist, skips)
-            repairs += 1
-        if not changed:
-            break
-    logger.debug(
-        "decomposed %d edges: rounds=%d series_moves=%d parallel_moves=%d distance_repairs=%d",
-        len(network.edges), rounds, series, parallel, repairs,
-    )
-    remaining = sorted(g.edges)
-    if len(remaining) == 1 and set(g.edges[remaining[0]]) == {a, b}:
-        return moves, remaining[0]
-    remnant = [g.edges[eid] for eid in remaining]
-    pair = min((tuple(sorted(p)) for p in remnant), default=(a, b))
-    raise NotSeriesParallel(
-        f"reduction stalled with {len(remaining)} edges, e.g. between "
-        f"{pair[0]} and {pair[1]}",
-        remnant=remnant,
-    )
+    kept = set(core)
+    moves = [
+        {"op": "drop", "nodes": [e.u, e.v], "link": eid}
+        for eid, e in enumerate(edges)
+        if eid not in kept
+    ]
+    # reduce the core in any order: each live edge carries its subtree
+    graph: Dict[str, dict] = {}
+    for eid in core:
+        e = edges[eid]
+        graph.setdefault(e.u, {})
+        graph.setdefault(e.v, {})
+        _link(graph, e.u, e.v, eid)
+    work = [n for n, nbrs in graph.items() if len(nbrs) == 2 and n != a and n != b]
+    while work:
+        # the core stays a block with the virtual A-B edge, so no
+        # relay's degree drops below two: each is queued once
+        n = work.pop()
+        (x, left), (y, right) = graph.pop(n).items()
+        del graph[x][n], graph[y][n]
+        if _link(graph, x, y, _Series(x, n, left, right)):
+            work.extend(z for z in (x, y) if len(graph[z]) == 2 and z != a and z != b)
+    if len(graph) > 2:
+        remnant = sorted((u, v) for u, nbrs in graph.items() for v in nbrs if u < v)
+        raise NotSeriesParallel(
+            f"reduction stalled with {len(remnant)} edges, e.g. between "
+            f"{remnant[0][0]} and {remnant[0][1]}",
+            remnant=remnant,
+        )
+    emitted, root = _emit(graph[a][b], a, b, len(edges))
+    moves += emitted
+    if logger.isEnabledFor(logging.DEBUG):
+        dropped = len(edges) - len(core)
+        arities = [m["arity"] for m in moves if m["op"] == "parallel"]
+        logger.debug(
+            "decomposed %d edges: dropped=%d series_moves=%d parallel_moves=%d max_bundle_arity=%d",
+            len(edges), dropped, len(moves) - dropped - len(arities), len(arities), max(arities, default=0),
+        )
+    return moves, root
 
 
 def _fold(moves, values, series_fn, parallel_fn) -> dict:
@@ -516,13 +512,9 @@ def _classify(network, moves, root) -> TopologyClass:
     series, parallel of links a simple parallel, series of links and
     parallels of links is parallel-then-series, and parallel of series
     of links with at most one single link is series-then-parallel."""
-    n = len(network.edges)
-    if any(m["op"] == "drop_self_loop" and m["link"] >= n for m in moves):
-        # a contraction closed a cycle hanging off the A-B paths
-        return TopologyClass.SERIES_PARALLEL
     op, leaves, plain, other = _fold(
         moves,
-        [_LEAF] * n,
+        [_LEAF] * len(network.edges),
         lambda p, q: _shape("series", (p, q)),
         lambda ps: _shape("parallel", ps),
     )[root]

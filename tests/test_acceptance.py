@@ -126,7 +126,7 @@ def test_criterion_06_majorization_lemma_suite(capsys):
         for d in (2, 3):
             cfg = CheckConfig(dimension=d, trials=1000, seed=SEED)
             reports = run_checks("lemmas", cfg)
-            assert len(reports) == 9
+            assert len(reports) == 10
             for rep in reports:
                 assert rep.passed, f"{rep.name} at d={d}"
                 assert rep.violations == ()

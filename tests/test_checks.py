@@ -59,6 +59,7 @@ LEMMAS = (
     "isotone_maps",
     "prefix_power",
     "lemma_parallel_fold",
+    "reduction_invariance",
 )
 THEOREMS = (
     "theorem_single_link",
@@ -73,7 +74,7 @@ class TestRegistry:
     def test_groups_cover_all_checks(self):
         grouped = set(GROUPS["all"])
         assert grouped == set(CHECKS)
-        assert len(GROUPS["all"]) == len(CHECKS) == 16
+        assert len(GROUPS["all"]) == len(CHECKS) == 17
 
     def test_group_contents(self):
         # registration order is report order: a check registered out of

@@ -137,7 +137,7 @@ class TestVerify:
         assert code == EXIT_OK
         doc = json.loads(text)
         schema_validator("verify_output.schema.json").validate(doc)
-        assert len(doc["reports"]) == 16
+        assert len(doc["reports"]) == 17
         assert doc["manifest"]["config"]["trials"] == 5
 
     def test_violations_exit_code(self, run):
@@ -356,7 +356,8 @@ class TestVerbose:
         assert "decomposed" not in info
         _, _, debug = stdio("-vv", "reduce", "networks/triangle.json")
         assert debug.count("decomposed 3 edges:") == 1
-        assert "series_moves=1 parallel_moves=1" in debug
+        assert "dropped=0 series_moves=1 parallel_moves=1 max_bundle_arity=2" in debug
+        assert "rounds" not in debug
 
     def test_debug_line_per_check(self, stdio):
         from qnetdet.checks import GROUPS

@@ -1,5 +1,6 @@
 """Network ingestion, classification, reduction and the report document."""
 
+import functools
 import json
 import math
 
@@ -124,7 +125,8 @@ class TestIngestion:
 
 
 # One network per class, then shapes at the edges of the classes:
-# off-path loops and cycles, pendants, islands and nested bundles.
+# off-path loops and cycles, pendants, islands and nested bundles.  An
+# edge on no A-B path is dropped before the class is read.
 CLASS_CASES = [
     ("single_link", [("A", "B")], TopologyClass.SIMPLE_SERIES),
     ("two_hop_chain", [("A", "M"), ("M", "B")], TopologyClass.SIMPLE_SERIES),
@@ -140,15 +142,15 @@ CLASS_CASES = [
     (
         "triangle_hanging_at_relay",
         [("A", "M"), ("M", "B"), ("M", "X"), ("X", "Y"), ("Y", "M")],
-        TopologyClass.SERIES_PARALLEL,
+        TopologyClass.SIMPLE_SERIES,
     ),
     (
         "triangle_at_terminal",
         [("A", "B"), ("A", "X"), ("X", "Y"), ("Y", "A")],
-        TopologyClass.SERIES_PARALLEL,
+        TopologyClass.SIMPLE_SERIES,
     ),
-    ("pendant_edge", [("A", "M"), ("M", "B"), ("M", "P")], TopologyClass.NOT_SERIES_PARALLEL),
-    ("separate_two_cycle", [("A", "B"), ("I", "J"), ("I", "J")], TopologyClass.NOT_SERIES_PARALLEL),
+    ("pendant_edge", [("A", "M"), ("M", "B"), ("M", "P")], TopologyClass.SIMPLE_SERIES),
+    ("separate_two_cycle", [("A", "B"), ("I", "J"), ("I", "J")], TopologyClass.SIMPLE_SERIES),
     (
         "two_direct_links_and_chain",
         [("A", "B"), ("A", "B"), ("A", "M"), ("M", "B")],
@@ -164,7 +166,23 @@ CLASS_CASES = [
         [("A", "M"), ("M", "B"), ("A", "N"), ("N", "B")],
         TopologyClass.SERIES_THEN_PARALLEL,
     ),
+    (
+        "bridge_hanging_at_relay",
+        [("A", "M"), ("M", "B"), ("M", "P"), ("M", "Q"), ("P", "Q"), ("P", "R"), ("Q", "R")],
+        TopologyClass.SIMPLE_SERIES,
+    ),
 ]
+
+# indices of the edges that CLASS_CASES drop, none for the other cases
+DROPPED = {
+    "self_loop_on_chain": [2],
+    "isolated_loop": [1],
+    "triangle_hanging_at_relay": [2, 3, 4],
+    "triangle_at_terminal": [1, 2, 3],
+    "pendant_edge": [2],
+    "separate_two_cycle": [1, 2],
+    "bridge_hanging_at_relay": [2, 3, 4, 5, 6],
+}
 
 
 class TestClassification:
@@ -173,6 +191,19 @@ class TestClassification:
     )
     def test_class(self, pairs, expected):
         assert classify_topology(_net(*((u, v, LAM) for u, v in pairs))) is expected
+
+    @pytest.mark.parametrize(
+        "name, pairs", [c[:2] for c in CLASS_CASES], ids=[c[0] for c in CLASS_CASES]
+    )
+    def test_drop_events(self, name, pairs):
+        # one event per dropped edge, first and in input order
+        links = [[0.9 - 0.01 * i, 0.1 + 0.01 * i] for i in range(len(pairs))]
+        trace = report(_net(*((u, v, l) for (u, v), l in zip(pairs, links))))["reduction_trace"]
+        dropped = DROPPED.get(name, [])
+        assert trace[: len(dropped)] == [
+            {"op": "drop", "nodes": list(pairs[i]), "link": links[i]} for i in dropped
+        ]
+        assert all(ev["op"] != "drop" for ev in trace[len(dropped):])
 
     def test_bridge_not_series_parallel(self):
         bridge = _net(
@@ -241,6 +272,17 @@ class TestReduction:
             _net(("A", "B", [0.8, 0.2]), ("C", "C", [0.5, 0.5]))
         )
         assert vec.entries == (0.8, 0.2)
+
+    @pytest.mark.parametrize("d", [4, 5, 6])
+    def test_chain_folds_left_to_right(self, d):
+        # edges listed out of order and reversed: the fold runs from A
+        rng = substream(SEED, "chain_fold", d)
+        links = [random_schmidt(d, rng) for _ in range(6)]
+        path = ["A", "r4", "r1", "r3", "r0", "r2", "B"]
+        edges = [(path[i + 1], path[i], links[i]) for i in (3, 0, 5, 2, 4, 1)]
+        vec, trace = reduce_series_parallel(_net(*edges, dimension=d))
+        assert vec == functools.reduce(swap_rule, links)
+        assert [ev["through"] for ev in trace] == [["A", path[i]] for i in range(2, 7)]
 
     @pytest.mark.parametrize("trial", range(50))
     def test_random_networks_reduce(self, trial):
@@ -341,7 +383,8 @@ class TestCep:
 
 
 # A-x, A-w-x, x-y-B at d=4, where swap_rule is not associative: the
-# bytes pin the order in which the reduction folds the moves today.
+# chain A-x-y-B folds left to right from A, swap(swap(P, x-y), y-B)
+# with P the A-x bundle.
 ORDER_SENSITIVE_D4 = [
     ("A", "x", [0.4, 0.3, 0.2, 0.1]),
     ("A", "w", [0.5, 0.25, 0.15, 0.1]),
@@ -351,22 +394,21 @@ ORDER_SENSITIVE_D4 = [
 ]
 ORDER_SENSITIVE_D4_REPORT = (
     '{"dimension": 4, "terminals": ["A", "B"], "edge_count": 5, "topology": "SeriesParallel", '
-    '"det_vector": [0.619550435537, 0.210397428066, 0.127294093581, 0.0427580428158], '
-    '"concurrence": {"C_1": 1, "C_2": 0.859347150344, "C_3": 0.752990807946, "C_4": 0.652823504206}, '
+    '"det_vector": [0.6195550633, 0.210386550055, 0.127300657093, 0.0427577295525], '
+    '"concurrence": {"C_1": 1, "C_2": 0.859344977187, "C_3": 0.752990807946, "C_4": 0.652823504206}, '
     '"cep_probability": 0.05952, "reduction_trace": ['
     '{"op": "series", "node": "w", "through": ["A", "x"], '
     '"inputs": [[0.5, 0.25, 0.15, 0.1], [0.7, 0.1, 0.1, 0.1]], '
     '"output": [0.74470907284, 0.13738620655, 0.0727846686515, 0.0451200519587]}, '
-    '{"op": "series", "node": "y", "through": ["x", "B"], '
-    '"inputs": [[0.35, 0.3, 0.2, 0.15], [0.6, 0.2, 0.15, 0.05]], '
-    '"output": [0.617341718572, 0.21038634392, 0.128931871456, 0.0433400660513]}, '
     '{"op": "parallel", "nodes": ["A", "x"], "arity": 2, '
     '"inputs": [[0.4, 0.3, 0.2, 0.1], [0.74470907284, 0.13738620655, 0.0727846686515, 0.0451200519587]], '
     '"output": [0.297883629136, 0.234038790288, 0.234038790288, 0.234038790288]}, '
-    '{"op": "series", "node": "x", "through": ["A", "B"], '
-    '"inputs": [[0.297883629136, 0.234038790288, 0.234038790288, 0.234038790288], '
-    '[0.617341718572, 0.21038634392, 0.128931871456, 0.0433400660513]], '
-    '"output": [0.619550435537, 0.210397428066, 0.127294093581, 0.0427580428158]}]}\n'
+    '{"op": "series", "node": "x", "through": ["A", "y"], '
+    '"inputs": [[0.297883629136, 0.234038790288, 0.234038790288, 0.234038790288], [0.35, 0.3, 0.2, 0.15]], '
+    '"output": [0.362129947774, 0.293806218394, 0.19757662852, 0.146487205311]}, '
+    '{"op": "series", "node": "y", "through": ["A", "B"], '
+    '"inputs": [[0.362129947774, 0.293806218394, 0.19757662852, 0.146487205311], [0.6, 0.2, 0.15, 0.05]], '
+    '"output": [0.6195550633, 0.210386550055, 0.127300657093, 0.0427577295525]}]}\n'
 )
 
 
@@ -374,6 +416,10 @@ class TestReport:
     def test_order_sensitive_d4_bytes(self):
         doc = report(_net(*ORDER_SENSITIVE_D4, dimension=4))
         assert render_json(doc) == ORDER_SENSITIVE_D4_REPORT
+        ax, aw, wx, xy, yb = (SchmidtVector(link) for _, _, link in ORDER_SENSITIVE_D4)
+        low, high = sorted([ax, swap_rule(aw, wx)], key=lambda vec: vec.entries)
+        bundle = purify_rule([p * q for p in low.entries for q in high.entries], 4)
+        assert doc["det_vector"] == list(swap_rule(swap_rule(bundle, xy), yb).entries)
 
     def test_decomposes_once(self, monkeypatch):
         calls = []
@@ -397,4 +443,4 @@ class TestReport:
         assert doc["cep_probability"] == pytest.approx(0.232, abs=1e-12)
         assert doc["reduction_trace"]
         ops = {step["op"] for step in doc["reduction_trace"]}
-        assert ops <= {"series", "parallel", "drop_self_loop"}
+        assert ops <= {"series", "parallel", "drop"}
