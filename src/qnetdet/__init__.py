@@ -18,14 +18,9 @@ from .schmidt import (
     ProbabilisticEnsemble,
     normalize_descending,
     majorizes,
-    weakly_submajorizes,
     kron,
-    elementary_symmetric,
     concurrence,
-    average_concurrence,
-    worst_case_concurrence,
     det_vec,
-    trace_vec,
     adjugate_vec,
 )
 from .rules import (
@@ -56,14 +51,9 @@ __all__ = [
     "ProbabilisticEnsemble",
     "normalize_descending",
     "majorizes",
-    "weakly_submajorizes",
     "kron",
-    "elementary_symmetric",
     "concurrence",
-    "average_concurrence",
-    "worst_case_concurrence",
     "det_vec",
-    "trace_vec",
     "adjugate_vec",
     "Povm",
     "swap_rule",

@@ -47,8 +47,10 @@ from .schmidt import (
     det_vec,
     adjugate_vec,
     kron,
+    majorization_slack,
     majorizes,
     normalize_descending,
+    submajorization_slack,
 )
 
 logger = logging.getLogger(__name__)
@@ -177,39 +179,13 @@ def _floats(seq) -> list:
     return [float(v) for v in seq]
 
 
-def _maj_slack(big, small) -> float:
-    """Slack of the claim big majorizes small: the worst prefix deficit,
-    or the total mismatch, whichever is larger.  Shorter side is padded
-    with zeros."""
-    a = sorted((float(v) for v in big), reverse=True)
-    b = sorted((float(v) for v in small), reverse=True)
-    n = max(len(a), len(b))
-    a += [0.0] * (n - len(a))
-    b += [0.0] * (n - len(b))
-    pa = pb = 0.0
-    worst = -math.inf
-    for j in range(n - 1):
-        pa += a[j]
-        pb += b[j]
-        if pb - pa > worst:
-            worst = pb - pa
-    gap = abs(math.fsum(a) - math.fsum(b))
-    return gap if worst < gap else worst
-
-
-def _wsub_slack(lo, hi) -> float:
-    """Slack of the claim lo is weakly submajorized by hi (equal
-    lengths): the worst sorted-prefix excess of lo over hi."""
-    a = sorted((float(v) for v in lo), reverse=True)
-    b = sorted((float(v) for v in hi), reverse=True)
-    pa = pb = 0.0
-    worst = -math.inf
-    for x, y in zip(a, b):
-        pa += x
-        pb += y
-        if pa - pb > worst:
-            worst = pa - pb
-    return worst
+def _average_gap(weights, states, base) -> float:
+    """Largest gap, over the concurrence orders k, of the weighted
+    average of C_k over ``states`` above C_k(base)."""
+    return max(
+        math.fsum(p * concurrence(v, k) for p, v in zip(weights, states)) - concurrence(base, k)
+        for k in range(1, base.dimension + 1)
+    )
 
 
 def _purify_raw(xs, d) -> list:
@@ -310,7 +286,7 @@ def _(cfg, t, rng, acc):
         mixed_input += p * np.asarray(x)
     map_of_mix = _swap_raw(mixed_input.tolist(), z)
     acc.slack(
-        _maj_slack(mix_of_maps, map_of_mix),
+        majorization_slack(mix_of_maps, map_of_mix),
         lambda: {
             "trial": t,
             "weights": _floats(ps),
@@ -396,7 +372,7 @@ def _(cfg, t, rng, acc):
         record = (1, _REJECTION_BUDGET)
     pur = purify_rule(x, d)
     acc.slack(
-        _maj_slack(cand.entries, pur.entries),
+        majorization_slack(cand.entries, pur.entries),
         lambda: {
             "trial": t,
             "x": _floats(x.entries),
@@ -424,7 +400,7 @@ def _(cfg, t, rng, acc):
         mixed_input += p * np.asarray(x)
     map_of_mix = _purify_raw(mixed_input.tolist(), d)
     acc.slack(
-        _maj_slack(mix_of_maps, map_of_mix),
+        majorization_slack(mix_of_maps, map_of_mix),
         lambda: {
             "trial": t,
             "weights": _floats(ps),
@@ -458,7 +434,7 @@ def _(cfg, t, rng, acc):
     lhs = np.log(_purify_raw(x, d)) + np.log(_purify_raw(y, d))
     rhs = np.log(_purify_raw(z, d))
     acc.slack(
-        _wsub_slack(rhs, lhs),
+        submajorization_slack(rhs, lhs),
         lambda: {
             "trial": t,
             "x": _floats(x),
@@ -497,12 +473,12 @@ def _(cfg, t, rng, acc):
     x = sorted(sampling.random_positive(d, rng), reverse=True)
     y = sampling.dominated_vector(x, int(rng.integers(1, 5)), rng)
     z = sampling.random_positive(d, rng)
-    s_swap = _maj_slack(_swap_raw(x, z), _swap_raw(y, z))
+    s_swap = majorization_slack(_swap_raw(x, z), _swap_raw(y, z))
 
     m = d + 1 + (t % 2)
     xm = sorted(sampling.random_positive(m, rng), reverse=True)
     ym = sampling.dominated_vector(xm, int(rng.integers(1, 5)), rng)
-    s_pur = _maj_slack(_purify_raw(xm, d), _purify_raw(ym, d))
+    s_pur = majorization_slack(_purify_raw(xm, d), _purify_raw(ym, d))
 
     tot = math.fsum(x)
     lam_hi = SchmidtVector([v / tot for v in x])
@@ -517,11 +493,7 @@ def _(cfg, t, rng, acc):
     mix = SchmidtVector(
         np.sum([p * np.asarray(v.entries) for p, v in zip(weights, members)], axis=0)
     )
-    s_conc = max(
-        math.fsum(p * concurrence(v, k) for p, v in zip(weights, members))
-        - concurrence(mix, k)
-        for k in range(1, d + 1)
-    )
+    s_conc = _average_gap(weights, members, mix)
 
     if d <= _SWAP_ISOTONE_MAX_D:
         worst = max(s_swap, s_pur, s_mono, s_conc)
@@ -817,7 +789,7 @@ def _(cfg, t, rng, acc):
     states = [normalize_descending(vec) for _, vec in ens]
 
     mix = np.sum([p * vec for p, vec in ens], axis=0)
-    s_local = _maj_slack(mix, lam.entries)
+    s_local = majorization_slack(mix, lam.entries)
 
     z = sampling.random_schmidt(d, rng)
     w = sampling.random_schmidt(d, rng)
@@ -825,16 +797,9 @@ def _(cfg, t, rng, acc):
     pur_base = purify_rule(kron(lam, w), d)
     swapped = [swap_rule(v, z) for v in states]
     purified = [purify_rule(kron(v, w), d) for v in states]
-    s_swap = max(
-        math.fsum(p * concurrence(sv, k) for (p, _), sv in zip(ens, swapped))
-        - concurrence(swap_base, k)
-        for k in range(1, d + 1)
-    )
-    s_pur = max(
-        math.fsum(p * concurrence(pv, k) for (p, _), pv in zip(ens, purified))
-        - concurrence(pur_base, k)
-        for k in range(1, d + 1)
-    )
+    probs = [p for p, _ in ens]
+    s_swap = _average_gap(probs, swapped, swap_base)
+    s_pur = _average_gap(probs, purified, pur_base)
     worst = max(s_local, s_swap, s_pur)
     acc.slack(
         worst,
@@ -844,7 +809,7 @@ def _(cfg, t, rng, acc):
             "locality_slack": float(s_local),
             "swap_context_slack": float(s_swap),
             "purify_context_slack": float(s_pur),
-            "probabilities": _floats(p for p, _ in ens),
+            "probabilities": _floats(probs),
         },
     )
 
@@ -946,13 +911,9 @@ def _(cfg, t, rng, acc):
     pur = purify_rule(joint, d)
 
     mix = np.sum([p * vec for p, vec in ens], axis=0)
-    s_joint = _maj_slack(mix, joint.entries)
-    s_rule = _maj_slack(mix, pur.entries)
-    s_avg = max(
-        math.fsum(p * concurrence(v, k) for (p, _), v in zip(ens, states))
-        - concurrence(pur, k)
-        for k in range(1, d + 1)
-    )
+    s_joint = majorization_slack(mix, joint.entries)
+    s_rule = majorization_slack(mix, pur.entries)
+    s_avg = _average_gap([p for p, _ in ens], states, pur)
     worst = max(s_joint, s_rule, s_avg)
     acc.slack(
         worst,

@@ -127,14 +127,6 @@ class QuantumNetwork:
         object.__setattr__(self, "terminals", terms)
         object.__setattr__(self, "edges", edges)
 
-    @property
-    def nodes(self) -> List[str]:
-        seen = set(self.terminals)
-        for e in self.edges:
-            seen.add(e.u)
-            seen.add(e.v)
-        return sorted(seen)
-
 
 def network_from_dict(obj) -> QuantumNetwork:
     """Build a network from the parsed JSON structure

@@ -30,7 +30,7 @@ from .errors import (
     LengthMismatchAfterPadding,
     ShapeMismatch,
 )
-from .schmidt import MAJORIZATION_ATOL, SchmidtVector, ProbabilisticEnsemble, majorizes, normalize_descending
+from .schmidt import MAJORIZATION_ATOL, SchmidtVector, ProbabilisticEnsemble, normalize_descending
 
 if TYPE_CHECKING:
     import numpy as np
@@ -252,9 +252,10 @@ def conversion_probability(source: SchmidtVector, target: SchmidtVector) -> floa
     The value is min over prefixes k of the tail-mass ratio
     (1 - sum of the k largest source entries) / (1 - same for target),
     with the target zero-padded to the source length.  Prefixes where
-    the target tail vanishes are skipped.  Returns exactly 1.0 whenever
-    the padded target majorizes the source, which is the condition for a
-    deterministic conversion.
+    the target tail vanishes are skipped.  The same one walk tracks the
+    prefix deficits of the target below the source: the result is
+    exactly 1.0 when every prefix deficit and the total mismatch are
+    <= MAJORIZATION_ATOL, the condition for a deterministic conversion.
 
     Raises
     ------
@@ -268,15 +269,16 @@ def conversion_probability(source: SchmidtVector, target: SchmidtVector) -> floa
     if len(tgt) > m:
         raise LengthMismatchAfterPadding(f"target length {len(tgt)} exceeds source length {m}")
     tgt = tgt + [0.0] * (m - len(tgt))
-    if majorizes(tgt, src, MAJORIZATION_ATOL):
-        return 1.0
     best = 1.0
+    deficit = -math.inf
     ps = 0.0
     pt = 0.0
     for k in range(m):
         if k > 0:
             ps += src[k - 1]
             pt += tgt[k - 1]
+            if ps - pt > deficit:
+                deficit = ps - pt
         den = 1.0 - pt
         if den <= 1e-15:
             continue
@@ -286,6 +288,8 @@ def conversion_probability(source: SchmidtVector, target: SchmidtVector) -> floa
         ratio = num / den
         if ratio < best:
             best = ratio
+    if deficit <= MAJORIZATION_ATOL and abs(math.fsum(tgt) - math.fsum(src)) <= MAJORIZATION_ATOL:
+        return 1.0
     return best
 
 

@@ -1,17 +1,21 @@
-"""Schmidt vectors, majorization predicates and entanglement monotones.
+"""Schmidt vectors, majorization and entanglement monotones.
 
 A Schmidt vector collects the squared Schmidt coefficients of a
 bipartite pure state: nonnegative numbers, sorted in descending order,
 summing to one.  Everything downstream (combination rules, network
 reduction, the verification suite) works on these vectors; the state
 vectors themselves never appear.
+
+``majorization_slack`` and ``submajorization_slack`` are the package's
+one comparison of sorted prefix sums: ``majorizes`` reads the first
+against a tolerance, and the verification suite reports both.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Tuple
 
 from .backend import kernels
 from .errors import (
@@ -25,8 +29,8 @@ from .errors import (
     ZeroSum,
 )
 
-# Shared absolute tolerance for every majorization comparison in the
-# package.  Prefix-sum comparisons are made at this slack; callers that
+# Shared absolute tolerance for every majorization decision in the
+# package: a slack at or below it counts as majorization.  Callers that
 # need a different strictness pass tol explicitly.
 MAJORIZATION_ATOL = 1e-9
 
@@ -181,12 +185,48 @@ def normalize_descending(values: Iterable[float]) -> SchmidtVector:
     return vec
 
 
-def majorizes(x, y, tol: float = MAJORIZATION_ATOL) -> bool:
-    """True when x majorizes y: every descending prefix sum of x is at
-    least the matching prefix sum of y (within tol) and the totals agree
-    within tol.
+def majorization_slack(big, small) -> float:
+    """Slack of the claim big majorizes small: the worst prefix deficit,
+    or the total mismatch, whichever is larger.  Shorter side is padded
+    with zeros."""
+    a = sorted((float(v) for v in big), reverse=True)
+    b = sorted((float(v) for v in small), reverse=True)
+    n = max(len(a), len(b))
+    a += [0.0] * (n - len(a))
+    b += [0.0] * (n - len(b))
+    pa = pb = 0.0
+    worst = -math.inf
+    for j in range(n - 1):
+        pa += a[j]
+        pb += b[j]
+        if pb - pa > worst:
+            worst = pb - pa
+    gap = abs(math.fsum(a) - math.fsum(b))
+    # a NaN entry makes the total mismatch NaN, and NaN is passed on
+    return worst if worst >= gap else gap
 
-    Both arguments may be SchmidtVectors or plain sequences; they are
+
+def submajorization_slack(lo, hi) -> float:
+    """Slack of the claim lo is weakly submajorized by hi (equal
+    lengths): the worst sorted-prefix excess of lo over hi."""
+    a = sorted((float(v) for v in lo), reverse=True)
+    b = sorted((float(v) for v in hi), reverse=True)
+    pa = pb = 0.0
+    worst = -math.inf
+    for x, y in zip(a, b):
+        pa += x
+        pb += y
+        if pa - pb > worst:
+            worst = pa - pb
+    return worst
+
+
+def majorizes(x, y, tol: float = MAJORIZATION_ATOL) -> bool:
+    """True when x majorizes y: ``majorization_slack(x, y) <= tol``, so
+    every descending prefix sum of x is at least the matching prefix
+    sum of y and the totals agree, both within tol.
+
+    Both arguments may be SchmidtVectors or plain iterables; they are
     sorted internally, so input order never matters.
 
     Raises
@@ -194,37 +234,11 @@ def majorizes(x, y, tol: float = MAJORIZATION_ATOL) -> bool:
     LengthMismatch
         The two vectors differ in length.
     """
-    xs = sorted(_values_of(x), reverse=True)
-    ys = sorted(_values_of(y), reverse=True)
+    xs = _values_of(x)
+    ys = _values_of(y)
     if len(xs) != len(ys):
         raise LengthMismatch(f"lengths {len(xs)} and {len(ys)} differ")
-    px = 0.0
-    py = 0.0
-    for k in range(len(xs) - 1):
-        px += xs[k]
-        py += ys[k]
-        if px < py - tol:
-            return False
-    return abs(math.fsum(xs) - math.fsum(ys)) <= tol
-
-
-def weakly_submajorizes(x, y, tol: float = MAJORIZATION_ATOL) -> bool:
-    """True when every descending prefix sum of x is at least the
-    matching prefix sum of y within tol.  No constraint on the totals;
-    entries may be negative (the predicate is applied to logarithms).
-    """
-    xs = sorted(_values_of(x), reverse=True)
-    ys = sorted(_values_of(y), reverse=True)
-    if len(xs) != len(ys):
-        raise LengthMismatch(f"lengths {len(xs)} and {len(ys)} differ")
-    px = 0.0
-    py = 0.0
-    for k in range(len(xs)):
-        px += xs[k]
-        py += ys[k]
-        if px < py - tol:
-            return False
-    return True
+    return majorization_slack(xs, ys) <= tol
 
 
 def kron(x, y) -> SchmidtVector:
@@ -233,23 +247,6 @@ def kron(x, y) -> SchmidtVector:
     xs = _values_of(x)
     ys = _values_of(y)
     return normalize_descending(a * b for a in xs for b in ys)
-
-
-def elementary_symmetric(values, k: int) -> float:
-    """k-th elementary symmetric polynomial of the entries.
-
-    k = 0 gives 1 by convention.
-
-    Raises
-    ------
-    EmptyInput, KOutOfRange
-    """
-    vals = _values_of(values)
-    if not vals:
-        raise EmptyInput("no entries")
-    if k < 0 or k > len(vals):
-        raise KOutOfRange(f"k={k} outside 0..{len(vals)}")
-    return kernels.esym(vals, k)
 
 
 def concurrence(x, k: int) -> float:
@@ -278,24 +275,6 @@ def concurrence(x, k: int) -> float:
     return (sk / ref) ** (1.0 / k)
 
 
-def average_concurrence(ensemble: ProbabilisticEnsemble, k: int) -> float:
-    """Probability-weighted mean of the k-concurrence over the ensemble."""
-    if not isinstance(ensemble, ProbabilisticEnsemble):
-        ensemble = ProbabilisticEnsemble(ensemble)
-    return math.fsum(p * concurrence(vec, k) for p, vec in ensemble)
-
-
-def worst_case_concurrence(ensemble: ProbabilisticEnsemble, k: int) -> float:
-    """Minimum k-concurrence over the outcomes that can actually occur
-    (probability above 1e-15)."""
-    if not isinstance(ensemble, ProbabilisticEnsemble):
-        ensemble = ProbabilisticEnsemble(ensemble)
-    vals = [concurrence(vec, k) for p, vec in ensemble if p > 1e-15]
-    if not vals:
-        raise EmptyEnsemble("no outcome has positive probability")
-    return min(vals)
-
-
 def det_vec(x) -> float:
     """Product of the entries."""
     vals = _values_of(x)
@@ -305,14 +284,6 @@ def det_vec(x) -> float:
     for v in vals:
         out *= v
     return out
-
-
-def trace_vec(x) -> float:
-    """Sum of the entries."""
-    vals = _values_of(x)
-    if not vals:
-        raise EmptyInput("no entries")
-    return math.fsum(vals)
 
 
 def adjugate_vec(x) -> list:

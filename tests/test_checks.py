@@ -16,6 +16,7 @@ from qnetdet.checks import (
 )
 from qnetdet.errors import DimensionNotTwo, DimensionTooLarge, DimensionTooSmall
 from qnetdet.rules import _swap_raw
+from qnetdet.schmidt import majorization_slack
 
 FAST = CheckConfig(dimension=2, trials=25, seed=3)
 
@@ -223,8 +224,8 @@ class TestSwapIsotoneBoundary:
     Z = (0.4163925493275153, 0.5099796351323035, 0.5077443492274303, 0.20838258606125437)
 
     def test_counterexample_is_not_roundoff(self):
-        assert checks._maj_slack(self.X, self.Y) <= 1e-15
-        slack = checks._maj_slack(_swap_raw(self.X, self.Z), _swap_raw(self.Y, self.Z))
+        assert majorization_slack(self.X, self.Y) <= 1e-15
+        slack = majorization_slack(_swap_raw(self.X, self.Z), _swap_raw(self.Y, self.Z))
         assert slack == pytest.approx(1.0920361e-4, rel=1e-6)
 
     def test_recorded_not_asserted_from_d4(self):

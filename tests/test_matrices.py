@@ -1,4 +1,5 @@
-"""Dense-matrix kernels against numpy."""
+"""Pure-Python kernels: dense-matrix spectra against numpy, and the
+elementary symmetric polynomials."""
 
 import numpy as np
 import pytest
@@ -35,3 +36,12 @@ class TestSpectra:
         got = kpy.eigh_desc(n, h.ravel().tolist())
         want = np.sort(np.linalg.eigvalsh(h))[::-1]
         assert np.allclose(got, want, atol=1e-10)
+
+
+class TestElementarySymmetric:
+    def test_esym_known(self):
+        vals = [1.0, 2.0, 3.0]
+        assert kpy.esym(vals, 0) == 1.0
+        assert kpy.esym(vals, 1) == pytest.approx(6.0)
+        assert kpy.esym(vals, 2) == pytest.approx(11.0)
+        assert kpy.esym(vals, 3) == pytest.approx(6.0)
