@@ -228,7 +228,8 @@ def swap_sv(x, y):
     the unit-modulus Fourier matrix (1-based indices, factors cached per
     d) and both inputs sorted descending here; x goes on the rows.
     Returns a descending list with total sum(x) * sum(y).  The series
-    rule at d = 1 and 3, and the cross-check rules._swap_raw_sv.
+    rule at d = 1 and 3, and the tests' independent cross-check of the
+    production route at d = 2 and from d = 4 up.
     """
     d = len(x)
     xs = sorted(x, reverse=True)

@@ -116,9 +116,10 @@ class CheckConfig:
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of one check: violation payloads plus the largest slack
-    seen across all trials (negative slack means comfortable margin).
-    ``passed`` is true exactly when no trial violated."""
+    """Outcome of one check: the violation records plus the largest
+    slack seen across all trials (negative slack means comfortable
+    margin).  ``passed`` is true exactly when no trial violated.  The
+    records and the extras hold JSON-ready values only (see _plain)."""
 
     name: str
     trials_run: int
@@ -140,43 +141,65 @@ class CheckReport:
         return out
 
 
+def _plain(v):
+    """``v`` as JSON-ready Python values: a SchmidtVector as its
+    entries, an Edge as [u, v, link], a list, tuple or ndarray as a list
+    and a dict as a dict, each element converted in turn.  str, bool,
+    int and None stay as they are; anything else becomes a float, and a
+    non-finite one its repr string ("nan", "inf", "-inf")."""
+    if isinstance(v, SchmidtVector):
+        v = v.entries
+    elif isinstance(v, Edge):
+        v = (v.u, v.v, v.link)
+    if isinstance(v, (list, tuple, np.ndarray)):
+        return [_plain(x) for x in v]
+    if isinstance(v, dict):
+        return {k: _plain(x) for k, x in v.items()}
+    if v is None or isinstance(v, (str, int)):
+        return v
+    v = float(v)
+    return v if math.isfinite(v) else repr(v)
+
+
 class _Acc:
-    """Per-check accumulator: running slack maximum plus capped
-    violation storage."""
+    """Per-check accumulator: the running slack maximum plus capped
+    violation records.  The trial driver sets ``trial`` before each
+    trial body runs; a fixed check leaves it None."""
 
     def __init__(self, tolerance: float):
         self.tol = float(tolerance)
+        self.trial = None
         self.max_slack = -math.inf
         self.violations = []
         self.total = 0
 
-    def slack(self, value, payload, tol=None):
+    def slack(self, value, /, tol=None, **record):
+        """Record one claim's slack.  Above ``tol`` (the configured
+        tolerance when None), or NaN, it is a violation; the first
+        _VIOLATION_CAP violations keep ``record``, after the trial
+        index, through _plain.  A NaN leaves the maximum as it was."""
         v = float(value)
         if v > self.max_slack:
             self.max_slack = v
-        limit = self.tol if tol is None else tol
-        if v > limit:
+        if not v <= (self.tol if tol is None else tol):
             self.total += 1
             if len(self.violations) < _VIOLATION_CAP:
-                self.violations.append(payload() if callable(payload) else payload)
-        return v
+                if self.trial is not None:
+                    record = {"trial": self.trial, **record}
+                self.violations.append(_plain(record))
 
     def report(self, name, trials, extras=None) -> CheckReport:
-        ex = dict(extras or {})
+        ex = _plain(extras or {})
         if self.total > len(self.violations):
             ex["violations_truncated_from"] = self.total
         return CheckReport(
             name=name,
             trials_run=trials,
             passed=self.total == 0,
-            max_slack=0.0 if self.max_slack == -math.inf else float(self.max_slack),
+            max_slack=0.0 if self.max_slack == -math.inf else self.max_slack,
             violations=tuple(self.violations),
             extras=ex,
         )
-
-
-def _floats(seq) -> list:
-    return [float(v) for v in seq]
 
 
 def _average_gap(weights, states, base) -> float:
@@ -221,10 +244,11 @@ def _trials(name: str, group: str, fold=None, qubit_only: Optional[str] = None):
     ``group``.
 
     ``trial(cfg, t, rng, acc)`` runs trial ``t`` on the substream
-    (seed, name, t), records its slacks on ``acc`` and returns the
-    trial's record.  ``fold(cfg, records)`` turns the records of all
-    trials, in trial order, into the report extras.  A check with a
-    ``qubit_only`` reason raises DimensionNotTwo at any other dimension."""
+    (seed, name, t), records its slacks on ``acc``, which stamps ``t``
+    on every violation record, and returns the trial's record.
+    ``fold(cfg, records)`` turns the records of all trials, in trial
+    order, into the report extras.  A check with a ``qubit_only``
+    reason raises DimensionNotTwo at any other dimension."""
 
     def register(trial):
         def run(cfg: CheckConfig) -> CheckReport:
@@ -232,10 +256,10 @@ def _trials(name: str, group: str, fold=None, qubit_only: Optional[str] = None):
             if why:
                 raise DimensionNotTwo(why)
             acc = _Acc(cfg.tolerance)
-            records = [
-                trial(cfg, t, sampling.substream(cfg.seed, name, t), acc)
-                for t in range(cfg.trials)
-            ]
+            records = []
+            for t in range(cfg.trials):
+                acc.trial = t
+                records.append(trial(cfg, t, sampling.substream(cfg.seed, name, t), acc))
             return acc.report(name, cfg.trials, fold and fold(cfg, records))
 
         _REGISTRY[name] = _Check(group, run, qubit_only)
@@ -287,14 +311,11 @@ def _(cfg, t, rng, acc):
     map_of_mix = _swap_raw(mixed_input.tolist(), z)
     acc.slack(
         majorization_slack(mix_of_maps, map_of_mix),
-        lambda: {
-            "trial": t,
-            "weights": _floats(ps),
-            "inputs": [_floats(x) for x in xs],
-            "z": _floats(z),
-            "mix_of_maps": _floats(mix_of_maps),
-            "map_of_mix": _floats(map_of_mix),
-        },
+        weights=ps,
+        inputs=xs,
+        z=z,
+        mix_of_maps=mix_of_maps,
+        map_of_mix=map_of_mix,
     )
 
 
@@ -308,16 +329,7 @@ def _(cfg, t, rng, acc):
     lhs = det_vec(swap_rule(x, y))
     rhs = d**d * det_vec(x) * det_vec(y)
     rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-    acc.slack(
-        rel,
-        lambda: {
-            "trial": t,
-            "x": _floats(x.entries),
-            "y": _floats(y.entries),
-            "lhs": float(lhs),
-            "rhs": float(rhs),
-        },
-    )
+    acc.slack(rel, x=x, y=y, lhs=lhs, rhs=rhs)
 
 
 @_trials("lemma_duality", "lemmas")
@@ -335,16 +347,7 @@ def _(cfg, t, rng, acc):
     rhs = [scale * v for v in _swap_raw(adjugate_vec(x), adjugate_vec(y))]
     ref = max(abs(v) for v in lhs)
     worst = max(abs(a - b) for a, b in zip(lhs, rhs)) / max(ref, 1e-300)
-    acc.slack(
-        worst,
-        lambda: {
-            "trial": t,
-            "x": _floats(x.entries),
-            "y": _floats(y.entries),
-            "lhs": _floats(lhs),
-            "rhs": _floats(rhs),
-        },
-    )
+    acc.slack(worst, x=x, y=y, lhs=lhs, rhs=rhs)
 
 
 def _extremity_extras(cfg, records):
@@ -371,15 +374,7 @@ def _(cfg, t, rng, acc):
         cand = SchmidtVector(sampling.tail_collapse(x.entries, d))
         record = (1, _REJECTION_BUDGET)
     pur = purify_rule(x, d)
-    acc.slack(
-        majorization_slack(cand.entries, pur.entries),
-        lambda: {
-            "trial": t,
-            "x": _floats(x.entries),
-            "candidate": _floats(cand.entries),
-            "purified": _floats(pur.entries),
-        },
-    )
+    acc.slack(majorization_slack(cand.entries, pur.entries), x=x, candidate=cand, purified=pur)
     return record
 
 
@@ -401,13 +396,10 @@ def _(cfg, t, rng, acc):
     map_of_mix = _purify_raw(mixed_input.tolist(), d)
     acc.slack(
         majorization_slack(mix_of_maps, map_of_mix),
-        lambda: {
-            "trial": t,
-            "weights": _floats(ps),
-            "inputs": [_floats(x) for x in xs],
-            "mix_of_maps": _floats(mix_of_maps),
-            "map_of_mix": _floats(map_of_mix),
-        },
+        weights=ps,
+        inputs=xs,
+        mix_of_maps=mix_of_maps,
+        map_of_mix=map_of_mix,
     )
 
 
@@ -433,17 +425,7 @@ def _(cfg, t, rng, acc):
             z = np.exp(sampling.dominated_vector(np.log(z), steps, rng)).tolist()
     lhs = np.log(_purify_raw(x, d)) + np.log(_purify_raw(y, d))
     rhs = np.log(_purify_raw(z, d))
-    acc.slack(
-        submajorization_slack(rhs, lhs),
-        lambda: {
-            "trial": t,
-            "x": _floats(x),
-            "y": _floats(y),
-            "z": _floats(z),
-            "lhs_logs": _floats(lhs),
-            "rhs_logs": _floats(rhs),
-        },
-    )
+    acc.slack(submajorization_slack(rhs, lhs), x=x, y=y, z=z, lhs_logs=lhs, rhs_logs=rhs)
 
 
 # the largest dimension at which the swap part of isotone_maps is asserted
@@ -454,7 +436,7 @@ def _isotone_extras(cfg, swap_slacks):
     if cfg.dimension <= _SWAP_ISOTONE_MAX_D:
         return None
     worst = max(range(cfg.trials), key=swap_slacks.__getitem__)
-    return {"swap_max_slack": float(swap_slacks[worst]), "swap_worst_trial": worst}
+    return {"swap_max_slack": swap_slacks[worst], "swap_worst_trial": worst}
 
 
 @_trials("isotone_maps", "lemmas", fold=_isotone_extras)
@@ -501,15 +483,12 @@ def _(cfg, t, rng, acc):
         worst = max(s_pur, s_mono, s_conc)
     acc.slack(
         worst,
-        lambda: {
-            "trial": t,
-            "swap_slack": float(s_swap),
-            "purify_slack": float(s_pur),
-            "monotonicity_slack": float(s_mono),
-            "concavity_slack": float(s_conc),
-            "x": _floats(x),
-            "y": _floats(y),
-        },
+        swap_slack=s_swap,
+        purify_slack=s_pur,
+        monotonicity_slack=s_mono,
+        concavity_slack=s_conc,
+        x=x,
+        y=y,
     )
     return s_swap
 
@@ -545,19 +524,7 @@ def _(cfg, t, rng, acc):
         s = float(rng.uniform(0.0, k - l + 1))
     tx = _prefix_term(x, l, k, s)
     ty = _prefix_term(y, l, k, s)
-    acc.slack(
-        (ty - tx) / max(abs(tx), 1e-300),
-        lambda: {
-            "trial": t,
-            "x": _floats(x),
-            "y": _floats(y),
-            "k": k,
-            "l": l,
-            "s": float(s),
-            "lhs": float(tx),
-            "rhs": float(ty),
-        },
-    )
+    acc.slack((ty - tx) / max(abs(tx), 1e-300), x=x, y=y, k=k, l=l, s=s, lhs=tx, rhs=ty)
 
 
 def _fold_link(d, rng) -> SchmidtVector:
@@ -621,12 +588,9 @@ def _(cfg, t, rng, acc):
     ]
     acc.slack(
         max(abs(a - b) for vec in folded for a, b in zip(vec, full)),
-        lambda: {
-            "trial": t,
-            "links": [_floats(v.entries) for v in links],
-            "full_product": _floats(full),
-            "folded": [_floats(vec) for vec in folded],
-        },
+        links=links,
+        full_product=full,
+        folded=folded,
     )
 
 
@@ -672,13 +636,10 @@ def _(cfg, t, rng, acc):
         want = functools.reduce(swap_rule, links).entries
         acc.slack(
             max(abs(a - b) for a, b in zip(got, want)),
-            lambda: {
-                "trial": t,
-                "links": [_floats(v.entries) for v in links],
-                "reduced": _floats(got),
-                "left_fold": _floats(want),
-            },
             tol=0.0,
+            links=links,
+            reduced=got,
+            left_fold=want,
         )
         return
     net = sampling.random_network(d, 30, rng)
@@ -697,14 +658,11 @@ def _(cfg, t, rng, acc):
             abs(base["cep_probability"] - other["cep_probability"]),
             *(abs(a - b) for a, b in zip(base["det_vector"], other["det_vector"])),
         ),
-        lambda: {
-            "trial": t,
-            "edges": [[e.u, e.v, _floats(e.link.entries)] for e in edges],
-            "topology": [base["topology"], other["topology"]],
-            "cep_probability": [base["cep_probability"], other["cep_probability"]],
-            "det_vector": [base["det_vector"], other["det_vector"]],
-        },
         tol=0.0,
+        edges=edges,
+        topology=[base["topology"], other["topology"]],
+        cep_probability=[base["cep_probability"], other["cep_probability"]],
+        det_vector=[base["det_vector"], other["det_vector"]],
     )
 
 
@@ -712,7 +670,7 @@ def _amgm_extras(cfg, records):
     tight = _hits(records)
     return {
         "equality_trials": len(tight),
-        "equality_max_abs_slack": float(max([0.0, *tight])),
+        "equality_max_abs_slack": max([0.0, *tight]),
     }
 
 
@@ -755,14 +713,7 @@ def _(cfg, t, rng, acc):
         bound_mean = prefix + j * math.log1p(ratio / j)
         bound_exp = prefix + ratio
         worst = max(worst, mean_ln - bound_mean, mean_ln - bound_exp)
-    acc.slack(
-        worst,
-        lambda: {
-            "trial": t,
-            "offset": float(delta),
-            "increments": _floats(eps),
-        },
-    )
+    acc.slack(worst, offset=delta, increments=eps)
     if mode in (0, 1):
         # the (1 + ratio/n)^n form is tight for equal increments
         prefix = math.fsum(ln_eps)
@@ -803,14 +754,11 @@ def _(cfg, t, rng, acc):
     worst = max(s_local, s_swap, s_pur)
     acc.slack(
         worst,
-        lambda: {
-            "trial": t,
-            "link": _floats(lam.entries),
-            "locality_slack": float(s_local),
-            "swap_context_slack": float(s_swap),
-            "purify_context_slack": float(s_pur),
-            "probabilities": _floats(probs),
-        },
+        link=lam,
+        locality_slack=s_local,
+        swap_context_slack=s_swap,
+        purify_context_slack=s_pur,
+        probabilities=probs,
     )
 
 
@@ -832,15 +780,15 @@ def _series_low_order_witness(d: int) -> dict:
     rule_value = concurrence(swap_rule(link, link), 2)
     return {
         "order": 2,
-        "link": _floats(link.entries),
-        "ensemble_average": float(avg),
-        "rule_value": float(rule_value),
-        "gap": float(avg - rule_value),
+        "link": link,
+        "ensemble_average": avg,
+        "rule_value": rule_value,
+        "gap": avg - rule_value,
     }
 
 
 def _series_extras(cfg, records):
-    extras = {"deterministic_equality_gap": float(max([0.0, *_hits(records)]))}
+    extras = {"deterministic_equality_gap": max([0.0, *_hits(records)])}
     if cfg.dimension >= 3:
         extras["low_order_witness"] = _series_low_order_witness(cfg.dimension)
     return extras
@@ -870,26 +818,14 @@ def _(cfg, t, rng, acc):
     s_avg = avg - cd_base
     prod = concurrence(la, d) * concurrence(lb, d)
     rel_mult = abs(cd_base - prod) / max(prod, 1e-300)
-    acc.slack(
-        s_avg,
-        lambda: {
-            "trial": t,
-            "claim": "average_top_order",
-            "links": [_floats(la.entries), _floats(lb.entries)],
-            "average": float(avg),
-            "rule_value": float(cd_base),
-        },
-    )
+    acc.slack(s_avg, claim="average_top_order", links=[la, lb], average=avg, rule_value=cd_base)
     acc.slack(
         rel_mult,
-        lambda: {
-            "trial": t,
-            "claim": "multiplicativity",
-            "links": [_floats(la.entries), _floats(lb.entries)],
-            "rule_value": float(cd_base),
-            "product": float(prod),
-        },
         tol=1e-8,
+        claim="multiplicativity",
+        links=[la, lb],
+        rule_value=cd_base,
+        product=prod,
     )
     return abs(s_avg) if deterministic else None
 
@@ -915,16 +851,7 @@ def _(cfg, t, rng, acc):
     s_rule = majorization_slack(mix, pur.entries)
     s_avg = _average_gap([p for p, _ in ens], states, pur)
     worst = max(s_joint, s_rule, s_avg)
-    acc.slack(
-        worst,
-        lambda: {
-            "trial": t,
-            "links": [_floats(la.entries), _floats(lb.entries)],
-            "joint_slack": float(s_joint),
-            "rule_slack": float(s_rule),
-            "average_slack": float(s_avg),
-        },
-    )
+    acc.slack(worst, links=[la, lb], joint_slack=s_joint, rule_slack=s_rule, average_slack=s_avg)
 
 
 @functools.lru_cache(maxsize=None)
@@ -943,8 +870,8 @@ def _nested_qubit_demo() -> dict:
     rule_value = concurrence(swap_rule(pur, pur), 2)
     return {
         "link": [0.9, 0.1],
-        "rule_value": float(rule_value),
-        "nested_average": float(avg),
+        "rule_value": rule_value,
+        "nested_average": avg,
     }
 
 
@@ -961,7 +888,7 @@ def _parallel_then_series_extras(cfg, records):
     nested = _hits(records)
     extras = {
         "nested_trials": len(nested),
-        "nested_best_average": float(max([0.0, *nested])),
+        "nested_best_average": max([0.0, *nested]),
     }
     if cfg.dimension == 2:
         extras["nested_qubit_demo"] = _nested_qubit_demo()
@@ -992,16 +919,7 @@ def _(cfg, t, rng, acc):
     bound = concurrence(
         swap_rule(purify_rule(joint_left, d), purify_rule(joint_right, d)), d
     )
-    acc.slack(
-        avg - bound,
-        lambda: {
-            "trial": t,
-            "links": [_floats(v.entries) for v in links],
-            "nested": nested,
-            "average": float(avg),
-            "rule_value": float(bound),
-        },
-    )
+    acc.slack(avg - bound, links=links, nested=nested, average=avg, rule_value=bound)
     return avg if nested else None
 
 
@@ -1034,13 +952,10 @@ def _(cfg, t, rng, acc):
         worst_branch = min(worst_branch, concurrence(branch_vec, 2))
     acc.slack(
         worst_branch - base,
-        lambda: {
-            "trial": t,
-            "edge": idx,
-            "edge_count": len(net.edges),
-            "worst_branch": float(worst_branch),
-            "deterministic_value": float(base),
-        },
+        edge=idx,
+        edge_count=len(net.edges),
+        worst_branch=worst_branch,
+        deterministic_value=base,
     )
 
 
@@ -1084,17 +999,19 @@ def reproduce_counterexample() -> dict:
         math.fsum(p * v.entries[j] for p, v in finals) for j in range(2)
     ]
     swap_pair = swap_rule(lam, lam)
-    return {
-        "det_vector": _floats(det_vecfinal.entries),
-        "det_value": float(det_value),
-        "closed_form_top": float(_TRIANGLE_TOP),
-        "zz_ensemble": [[float(p), _floats(v.entries)] for p, v in ensemble],
-        "zz_value": float(zz_value),
-        "worst_case_value": float(worst_value),
-        "mixture": _floats(mixture),
-        "swap_vector": _floats(swap_pair.entries),
-        "mixture_majorizes_swap": bool(majorizes(mixture, swap_pair.entries)),
-    }
+    return _plain(
+        {
+            "det_vector": det_vecfinal,
+            "det_value": det_value,
+            "closed_form_top": _TRIANGLE_TOP,
+            "zz_ensemble": ensemble,
+            "zz_value": zz_value,
+            "worst_case_value": worst_value,
+            "mixture": mixture,
+            "swap_vector": swap_pair,
+            "mixture_majorizes_swap": majorizes(mixture, swap_pair),
+        }
+    )
 
 
 @_fixed("counterexample", "counterexample")
@@ -1103,39 +1020,24 @@ def _(acc):
     values: reduction vector, both strategy values, the mixture, and
     the failed majorization."""
     data = reproduce_counterexample()
+    top, det, zz = data["det_vector"][0], data["det_value"], data["zz_value"]
     acc.slack(
-        abs(data["det_vector"][0] - _TRIANGLE_TOP),
-        {"claim": "closed_form_top", "got": data["det_vector"][0], "want": _TRIANGLE_TOP},
-        tol=1e-9,
+        abs(top - _TRIANGLE_TOP), tol=1e-9, claim="closed_form_top", got=top, want=_TRIANGLE_TOP
     )
+    acc.slack(abs(det - _REFERENCE_DET), tol=5e-4, claim="det_value", got=det, want=_REFERENCE_DET)
+    acc.slack(abs(zz - _REFERENCE_ZZ), tol=5e-4, claim="zz_value", got=zz, want=_REFERENCE_ZZ)
+    mixture = data["mixture"]
     acc.slack(
-        abs(data["det_value"] - _REFERENCE_DET),
-        {"claim": "det_value", "got": data["det_value"], "want": _REFERENCE_DET},
-        tol=5e-4,
-    )
-    acc.slack(
-        abs(data["zz_value"] - _REFERENCE_ZZ),
-        {"claim": "zz_value", "got": data["zz_value"], "want": _REFERENCE_ZZ},
-        tol=5e-4,
-    )
-    acc.slack(
-        max(abs(a - b) for a, b in zip(data["mixture"], _REFERENCE_MIXTURE)),
-        {"claim": "mixture", "got": data["mixture"], "want": list(_REFERENCE_MIXTURE)},
+        max(abs(a - b) for a, b in zip(mixture, _REFERENCE_MIXTURE)),
         tol=1e-3,
+        claim="mixture",
+        got=mixture,
+        want=_REFERENCE_MIXTURE,
     )
+    majorized = data["mixture_majorizes_swap"]
+    acc.slack(float(majorized), tol=0.5, claim="mixture_must_not_majorize", got=majorized)
     acc.slack(
-        1.0 if data["mixture_majorizes_swap"] else 0.0,
-        {"claim": "mixture_must_not_majorize", "got": data["mixture_majorizes_swap"]},
-        tol=0.5,
-    )
-    acc.slack(
-        0.0 if data["zz_value"] > data["det_value"] else 1.0,
-        {
-            "claim": "strategy_beats_rules",
-            "zz_value": data["zz_value"],
-            "det_value": data["det_value"],
-        },
-        tol=0.5,
+        0.0 if zz > det else 1.0, tol=0.5, claim="strategy_beats_rules", zz_value=zz, det_value=det
     )
     return data
 

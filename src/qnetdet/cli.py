@@ -21,6 +21,7 @@ per process.
 import argparse
 import contextlib
 import csv
+import dataclasses
 import datetime
 import functools
 import io
@@ -179,19 +180,12 @@ def cmd_verify(args) -> int:
         reports = run_checks(args.selector, cfg)
     except KeyError as exc:
         return _fail(str(exc.args[0]), EXIT_USAGE)
-    config_echo = {
-        "dimension": cfg.dimension,
-        "trials": cfg.trials,
-        "seed": cfg.seed,
-        "tolerance": cfg.tolerance,
-        "povm_size": cfg.povm_size,
-    }
     if args.pretty:
         _emit(_verify_pretty(reports), args.out)
     else:
         doc = {
             "manifest": _manifest(
-                "verify", {"selector": args.selector}, config_echo, args.timestamp
+                "verify", {"selector": args.selector}, dataclasses.asdict(cfg), args.timestamp
             ),
             "reports": [r.to_dict() for r in reports],
         }

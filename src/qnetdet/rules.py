@@ -214,15 +214,6 @@ def _swap_raw(xs, ys) -> list:
     return _series([float(v) for v in xs], [float(v) for v in ys])
 
 
-def _swap_raw_sv(xs, ys) -> list:
-    """Series rule via the pure-Python one-sided Jacobi route; a
-    cross-check of _swap_raw at d = 2 and from d = 4 up (at d = 3 it is
-    the production route)."""
-    if len(xs) != len(ys):
-        raise DimensionMismatch(f"lengths {len(xs)} and {len(ys)} differ")
-    return kernels.swap_sv([float(v) for v in xs], [float(v) for v in ys])
-
-
 def purify_rule(x, d: int) -> SchmidtVector:
     """Parallel rule: the majorization-largest d-dimensional Schmidt
     vector deterministically reachable from Schmidt vector x.

@@ -69,17 +69,30 @@ def random_schmidt(dimension, rng):
     return SchmidtVector(rng.dirichlet(np.ones(dimension)))
 
 
-def random_positive(length, rng, scale=1.0):
-    """Strictly positive vector with entries spread over ~two decades.
+def random_positive(length, rng):
+    """Strictly positive vector with entries spread over ~two decades:
+    unit-mean exponential draws plus 0.01.
 
     The additive offset keeps log-domain checks away from -inf without
     thinning the exponential tail.
     """
-    return (rng.exponential(scale, size=length) + 0.01 * scale).tolist()
+    return (rng.exponential(1.0, size=length) + 0.01).tolist()
 
 
 def _complex_gaussian(shape, rng):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _vec_normalized(raw):
+    # raw has shape (count, n), one vectorized element per row; returns
+    # the rows times M^{-1/2}, M their Gram operator, or None when M is
+    # numerically singular.  The draw's temporaries are freed on return.
+    gram = raw.T @ raw.conj()
+    w, u = np.linalg.eigh(gram)
+    if w[0] < _COND_FLOOR * w[-1]:
+        return None
+    half = (u * (w**-0.5)) @ u.conj().T
+    return (half @ raw.T).T
 
 
 def sample_povm_arrays(dimension, count, rng):
@@ -89,14 +102,16 @@ def sample_povm_arrays(dimension, count, rng):
     them in the vectorized picture: with M the Gram operator
     sum_a vec(A_a) vec(A_a)^dagger, the elements are
     unvec(M^{-1/2} vec(A_a)), which satisfies the completeness relation
-    by construction whenever M is invertible.  Invertibility requires
-    count >= d^2.
+    whenever M is invertible.  Invertibility requires count >= d^2.  In
+    floating point an ill-conditioned M can miss completeness by more
+    than validate_povm's tolerance, so a draw is returned only once
+    validate_povm accepts it; otherwise the next one is drawn from rng.
 
     Raises
     ------
     SingularNormalizer
-        count < d^2, before anything is drawn, or the Gram operator
-        stayed numerically singular over the resample budget.
+        count < d^2, before anything is drawn, or no draw was accepted
+        within RESAMPLE_BUDGET.
     """
     n = dimension * dimension
     if count < n:
@@ -104,29 +119,20 @@ def sample_povm_arrays(dimension, count, rng):
             f"{count} elements cannot complete a measurement at dimension {dimension}, which needs {n}"
         )
     for _ in range(RESAMPLE_BUDGET):
-        raw = _complex_gaussian((count, n), rng)
-        gram = raw.T @ raw.conj()
-        w, u = np.linalg.eigh(gram)
-        if w[0] < _COND_FLOOR * w[-1]:
+        vecs = _vec_normalized(_complex_gaussian((count, n), rng))
+        if vecs is None:
             continue
-        half = (u * (w**-0.5)) @ u.conj().T
-        return (half @ raw.T).T.reshape(count, dimension, dimension)
+        els = vecs.reshape(count, dimension, dimension)
+        if validate_povm(Povm(els)):
+            return els
     raise SingularNormalizer(
-        f"Gram operator of {count} elements at dimension {dimension} stayed singular"
+        f"no complete {count}-element measurement at dimension {dimension} in {RESAMPLE_BUDGET} draws"
     )
 
 
 def sample_povm(dimension, count, rng):
-    """Random complete swap measurement that validate_povm accepts (see
-    sample_povm_arrays).  An ill-conditioned draw can miss completeness
-    by more than its tolerance; it is replaced by the next draw from
-    rng, so a first draw that passes is returned as drawn.  Raises
-    SingularNormalizer if no draw passes within RESAMPLE_BUDGET."""
-    for _ in range(RESAMPLE_BUDGET):
-        povm = Povm(sample_povm_arrays(dimension, count, rng))
-        if validate_povm(povm):
-            return povm
-    raise SingularNormalizer(f"no complete measurement of {count} elements in {RESAMPLE_BUDGET} draws")
+    """sample_povm_arrays as a Povm."""
+    return Povm(sample_povm_arrays(dimension, count, rng))
 
 
 def _right_normalized(raw):
@@ -194,13 +200,13 @@ def dominated_vector(base, steps, rng):
     return out.tolist()
 
 
-def log_damped(base, rng, floor=0.5):
-    """Entrywise product of ``base`` with factors in [floor, 1).
+def log_damped(base, rng):
+    """Entrywise product of ``base`` with factors in [0.5, 1).
 
     The log of the result sits pointwise below the log of ``base``, so
     after sorting it is weakly submajorized by it.
     """
-    u = rng.uniform(floor, 1.0, size=len(base))
+    u = rng.uniform(0.5, 1.0, size=len(base))
     return (np.asarray(base, dtype=float) * u).tolist()
 
 

@@ -1,11 +1,13 @@
 """Verification suite plumbing: configs, reports, determinism, and the
 pass/fail behavior of every registered check."""
 
+import json
 import math
 
+import numpy as np
 import pytest
 
-from qnetdet import checks
+from qnetdet import checks, cli
 from qnetdet.checks import (
     CHECKS,
     GROUPS,
@@ -15,8 +17,9 @@ from qnetdet.checks import (
     run_checks,
 )
 from qnetdet.errors import DimensionNotTwo, DimensionTooLarge, DimensionTooSmall
+from qnetdet.network import Edge
 from qnetdet.rules import _swap_raw
-from qnetdet.schmidt import majorization_slack
+from qnetdet.schmidt import SchmidtVector, majorization_slack
 
 FAST = CheckConfig(dimension=2, trials=25, seed=3)
 
@@ -157,6 +160,73 @@ class TestReportContract:
         a = CHECKS["lemma_det_preserving"](CheckConfig(trials=40, seed=1))
         b = CHECKS["lemma_det_preserving"](CheckConfig(trials=40, seed=2))
         assert a.max_slack != b.max_slack
+
+
+class TestPlain:
+    """`_plain` makes every value of a violation record or the extras
+    JSON-ready: one row per kind of value, with the exact result types."""
+
+    LINK = SchmidtVector([0.75, 0.25])
+
+    @pytest.mark.parametrize(
+        "value, want",
+        [
+            (LINK, [0.75, 0.25]),
+            (Edge("A", "B", LINK), ["A", "B", [0.75, 0.25]]),
+            ([1, 0.5, "a"], [1, 0.5, "a"]),
+            ((np.float64(0.5), 2), [0.5, 2]),
+            (np.array([0.25, 0.5]), [0.25, 0.5]),
+            (np.array([[1.0], [2.0]]), [[1.0], [2.0]]),
+            ({"k": (0.5,), "n": None}, {"k": [0.5], "n": None}),
+            ("text", "text"),
+            (True, True),
+            (7, 7),
+            (None, None),
+            (0.125, 0.125),
+            (np.float64(0.125), 0.125),
+            (np.int64(3), 3.0),
+            (np.bool_(True), 1.0),
+            (math.nan, "nan"),
+            (math.inf, "inf"),
+            (-math.inf, "-inf"),
+            (np.float64(-math.inf), "-inf"),
+        ],
+        ids=lambda v: type(v).__name__,
+    )
+    def test_converts(self, value, want):
+        got = checks._plain(value)
+        assert got == want and repr(got) == repr(want)
+
+        def types(v):
+            if isinstance(v, list):
+                return [types(x) for x in v]
+            if isinstance(v, dict):
+                return {k: types(x) for k, x in v.items()}
+            return type(v)
+
+        assert types(got) == types(want)
+
+
+class TestNanSlack:
+    def test_nan_is_a_violation_that_keeps_the_maximum(self):
+        acc = checks._Acc(1e-9)
+        acc.trial = 4
+        acc.slack(-0.5)
+        acc.slack(math.nan, lhs=math.nan, rhs=[1.0, math.inf])
+        rep = acc.report("nan", 5)
+        assert not rep.passed and rep.max_slack == -0.5
+        assert rep.violations == ({"trial": 4, "lhs": "nan", "rhs": [1.0, "inf"]},)
+
+    def test_verify_reports_a_nan_check_as_failed(self, monkeypatch, tmp_path):
+        # every determinant NaN makes every lemma_det_preserving slack NaN
+        monkeypatch.setattr(checks, "det_vec", lambda v: math.nan)
+        out = tmp_path / "verify.json"
+        argv = ["verify", "lemma_det_preserving", "--trials", "3", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_VIOLATIONS
+        (rep,) = json.loads(out.read_text(encoding="utf-8"))["reports"]
+        assert rep["passed"] is False and rep["max_slack"] == 0
+        assert [v["trial"] for v in rep["violations"]] == [0, 1, 2]
+        assert all(v["lhs"] == v["rhs"] == "nan" for v in rep["violations"])
 
 
 class TestGroupRuns:

@@ -194,7 +194,7 @@ class TestTypeContract:
         payloads included, holds only types the renderer accepts."""
         slack = checks._Acc.slack
         monkeypatch.setattr(
-            checks._Acc, "slack", lambda self, value, payload, tol=None: slack(self, value, payload, -math.inf)
+            checks._Acc, "slack", lambda self, value, /, tol=None, **record: slack(self, value, tol=-math.inf, **record)
         )
         cfg = checks.CheckConfig(dimension=d, trials=3, seed=1)
         reports = checks.run_checks("all", cfg)

@@ -18,7 +18,6 @@ from qnetdet.errors import (
 from qnetdet.rules import (
     Povm,
     _swap_raw,
-    _swap_raw_sv,
     bell_povm_d2,
     conversion_probability,
     deterministic_swap_povm,
@@ -144,7 +143,7 @@ class TestSeriesAccuracy:
         links = _hard_links(d, substream(SEED, "swap_hard_raw", d), 12)
         for x, y in zip(links[0::2], links[1::2]):
             out = _swap_raw(x, y)
-            assert _worst_rel(out, _swap_raw_sv(x, y)) <= 1e-13
+            assert _worst_rel(out, kernels.swap_sv(x, y)) <= 1e-13
             assert _log_det_gap(out, x, y) <= 1e-12
 
     @_JACOBI_DIMS
@@ -153,7 +152,7 @@ class TestSeriesAccuracy:
         for a, b in zip(links[0::2], links[1::2]):
             x, y = normalize_descending(a), normalize_descending(b)
             out = swap_rule(x, y).entries
-            ref = _swap_raw_sv(x.entries, y.entries)
+            ref = kernels.swap_sv(x.entries, y.entries)
             total = math.fsum(ref)
             assert _worst_rel(out, [v / total for v in ref]) <= 1e-13
             assert _log_det_gap(out, x.entries, y.entries) <= 1e-12

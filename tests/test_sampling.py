@@ -6,9 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
+from qnetdet import sampling
 from qnetdet.errors import RejectionBudgetExceeded, SingularNormalizer
 from qnetdet.network import reduce_series_parallel
-from qnetdet.rules import Povm, validate_povm
+from qnetdet.rules import validate_povm
 from qnetdet.sampling import (
     dominated_vector,
     dominating_candidate,
@@ -127,15 +128,23 @@ class TestMeasurements:
                 sample_povm_arrays(3, count, rng)
         assert rng.random() == substream(SEED, "povmu", 1).random()
 
-    def test_povm_wrapper_redraws_an_incomplete_draw(self):
+    def test_povm_wrapper_redraws_an_incomplete_draw(self, monkeypatch):
         # the first d = 8 draw of this stream misses completeness by more
-        # than validate_povm's tolerance; the second one is returned
-        first = substream(31, "outcomes", 0)
-        assert not validate_povm(Povm(sample_povm_arrays(8, 64, first)))
-        second = sample_povm_arrays(8, 64, first)
+        # than validate_povm's tolerance; it is rejected and the second
+        # draw is returned
+        seen = []
+
+        def spy(povm):
+            seen.append((povm.elements, validate_povm(povm)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(sampling, "validate_povm", spy)
+        els = sample_povm_arrays(8, 64, substream(31, "outcomes", 0))
+        assert [ok for _, ok in seen] == [False, True]
+        assert np.array_equal(els, seen[1][0])
+        monkeypatch.undo()
         povm = sample_povm(8, 64, substream(31, "outcomes", 0))
-        assert validate_povm(povm)
-        assert np.array_equal(povm.elements, second)
+        assert validate_povm(povm) and np.array_equal(povm.elements, els)
 
     @pytest.mark.parametrize("d,count", [(2, 1), (2, 3), (3, 2), (4, 4)])
     def test_local_kraus_complete(self, d, count):
