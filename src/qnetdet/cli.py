@@ -5,27 +5,27 @@ All machine output is JSON with a manifest at the head and floats at
 12 significant digits, so a fixed seed reproduces identical bytes; a
 value computed with numpy, such as the series rule from d = 4 up or an
 `outcomes` ensemble, is reproducible for one numpy/LAPACK build.  Exit
-codes: 0 success, 2 usage or input schema problems, 3 network not
-series-parallel, 4 terminals disconnected, 5 verification found
-violations, 6 invalid measurement.
+codes: 0 success, 2 usage or input schema problems (an unreadable or
+unwritable path among them), 3 network not series-parallel, 4
+terminals disconnected, 5 verification found violations, 6 invalid
+measurement.
 
 `reduce` on a network of d <= 3 loads no numpy: `checks` and
 `sampling`, which need it, are imported inside the `verify` and
-`outcomes` code that uses them, so a cold `qnetdet reduce` pays for the
-interpreter and the pure-Python modules only (importing this module
-takes about a third of the time it took with numpy).  From d = 4 up the
-series rule loads numpy for its SVD.  The argument parser is built once
-per process.
+`outcomes` code that uses them.  A module that serves one flag is
+imported where that flag is handled: `logging` for -v, `datetime` for
+--timestamp, `csv` for --format csv, `dataclasses` for `verify`.  So a
+cold `qnetdet reduce` imports the package, `argparse`, `json` and what
+those two import on top of the interpreter, and no `dataclasses`,
+`inspect`, `logging`, `datetime`, `csv` or `typing`.
+From d = 4 up the series rule loads numpy for its SVD.  The argument
+parser is built once per process.
 """
 
 import argparse
 import contextlib
-import csv
-import dataclasses
-import datetime
 import functools
 import io
-import logging
 import os
 import sys
 
@@ -45,8 +45,6 @@ from .rules import (
     enumerate_swap_outcomes,
 )
 from .schmidt import concurrence, normalize_descending
-
-logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -74,6 +72,8 @@ def _emit(text: str, out_path) -> None:
 def _manifest(subcommand: str, inputs: dict, config: dict, stamp: bool) -> dict:
     ts = None
     if stamp:
+        import datetime
+
         ts = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
     return {
         "tool": "qnetdet",
@@ -102,6 +102,8 @@ def _default_seed(value) -> int:
 
 
 def _reduce_csv(rep: dict) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     vec = rep["det_vector"]
@@ -166,6 +168,8 @@ def _verify_pretty(reports) -> str:
 
 
 def cmd_verify(args) -> int:
+    import dataclasses
+
     from .checks import CheckConfig, run_checks
 
     seed = _default_seed(args.seed)
@@ -392,6 +396,8 @@ def _log_to_stderr(verbosity: int):
     if not verbosity:
         yield
         return
+    import logging
+
     package = logging.getLogger("qnetdet")
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("qnetdet: %(levelname)s %(name)s: %(message)s"))
@@ -423,9 +429,7 @@ def main(argv=None) -> int:
             return _fail(str(exc), EXIT_DISCONNECTED)
         except InvalidPovm as exc:
             return _fail(str(exc), EXIT_INVALID_POVM)
-        except FileNotFoundError as exc:
-            return _fail(str(exc), EXIT_USAGE)
-        except (QnetdetError, ValueError) as exc:
+        except (QnetdetError, OSError, ValueError) as exc:
             return _fail(str(exc), EXIT_USAGE)
 
 

@@ -36,17 +36,23 @@ verification suite pins that no node name, edge order or edge
 direction changes a bit of the answer.  The same moves fold
 scalar scores into the probabilistic conversion figure, and the
 topology class is read from their shape.
+
+The decomposition logs one DEBUG line to the `qnetdet.network` logger
+(edges dropped, moves by operator, the largest bundle arity), but only
+when `logging` is already in `sys.modules`: a handler can exist only
+once something imported `logging`, so without it no line is lost, and
+a cold `qnetdet reduce` does not import it.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import math
-from dataclasses import dataclass
+import sys
+from collections.abc import Iterable
 from enum import Enum
-from typing import Dict, Iterable, List, Tuple
 
+from ._frozen import Frozen
 from .errors import (
     DanglingEndpoint,
     DisconnectedTerminals,
@@ -57,8 +63,6 @@ from .errors import (
 )
 from .rules import conversion_probability, purify_rule, swap_rule
 from .schmidt import SchmidtVector, concurrence, normalize_descending
-
-logger = logging.getLogger(__name__)
 
 
 class TopologyClass(Enum):
@@ -85,13 +89,18 @@ class TopologyClass(Enum):
     NOT_SERIES_PARALLEL = "NotSeriesParallel"
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(Frozen):
     """Undirected network edge carrying a Schmidt vector."""
 
+    __slots__ = ("u", "v", "link")
     u: str
     v: str
     link: SchmidtVector
+
+    def __init__(self, u: str, v: str, link: SchmidtVector):
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "link", link)
 
 
 def _check_endpoint(name) -> str:
@@ -100,13 +109,13 @@ def _check_endpoint(name) -> str:
     return name
 
 
-@dataclass(frozen=True)
-class QuantumNetwork:
+class QuantumNetwork(Frozen):
     """Immutable two-terminal network of Schmidt-vector links."""
 
+    __slots__ = ("dimension", "terminals", "edges")
     dimension: int
-    terminals: Tuple[str, str]
-    edges: Tuple[Edge, ...]
+    terminals: tuple[str, str]
+    edges: tuple[Edge, ...]
 
     def __init__(self, dimension: int, terminals: Iterable[str], edges: Iterable[Edge]):
         terms = tuple(terminals)
@@ -217,7 +226,7 @@ def _key(tree) -> int:
     return tree if tree.__class__ is int else tree.key
 
 
-def _core(network: QuantumNetwork) -> List[int]:
+def _core(network: QuantumNetwork) -> list[int]:
     """Ids of the edges that lie on a simple A-B path.
 
     These are the edges of the block (Hopcroft-Tarjan) that would hold
@@ -226,14 +235,14 @@ def _core(network: QuantumNetwork) -> List[int]:
     cut node, so no simple A-B path runs through it.  Empty when B is
     unreachable from A."""
     a, b = network.terminals
-    adj: Dict[str, list] = {}
+    adj: dict[str, list] = {}
     for eid, e in enumerate(network.edges):
         if e.u != e.v:
             adj.setdefault(e.u, []).append((eid, e.v))
             adj.setdefault(e.v, []).append((eid, e.u))
     order = {a: 0, b: 1}
     low = [0, 1]
-    path: List[int] = []  # edges of the blocks still open
+    path: list[int] = []  # edges of the blocks still open
     stack = [(b, -1, iter(adj.get(b, ())), 0)]
     while stack:
         node, via, todo, mark = stack[-1]
@@ -357,7 +366,7 @@ def _decompose(network: QuantumNetwork):
         if eid not in kept
     ]
     # reduce the core in any order: each live edge carries its subtree
-    graph: Dict[str, dict] = {}
+    graph: dict[str, dict] = {}
     for eid in core:
         e = edges[eid]
         graph.setdefault(e.u, {})
@@ -381,13 +390,18 @@ def _decompose(network: QuantumNetwork):
         )
     emitted, root = _emit(graph[a][b], a, b, len(edges))
     moves += emitted
-    if logger.isEnabledFor(logging.DEBUG):
-        dropped = len(edges) - len(core)
-        arities = [m["arity"] for m in moves if m["op"] == "parallel"]
-        logger.debug(
-            "decomposed %d edges: dropped=%d series_moves=%d parallel_moves=%d max_bundle_arity=%d",
-            len(edges), dropped, len(moves) - dropped - len(arities), len(arities), max(arities, default=0),
-        )
+    # a handler needs logging imported, so without it no line is lost
+    if "logging" in sys.modules:
+        import logging
+
+        logger = logging.getLogger(__name__)
+        if logger.isEnabledFor(logging.DEBUG):
+            dropped = len(edges) - len(core)
+            arities = [m["arity"] for m in moves if m["op"] == "parallel"]
+            logger.debug(
+                "decomposed %d edges: dropped=%d series_moves=%d parallel_moves=%d max_bundle_arity=%d",
+                len(edges), dropped, len(moves) - dropped - len(arities), len(arities), max(arities, default=0),
+            )
     return moves, root
 
 
@@ -403,7 +417,7 @@ def _fold(moves, values, series_fn, parallel_fn) -> dict:
     return values
 
 
-def _det_parallel(links: List[SchmidtVector]) -> SchmidtVector:
+def _det_parallel(links: list[SchmidtVector]) -> SchmidtVector:
     """Parallel rule on a bundle, folded pairwise in ascending order of
     the members' vectors; no purify call sees more than d*d entries."""
     d = links[0].dimension

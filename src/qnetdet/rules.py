@@ -19,9 +19,8 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
+from ._frozen import Frozen
 from .backend import kernels
 from .errors import (
     DimensionMismatch,
@@ -32,20 +31,19 @@ from .errors import (
 )
 from .schmidt import MAJORIZATION_ATOL, SchmidtVector, ProbabilisticEnsemble, normalize_descending
 
-if TYPE_CHECKING:
-    import numpy as np
-
 # Measurement outcomes below this probability carry no statistical
 # weight and are numerically unstable to renormalize.
 OUTCOME_PROB_FLOOR = 1e-14
 
 
-@dataclass(frozen=True, eq=False)
-class Povm:
-    """Measurement in vectorized form: a read-only complex array of
-    shape (K, d, d) holding square matrices X_alpha whose vectorizations
-    satisfy the completeness relation
+class Povm(Frozen):
+    """Measurement in vectorized form: `elements`, a read-only complex
+    numpy array of shape (K, d, d) holding square matrices X_alpha whose
+    vectorizations satisfy the completeness relation
     sum_alpha conj(X_alpha[mu,nu]) X_alpha[mu',nu'] = delta delta.
+
+    Two measurements are equal only when they are the same object, and
+    hash by identity: an array has no single truth value.
 
     Raises
     ------
@@ -53,7 +51,9 @@ class Povm:
         The elements are empty, not 3-D or not square.
     """
 
-    elements: np.ndarray
+    __slots__ = ("elements",)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(self, elements):
         # numpy is imported here, in validate_povm, in _outcome_spectra
@@ -90,7 +90,7 @@ SERIES_LAPACK_MIN_D = 4
 
 
 @functools.lru_cache(maxsize=None)
-def _fourier(d: int) -> np.ndarray:
+def _fourier(d: int):
     """The d x d Fourier matrix with 1-based indices and unit-modulus
     entries exp(-2 pi i jk / d); cached per d, read-only."""
     import numpy as np

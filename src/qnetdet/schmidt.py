@@ -14,9 +14,9 @@ against a tolerance, and the verification suite reports both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Tuple
+from collections.abc import Iterable
 
+from ._frozen import Frozen
 from .backend import kernels
 from .errors import (
     DimensionMismatch,
@@ -67,8 +67,7 @@ def _values_of(x) -> list:
     return [float(v) for v in x]
 
 
-@dataclass(frozen=True)
-class SchmidtVector:
+class SchmidtVector(Frozen):
     """Immutable descending probability vector.
 
     Parameters
@@ -83,7 +82,8 @@ class SchmidtVector:
     EmptyInput, NonFiniteEntry, NegativeEntry, ValueError
     """
 
-    entries: Tuple[float, ...]
+    __slots__ = ("entries",)
+    entries: tuple[float, ...]
 
     def __init__(self, entries: Iterable[float]):
         vals = [float(v) for v in entries]
@@ -108,17 +108,17 @@ class SchmidtVector:
         return self.entries[i]
 
 
-@dataclass(frozen=True)
-class ProbabilisticEnsemble:
+class ProbabilisticEnsemble(Frozen):
     """Finite ensemble of Schmidt vectors with outcome probabilities.
 
     Probabilities must be nonnegative and sum to 1 within 1e-9; all
     member vectors must share one dimension.
     """
 
-    outcomes: Tuple[Tuple[float, SchmidtVector], ...]
+    __slots__ = ("outcomes",)
+    outcomes: tuple[tuple[float, SchmidtVector], ...]
 
-    def __init__(self, outcomes: Iterable[Tuple[float, SchmidtVector]]):
+    def __init__(self, outcomes: Iterable[tuple[float, SchmidtVector]]):
         items = []
         for p, vec in outcomes:
             p = float(p)

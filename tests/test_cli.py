@@ -1,5 +1,6 @@
 """Command-line behavior: golden outputs, exit codes, formats, seeds."""
 
+import errno
 import json
 import logging
 import math
@@ -110,6 +111,23 @@ class TestReduceFailures:
     def test_missing_file(self, run):
         code, _ = run("reduce", "networks/no_such_network.json")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv, path, err",
+        [
+            (["reduce", "networks"], "networks", errno.EISDIR),
+            (["reduce", "networks/triangle.json", "--out", "networks"], "networks", errno.EISDIR),
+            (["reduce", "networks/no_such_network.json"], "networks/no_such_network.json", errno.ENOENT),
+        ],
+        ids=["directory-input", "directory-out", "missing-file"],
+    )
+    def test_unreadable_path_is_usage_error(self, monkeypatch, repo_root, capsys, argv, path, err):
+        # one line on stderr and exit 2, not a traceback
+        monkeypatch.chdir(repo_root)
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"qnetdet: [Errno {err}] {os.strerror(err)}: {path!r}\n"
 
     def test_nan_link_rejected(self, tmp_path, run, capsys):
         # json accepts NaN, and NaN slips past the sum check
@@ -386,10 +404,14 @@ class TestVerbose:
         assert package.handlers == handlers and package.level == level
 
 
-# Runs `cli.main(argv)` (or only imports `qnetdet.cli` when argv is
-# null) in a fresh interpreter and prints what happened as JSON.
+# Imports `qnetdet.cli` and runs `cli.main(argv)` (only the import when
+# argv is null) in a fresh interpreter, and prints what happened as
+# JSON: the exit code, the output, the modules loaded at the end and
+# those the import and the call loaded (what the interpreter's site hook
+# loaded before does not count), and the package logger's state.
 _FRESH = """
-import contextlib, io, json, logging, sys
+import contextlib, io, json, sys
+before = set(sys.modules)
 from qnetdet import cli
 argv = json.loads(sys.argv[1])
 code, out, err = None, io.StringIO(), io.StringIO()
@@ -399,9 +421,11 @@ if argv is not None:
             code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
+loaded = set(sys.modules)
+import logging
 package = logging.getLogger("qnetdet")
 print(json.dumps({"code": code, "out": out.getvalue(), "err": err.getvalue(),
-                  "numpy": "numpy" in sys.modules,
+                  "numpy": "numpy" in loaded, "all": sorted(loaded), "new": sorted(loaded - before),
                   "logger": [package.level, len(package.handlers)]}))
 """
 
@@ -420,29 +444,58 @@ def _fresh(repo_root, argv):
     return json.loads(proc.stdout)
 
 
+# modules that a cold `reduce` at d <= 3 does not run
+_NOT_FOR_REDUCE = {"dataclasses", "inspect", "logging", "datetime", "csv", "typing"}
+
+
 class TestColdStart:
-    """`reduce` runs without numpy; the commands that need it load it."""
+    """`reduce` runs without numpy, and loads a module that serves one
+    flag only when that flag is given; the commands that need numpy
+    load it."""
 
     def test_import_loads_no_numpy(self, repo_root):
-        assert _fresh(repo_root, None)["numpy"] is False
+        got = _fresh(repo_root, None)
+        assert got["numpy"] is False
+        assert not set(got["new"]) & _NOT_FOR_REDUCE
 
     @pytest.mark.parametrize(
-        "argv, code",
+        "argv, code, allowed",
         [
-            (["reduce", "networks/chain.json"], EXIT_OK),
-            (["reduce", "networks/parallel_then_series.json", "--format", "csv"], EXIT_OK),
-            (["reduce", "networks/nested_qutrit.json", "--pretty"], EXIT_OK),
-            (["-vv", "reduce", "networks/triangle.json"], EXIT_OK),
-            (["reduce", "networks/bridge.json"], EXIT_NOT_SERIES_PARALLEL),
-            (["--help"], EXIT_OK),
+            (["reduce", "networks/chain.json"], EXIT_OK, set()),
+            (["reduce", "networks/parallel_then_series.json", "--format", "csv"], EXIT_OK, {"csv"}),
+            (["reduce", "networks/nested_qutrit.json", "--pretty"], EXIT_OK, set()),
+            (["-vv", "reduce", "networks/triangle.json"], EXIT_OK, {"logging"}),
+            (["reduce", "networks/bridge.json"], EXIT_NOT_SERIES_PARALLEL, set()),
+            (["--help"], EXIT_OK, set()),
+            (["-v", "reduce", "networks/triangle.json"], EXIT_OK, {"logging"}),
+            (["reduce", "networks/chain.json", "--timestamp"], EXIT_OK, {"datetime"}),
         ],
-        ids=["json", "csv", "pretty", "verbose", "bridge", "help"],
+        ids=["json", "csv", "pretty", "verbose", "bridge", "help", "info", "timestamp"],
     )
-    def test_reduce_loads_no_numpy(self, repo_root, argv, code):
+    def test_reduce_loads_no_numpy(self, repo_root, argv, code, allowed):
         got = _fresh(repo_root, argv)
         assert got["code"] == code
         assert got["out"] or got["err"]
         assert got["numpy"] is False
+        assert set(got["new"]) & _NOT_FOR_REDUCE <= allowed
+        assert allowed <= set(got["all"])
+
+    @pytest.mark.parametrize(
+        "flag, err",
+        [
+            ("-v", ""),
+            (
+                "-vv",
+                "qnetdet: DEBUG qnetdet.network: decomposed 3 edges: "
+                "dropped=0 series_moves=1 parallel_moves=1 max_bundle_arity=2\n",
+            ),
+        ],
+    )
+    def test_verbose_lines_from_a_cold_start(self, repo_root, flag, err):
+        got = _fresh(repo_root, [flag, "reduce", "networks/triangle.json"])
+        assert got["code"] == EXIT_OK
+        assert got["err"] == err
+        assert got["out"] == _fresh(repo_root, ["reduce", "networks/triangle.json"])["out"]
 
     @pytest.mark.parametrize(
         "argv",

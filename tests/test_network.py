@@ -3,6 +3,9 @@
 import functools
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -444,3 +447,44 @@ class TestReport:
         assert doc["reduction_trace"]
         ops = {step["op"] for step in doc["reduction_trace"]}
         assert ops <= {"series", "parallel", "drop"}
+
+
+# Configures logging at DEBUG, before or after importing qnetdet as
+# argv[1] says, then reports networks/triangle.json.
+_LIBRARY_DEBUG = """
+import sys
+
+def configure():
+    import logging
+    logging.basicConfig(level=logging.DEBUG, stream=sys.stdout, format="%(levelname)s %(name)s: %(message)s")
+
+if sys.argv[1] == "before":
+    configure()
+import qnetdet
+if sys.argv[1] == "after":
+    configure()
+with open("networks/triangle.json", encoding="utf-8") as fh:
+    qnetdet.report(qnetdet.parse_network(fh.read()))
+"""
+
+
+class TestDebugLog:
+    """The decomposition's DEBUG line reaches a library caller that
+    configured logging, whether before or after importing qnetdet."""
+
+    @pytest.mark.parametrize("when", ["before", "after"])
+    def test_library_caller_gets_the_line(self, repo_root, when):
+        paths = [str(repo_root / "src"), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+        proc = subprocess.run(
+            [sys.executable, "-c", _LIBRARY_DEBUG, when],
+            cwd=repo_root,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert proc.stdout == (
+            "DEBUG qnetdet.network: decomposed 3 edges: "
+            "dropped=0 series_moves=1 parallel_moves=1 max_bundle_arity=2\n"
+        )
