@@ -31,7 +31,15 @@ from .errors import (
     DimensionTooSmall,
     RejectionBudgetExceeded,
 )
-from .network import Edge, QuantumNetwork, reduce_series_parallel, report
+from .network import (
+    Edge,
+    QuantumNetwork,
+    _decompose,
+    _det_parallel,
+    _fold,
+    reduce_series_parallel,
+    report,
+)
 from .rules import (
     _outcome_spectra,
     _swap_raw,
@@ -915,7 +923,7 @@ def _(cfg, t, rng, acc):
     else:
         els = sampling.sample_povm_arrays(d * d, d**4, rng)
     outs = _outcome_spectra(joint_left.entries, joint_right.entries, els)
-    avg = math.fsum(p * concurrence(purify_rule(vec, d), d) for p, vec in outs)
+    avg = math.fsum(p * concurrence(purify_rule(vec.tolist(), d), d) for p, vec in outs)
     bound = concurrence(
         swap_rule(purify_rule(joint_left, d), purify_rule(joint_right, d)), d
     )
@@ -935,25 +943,27 @@ def _(cfg, t, rng, acc):
     all-deterministic value.  Single-operator (unitary) ensembles are
     cycled in to expose the equality case."""
     net = sampling.random_network(2, 6, rng)
-    base_vec, _ = reduce_series_parallel(net)
-    base = concurrence(base_vec, 2)
-    idx = int(rng.integers(0, len(net.edges)))
+    # every branch has the network's shape: decompose it once
+    moves, root = _decompose(net)
+    links = [e.link for e in net.edges]
+
+    def reduced(values):
+        return concurrence(_fold(moves, values, swap_rule, _det_parallel)[root], 2)
+
+    base = reduced(links)
+    idx = int(rng.integers(0, len(links)))
     count = 1 if t % 10 == 0 else int(rng.integers(2, 5))
     kraus = sampling.sample_local_kraus(2, count, rng)
-    ens = _outcome_spectra(np.ones(kraus.shape[1]), net.edges[idx].link.entries, kraus)
+    ens = _outcome_spectra(np.ones(kraus.shape[1]), links[idx].entries, kraus)
     worst_branch = math.inf
     for _, vec in ens:
-        edges = list(net.edges)
-        old = edges[idx]
-        edges[idx] = Edge(old.u, old.v, normalize_descending(vec))
-        branch_vec, _ = reduce_series_parallel(
-            QuantumNetwork(2, net.terminals, edges)
-        )
-        worst_branch = min(worst_branch, concurrence(branch_vec, 2))
+        branch = list(links)
+        branch[idx] = normalize_descending(vec)
+        worst_branch = min(worst_branch, reduced(branch))
     acc.slack(
         worst_branch - base,
         edge=idx,
-        edge_count=len(net.edges),
+        edge_count=len(links),
         worst_branch=worst_branch,
         deterministic_value=base,
     )

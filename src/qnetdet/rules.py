@@ -35,6 +35,10 @@ from .schmidt import MAJORIZATION_ATOL, SchmidtVector, ProbabilisticEnsemble, no
 # weight and are numerically unstable to renormalize.
 OUTCOME_PROB_FLOOR = 1e-14
 
+# Largest entry deviation of a Gram matrix from the identity that a
+# complete measurement may show.
+COMPLETENESS_TOL = 1e-10
+
 
 class Povm(Frozen):
     """Measurement in vectorized form: `elements`, a read-only complex
@@ -339,16 +343,22 @@ def enumerate_swap_outcomes(x: SchmidtVector, y: SchmidtVector, povm: Povm) -> P
     return ProbabilisticEnsemble((p, normalize_descending(spec)) for p, spec in outcomes)
 
 
-def validate_povm(povm: Povm, tol: float = 1e-10) -> bool:
+def _isometric(stack, tol: float = COMPLETENESS_TOL) -> bool:
+    """Whether the 2-D complex array stack has orthonormal columns: its
+    Gram matrix stack^dagger stack is the identity within tol (max entry
+    deviation).  A NaN entry fails."""
+    import numpy as np
+
+    gram = stack.conj().T @ stack
+    return bool(np.max(np.abs(gram - np.eye(len(gram)))) <= tol)
+
+
+def validate_povm(povm: Povm, tol: float = COMPLETENESS_TOL) -> bool:
     """Check the vectorized completeness relation: the Gram matrix of the
     vectorized elements must be the identity within tol (max entry
     deviation)."""
-    import numpy as np
-
     d = povm.dimension
-    vecs = povm.elements.reshape(len(povm), d * d)
-    gram = vecs.conj().T @ vecs
-    return bool(np.max(np.abs(gram - np.eye(d * d))) <= tol)
+    return _isometric(povm.elements.reshape(len(povm), d * d), tol)
 
 
 @functools.lru_cache(maxsize=None)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import RejectionBudgetExceeded, SingularNormalizer
 from .network import Edge, QuantumNetwork
-from .rules import Povm, validate_povm
+from .rules import Povm, _isometric, validate_povm
 from .schmidt import SchmidtVector, majorizes
 
 logger = logging.getLogger(__name__)
@@ -35,8 +35,11 @@ __all__ = [
 
 RESAMPLE_BUDGET = 8
 
-# below this ratio of extreme normalizer eigenvalues the inverse square
-# root is numerically meaningless and the draw is rejected
+# a draw is rejected when the smallest squared diagonal entry of its
+# Gram matrix's Cholesky factor L falls below this ratio of the largest.
+# Each L_ii^2 lies between the extreme eigenvalues, so only a Gram
+# matrix with condition number above 1e10 is rejected; the floor need
+# not catch every such matrix, so the samplers also check completeness
 _COND_FLOOR = 1e-10
 
 
@@ -83,27 +86,45 @@ def _complex_gaussian(shape, rng):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _vec_normalized(raw):
-    # raw has shape (count, n), one vectorized element per row; returns
-    # the rows times M^{-1/2}, M their Gram operator, or None when M is
-    # numerically singular.  The draw's temporaries are freed on return.
-    gram = raw.T @ raw.conj()
-    w, u = np.linalg.eigh(gram)
-    if w[0] < _COND_FLOOR * w[-1]:
+def _orthonormalized(stack):
+    # stack has shape (m, n), m >= n.  With its Gram matrix factored as
+    # G = stack^H stack = L L^H (Cholesky), stack L^{-H} is the Q of the
+    # QR decomposition of stack whose R = L^H has a positive diagonal,
+    # so its columns are orthonormal; for a complex-Gaussian stack Q is
+    # Haar-distributed (Mezzadri, Notices AMS 54, 2007).  None when G
+    # is numerically singular.
+    try:
+        low = np.linalg.cholesky(stack.conj().T @ stack)
+    except np.linalg.LinAlgError:
         return None
-    half = (u * (w**-0.5)) @ u.conj().T
-    return (half @ raw.T).T
+    diag = low.diagonal().real
+    if diag.min() ** 2 < _COND_FLOOR * diag.max() ** 2:
+        return None
+    # stack L^{-H} = (conj(L)^{-1} stack^T)^T, conjugated in place so that
+    # no n x n or m x n copy is made beyond the solve's own
+    return np.linalg.solve(np.conj(low, out=low), stack.T).T
+
+
+def _draws(shape, width, rng):
+    # up to RESAMPLE_BUDGET complex-Gaussian arrays of the given shape,
+    # each orthonormalized as a stack of rows of ``width`` entries; a
+    # draw with a singular Gram matrix is skipped
+    for _ in range(RESAMPLE_BUDGET):
+        out = _orthonormalized(_complex_gaussian(shape, rng).reshape(-1, width))
+        if out is not None:
+            yield out.reshape(shape)
 
 
 def sample_povm_arrays(dimension, count, rng):
     """Random complete swap measurement as a (count, d, d) complex array.
 
-    Draws ``count`` complex-Gaussian d x d matrices and right-normalizes
-    them in the vectorized picture: with M the Gram operator
-    sum_a vec(A_a) vec(A_a)^dagger, the elements are
-    unvec(M^{-1/2} vec(A_a)), which satisfies the completeness relation
-    whenever M is invertible.  Invertibility requires count >= d^2.  In
-    floating point an ill-conditioned M can miss completeness by more
+    Draws ``count`` complex-Gaussian d x d matrices A_a and stacks their
+    vectorizations as the rows of a count x d^2 matrix V.  With its Gram
+    matrix V^dagger V = L L^dagger factored by Cholesky, the elements are
+    the rows of V L^{-dagger}, the Q factor of V's QR decomposition with
+    a positive diagonal, which satisfies the completeness relation
+    whenever V has full column rank.  That requires count >= d^2.  In
+    floating point an ill-conditioned V can miss completeness by more
     than validate_povm's tolerance, so a draw is returned only once
     validate_povm accepts it; otherwise the next one is drawn from rng.
 
@@ -118,11 +139,7 @@ def sample_povm_arrays(dimension, count, rng):
         raise SingularNormalizer(
             f"{count} elements cannot complete a measurement at dimension {dimension}, which needs {n}"
         )
-    for _ in range(RESAMPLE_BUDGET):
-        vecs = _vec_normalized(_complex_gaussian((count, n), rng))
-        if vecs is None:
-            continue
-        els = vecs.reshape(count, dimension, dimension)
+    for els in _draws((count, dimension, dimension), n, rng):
         if validate_povm(Povm(els)):
             return els
     raise SingularNormalizer(
@@ -135,15 +152,14 @@ def sample_povm(dimension, count, rng):
     return Povm(sample_povm_arrays(dimension, count, rng))
 
 
-def _right_normalized(raw):
-    # raw has shape (count, rows, cols); right-normalize so that
-    # sum_a K_a^dagger K_a = identity on the cols space
-    t = np.einsum("aji,ajk->ik", raw.conj(), raw)
-    w, u = np.linalg.eigh(t)
-    if w[0] < _COND_FLOOR * w[-1]:
-        return None
-    half = (u * (w**-0.5)) @ u.conj().T
-    return raw @ half
+def _kraus(shape, rng):
+    # the first draw whose operators satisfy sum_a K_a^dagger K_a =
+    # identity within validate_povm's tolerance, or None: the operators
+    # stacked vertically are orthonormalized as one matrix
+    for ops in _draws(shape, shape[-1], rng):
+        if _isometric(ops.reshape(-1, shape[-1])):
+            return ops
+    return None
 
 
 def sample_local_kraus(dimension, count, rng):
@@ -153,12 +169,16 @@ def sample_local_kraus(dimension, count, rng):
     Applying them to one half of a pure state yields a probabilistic
     ensemble whose sorted-spectrum average majorizes the source
     spectrum, the locality limit every protocol check builds on.
+
+    Raises
+    ------
+    SingularNormalizer
+        No complete draw within RESAMPLE_BUDGET.
     """
-    for _ in range(RESAMPLE_BUDGET):
-        out = _right_normalized(_complex_gaussian((count, dimension, dimension), rng))
-        if out is not None:
-            return out
-    raise SingularNormalizer("one-sided Kraus normalizer stayed singular")
+    out = _kraus((count, dimension, dimension), rng)
+    if out is None:
+        raise SingularNormalizer(f"no complete one-sided Kraus measurement in {RESAMPLE_BUDGET} draws")
+    return out
 
 
 def sample_wide_kraus(dimension, count, rng):
@@ -169,17 +189,16 @@ def sample_wide_kraus(dimension, count, rng):
     Raises
     ------
     SingularNormalizer
+        count < d, before anything is drawn, or no complete draw within
+        RESAMPLE_BUDGET.
     """
     n = dimension * dimension
-    for _ in range(RESAMPLE_BUDGET):
-        out = _right_normalized(_complex_gaussian((count, dimension, n), rng))
-        if out is not None:
-            return out
-    raise SingularNormalizer(
-        f"{count} operators cannot complete a {n}-level measurement"
-        if count < dimension
-        else "rank-reducing Kraus normalizer stayed singular"
-    )
+    if count < dimension:
+        raise SingularNormalizer(f"{count} operators cannot complete a {n}-level measurement")
+    out = _kraus((count, dimension, n), rng)
+    if out is None:
+        raise SingularNormalizer(f"no complete rank-reducing Kraus measurement in {RESAMPLE_BUDGET} draws")
+    return out
 
 
 def dominated_vector(base, steps, rng):

@@ -162,6 +162,97 @@ class TestMeasurements:
         assert np.allclose(total, np.eye(d * d), atol=1e-12)
 
 
+def _mezzadri_q(stack):
+    # Q of the QR decomposition whose R has a positive real diagonal
+    q, r = np.linalg.qr(stack)
+    diag = np.diagonal(r)
+    return q * (diag / np.abs(diag))
+
+
+class TestWhitening:
+    """Each sampler returns the Q factor of its complex-Gaussian draw,
+    stacked as one matrix, whose R factor has a positive diagonal."""
+
+    @pytest.mark.parametrize("d,count", [(2, 4), (2, 7), (3, 9), (3, 81), (4, 16), (9, 81)])
+    def test_povm_is_positive_diagonal_qr(self, d, count):
+        raw = sampling._complex_gaussian((count, d * d), substream(SEED, "qr", count))
+        els = sample_povm_arrays(d, count, substream(SEED, "qr", count))
+        want = _mezzadri_q(raw).reshape(count, d, d)
+        assert np.max(np.abs(els - want)) <= 1e-12
+
+    @pytest.mark.parametrize("d,count", [(2, 1), (2, 3), (3, 2), (4, 4)])
+    def test_local_kraus_is_positive_diagonal_qr(self, d, count):
+        raw = sampling._complex_gaussian((count, d, d), substream(SEED, "qrk", count))
+        ks = sample_local_kraus(d, count, substream(SEED, "qrk", count))
+        want = _mezzadri_q(raw.reshape(count * d, d)).reshape(count, d, d)
+        assert np.max(np.abs(ks - want)) <= 1e-12
+
+    @pytest.mark.parametrize("d,count", [(2, 2), (2, 5), (3, 3), (3, 4)])
+    def test_wide_kraus_is_positive_diagonal_qr(self, d, count):
+        raw = sampling._complex_gaussian((count, d, d * d), substream(SEED, "qrw", count))
+        ks = sample_wide_kraus(d, count, substream(SEED, "qrw", count))
+        want = _mezzadri_q(raw.reshape(count * d, d * d)).reshape(count, d, d * d)
+        assert np.max(np.abs(ks - want)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "stack",
+        [
+            np.ones((4, 2), dtype=complex),
+            np.zeros((3, 3), dtype=complex),
+            np.arange(12.0).reshape(4, 3) + 0j,
+            np.ones((2, 4), dtype=complex),
+        ],
+        ids=["equal_columns", "zero", "rank_two", "short"],
+    )
+    def test_rank_deficient_stack_gives_none(self, stack):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sampling._orthonormalized(stack) is None
+
+
+class TestKrausRedraw:
+    @pytest.mark.parametrize(
+        "sampler,shape",
+        [(sample_local_kraus, (3, 2, 2)), (sample_wide_kraus, (3, 2, 4))],
+        ids=["local", "wide"],
+    )
+    def test_rejected_draw_is_drawn_again(self, monkeypatch, sampler, shape):
+        # the completeness check rejects the first draw; the second is
+        # returned, as the next draw of the same stream
+        seen = []
+
+        def reject_first(stack):
+            seen.append(stack.copy())
+            return len(seen) > 1
+
+        monkeypatch.setattr(sampling, "_isometric", reject_first)
+        ks = sampler(shape[1], shape[0], substream(SEED, "redraw", 0))
+        assert len(seen) == 2
+        assert np.array_equal(ks.reshape(-1, shape[-1]), seen[1])
+        rng = substream(SEED, "redraw", 0)
+        _, second = (sampling._complex_gaussian(shape, rng) for _ in range(2))
+        assert np.max(np.abs(ks - _mezzadri_q(second.reshape(-1, shape[-1])).reshape(shape))) <= 1e-12
+
+    @pytest.mark.parametrize("sampler", [sample_local_kraus, sample_wide_kraus])
+    def test_never_complete_exhausts_the_budget(self, monkeypatch, sampler):
+        calls = []
+        monkeypatch.setattr(sampling, "_isometric", lambda stack: calls.append(1) and False)
+        with pytest.raises(SingularNormalizer):
+            sampler(2, 3, substream(SEED, "redraw", 1))
+        assert len(calls) == sampling.RESAMPLE_BUDGET
+
+    def test_no_local_kraus_operators_is_no_measurement(self):
+        with pytest.raises(SingularNormalizer):
+            sample_local_kraus(2, 0, substream(SEED, "redraw", 3))
+
+    @pytest.mark.parametrize("count", [0, 1, 2])
+    def test_undersized_wide_kraus_rejected_before_drawing(self, count):
+        rng = substream(SEED, "redraw", 2)
+        with pytest.raises(SingularNormalizer, match="cannot complete"):
+            sample_wide_kraus(3, count, rng)
+        assert rng.random() == substream(SEED, "redraw", 2).random()
+
+
 class TestNetworks:
     @pytest.mark.parametrize("trial", range(30))
     def test_random_network_always_reducible(self, trial):
