@@ -16,6 +16,7 @@ numpy, such as the series rule from d = 4 up, are reproducible for one
 numpy/LAPACK build.
 """
 
+import functools
 import json
 import math
 import re
@@ -26,6 +27,7 @@ __all__ = ["format_float", "render_json"]
 _needs_escape = re.compile(r'[\x00-\x1f"\\]').search
 
 _FLOATS_ONLY = frozenset((float,))
+_STRINGS_ONLY = frozenset((str,))
 
 
 def format_float(value: float) -> str:
@@ -50,6 +52,12 @@ def _key(k) -> str:
     return _string(str(k)) + ": "
 
 
+@functools.lru_cache(maxsize=64)
+def _row_format(n: int) -> str:
+    """The %-template of a JSON list of n floats, each as ``%.12g``."""
+    return "[" + ", ".join(["%.12g"] * n) + "]"
+
+
 class _Texts(dict):
     """Exact strings mapped to their rendered text, filled on lookup.
     A key of any other type is rendered but not stored: True and 1 are
@@ -66,28 +74,29 @@ class _Texts(dict):
         return text
 
 
-def render_json(obj) -> str:
-    """Serialize to a compact JSON string, newline-terminated.
+class _Renderer:
+    """The state of one render_json call: each string, key and float
+    list object rendered so far.  Its methods call each other through
+    the instance, which holds none of them, so a call leaves no
+    reference cycle behind for the garbage collector."""
 
-    One pass dispatches on the exact type and falls back to isinstance
-    checks for subclasses.  Within a call each string and key is
-    rendered once, and so is each list object of floats: a reduction
-    trace lists a vector as one move's output and the next move's input.
-    """
-    strings = _Texts(_string)
-    keys = _Texts(_key)
-    float_lists = {}  # id of a list or tuple of floats inside obj -> its text
+    __slots__ = ("strings", "keys", "float_lists")
 
-    def value(o):
+    def __init__(self):
+        self.strings = _Texts(_string)
+        self.keys = _Texts(_key)
+        self.float_lists = {}  # id of a list or tuple of floats inside obj -> its text
+
+    def value(self, o):
         t = type(o)
         if t is str:
-            return strings[o]
+            return self.strings[o]
         if t is list or t is tuple:
-            return sequence(o)
+            return self.sequence(o)
         if t is float:
             return format_float(o)
         if t is dict:
-            return mapping(o)
+            return self.mapping(o)
         if t is int:
             return str(o)
         if o is None:
@@ -96,27 +105,32 @@ def render_json(obj) -> str:
             return "true"
         if o is False:
             return "false"
-        return subclass(o)
+        return self.subclass(o)
 
-    def sequence(o):
+    def sequence(self, o):
         if not o:
             return "[]"
-        text = float_lists.get(id(o))
+        text = self.float_lists.get(id(o))
         if text is not None:
             return text
         if not _FLOATS_ONLY.issuperset(map(type, o)):
-            return "[" + ", ".join(map(value, o)) + "]"
-        text = ", ".join([format(v, ".12g") for v in o])
+            if _STRINGS_ONLY.issuperset(map(type, o)):
+                return "[" + ", ".join(map(self.strings.__getitem__, o)) + "]"
+            return "[" + ", ".join(map(self.value, o)) + "]"
+        # "%.12g" % v is format(v, ".12g"), for the whole row at once
+        text = _row_format(len(o)) % (o if type(o) is tuple else tuple(o))
         if "n" in text or 0.0 in o:
             # "nan" or "inf", which raise, or a zero of either sign
-            text = ", ".join(map(format_float, o))
-        text = float_lists[id(o)] = "[" + text + "]"
+            text = "[" + ", ".join(map(format_float, o)) + "]"
+        self.float_lists[id(o)] = text
         return text
 
-    def mapping(o):
+    def mapping(self, o):
+        keys = self.keys
+        value = self.value
         return "{" + ", ".join([keys[k] + value(v) for k, v in o.items()]) + "}"
 
-    def subclass(o):
+    def subclass(self, o):
         if type(o).__module__ == "numpy":
             raise TypeError(f"cannot serialize numpy {type(o).__name__}; convert it to a Python value")
         if isinstance(o, str):
@@ -126,9 +140,22 @@ def render_json(obj) -> str:
         if isinstance(o, float):
             return format_float(o)
         if isinstance(o, dict):
-            return mapping(o)
+            return self.mapping(o)
         if isinstance(o, (list, tuple)):
-            return "[" + ", ".join(map(value, o)) + "]"
+            return "[" + ", ".join(map(self.value, o)) + "]"
         raise TypeError(f"cannot serialize {type(o).__name__}")
 
-    return value(obj) + "\n"
+
+def render_json(obj) -> str:
+    """Serialize to a compact JSON string, newline-terminated.
+
+    One pass dispatches on the exact type and falls back to isinstance
+    checks for subclasses.  Within a call each string and key is
+    rendered once, and so is each list object of floats: a reduction
+    trace lists a vector as one move's output and the next move's input.
+    A list of floats only is formatted by one ``%`` call from a template
+    cached per length, and a list of strings only is joined from the
+    rendered strings directly.  The call leaves no reference cycle: its
+    state is one `_Renderer`, freed when it returns.
+    """
+    return _Renderer().value(obj) + "\n"

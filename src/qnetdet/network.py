@@ -137,12 +137,18 @@ class QuantumNetwork(Frozen):
         object.__setattr__(self, "edges", edges)
 
 
+# the exact types of JSON numbers; a subclass other than bool passes the
+# slower isinstance check
+_NUMBER_TYPES = frozenset((int, float))
+
+
 def network_from_dict(obj) -> QuantumNetwork:
     """Build a network from the parsed JSON structure
     {"dimension": d, "terminals": [a, b], "edges": [{"u","v","schmidt"}...]}.
 
-    Link vectors must sum to 1 within 1e-9 and are renormalized on
-    ingest.
+    Link vectors must hold finite, nonnegative numbers (roundoff
+    negatives down to -1e-12 are clamped) that sum to 1 within 1e-9,
+    and are renormalized on ingest.
 
     Raises
     ------
@@ -164,20 +170,30 @@ def network_from_dict(obj) -> QuantumNetwork:
         raise SchemaError("edges must be a list")
     edges = []
     for i, re_ in enumerate(raw_edges):
-        if not isinstance(re_, dict) or {"u", "v", "schmidt"} - set(re_):
+        if not isinstance(re_, dict) or "u" not in re_ or "v" not in re_ or "schmidt" not in re_:
             raise SchemaError(f"edge {i} must be an object with keys u, v, schmidt")
         u = _check_endpoint(re_["u"])
         v = _check_endpoint(re_["v"])
         vec = re_["schmidt"]
-        if not isinstance(vec, list) or not vec or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in vec
+        if not isinstance(vec, list) or not vec or not (
+            _NUMBER_TYPES.issuperset(map(type, vec))
+            or all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in vec)
         ):
             raise SchemaError(f"edge {i} schmidt must be a non-empty list of numbers")
         if len(vec) != d:
             raise MixedDimensions(f"edge {i} has {len(vec)} entries, dimension is {d}")
-        if any(x < -1e-12 for x in vec):
+        try:
+            total = math.fsum(vec)
+        except (OverflowError, ValueError):
+            # finite entries that sum beyond the float range, an int
+            # beyond it, or infinities of both signs
+            total = math.inf
+        # json.loads reads NaN and Infinity, and a NaN fails every
+        # comparison below, so non-finite entries are rejected first
+        if not -math.inf < total < math.inf and not all(-math.inf < x < math.inf for x in vec):
+            raise SchemaError(f"edge {i} schmidt has a non-finite entry")
+        if min(vec) < -1e-12:
             raise SchemaError(f"edge {i} schmidt has a negative entry")
-        total = math.fsum(vec)
         if abs(total - 1.0) > 1e-9:
             raise SchemaError(f"edge {i} schmidt sums to {total!r}, expected 1 within 1e-9")
         edges.append(Edge(u, v, normalize_descending(vec)))
@@ -405,15 +421,19 @@ def _decompose(network: QuantumNetwork):
     return moves, root
 
 
-def _fold(moves, values, series_fn, parallel_fn) -> dict:
+def _fold(moves, values, series_fn, parallel_fn) -> list:
     """Apply the moves to per-edge values, in order; returns the value
-    of every edge id."""
-    values = dict(enumerate(values))
+    of every edge id, as a list indexed by it.  The ids are dense: each
+    series or parallel move makes the next id, so its value is appended
+    (drop moves make none)."""
+    values = list(values)
     for move in moves:
-        if move["op"] == "series":
-            values[move["output"]] = series_fn(*(values[e] for e in move["inputs"]))
-        elif move["op"] == "parallel":
-            values[move["output"]] = parallel_fn([values[e] for e in move["inputs"]])
+        op = move["op"]
+        if op == "series":
+            a, b = move["inputs"]
+            values.append(series_fn(values[a], values[b]))
+        elif op == "parallel":
+            values.append(parallel_fn([values[e] for e in move["inputs"]]))
     return values
 
 
@@ -429,17 +449,32 @@ def _det_parallel(links: list[SchmidtVector]) -> SchmidtVector:
 
 def _reduce(network, moves, root):
     links = _fold(moves, [e.link for e in network.edges], swap_rule, _det_parallel)
-    shown = {eid: [float(v) for v in vec] for eid, vec in links.items()}
+    # one list per edge id: a vector is shown as one move's output and
+    # the next move's input, and the renderer formats each list once
+    shown = [list(vec.entries) for vec in links]
     trace = []
     for move in moves:
-        event = dict(move)
-        if "link" in event:
-            event["link"] = shown[event["link"]]
+        op = move["op"]
+        if op == "series":
+            a, b = move["inputs"]
+            event = {
+                "op": op,
+                "node": move["node"],
+                "through": move["through"],
+                "inputs": [shown[a], shown[b]],
+                "output": shown[move["output"]],
+            }
+        elif op == "parallel":
+            event = {
+                "op": op,
+                "nodes": move["nodes"],
+                "arity": move["arity"],
+                # a bundle is listed in the order _det_parallel folds it
+                "inputs": sorted([shown[e] for e in move["inputs"]]),
+                "output": shown[move["output"]],
+            }
         else:
-            inputs = [shown[e] for e in event["inputs"]]
-            # a bundle is listed in the order _det_parallel folds it
-            event["inputs"] = sorted(inputs) if event["op"] == "parallel" else inputs
-            event["output"] = shown[event["output"]]
+            event = {"op": op, "nodes": move["nodes"], "link": shown[move["link"]]}
         trace.append(event)
     return links[root], trace
 
@@ -564,7 +599,7 @@ def report(network: QuantumNetwork) -> dict:
         "terminals": list(network.terminals),
         "edge_count": len(network.edges),
         "topology": _classify(network, moves, root).value,
-        "det_vector": [float(v) for v in vec],
+        "det_vector": list(vec.entries),
         "concurrence": {f"C_{k}": concurrence(vec, k) for k in range(1, d + 1)},
         "cep_probability": _cep(network, moves, root),
         "reduction_trace": trace,

@@ -135,14 +135,15 @@ def _series_qubit(xs: list, ys: list) -> list:
     return [top, low] if low <= top else [low, top]
 
 
-def _series(xs: list, ys: list) -> list:
-    """Spectrum of the series rule on nonnegative float lists of one
-    length d, descending, with total sum(xs) * sum(ys).
+def _series(xs, ys) -> list:
+    """Spectrum of the series rule on descending sequences of
+    nonnegative floats of one length d, both lists or both tuples; a
+    descending list with total sum(xs) * sum(ys).
 
-    No route is bitwise symmetric in its operands, so both vectors are
-    sorted descending and ordered once, for every route: the flatter
-    vector (larger min/max; ties broken by the entries) comes first, as
-    x, and swapping the arguments returns the same bits.
+    No route is bitwise symmetric in its operands, so the two vectors
+    are ordered once, for every route: the flatter vector (larger
+    min/max; ties broken by the entries) comes first, as x, and swapping
+    the arguments returns the same bits.
 
     * d = 2: the closed form _series_qubit; no kernel, no numpy.
     * d = 1, 3: kernels.swap_sv, a one-sided Jacobi SVD of
@@ -153,8 +154,6 @@ def _series(xs: list, ys: list) -> list:
       so the output has exactly d - min(#nonzero x, #nonzero y) trailing
       zeros (a leading rows-by-columns block of F has full rank).
     """
-    xs = sorted(xs, reverse=True)
-    ys = sorted(ys, reverse=True)
     if (_flatness(ys), ys) > (_flatness(xs), xs):
         xs, ys = ys, xs
     d = len(xs)
@@ -203,7 +202,7 @@ def swap_rule(x: SchmidtVector, y: SchmidtVector) -> SchmidtVector:
         y = SchmidtVector(y)
     if x.dimension != y.dimension:
         raise DimensionMismatch(f"dimensions {x.dimension} and {y.dimension} differ")
-    return normalize_descending(_series(list(x.entries), list(y.entries)))
+    return normalize_descending(_series(x.entries, y.entries))
 
 
 def _swap_raw(xs, ys) -> list:
@@ -215,7 +214,7 @@ def _swap_raw(xs, ys) -> list:
     """
     if len(xs) != len(ys):
         raise DimensionMismatch(f"lengths {len(xs)} and {len(ys)} differ")
-    return _series([float(v) for v in xs], [float(v) for v in ys])
+    return _series(sorted(map(float, xs), reverse=True), sorted(map(float, ys), reverse=True))
 
 
 def purify_rule(x, d: int) -> SchmidtVector:
@@ -240,6 +239,14 @@ def purify_rule(x, d: int) -> SchmidtVector:
     return normalize_descending(kernels.purify_kernel(xs, d))
 
 
+def _descending(x):
+    """The entries of x in descending order: a SchmidtVector's tuple as
+    it is, any other iterable sorted into a new list of floats."""
+    if isinstance(x, SchmidtVector):
+        return x.entries
+    return sorted(map(float, x), reverse=True)
+
+
 def conversion_probability(source: SchmidtVector, target: SchmidtVector) -> float:
     """Greatest probability of converting the source pure state into the
     target by local operations and classical communication.
@@ -258,12 +265,13 @@ def conversion_probability(source: SchmidtVector, target: SchmidtVector) -> floa
         Target strictly longer than the source; padding cannot reconcile
         a rank increase.
     """
-    src = sorted(source.entries if isinstance(source, SchmidtVector) else map(float, source), reverse=True)
-    tgt = sorted(target.entries if isinstance(target, SchmidtVector) else map(float, target), reverse=True)
+    src = _descending(source)
+    tgt = _descending(target)
     m = len(src)
     if len(tgt) > m:
         raise LengthMismatchAfterPadding(f"target length {len(tgt)} exceeds source length {m}")
-    tgt = tgt + [0.0] * (m - len(tgt))
+    if len(tgt) < m:
+        tgt = list(tgt) + [0.0] * (m - len(tgt))
     best = 1.0
     deficit = -math.inf
     ps = 0.0

@@ -55,20 +55,43 @@ def _clamped(vals: list) -> list:
     return out
 
 
+def _total(entries: list) -> float:
+    """Correctly rounded sum of finite entries.
+
+    Raises
+    ------
+    NonFiniteEntry
+        The sum overflows, as for [1e308, 1e308].
+    """
+    try:
+        return math.fsum(entries)
+    except OverflowError:
+        raise NonFiniteEntry("entries sum beyond the largest float") from None
+
+
 def _check_unit_total(entries: list) -> None:
-    total = math.fsum(entries)
+    total = _total(entries)
     if abs(total - 1.0) > 1e-12:
         raise ValueError(f"entries sum to {total!r}, expected 1 within 1e-12")
 
 
-def _values_of(x) -> list:
+def _values_of(x):
+    """The entries of x: a SchmidtVector's tuple as it is, any other
+    iterable as a new list of floats."""
     if isinstance(x, SchmidtVector):
-        return list(x.entries)
+        return x.entries
     return [float(v) for v in x]
 
 
 class SchmidtVector(Frozen):
     """Immutable descending probability vector.
+
+    Invariant: ``entries`` is a descending tuple of finite, nonnegative
+    floats (no ``-0.0``) that sum to 1 within 1e-12.  It is established
+    once, where a vector is made: by this constructor, by
+    ``normalize_descending``, or by ``_frozen._rebuild`` from the entries
+    of a vector that had it.  Every reader relies on it and takes the
+    tuple as it is; nothing re-sorts, re-clamps or converts it again.
 
     Parameters
     ----------
@@ -152,18 +175,24 @@ class ProbabilisticEnsemble(Frozen):
 def normalize_descending(values: Iterable[float]) -> SchmidtVector:
     """Clamp roundoff negatives, divide by the total, sort descending.
 
-    One validation pass: the quotients of clamped entries by their
-    positive total are already nonnegative and finite (never ``-0.0``),
-    so the result skips the ``SchmidtVector`` constructor's second
-    clamp and sort and keeps only its 1e-12 total check.  The entries
-    equal those of ``SchmidtVector(v / total for v in clamped)``.
+    One validation pass, screened first: one ``min`` and one plain
+    ``sum`` (which carries NaN and the infinities) tell whether every
+    entry is positive and finite.  Only when they do not, the entries go
+    through the per-entry clamp, which raises on a NaN, an infinity or a
+    real negative and sets zeros of either sign and roundoff negatives
+    to ``0.0``.  The quotients of these entries by their positive total
+    are nonnegative and finite (never ``-0.0``), so the result skips the
+    ``SchmidtVector`` constructor's second clamp and sort and keeps only
+    its 1e-12 total check.  The entries equal those of
+    ``SchmidtVector(v / total for v in clamped)``.
 
     Raises
     ------
     EmptyInput
         No entries.
     NonFiniteEntry
-        An entry is NaN or infinite.
+        An entry is NaN or infinite, or the entries sum beyond the
+        largest float.
     NegativeEntry
         An entry below -1e-12.
     ZeroSum
@@ -171,13 +200,15 @@ def normalize_descending(values: Iterable[float]) -> SchmidtVector:
     ValueError
         The quotients sum to 1 only beyond 1e-12.
     """
-    clamped = _clamped([float(v) for v in values])
-    if not clamped:
+    vals = [float(v) for v in values]
+    if not vals:
         raise EmptyInput("nothing to normalize")
-    total = math.fsum(clamped)
+    if not (min(vals) > 0.0 and sum(vals) < math.inf):
+        vals = _clamped(vals)
+    total = _total(vals)
     if total <= 0.0:
         raise ZeroSum("entries sum to zero")
-    out = [v / total for v in clamped]
+    out = [v / total for v in vals]
     out.sort(reverse=True)
     _check_unit_total(out)
     vec = object.__new__(SchmidtVector)

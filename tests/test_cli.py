@@ -130,7 +130,8 @@ class TestReduceFailures:
         assert captured.err == f"qnetdet: [Errno {err}] {os.strerror(err)}: {path!r}\n"
 
     def test_nan_link_rejected(self, tmp_path, run, capsys):
-        # json accepts NaN, and NaN slips past the sum check
+        # json accepts NaN, and NaN would slip past the sum check; the
+        # schema check names the edge
         path = tmp_path / "nan.json"
         path.write_text(
             '{"dimension": 2, "terminals": ["A", "B"], '
@@ -139,7 +140,29 @@ class TestReduceFailures:
         )
         code, text = run("reduce", str(path))
         assert code == EXIT_USAGE and text == ""
-        assert "not finite" in capsys.readouterr().err
+        assert capsys.readouterr().err == "qnetdet: edge 0 schmidt has a non-finite entry\n"
+
+    @pytest.mark.parametrize(
+        "schmidt, err",
+        [
+            ("[0.5, Infinity]", "edge 0 schmidt has a non-finite entry"),
+            ("[-Infinity, 0.5]", "edge 0 schmidt has a non-finite entry"),
+            ("[1e308, 1e308]", "edge 0 schmidt sums to inf, expected 1 within 1e-9"),
+            ("[1" + "0" * 400 + ", 0]", "edge 0 schmidt sums to inf, expected 1 within 1e-9"),
+        ],
+        ids=["inf", "minus-inf", "overflowing-sum", "huge-int"],
+    )
+    def test_malformed_numbers_are_usage_errors(self, tmp_path, run, capsys, schmidt, err):
+        # one line on stderr and exit 2, not a traceback
+        path = tmp_path / "bad.json"
+        path.write_text(
+            '{"dimension": 2, "terminals": ["A", "B"], '
+            f'"edges": [{{"u": "A", "v": "B", "schmidt": {schmidt}}}]}}',
+            encoding="utf-8",
+        )
+        code, text = run("reduce", str(path))
+        assert code == EXIT_USAGE and text == ""
+        assert capsys.readouterr().err == f"qnetdet: {err}\n"
 
 
 class TestVerify:
@@ -296,6 +319,11 @@ class TestOutcomes:
     def test_nan_link_rejected(self, run):
         code, text = run("outcomes", "--links", "nan,0.5", "0.9,0.1")
         assert code == EXIT_USAGE and text == ""
+
+    def test_overflowing_link_rejected(self, run, capsys):
+        code, text = run("outcomes", "--links", "1e308,1e308", "0.5,0.5", "--povm", "bell")
+        assert code == EXIT_USAGE and text == ""
+        assert capsys.readouterr().err == "qnetdet: entries sum beyond the largest float\n"
 
     def test_mismatched_link_lengths(self, run):
         code, _ = run("outcomes", "--links", "0.9,0.1", "0.5,0.3,0.2")

@@ -1,0 +1,330 @@
+"""The reduce path reads each Schmidt vector as it was validated: every
+shortcut gives the bits, or the error, of the code it replaced (kept in
+_reduce_path_oracle.py), and a reduce leaves no cyclic garbage."""
+
+import gc
+import json
+import math
+import struct
+
+import numpy as np
+import pytest
+import _reduce_path_oracle as oracle
+
+from qnetdet._jsonio import _row_format, render_json
+from qnetdet.errors import NonFiniteEntry, QnetdetError, SchemaError
+from qnetdet.network import (
+    Edge,
+    QuantumNetwork,
+    _decompose,
+    _det_parallel,
+    _fold,
+    _reduce,
+    classify_topology,
+    network_from_dict,
+    parse_network,
+    report,
+)
+from qnetdet.rules import _swap_raw, conversion_probability, swap_rule
+from qnetdet.sampling import random_network, substream
+from qnetdet.schmidt import SchmidtVector, concurrence, normalize_descending
+
+SEED = 20261019
+
+# values that take the per-entry clamp, or an error, where they stand
+SPECIALS = (0.0, -0.0, -3e-13, -1e-12, 5e-324, 1e-310, math.nan, math.inf, -math.inf, -0.25)
+
+
+def _outcome(fn, *args):
+    """The result's entries as hex strings, or the error's type and text."""
+    try:
+        got = fn(*args)
+    except (QnetdetError, ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return [v.hex() for v in got.entries]
+
+
+def _spread(rng, d):
+    """d positive entries spread down to 1e-12, at a random scale."""
+    return (10.0 ** rng.uniform(-12.0, 0.0, d) * 10.0 ** rng.uniform(-6.0, 6.0)).tolist()
+
+
+def _links(rng, d, count):
+    """SchmidtVectors: spread entries, near-uniform ones and some zeros."""
+    out = []
+    for t in range(count):
+        vals = _spread(rng, d) if t % 3 else (1.0 + 1e-3 * rng.standard_normal(d)).tolist()
+        if t % 5 == 0 and d > 1:
+            vals[int(rng.integers(0, d))] = 0.0
+        out.append(normalize_descending(vals))
+    return out
+
+
+class TestNormalizeScreen:
+    def test_matches_the_clamping_route(self):
+        rng = substream(SEED, "normalize_screen", 0)
+        cases = [[], [0.0], [-0.0, 0.0], [1.0], [5e-324], [5e-324, 5e-324, 1e-310]]
+        for d in (1, 2, 3, 4, 9, 81):
+            for _ in range(4):
+                base = _spread(rng, d)
+                cases.append(base)
+                for i in range(d):
+                    for special in SPECIALS:
+                        cases.append(base[:i] + [special] + base[i + 1 :])
+        for vals in cases:
+            assert _outcome(normalize_descending, vals) == _outcome(oracle.normalize_descending, vals), vals
+
+    def test_overflowing_pair_at_every_position(self):
+        rng = substream(SEED, "normalize_screen", 1)
+        for d in (2, 3, 5):
+            base = _spread(rng, d)
+            for i in range(d):
+                for j in range(i + 1, d):
+                    vals = list(base)
+                    vals[i] = vals[j] = 1e308
+                    assert _outcome(oracle.normalize_descending, vals)[0] is OverflowError
+                    assert _outcome(normalize_descending, vals) == (
+                        NonFiniteEntry,
+                        "entries sum beyond the largest float",
+                    )
+
+    def test_constructor_rejects_an_overflowing_pair(self):
+        with pytest.raises(NonFiniteEntry, match="beyond the largest float"):
+            SchmidtVector([1e308, 1e308])
+
+
+def _random_floats(rng, count):
+    """Floats of uniformly random bit patterns: every exponent, NaNs and
+    infinities included."""
+    return rng.integers(0, 2**64, size=count, dtype=np.uint64).view(np.float64).tolist()
+
+
+class TestFloatRows:
+    def test_percent_rows_match_format(self):
+        rng = substream(SEED, "float_rows", 0)
+        values = _random_floats(rng, 120_000)
+        values += [0.0, -0.0, 5e-324, -5e-324, 1e12, 1e16, 1e-5, 0.1, math.nan, math.inf, -math.inf]
+        values.append(struct.unpack("<d", struct.pack("<Q", 0xFFF8000000000001))[0])  # a negative NaN
+        start = 0
+        n = 1
+        while start < len(values):
+            row = values[start : start + n]
+            want = "[" + ", ".join([format(v, ".12g") for v in row]) + "]"
+            assert _row_format(len(row)) % tuple(row) == want
+            start += n
+            n = n % 9 + 1
+
+    def test_rows_render_as_the_oracle_does(self):
+        from _render_oracle import render_json as oracle_render
+
+        rng = substream(SEED, "float_rows", 1)
+        finite = [v for v in _random_floats(rng, 20_000) if math.isfinite(v)]
+        rows = [finite[i : i + 1 + i % 8] for i in range(0, len(finite), 9)]
+        rows += [[0.0, 1.0], [-0.0, 0.5], (0.25, 0.75)]
+        doc = {"rows": rows, "shared": [rows[0], rows[0]], "names": [["A", "B"], ["é", 'q"'], []]}
+        assert render_json(doc) == oracle_render(doc)
+
+
+class _Real(float):
+    pass
+
+
+def _edge_doc(vec, **extra):
+    edge = {"u": "A", "v": "B", "schmidt": vec}
+    edge.update(extra)
+    return edge
+
+
+def _net_doc(*edges, d=2):
+    return {"dimension": d, "terminals": ["A", "B"], "edges": list(edges)}
+
+
+def _built(fn, doc):
+    """The network's links as hex strings, or the error's type and text."""
+    try:
+        net = fn(doc)
+    except (QnetdetError, ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return [(e.u, e.v, [v.hex() for v in e.link.entries]) for e in net.edges]
+
+
+class TestIngestion:
+    def test_errors_as_before(self):
+        good = _edge_doc([0.6, 0.4])
+        docs = [
+            [],
+            {"dimension": 2},
+            {"terminals": ["A", "B"], "edges": []},
+            _net_doc(good, [0.6, 0.4]),
+            _net_doc(good, {"u": "A", "v": "B"}),
+            _net_doc(good, {"u": "A", "schmidt": [0.6, 0.4]}),
+            _net_doc({"v": "B", "schmidt": [0.6, 0.4]}),
+            _net_doc(_edge_doc([0.6, 0.4], w=1)),
+            _net_doc(_edge_doc((0.6, 0.4))),
+            _net_doc(_edge_doc([])),
+            _net_doc(_edge_doc([True, False])),
+            _net_doc(_edge_doc([0.5, True])),
+            _net_doc(_edge_doc([1, False])),
+            _net_doc(_edge_doc(["0.5", 0.5])),
+            _net_doc(_edge_doc([None, 1.0])),
+            _net_doc(_edge_doc([1, 0])),
+            _net_doc(_edge_doc([_Real(0.6), _Real(0.4)])),
+            _net_doc(_edge_doc([np.float64(0.7), 0.3])),
+            _net_doc(_edge_doc([0.6, 0.3, 0.1])),
+            _net_doc(_edge_doc([0.6, 0.5])),
+            _net_doc(_edge_doc([1.0 + 5e-13, -5e-13])),
+            _net_doc(_edge_doc([0.9, 0.1]), {"u": "", "v": "B", "schmidt": [0.9, 0.1]}),
+        ]
+        for d in (2, 3, 5):
+            for i in range(d):
+                for bad in (-0.1, -1e-12, -2e-12, -3.0):
+                    vec = [1.0 / d] * d
+                    vec[i] = bad
+                    docs.append(_net_doc(good if d == 2 else _edge_doc([1.0 / d] * d), _edge_doc(vec), d=d))
+                    # a negative entry next to a total that is off as well
+                    vec = [0.9] * d
+                    vec[i] = bad
+                    docs.append(_net_doc(_edge_doc(vec), d=d))
+        for doc in docs:
+            assert _built(network_from_dict, doc) == _built(oracle.network_from_dict, doc), doc
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_at_every_position(self, bad):
+        for d in (2, 3, 4):
+            for i in range(d):
+                vec = [1.0 / d] * d
+                vec[i] = bad
+                doc = _net_doc(_edge_doc([1.0 / d] * d), _edge_doc(vec), d=d)
+                assert _built(network_from_dict, doc) == (SchemaError, "edge 1 schmidt has a non-finite entry")
+                # ahead of a negative entry, wherever either stands
+                for j in range(d):
+                    if j != i:
+                        vec2 = list(vec)
+                        vec2[j] = -0.5
+                        doc = _net_doc(_edge_doc(vec2), d=d)
+                        assert _built(network_from_dict, doc) == (
+                            SchemaError,
+                            "edge 0 schmidt has a non-finite entry",
+                        )
+
+    def test_overflowing_sum(self):
+        for vec in ([1e308, 1e308], [10**400, 0], [0.5, 10**400]):
+            assert _built(network_from_dict, _net_doc(_edge_doc(vec))) == (
+                SchemaError,
+                "edge 0 schmidt sums to inf, expected 1 within 1e-9",
+            )
+        assert _built(network_from_dict, _net_doc(_edge_doc([-(10**400), 1]))) == (
+            SchemaError,
+            "edge 0 schmidt has a negative entry",
+        )
+
+
+class TestVectorReaders:
+    """A SchmidtVector is read as it is; a plain list of the same values,
+    in any order, takes the sorting route and gives the same bits."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_swap_rule(self, d):
+        rng = substream(SEED, "readers_swap", d)
+        links = _links(rng, d, 40)
+        for x, y in zip(links[::2], links[1::2]):
+            got = [v.hex() for v in swap_rule(x, y).entries]
+            assert got == [v.hex() for v in oracle.swap_rule(x, y).entries]
+            xs, ys = list(x.entries), list(y.entries)
+            rng.shuffle(xs)
+            rng.shuffle(ys)
+            assert got == [v.hex() for v in normalize_descending(_swap_raw(xs, ys)).entries]
+            assert got == [v.hex() for v in swap_rule(xs, ys).entries]
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 6])
+    def test_conversion_probability(self, d):
+        rng = substream(SEED, "readers_conversion", d)
+        links = _links(rng, d, 40)
+        shorter = _links(rng, d - 1, 20) if d > 1 else []
+        pairs = list(zip(links[::2], links[1::2])) + [(x, x) for x in links[:5]] + list(zip(links, shorter))
+        pairs.append((links[0], SchmidtVector([1.0 / d] * d)))
+        for x, y in pairs:
+            got = conversion_probability(x, y)
+            xs, ys = list(x.entries), list(y.entries)
+            rng.shuffle(xs)
+            rng.shuffle(ys)
+            assert got.hex() == oracle.conversion_probability(x, y).hex()
+            assert got.hex() == conversion_probability(xs, ys).hex()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    def test_concurrence(self, d):
+        rng = substream(SEED, "readers_concurrence", d)
+        for x in _links(rng, d, 20):
+            for k in range(1, d + 1):
+                assert concurrence(x, k).hex() == concurrence(list(x.entries), k).hex()
+
+
+def _with_drops(net, rng):
+    """The network with a self-loop at A and a pendant edge at B."""
+    d = net.dimension
+    extra = [
+        Edge("A", "A", normalize_descending(rng.dirichlet(np.ones(d)))),
+        Edge("B", "pendant", normalize_descending(rng.dirichlet(np.ones(d)))),
+    ]
+    return QuantumNetwork(d, net.terminals, [*net.edges[:1], *extra, *net.edges[1:]])
+
+
+class TestFold:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_list_fold_matches_dict_fold(self, d):
+        rng = substream(SEED, "fold", d)
+        for _ in range(12):
+            net = _with_drops(random_network(d, 14, rng), rng)
+            moves, root = _decompose(net)
+            links = [e.link for e in net.edges]
+            got = _fold(moves, links, swap_rule, _det_parallel)
+            want = oracle._fold(moves, links, swap_rule, _det_parallel)
+            assert sorted(want) == list(range(len(got)))
+            assert all(got[eid] == vec for eid, vec in want.items())
+            scores = [float(i) for i in range(len(links))]
+            got = _fold(moves, scores, lambda p, q: p * q + 1.0, sum)
+            want = oracle._fold(moves, scores, lambda p, q: p * q + 1.0, sum)
+            assert got == [want[eid] for eid in range(len(got))]
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_trace_as_before(self, d):
+        rng = substream(SEED, "trace", d)
+        for _ in range(8):
+            net = _with_drops(random_network(d, 12, rng), rng)
+            moves, root = _decompose(net)
+            vec, trace = _reduce(net, moves, root)
+            want_vec, want_trace = oracle._reduce(net, moves, root)
+            assert vec == want_vec
+            assert [list(event) for event in trace] == [list(event) for event in want_trace]
+            assert render_json(trace) == render_json(want_trace)
+
+
+def _qubit_ladder(levels, rng):
+    """G_k = series(parallel(G_(k-1), e), e) from one link: 2 * levels + 1
+    qubit links, levels deep."""
+    def link():
+        top = float(rng.uniform(0.97, 0.995))
+        return [top, 1.0 - top]
+
+    edges = [{"u": "A", "v": "n0", "schmidt": link()}]
+    for level in range(levels):
+        far = "B" if level == levels - 1 else f"n{level + 1}"
+        edges.append({"u": "A", "v": f"n{level}", "schmidt": link()})
+        edges.append({"u": f"n{level}", "v": far, "schmidt": link()})
+    return json.dumps({"dimension": 2, "terminals": ["A", "B"], "edges": edges})
+
+
+def test_reduce_leaves_no_cyclic_garbage(network_dir):
+    texts = [path.read_text(encoding="utf-8") for path in sorted(network_dir.glob("*.json"))]
+    texts.append(_qubit_ladder(5000, substream(SEED, "gc_ladder", 0)))
+    gc.collect()
+    gc.disable()
+    try:
+        for text in texts:
+            net = parse_network(text)
+            if classify_topology(net).value == "NotSeriesParallel":
+                continue
+            render_json(report(net))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
