@@ -14,10 +14,10 @@ measurement.
 `sampling`, which need it, are imported inside the `verify` and
 `outcomes` code that uses them.  A module that serves one flag is
 imported where that flag is handled: `logging` for -v, `datetime` for
---timestamp, `csv` for --format csv, `dataclasses` for `verify`.  So a
-cold `qnetdet reduce` imports the package, `argparse`, `json` and what
-those two import on top of the interpreter, and no `dataclasses`,
-`inspect`, `logging`, `datetime`, `csv` or `typing`.
+--timestamp, `dataclasses` for `verify`.  So a cold `qnetdet reduce`
+imports the package, `argparse`, `json` and what those two import on
+top of the interpreter, and no `dataclasses`, `inspect`, `logging`,
+`datetime` or `typing`.
 From d = 4 up the series rule loads numpy for its SVD.  The argument
 parser is built once per process.
 """
@@ -25,7 +25,6 @@ parser is built once per process.
 import argparse
 import contextlib
 import functools
-import io
 import os
 import sys
 
@@ -102,10 +101,7 @@ def _default_seed(value) -> int:
 
 
 def _reduce_csv(rep: dict) -> str:
-    import csv
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    # no field holds a comma, a quote or a line break, so none is quoted
     vec = rep["det_vector"]
     d = rep["dimension"]
     head = [f"lambda_{i}" for i in range(1, len(vec) + 1)]
@@ -114,9 +110,7 @@ def _reduce_csv(rep: dict) -> str:
     row = [format_float(v) for v in vec]
     row += [format_float(rep["concurrence"][f"C_{k}"]) for k in range(1, d + 1)]
     row.append(format_float(rep["cep_probability"]))
-    writer.writerow(head)
-    writer.writerow(row)
-    return buf.getvalue()
+    return ",".join(head) + "\n" + ",".join(row) + "\n"
 
 
 def _reduce_pretty(rep: dict) -> str:

@@ -35,7 +35,7 @@ acceptance criterion 08); the reduction_invariance check of the
 verification suite pins that no node name, edge order or edge
 direction changes a bit of the answer.  The same moves fold
 scalar scores into the probabilistic conversion figure, and the
-topology class is read from their shape.
+topology class is read off the move list.
 
 The decomposition logs one DEBUG line to the `qnetdet.network` logger
 (edges dropped, moves by operator, the largest bundle arity), but only
@@ -62,7 +62,7 @@ from .errors import (
     SchemaError,
 )
 from .rules import conversion_probability, purify_rule, swap_rule
-from .schmidt import SchmidtVector, concurrence, normalize_descending
+from .schmidt import _NEG_EPS, SchmidtVector, concurrence, normalize_descending
 
 
 class TopologyClass(Enum):
@@ -192,7 +192,7 @@ def network_from_dict(obj) -> QuantumNetwork:
         # comparison below, so non-finite entries are rejected first
         if not -math.inf < total < math.inf and not all(-math.inf < x < math.inf for x in vec):
             raise SchemaError(f"edge {i} schmidt has a non-finite entry")
-        if min(vec) < -1e-12:
+        if min(vec) < -_NEG_EPS:
             raise SchemaError(f"edge {i} schmidt has a negative entry")
         if abs(total - 1.0) > 1e-9:
             raise SchemaError(f"edge {i} schmidt sums to {total!r}, expected 1 within 1e-9")
@@ -525,47 +525,27 @@ def cep_probability(network: QuantumNetwork) -> float:
     return _cep(network, *_decompose(network))
 
 
-_LEAF = (None, 0, 0, 0)
-
-
-def _shape(op, parts):
-    """Shape of the edge that move `op` makes from `parts`, as (op,
-    leaves, plain, other): how many of its parts, nested `op` moves
-    flattened, are single links, the other operator over single links
-    only, or anything else.  A single link is _LEAF."""
-    leaves = plain = other = 0
-    for part_op, part_leaves, part_plain, part_other in parts:
-        if part_op == op:
-            leaves += part_leaves
-            plain += part_plain
-            other += part_other
-        elif part_op is None:
-            leaves += 1
-        elif part_plain == part_other == 0:
-            plain += 1
-        else:
-            other += 1
-    return op, leaves, plain, other
-
-
-def _classify(network, moves, root) -> TopologyClass:
-    """Class of a decomposed network: series of links is a simple
-    series, parallel of links a simple parallel, series of links and
-    parallels of links is parallel-then-series, and parallel of series
-    of links with at most one single link is series-then-parallel."""
-    op, leaves, plain, other = _fold(
-        moves,
-        [_LEAF] * len(network.edges),
-        lambda p, q: _shape("series", (p, q)),
-        lambda ps: _shape("parallel", ps),
-    )[root]
-    if plain == other == 0:
-        return TopologyClass.SIMPLE_PARALLEL if op == "parallel" else TopologyClass.SIMPLE_SERIES
-    if other:
-        return TopologyClass.SERIES_PARALLEL
-    if op == "series":
+def _classify(moves) -> TopologyClass:
+    """Class of a decomposed network, read off its moves: series of
+    links is a simple series, parallel of links a simple parallel, series
+    of links and parallels of links is parallel-then-series, and
+    parallel of series of links with at most one single link is
+    series-then-parallel.  A bundle's parts are never bundles and a
+    chain's parts never chains, so it is enough to know which operator
+    the root move has and which move feeds which."""
+    made = {m["output"]: m["op"] for m in moves if m["op"] != "drop"}
+    feeds = {(made.get(e), m["op"]) for m in moves if m["op"] != "drop" for e in m["inputs"]}
+    if "parallel" not in made.values():
+        return TopologyClass.SIMPLE_SERIES
+    if "series" not in made.values():
+        return TopologyClass.SIMPLE_PARALLEL
+    last = moves[-1]  # the root's move, emitted last
+    if last["op"] == "series" and ("series", "parallel") not in feeds:
         return TopologyClass.PARALLEL_THEN_SERIES
-    return TopologyClass.SERIES_THEN_PARALLEL if leaves <= 1 else TopologyClass.SERIES_PARALLEL
+    bare = sum(e not in made for e in last["inputs"])  # network edges
+    if last["op"] == "parallel" and ("parallel", "series") not in feeds and bare <= 1:
+        return TopologyClass.SERIES_THEN_PARALLEL
+    return TopologyClass.SERIES_PARALLEL
 
 
 def classify_topology(network: QuantumNetwork) -> TopologyClass:
@@ -577,10 +557,10 @@ def classify_topology(network: QuantumNetwork) -> TopologyClass:
         Terminals not connected (no class applies).
     """
     try:
-        moves, root = _decompose(network)
+        moves, _ = _decompose(network)
     except NotSeriesParallel:
         return TopologyClass.NOT_SERIES_PARALLEL
-    return _classify(network, moves, root)
+    return _classify(moves)
 
 
 def report(network: QuantumNetwork) -> dict:
@@ -598,7 +578,7 @@ def report(network: QuantumNetwork) -> dict:
         "dimension": d,
         "terminals": list(network.terminals),
         "edge_count": len(network.edges),
-        "topology": _classify(network, moves, root).value,
+        "topology": _classify(moves).value,
         "det_vector": list(vec.entries),
         "concurrence": {f"C_{k}": concurrence(vec, k) for k in range(1, d + 1)},
         "cep_probability": _cep(network, moves, root),

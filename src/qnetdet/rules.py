@@ -29,7 +29,7 @@ from .errors import (
     LengthMismatchAfterPadding,
     ShapeMismatch,
 )
-from .schmidt import MAJORIZATION_ATOL, SchmidtVector, ProbabilisticEnsemble, normalize_descending
+from .schmidt import MAJORIZATION_ATOL, SchmidtVector, ProbabilisticEnsemble, _screened, _unit
 
 # Measurement outcomes below this probability carry no statistical
 # weight and are numerically unstable to renormalize.
@@ -202,7 +202,7 @@ def swap_rule(x: SchmidtVector, y: SchmidtVector) -> SchmidtVector:
         y = SchmidtVector(y)
     if x.dimension != y.dimension:
         raise DimensionMismatch(f"dimensions {x.dimension} and {y.dimension} differ")
-    return normalize_descending(_series(x.entries, y.entries))
+    return _unit(_series(x.entries, y.entries))
 
 
 def _swap_raw(xs, ys) -> list:
@@ -227,16 +227,21 @@ def purify_rule(x, d: int) -> SchmidtVector:
     bundle of links pairwise, applying this to the d*d tensor product of
     the running vector and the next link, which equals applying it once
     to the product of the whole bundle (the lemma_parallel_fold check).
+    A SchmidtVector is read as it is; any other iterable is screened
+    first, as every value handed to the package is (schmidt._screened),
+    and need not sum to one.
 
     Raises
     ------
     DimensionTooSmall
         d < 1 or x shorter than d.
+    NonFiniteEntry, NegativeEntry
+        The entries of a plain iterable fail the screen.
     """
-    xs = list(x.entries) if isinstance(x, SchmidtVector) else [float(v) for v in x]
+    xs = x.entries if isinstance(x, SchmidtVector) else _screened(x)
     if d < 1 or len(xs) < d:
         raise DimensionTooSmall(f"cannot map length {len(xs)} to dimension {d}")
-    return normalize_descending(kernels.purify_kernel(xs, d))
+    return _unit(kernels.purify_kernel(xs, d))
 
 
 def _descending(x):
@@ -348,7 +353,7 @@ def enumerate_swap_outcomes(x: SchmidtVector, y: SchmidtVector, povm: Povm) -> P
     if not validate_povm(povm):
         raise InvalidPovm("completeness relation fails")
     outcomes = _outcome_spectra(x.entries, y.entries, povm.elements)
-    return ProbabilisticEnsemble((p, normalize_descending(spec)) for p, spec in outcomes)
+    return ProbabilisticEnsemble((p, _unit(spec.tolist())) for p, spec in outcomes)
 
 
 def _isometric(stack, tol: float = COMPLETENESS_TOL) -> bool:

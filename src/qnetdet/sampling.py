@@ -7,7 +7,6 @@ full runs aggregate to identical reports regardless of evaluation order.
 """
 
 import hashlib
-import logging
 
 import numpy as np
 
@@ -15,8 +14,6 @@ from .errors import RejectionBudgetExceeded, SingularNormalizer
 from .network import Edge, QuantumNetwork
 from .rules import Povm, _isometric, validate_povm
 from .schmidt import SchmidtVector, majorizes
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "substream",

@@ -6,6 +6,8 @@ summing to one.  Everything downstream (combination rules, network
 reduction, the verification suite) works on these vectors; the state
 vectors themselves never appear.
 
+``_screened`` is the package's one check of the values handed to it,
+and ``_unit`` the one way from checked or computed entries to a vector.
 ``majorization_slack`` and ``submajorization_slack`` are the package's
 one comparison of sorted prefix sums: ``majorizes`` reads the first
 against a tolerance, and the verification suite reports both.
@@ -37,25 +39,12 @@ MAJORIZATION_ATOL = 1e-9
 # Entries this far below zero are treated as roundoff and clamped.
 _NEG_EPS = 1e-12
 
-
-def _clamped(vals: list) -> list:
-    """Entries with roundoff negatives set to zero.
-
-    Raises
-    ------
-    NonFiniteEntry, NegativeEntry
-    """
-    out = []
-    for v in vals:
-        if not math.isfinite(v):
-            raise NonFiniteEntry(f"entry {v!r} is not finite")
-        if v < -_NEG_EPS:
-            raise NegativeEntry(f"entry {v!r} below zero")
-        out.append(v if v > 0.0 else 0.0)
-    return out
+# A plain sum of nonnegative floats below this bound leaves their
+# correctly rounded sum finite as well.
+_SUM_BOUND = 2.0**1023
 
 
-def _total(entries: list) -> float:
+def _total(entries) -> float:
     """Correctly rounded sum of finite entries.
 
     Raises
@@ -69,10 +58,60 @@ def _total(entries: list) -> float:
         raise NonFiniteEntry("entries sum beyond the largest float") from None
 
 
+def _screened(values) -> list:
+    """The one check of values handed to the package: a new list of
+    finite, nonnegative floats with a finite sum, zeros of either sign
+    and roundoff negatives down to -1e-12 set to ``0.0``.  One ``min``
+    and one plain ``sum`` (which carries NaN and the infinities) tell
+    whether every entry is positive and finite; only when they do not,
+    the entries go through the per-entry clamp.
+
+    Raises
+    ------
+    NonFiniteEntry
+        An entry is NaN, infinite or an integer beyond the float range,
+        or the entries sum beyond the largest float.
+    NegativeEntry
+        An entry below -1e-12.
+    """
+    try:
+        vals = [float(v) for v in values]
+    except OverflowError:
+        raise NonFiniteEntry("entry beyond the largest float") from None
+    if min(vals, default=0.0) > 0.0 and sum(vals) < _SUM_BOUND:
+        return vals
+    out = []
+    for v in vals:
+        if not math.isfinite(v):
+            raise NonFiniteEntry(f"entry {v!r} is not finite")
+        if v < -_NEG_EPS:
+            raise NegativeEntry(f"entry {v!r} below zero")
+        out.append(v if v > 0.0 else 0.0)
+    _total(out)  # raises on a sum past the largest float
+    return out
+
+
 def _check_unit_total(entries: list) -> None:
     total = _total(entries)
     if abs(total - 1.0) > 1e-12:
         raise ValueError(f"entries sum to {total!r}, expected 1 within 1e-12")
+
+
+def _unit(clean: list) -> SchmidtVector:
+    """The vector of screened entries (see ``_screened``) or of entries a
+    rule computed from them: each divided by their correctly rounded
+    total, sorted descending.  The quotients are nonnegative and finite
+    (never ``-0.0``), so only the 1e-12 total check remains; a zero
+    total raises ZeroSum."""
+    total = _total(clean)
+    if total <= 0.0:
+        raise ZeroSum("entries sum to zero")
+    out = [v / total for v in clean]
+    out.sort(reverse=True)
+    _check_unit_total(out)
+    vec = object.__new__(SchmidtVector)
+    object.__setattr__(vec, "entries", tuple(out))
+    return vec
 
 
 def _values_of(x):
@@ -88,10 +127,12 @@ class SchmidtVector(Frozen):
 
     Invariant: ``entries`` is a descending tuple of finite, nonnegative
     floats (no ``-0.0``) that sum to 1 within 1e-12.  It is established
-    once, where a vector is made: by this constructor, by
-    ``normalize_descending``, or by ``_frozen._rebuild`` from the entries
-    of a vector that had it.  Every reader relies on it and takes the
-    tuple as it is; nothing re-sorts, re-clamps or converts it again.
+    once, where a vector is made: by this constructor or
+    ``normalize_descending``, which check the entries handed in with
+    ``_screened``, by ``_unit`` from the outputs the rules compute out
+    of checked entries, or by ``_frozen._rebuild`` from the entries of a
+    vector that had it.  Every reader relies on it and takes the tuple
+    as it is; nothing re-sorts, re-clamps or converts it again.
 
     Parameters
     ----------
@@ -109,13 +150,12 @@ class SchmidtVector(Frozen):
     entries: tuple[float, ...]
 
     def __init__(self, entries: Iterable[float]):
-        vals = [float(v) for v in entries]
+        vals = _screened(entries)
         if not vals:
             raise EmptyInput("SchmidtVector needs at least one entry")
-        clamped = _clamped(vals)
-        clamped.sort(reverse=True)
-        _check_unit_total(clamped)
-        object.__setattr__(self, "entries", tuple(clamped))
+        vals.sort(reverse=True)
+        _check_unit_total(vals)
+        object.__setattr__(self, "entries", tuple(vals))
 
     @property
     def dimension(self) -> int:
@@ -134,7 +174,7 @@ class SchmidtVector(Frozen):
 class ProbabilisticEnsemble(Frozen):
     """Finite ensemble of Schmidt vectors with outcome probabilities.
 
-    Probabilities must be nonnegative and sum to 1 within 1e-9; all
+    Probabilities pass ``_screened`` and must sum to 1 within 1e-9; all
     member vectors must share one dimension.
     """
 
@@ -142,24 +182,19 @@ class ProbabilisticEnsemble(Frozen):
     outcomes: tuple[tuple[float, SchmidtVector], ...]
 
     def __init__(self, outcomes: Iterable[tuple[float, SchmidtVector]]):
-        items = []
-        for p, vec in outcomes:
-            p = float(p)
-            if p < -_NEG_EPS:
-                raise NegativeEntry(f"probability {p!r} below zero")
-            if not isinstance(vec, SchmidtVector):
-                vec = SchmidtVector(vec)
-            items.append((p if p > 0.0 else 0.0, vec))
-        if not items:
+        pairs = list(outcomes)
+        if not pairs:
             raise EmptyEnsemble("ensemble needs at least one outcome")
-        d = items[0][1].dimension
-        for _, vec in items:
+        probs = _screened(p for p, _ in pairs)
+        vecs = [vec if isinstance(vec, SchmidtVector) else SchmidtVector(vec) for _, vec in pairs]
+        d = vecs[0].dimension
+        for vec in vecs:
             if vec.dimension != d:
                 raise DimensionMismatch("ensemble members must share a dimension")
-        total = math.fsum(p for p, _ in items)
+        total = _total(probs)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"probabilities sum to {total!r}, expected 1 within 1e-9")
-        object.__setattr__(self, "outcomes", tuple(items))
+        object.__setattr__(self, "outcomes", tuple(zip(probs, vecs)))
 
     @property
     def dimension(self) -> int:
@@ -173,53 +208,32 @@ class ProbabilisticEnsemble(Frozen):
 
 
 def normalize_descending(values: Iterable[float]) -> SchmidtVector:
-    """Clamp roundoff negatives, divide by the total, sort descending.
-
-    One validation pass, screened first: one ``min`` and one plain
-    ``sum`` (which carries NaN and the infinities) tell whether every
-    entry is positive and finite.  Only when they do not, the entries go
-    through the per-entry clamp, which raises on a NaN, an infinity or a
-    real negative and sets zeros of either sign and roundoff negatives
-    to ``0.0``.  The quotients of these entries by their positive total
-    are nonnegative and finite (never ``-0.0``), so the result skips the
-    ``SchmidtVector`` constructor's second clamp and sort and keeps only
-    its 1e-12 total check.  The entries equal those of
-    ``SchmidtVector(v / total for v in clamped)``.
+    """Clamp roundoff negatives, divide by the total, sort descending:
+    ``_unit(_screened(values))``.  The entries equal those of
+    ``SchmidtVector(v / total for v in screened)``.
 
     Raises
     ------
     EmptyInput
         No entries.
-    NonFiniteEntry
-        An entry is NaN or infinite, or the entries sum beyond the
-        largest float.
-    NegativeEntry
-        An entry below -1e-12.
+    NonFiniteEntry, NegativeEntry
+        The entries fail the screen.
     ZeroSum
         All entries vanish, nothing to normalize.
     ValueError
         The quotients sum to 1 only beyond 1e-12.
     """
-    vals = [float(v) for v in values]
-    if not vals:
+    clean = _screened(values)
+    if not clean:
         raise EmptyInput("nothing to normalize")
-    if not (min(vals) > 0.0 and sum(vals) < math.inf):
-        vals = _clamped(vals)
-    total = _total(vals)
-    if total <= 0.0:
-        raise ZeroSum("entries sum to zero")
-    out = [v / total for v in vals]
-    out.sort(reverse=True)
-    _check_unit_total(out)
-    vec = object.__new__(SchmidtVector)
-    object.__setattr__(vec, "entries", tuple(out))
-    return vec
+    return _unit(clean)
 
 
 def majorization_slack(big, small) -> float:
     """Slack of the claim big majorizes small: the worst prefix deficit,
     or the total mismatch, whichever is larger.  Shorter side is padded
-    with zeros."""
+    with zeros.  A side whose finite entries sum beyond the largest
+    float raises NonFiniteEntry."""
     a = sorted((float(v) for v in big), reverse=True)
     b = sorted((float(v) for v in small), reverse=True)
     n = max(len(a), len(b))
@@ -232,7 +246,7 @@ def majorization_slack(big, small) -> float:
         pb += b[j]
         if pb - pa > worst:
             worst = pb - pa
-    gap = abs(math.fsum(a) - math.fsum(b))
+    gap = abs(_total(a) - _total(b))
     # a NaN entry makes the total mismatch NaN, and NaN is passed on
     return worst if worst >= gap else gap
 

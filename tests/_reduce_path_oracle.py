@@ -3,12 +3,14 @@ vector was validated once and then read as it is, for tests only.
 
 Every function below is the package's code from before that change,
 kept verbatim but for its name's module: `normalize_descending` with its
-per-entry clamp always run, `swap_rule` with the copies and re-sorts of
-the series rule, `conversion_probability` sorting both arguments,
-`network_from_dict` with a set per edge and a generator per check,
-`_fold` over a dict and `_reduce` copying every event.  The differential
-tests in test_reduce_path.py compare the package with them, bit for bit
-or error for error, and the package never imports this module.
+per-entry clamp `_clamped` always run, `swap_rule` with the copies and
+re-sorts of the series rule, `conversion_probability` sorting both
+arguments, `network_from_dict` with a set per edge and a generator per
+check, `_fold` over a dict and `_reduce` copying every event.  The
+topology fold `_classify`, which the package replaced by reading the
+class off the move list, is kept the same way.  The differential tests
+compare the package with them, bit for bit or error for error, and the
+package never imports this module.
 """
 
 import math
@@ -24,7 +26,7 @@ from qnetdet.errors import (
     SchemaError,
     ZeroSum,
 )
-from qnetdet.network import Edge, QuantumNetwork, _check_endpoint, _det_parallel
+from qnetdet.network import Edge, QuantumNetwork, TopologyClass, _check_endpoint, _det_parallel
 from qnetdet.rules import SERIES_LAPACK_MIN_D, _flatness, _fourier, _series_qubit, kernels
 from qnetdet.schmidt import MAJORIZATION_ATOL, SchmidtVector
 
@@ -185,3 +187,46 @@ def _reduce(network, moves, root):
             event["output"] = shown[event["output"]]
         trace.append(event)
     return links[root], trace
+
+
+_LEAF = (None, 0, 0, 0)
+
+
+def _shape(op, parts):
+    """Shape of the edge that move `op` makes from `parts`, as (op,
+    leaves, plain, other): how many of its parts, nested `op` moves
+    flattened, are single links, the other operator over single links
+    only, or anything else.  A single link is _LEAF."""
+    leaves = plain = other = 0
+    for part_op, part_leaves, part_plain, part_other in parts:
+        if part_op == op:
+            leaves += part_leaves
+            plain += part_plain
+            other += part_other
+        elif part_op is None:
+            leaves += 1
+        elif part_plain == part_other == 0:
+            plain += 1
+        else:
+            other += 1
+    return op, leaves, plain, other
+
+
+def _classify(network, moves, root) -> TopologyClass:
+    """Class of a decomposed network: series of links is a simple
+    series, parallel of links a simple parallel, series of links and
+    parallels of links is parallel-then-series, and parallel of series
+    of links with at most one single link is series-then-parallel."""
+    op, leaves, plain, other = _fold(
+        moves,
+        [_LEAF] * len(network.edges),
+        lambda p, q: _shape("series", (p, q)),
+        lambda ps: _shape("parallel", ps),
+    )[root]
+    if plain == other == 0:
+        return TopologyClass.SIMPLE_PARALLEL if op == "parallel" else TopologyClass.SIMPLE_SERIES
+    if other:
+        return TopologyClass.SERIES_PARALLEL
+    if op == "series":
+        return TopologyClass.PARALLEL_THEN_SERIES
+    return TopologyClass.SERIES_THEN_PARALLEL if leaves <= 1 else TopologyClass.SERIES_PARALLEL

@@ -490,7 +490,7 @@ class TestColdStart:
         "argv, code, allowed",
         [
             (["reduce", "networks/chain.json"], EXIT_OK, set()),
-            (["reduce", "networks/parallel_then_series.json", "--format", "csv"], EXIT_OK, {"csv"}),
+            (["reduce", "networks/parallel_then_series.json", "--format", "csv"], EXIT_OK, set()),
             (["reduce", "networks/nested_qutrit.json", "--pretty"], EXIT_OK, set()),
             (["-vv", "reduce", "networks/triangle.json"], EXIT_OK, {"logging"}),
             (["reduce", "networks/bridge.json"], EXIT_NOT_SERIES_PARALLEL, set()),

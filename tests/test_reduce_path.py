@@ -6,16 +6,19 @@ import gc
 import json
 import math
 import struct
+import sys
 
 import numpy as np
 import pytest
 import _reduce_path_oracle as oracle
 
 from qnetdet._jsonio import _row_format, render_json
-from qnetdet.errors import NonFiniteEntry, QnetdetError, SchemaError
+from qnetdet.errors import NegativeEntry, NonFiniteEntry, NotSeriesParallel, QnetdetError, SchemaError
 from qnetdet.network import (
     Edge,
     QuantumNetwork,
+    TopologyClass,
+    _classify,
     _decompose,
     _det_parallel,
     _fold,
@@ -25,9 +28,27 @@ from qnetdet.network import (
     parse_network,
     report,
 )
-from qnetdet.rules import _swap_raw, conversion_probability, swap_rule
-from qnetdet.sampling import random_network, substream
-from qnetdet.schmidt import SchmidtVector, concurrence, normalize_descending
+from qnetdet.rules import (
+    _outcome_spectra,
+    _series,
+    _swap_raw,
+    bell_povm_d2,
+    conversion_probability,
+    deterministic_swap_povm,
+    kernels,
+    purify_rule,
+    swap_rule,
+)
+from qnetdet.sampling import random_network, sample_povm, substream
+from qnetdet.schmidt import (
+    ProbabilisticEnsemble,
+    SchmidtVector,
+    _unit,
+    concurrence,
+    majorization_slack,
+    majorizes,
+    normalize_descending,
+)
 
 SEED = 20261019
 
@@ -91,6 +112,114 @@ class TestNormalizeScreen:
     def test_constructor_rejects_an_overflowing_pair(self):
         with pytest.raises(NonFiniteEntry, match="beyond the largest float"):
             SchmidtVector([1e308, 1e308])
+
+
+_HALF = SchmidtVector([0.5, 0.5])
+
+
+class TestScreen:
+    """Every value handed to the package passes one screen,
+    schmidt._screened, so no route keeps a NaN, maps a negative entry or
+    lets a bare OverflowError out."""
+
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            (lambda: ProbabilisticEnsemble([(math.nan, _HALF), (1.0, _HALF)]), NonFiniteEntry),
+            (lambda: ProbabilisticEnsemble([(1e308, _HALF), (1e308, _HALF)]), NonFiniteEntry),
+            (lambda: majorizes([1e308, 1e308], [0.5, 0.5]), NonFiniteEntry),
+            (lambda: purify_rule([-1.0, 2.0, 0.2], 2), NegativeEntry),
+            (lambda: purify_rule([0.5, -0.5, 1.0], 2), NegativeEntry),
+            (lambda: purify_rule([1e308, 1e308, 1.0], 2), NonFiniteEntry),
+            # a plain sum rounds down to the largest float, the exact one
+            # overflows
+            (lambda: purify_rule([sys.float_info.max] + [2.0**969] * 3, 2), NonFiniteEntry),
+            (lambda: normalize_descending([10**400, 1]), NonFiniteEntry),
+            (lambda: SchmidtVector([10**400]), NonFiniteEntry),
+        ],
+        ids=[
+            "ensemble-nan",
+            "ensemble-overflow",
+            "majorizes-overflow",
+            "purify-negative-first",
+            "purify-negative-inside",
+            "purify-overflow",
+            "purify-overflow-past-plain-sum",
+            "normalize-big-int",
+            "vector-big-int",
+        ],
+    )
+    def test_rejects(self, call, error):
+        assert issubclass(error, QnetdetError)
+        with pytest.raises(error):
+            call()
+
+    def test_negative_probability_message(self):
+        with pytest.raises(NegativeEntry, match=r"^entry -0\.5 below zero$"):
+            ProbabilisticEnsemble([(-0.5, _HALF), (1.5, _HALF)])
+
+    def test_nan_slack_passes_through(self):
+        assert math.isnan(majorization_slack([math.nan, 0.5], [0.5, 0.5]))
+        assert math.isnan(majorization_slack([0.5, 0.5], [0.5, math.nan]))
+
+
+def _zeroed(rng, links):
+    """The links, every third one with up to all but one entry set to
+    zero."""
+    out = []
+    for t, x in enumerate(links):
+        vals = list(x.entries)
+        if t % 3 == 0 and len(vals) > 1:
+            for i in rng.choice(len(vals), size=int(rng.integers(1, len(vals))), replace=False):
+                vals[i] = 0.0
+            if max(vals) == 0.0:
+                vals[0] = 1.0
+        out.append(normalize_descending(vals))
+    return out
+
+
+class TestUnit:
+    """A rule's output needs no screen: _unit gives the bits that
+    normalize_descending gives on it."""
+
+    @staticmethod
+    def _same(out, screened_from=None):
+        """_unit(out) against normalize_descending on the output as the
+        rule handed it over before, `screened_from` when that differs."""
+        got = _unit(out).entries
+        assert all(type(v) is float for v in got)
+        want = normalize_descending(out if screened_from is None else screened_from).entries
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_swap_outputs(self, d):
+        rng = substream(SEED, "unit_swap", d)
+        links = _zeroed(rng, _links(rng, d, 40))
+        for x, y in zip(links[::2], links[1::2]):
+            self._same(_series(x.entries, y.entries))
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_purify_outputs(self, d):
+        rng = substream(SEED, "unit_purify", d)
+        links = _zeroed(rng, _links(rng, d, 40))
+        with_zeros = 0
+        for x, y in zip(links[::2], links[1::2]):
+            products = [a * b for a in x.entries for b in y.entries]
+            with_zeros += 0.0 in products
+            self._same(kernels.purify_kernel(products, d))
+        assert with_zeros or d == 1
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_outcome_spectra(self, d):
+        rng = substream(SEED, "unit_outcomes", d)
+        links = _zeroed(rng, _links(rng, d, 12))
+        povms = [deterministic_swap_povm(d), sample_povm(d, d * d, rng)]
+        if d == 2:
+            povms.append(bell_povm_d2())
+        for x, y in zip(links[::2], links[1::2]):
+            for povm in povms:
+                for _, spec in _outcome_spectra(x.entries, y.entries, povm.elements):
+                    self._same(spec.tolist(), spec)
 
 
 def _random_floats(rng, count):
@@ -297,6 +426,34 @@ class TestFold:
             assert vec == want_vec
             assert [list(event) for event in trace] == [list(event) for event in want_trace]
             assert render_json(trace) == render_json(want_trace)
+
+
+class TestClassify:
+    """The class read off the move list is the class of the shape fold
+    it replaced."""
+
+    def test_bundled_networks(self, network_dir):
+        for path in sorted(network_dir.glob("*.json")):
+            net = parse_network(path.read_text(encoding="utf-8"))
+            try:
+                moves, root = _decompose(net)
+            except NotSeriesParallel:
+                assert classify_topology(net) is TopologyClass.NOT_SERIES_PARALLEL
+                continue
+            assert _classify(moves) is oracle._classify(net, moves, root), path.name
+
+    def test_random_draws(self):
+        rng = substream(SEED, "classify", 0)
+        seen = set()
+        for t in range(3000):
+            net = random_network(2, 24, rng)
+            if t % 10 == 0:
+                net = _with_drops(net, rng)
+            moves, root = _decompose(net)
+            got = _classify(moves)
+            assert got is oracle._classify(net, moves, root)
+            seen.add(got)
+        assert seen == set(TopologyClass) - {TopologyClass.NOT_SERIES_PARALLEL}
 
 
 def _qubit_ladder(levels, rng):

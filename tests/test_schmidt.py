@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import _reduce_path_oracle as oracle
 
 from qnetdet.errors import (
     EmptyEnsemble,
@@ -18,7 +19,6 @@ from qnetdet.sampling import dominated_vector, random_schmidt, substream
 from qnetdet.schmidt import (
     ProbabilisticEnsemble,
     SchmidtVector,
-    _clamped,
     adjugate_vec,
     concurrence,
     det_vec,
@@ -95,7 +95,7 @@ class TestNormalize:
         # the route before the single validation pass: clamp, divide, and
         # let the SchmidtVector constructor clamp and sort once more
         def two_pass(values):
-            clamped = _clamped([float(v) for v in values])
+            clamped = oracle._clamped([float(v) for v in values])
             total = math.fsum(clamped)
             return SchmidtVector(v / total for v in clamped)
 
