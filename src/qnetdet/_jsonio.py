@@ -1,13 +1,14 @@
 """Deterministic JSON rendering with one float format.
 
 `render_json` accepts None, bool, int, float and str, and lists, tuples
-and dicts of these, subclasses included; a dict key of another type is
-rendered as the string `str(key)`.  Every float is printed by
-`format_float`: 12 significant digits, zero of either sign as `0`, and
-NaN or an infinity raise ValueError.  Any other type raises TypeError,
-numpy scalars and arrays included: the module imports no numpy, so
-`qnetdet reduce` runs without loading it, and the commands that use
-numpy convert their values to Python numbers first.
+and dicts of these, exact types only: a subclass of any of them raises
+TypeError like any other type.  A dict key of another type is rendered
+as the string `str(key)`.  Every float is printed by `format_float`: 12
+significant digits, zero of either sign as `0`, and NaN or an infinity
+raise ValueError.  Any other type raises TypeError, numpy scalars and
+arrays included: the module imports no numpy, so `qnetdet reduce` runs
+without loading it, and the commands that use numpy convert their
+values to Python numbers first.
 
 The output is compact (`", "` between items, `": "` after a key) and
 newline-terminated, so identical data produce identical bytes across
@@ -105,7 +106,9 @@ class _Renderer:
             return "true"
         if o is False:
             return "false"
-        return self.subclass(o)
+        if t.__module__ == "numpy":
+            raise TypeError(f"cannot serialize numpy {t.__name__}; convert it to a Python value")
+        raise TypeError(f"cannot serialize {t.__name__}")
 
     def sequence(self, o):
         if not o:
@@ -130,29 +133,14 @@ class _Renderer:
         value = self.value
         return "{" + ", ".join([keys[k] + value(v) for k, v in o.items()]) + "}"
 
-    def subclass(self, o):
-        if type(o).__module__ == "numpy":
-            raise TypeError(f"cannot serialize numpy {type(o).__name__}; convert it to a Python value")
-        if isinstance(o, str):
-            return _string(o)
-        if isinstance(o, int):
-            return str(o)
-        if isinstance(o, float):
-            return format_float(o)
-        if isinstance(o, dict):
-            return self.mapping(o)
-        if isinstance(o, (list, tuple)):
-            return "[" + ", ".join(map(self.value, o)) + "]"
-        raise TypeError(f"cannot serialize {type(o).__name__}")
-
 
 def render_json(obj) -> str:
     """Serialize to a compact JSON string, newline-terminated.
 
-    One pass dispatches on the exact type and falls back to isinstance
-    checks for subclasses.  Within a call each string and key is
-    rendered once, and so is each list object of floats: a reduction
-    trace lists a vector as one move's output and the next move's input.
+    One pass dispatches on the exact type of each value.  Within a call
+    each string and key is rendered once, and so is each list object of
+    floats: a reduction trace lists a vector as one move's output and the
+    next move's input.
     A list of floats only is formatted by one ``%`` call from a template
     cached per length, and a list of strings only is joined from the
     rendered strings directly.  The call leaves no reference cycle: its

@@ -13,17 +13,18 @@ per-trial substreams, so they are order-independent and individually
 replayable.
 """
 
+from __future__ import annotations
+
 import functools
 import itertools
 import logging
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from . import sampling
+from ._frozen import Frozen
 from .backend import kernels
 from .errors import (
     DimensionNotTwo,
@@ -78,8 +79,7 @@ _VIOLATION_CAP = 25
 _REJECTION_BUDGET = 200
 
 
-@dataclass(frozen=True)
-class CheckConfig:
+class CheckConfig(Frozen):
     """Shared knobs for one verification run.
 
     Parameters
@@ -97,23 +97,21 @@ class CheckConfig:
         completeness minimum, dimension squared.
     """
 
-    dimension: int = 2
-    trials: int = 1000
-    seed: int = 0
-    tolerance: float = 1e-9
-    povm_size: Optional[int] = None
+    __slots__ = ("dimension", "trials", "seed", "tolerance", "povm_size")
 
-    def __post_init__(self):
-        if self.dimension < 2:
-            raise DimensionTooSmall(f"dimension {self.dimension} below 2")
-        if self.dimension > 8:
-            raise DimensionTooLarge(f"dimension {self.dimension} above 8")
-        if self.trials < 1:
+    def __init__(self, dimension=2, trials=1000, seed=0, tolerance=1e-9, povm_size=None):
+        if dimension < 2:
+            raise DimensionTooSmall(f"dimension {dimension} below 2")
+        if dimension > 8:
+            raise DimensionTooLarge(f"dimension {dimension} above 8")
+        if trials < 1:
             raise ValueError("trials must be at least 1")
-        if not self.tolerance > 0.0:
+        if not tolerance > 0.0:
             raise ValueError("tolerance must be positive")
-        if self.povm_size is not None and self.povm_size < 1:
+        if povm_size is not None and povm_size < 1:
             raise ValueError("povm_size must be at least 1")
+        for field, value in zip(self.__slots__, (dimension, trials, seed, tolerance, povm_size)):
+            object.__setattr__(self, field, value)
 
     @property
     def resolved_povm_size(self) -> int:
@@ -122,19 +120,20 @@ class CheckConfig:
         return self.dimension * self.dimension
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Frozen):
     """Outcome of one check: the violation records plus the largest
     slack seen across all trials (negative slack means comfortable
     margin).  ``passed`` is true exactly when no trial violated.  The
-    records and the extras hold JSON-ready values only (see _plain)."""
+    violation records, a tuple of dicts, and the extras, a dict that
+    defaults to a new empty one, hold JSON-ready values only (see
+    _plain); through its dicts a report has no hash."""
 
-    name: str
-    trials_run: int
-    passed: bool
-    max_slack: float
-    violations: Tuple[dict, ...]
-    extras: dict = field(default_factory=dict)
+    __slots__ = ("name", "trials_run", "passed", "max_slack", "violations", "extras")
+
+    def __init__(self, name, trials_run, passed, max_slack, violations, extras=None):
+        values = (name, trials_run, passed, max_slack, violations, {} if extras is None else extras)
+        for field, value in zip(self.__slots__, values):
+            object.__setattr__(self, field, value)
 
     def to_dict(self) -> dict:
         out = {
@@ -227,27 +226,23 @@ def _purify_raw(xs, d) -> list:
 # registry and trial driver
 
 
-class _Check(NamedTuple):
-    group: str
-    run: Callable[[CheckConfig], CheckReport]
-    # skip reason of a statement about qubits only, None for any dimension
-    qubit_only: Optional[str] = None
-
-
-# name -> _Check in report order; CHECKS and GROUPS are derived from it
+# name -> (group, run, qubit_only) in report order, where run(cfg)
+# returns the CheckReport and qubit_only is the skip reason of a
+# statement about qubits only, None for any dimension; CHECKS and GROUPS
+# are derived from it
 _REGISTRY = {}
 
 
-def _unmet(name: str, cfg: CheckConfig) -> Optional[str]:
+def _unmet(name: str, cfg: CheckConfig) -> str | None:
     """Why ``cfg`` misses the dimension precondition of check ``name``,
     or None when it meets it."""
-    why = _REGISTRY[name].qubit_only
+    _, _, why = _REGISTRY[name]
     if why is None or cfg.dimension == 2:
         return None
     return f"{why}; configured dimension {cfg.dimension}"
 
 
-def _trials(name: str, group: str, fold=None, qubit_only: Optional[str] = None):
+def _trials(name: str, group: str, fold=None, qubit_only: str | None = None):
     """Register the decorated per-trial body as check ``name`` in
     ``group``.
 
@@ -270,7 +265,7 @@ def _trials(name: str, group: str, fold=None, qubit_only: Optional[str] = None):
                 records.append(trial(cfg, t, sampling.substream(cfg.seed, name, t), acc))
             return acc.report(name, cfg.trials, fold and fold(cfg, records))
 
-        _REGISTRY[name] = _Check(group, run, qubit_only)
+        _REGISTRY[name] = (group, run, qubit_only)
         return trial
 
     return register
@@ -286,7 +281,7 @@ def _fixed(name: str, group: str):
             acc = _Acc(cfg.tolerance)
             return acc.report(name, 1, body(acc))
 
-        _REGISTRY[name] = _Check(group, run)
+        _REGISTRY[name] = (group, run, None)
         return body
 
     return register
@@ -1055,13 +1050,13 @@ def _(acc):
 # ---------------------------------------------------------------------------
 # the registered checks and their groups, in report order
 
-CHECKS = {name: check.run for name, check in _REGISTRY.items()}
+CHECKS = {name: run for name, (_, run, _) in _REGISTRY.items()}
 
 
 def _groups() -> dict:
     groups = {}
-    for name, check in _REGISTRY.items():
-        groups.setdefault(check.group, []).append(name)
+    for name, (group, _, _) in _REGISTRY.items():
+        groups.setdefault(group, []).append(name)
     return {group: tuple(names) for group, names in groups.items()} | {"all": tuple(_REGISTRY)}
 
 

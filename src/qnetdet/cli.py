@@ -14,10 +14,10 @@ measurement.
 `sampling`, which need it, are imported inside the `verify` and
 `outcomes` code that uses them.  A module that serves one flag is
 imported where that flag is handled: `logging` for -v, `datetime` for
---timestamp, `dataclasses` for `verify`.  So a cold `qnetdet reduce`
-imports the package, `argparse`, `json` and what those two import on
-top of the interpreter, and no `dataclasses`, `inspect`, `logging`,
-`datetime` or `typing`.
+--timestamp.  So a cold `qnetdet reduce` imports the package,
+`argparse`, `json` and what those two import on top of the
+interpreter, and no `dataclasses`, `inspect`, `logging`, `datetime` or
+`typing`.
 From d = 4 up the series rule loads numpy for its SVD.  The argument
 parser is built once per process.
 """
@@ -162,8 +162,6 @@ def _verify_pretty(reports) -> str:
 
 
 def cmd_verify(args) -> int:
-    import dataclasses
-
     from .checks import CheckConfig, run_checks
 
     seed = _default_seed(args.seed)
@@ -183,7 +181,7 @@ def cmd_verify(args) -> int:
     else:
         doc = {
             "manifest": _manifest(
-                "verify", {"selector": args.selector}, dataclasses.asdict(cfg), args.timestamp
+                "verify", {"selector": args.selector}, {k: getattr(cfg, k) for k in cfg.__slots__}, args.timestamp
             ),
             "reports": [r.to_dict() for r in reports],
         }

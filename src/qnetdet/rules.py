@@ -29,7 +29,7 @@ from .errors import (
     LengthMismatchAfterPadding,
     ShapeMismatch,
 )
-from .schmidt import MAJORIZATION_ATOL, SchmidtVector, ProbabilisticEnsemble, _screened, _unit
+from .schmidt import MAJORIZATION_ATOL, SchmidtVector, ProbabilisticEnsemble, _screened, _unit, _values_of
 
 # Measurement outcomes below this probability carry no statistical
 # weight and are numerically unstable to renormalize.
@@ -214,7 +214,7 @@ def _swap_raw(xs, ys) -> list:
     """
     if len(xs) != len(ys):
         raise DimensionMismatch(f"lengths {len(xs)} and {len(ys)} differ")
-    return _series(sorted(map(float, xs), reverse=True), sorted(map(float, ys), reverse=True))
+    return _series(sorted(_values_of(xs), reverse=True), sorted(_values_of(ys), reverse=True))
 
 
 def purify_rule(x, d: int) -> SchmidtVector:
@@ -246,10 +246,9 @@ def purify_rule(x, d: int) -> SchmidtVector:
 
 def _descending(x):
     """The entries of x in descending order: a SchmidtVector's tuple as
-    it is, any other iterable sorted into a new list of floats."""
-    if isinstance(x, SchmidtVector):
-        return x.entries
-    return sorted(map(float, x), reverse=True)
+    it is, any other iterable read by ``_values_of`` and sorted."""
+    vals = _values_of(x)
+    return vals if type(vals) is tuple else sorted(vals, reverse=True)
 
 
 def conversion_probability(source: SchmidtVector, target: SchmidtVector) -> float:

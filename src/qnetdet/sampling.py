@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import RejectionBudgetExceeded, SingularNormalizer
 from .network import Edge, QuantumNetwork
-from .rules import Povm, _isometric, validate_povm
+from .rules import Povm, _isometric
 from .schmidt import SchmidtVector, majorizes
 
 __all__ = [
@@ -122,8 +122,8 @@ def sample_povm_arrays(dimension, count, rng):
     a positive diagonal, which satisfies the completeness relation
     whenever V has full column rank.  That requires count >= d^2.  In
     floating point an ill-conditioned V can miss completeness by more
-    than validate_povm's tolerance, so a draw is returned only once
-    validate_povm accepts it; otherwise the next one is drawn from rng.
+    than validate_povm's tolerance, so a draw is returned only once it
+    passes validate_povm's test, _isometric; otherwise the next is drawn.
 
     Raises
     ------
@@ -137,7 +137,7 @@ def sample_povm_arrays(dimension, count, rng):
             f"{count} elements cannot complete a measurement at dimension {dimension}, which needs {n}"
         )
     for els in _draws((count, dimension, dimension), n, rng):
-        if validate_povm(Povm(els)):
+        if _isometric(els.reshape(count, n)):
             return els
     raise SingularNormalizer(
         f"no complete {count}-element measurement at dimension {dimension} in {RESAMPLE_BUDGET} draws"

@@ -50,12 +50,24 @@ def _total(entries) -> float:
     Raises
     ------
     NonFiniteEntry
-        The sum overflows, as for [1e308, 1e308].
+        The sum overflows, as for [1e308, 1e308], or adds infinities of
+        both signs.
     """
     try:
         return math.fsum(entries)
     except OverflowError:
         raise NonFiniteEntry("entries sum beyond the largest float") from None
+    except ValueError:
+        raise NonFiniteEntry("entries hold infinities of both signs") from None
+
+
+def _floats(values) -> list:
+    """The values as a new list of floats; an integer beyond the float
+    range raises NonFiniteEntry."""
+    try:
+        return [float(v) for v in values]
+    except OverflowError:
+        raise NonFiniteEntry("entry beyond the largest float") from None
 
 
 def _screened(values) -> list:
@@ -74,10 +86,7 @@ def _screened(values) -> list:
     NegativeEntry
         An entry below -1e-12.
     """
-    try:
-        vals = [float(v) for v in values]
-    except OverflowError:
-        raise NonFiniteEntry("entry beyond the largest float") from None
+    vals = _floats(values)
     if min(vals, default=0.0) > 0.0 and sum(vals) < _SUM_BOUND:
         return vals
     out = []
@@ -116,10 +125,10 @@ def _unit(clean: list) -> SchmidtVector:
 
 def _values_of(x):
     """The entries of x: a SchmidtVector's tuple as it is, any other
-    iterable as a new list of floats."""
+    iterable as a new list of floats (see ``_floats``)."""
     if isinstance(x, SchmidtVector):
         return x.entries
-    return [float(v) for v in x]
+    return _floats(x)
 
 
 class SchmidtVector(Frozen):
@@ -232,10 +241,11 @@ def normalize_descending(values: Iterable[float]) -> SchmidtVector:
 def majorization_slack(big, small) -> float:
     """Slack of the claim big majorizes small: the worst prefix deficit,
     or the total mismatch, whichever is larger.  Shorter side is padded
-    with zeros.  A side whose finite entries sum beyond the largest
-    float raises NonFiniteEntry."""
-    a = sorted((float(v) for v in big), reverse=True)
-    b = sorted((float(v) for v in small), reverse=True)
+    with zeros.  An integer entry beyond the float range, a side whose
+    finite entries sum beyond the largest float and one that holds
+    infinities of both signs raise NonFiniteEntry."""
+    a = sorted(_values_of(big), reverse=True)
+    b = sorted(_values_of(small), reverse=True)
     n = max(len(a), len(b))
     a += [0.0] * (n - len(a))
     b += [0.0] * (n - len(b))
@@ -254,8 +264,8 @@ def majorization_slack(big, small) -> float:
 def submajorization_slack(lo, hi) -> float:
     """Slack of the claim lo is weakly submajorized by hi (equal
     lengths): the worst sorted-prefix excess of lo over hi."""
-    a = sorted((float(v) for v in lo), reverse=True)
-    b = sorted((float(v) for v in hi), reverse=True)
+    a = sorted(_values_of(lo), reverse=True)
+    b = sorted(_values_of(hi), reverse=True)
     pa = pb = 0.0
     worst = -math.inf
     for x, y in zip(a, b):

@@ -540,6 +540,12 @@ class TestColdStart:
         assert json.loads(got["out"])["manifest"]["subcommand"] == argv[0]
         assert got["numpy"] is True
 
+    def test_verify_loads_no_dataclasses(self, repo_root):
+        # its config and reports are __slots__ records, as the value classes are
+        got = _fresh(repo_root, ["verify", "reverse_amgm", "--trials", "5"])
+        assert got["code"] == EXIT_OK, got["err"]
+        assert "dataclasses" not in got["new"]
+
 
 class TestBlasThreads:
     """The d >= 4 series rule runs on LAPACK; its bytes do not depend on

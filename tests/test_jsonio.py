@@ -229,6 +229,14 @@ class TestTypeContract:
         with pytest.raises(TypeError, match="cannot serialize"):
             render_json({"k": [value]})
 
+    @pytest.mark.parametrize("base", [str, int, float, list, dict])
+    def test_subclasses_rejected(self, base):
+        # a subclass is not its base: dispatch is on exact types only
+        value = type(f"My{base.__name__}", (base,), {})()
+        for doc in (value, [value], [0.5, value], ["a", value], {"k": value}):
+            with pytest.raises(TypeError, match=f"^cannot serialize My{base.__name__}$"):
+                render_json(doc)
+
     def test_one_float_format(self):
         assert render_json([0.0, -0.0, 1e-5, 1.0, 0.1 + 0.2]) == "[0, 0, 1e-05, 1, 0.3]\n"
         assert render_json(-0.0) == "0\n"

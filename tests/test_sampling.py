@@ -6,10 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from qnetdet import sampling
+from qnetdet import rules, sampling
 from qnetdet.errors import RejectionBudgetExceeded, SingularNormalizer
 from qnetdet.network import reduce_series_parallel
-from qnetdet.rules import validate_povm
+from qnetdet.rules import Povm, validate_povm
 from qnetdet.sampling import (
     dominated_vector,
     dominating_candidate,
@@ -131,17 +131,19 @@ class TestMeasurements:
     def test_povm_wrapper_redraws_an_incomplete_draw(self, monkeypatch):
         # the first d = 8 draw of this stream misses completeness by more
         # than validate_povm's tolerance; it is rejected and the second
-        # draw is returned
+        # draw is returned.  The sampler tests each draw's stacked
+        # elements with validate_povm's own test, rules._isometric
         seen = []
 
-        def spy(povm):
-            seen.append((povm.elements, validate_povm(povm)))
+        def spy(stack):
+            seen.append((stack.copy(), rules._isometric(stack)))
             return seen[-1][1]
 
-        monkeypatch.setattr(sampling, "validate_povm", spy)
+        monkeypatch.setattr(sampling, "_isometric", spy)
         els = sample_povm_arrays(8, 64, substream(31, "outcomes", 0))
         assert [ok for _, ok in seen] == [False, True]
-        assert np.array_equal(els, seen[1][0])
+        assert [validate_povm(Povm(stack.reshape(64, 8, 8))) for stack, _ in seen] == [False, True]
+        assert np.array_equal(els.reshape(64, 64), seen[1][0])
         monkeypatch.undo()
         povm = sample_povm(8, 64, substream(31, "outcomes", 0))
         assert validate_povm(povm) and np.array_equal(povm.elements, els)

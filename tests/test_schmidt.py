@@ -15,6 +15,7 @@ from qnetdet.errors import (
     NonFiniteEntry,
     ZeroSum,
 )
+from qnetdet.rules import _swap_raw, conversion_probability
 from qnetdet.sampling import dominated_vector, random_schmidt, substream
 from qnetdet.schmidt import (
     ProbabilisticEnsemble,
@@ -241,3 +242,38 @@ class TestVectorAlgebra:
 
     def test_adjugate_keeps_input_order(self):
         assert adjugate_vec([2.0, 1.0]) == pytest.approx([1.0, 2.0])
+
+
+class TestReaders:
+    """A reader of plain entries turns an integer past the float range,
+    and a sum of infinities of both signs, into NonFiniteEntry instead of
+    a bare OverflowError or ValueError."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: majorizes([10**400, 0], [0.5, 0.5]),
+            lambda: conversion_probability([10**400, 0], [0.5, 0.5]),
+            lambda: kron([10**400], [1.0]),
+            lambda: concurrence([10**400, 1], 1),
+            lambda: det_vec([10**400]),
+            lambda: adjugate_vec([10**400, 1]),
+            lambda: submajorization_slack([10**400], [1.0]),
+            lambda: _swap_raw([10**400, 1], [1, 1]),
+            lambda: majorizes([math.inf, -math.inf], [0.5, 0.5]),
+        ],
+        ids=[
+            "majorizes-big-int",
+            "conversion-big-int",
+            "kron-big-int",
+            "concurrence-big-int",
+            "det-big-int",
+            "adjugate-big-int",
+            "submajorization-big-int",
+            "swap-raw-big-int",
+            "majorizes-both-infinities",
+        ],
+    )
+    def test_raises_non_finite_entry(self, call):
+        with pytest.raises(NonFiniteEntry):
+            call()

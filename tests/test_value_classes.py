@@ -1,7 +1,7 @@
-"""The contract of the five immutable value classes: equality and
-hashing on the fields, against the same class only (identity for a
-measurement), a field-wise repr, no assignment or deletion, and copies
-and pickles that round-trip."""
+"""The contract of the immutable records: equality and hashing on the
+fields, against the same class only (identity for a measurement, no
+hash for a check report, whose extras are a dict), a field-wise repr,
+no assignment or deletion, and copies and pickles that round-trip."""
 
 import copy
 import pickle
@@ -9,6 +9,7 @@ import pickle
 import numpy as np
 import pytest
 
+from qnetdet.checks import CheckConfig, CheckReport
 from qnetdet.network import Edge, QuantumNetwork
 from qnetdet.rules import Povm, bell_povm_d2
 from qnetdet.schmidt import ProbabilisticEnsemble, SchmidtVector, normalize_descending
@@ -33,14 +34,27 @@ def _network(entries=LINK):
     return QuantumNetwork(2, ("a", "b"), [_edge(entries), Edge("m", "b", _vector())])
 
 
+def _config(entries=LINK):
+    return CheckConfig(dimension=3, trials=40, seed=int(10 * entries[0]), tolerance=1e-8, povm_size=12)
+
+
+def _report(entries=LINK):
+    return CheckReport("lemma_duality", 40, False, entries[1], ({"trial": 3, "got": list(entries)},), {"n": 2})
+
+
 # class, factory of an instance from its first link's entries, fields
-RECORDS = [
+HASHABLE = [
     (SchmidtVector, _vector, ("entries",)),
     (ProbabilisticEnsemble, _ensemble, ("outcomes",)),
     (Edge, _edge, ("u", "v", "link")),
     (QuantumNetwork, _network, ("dimension", "terminals", "edges")),
+    (CheckConfig, _config, ("dimension", "trials", "seed", "tolerance", "povm_size")),
 ]
-RECORD_IDS = [cls.__name__ for cls, _, _ in RECORDS]
+RECORDS = HASHABLE + [
+    (CheckReport, _report, ("name", "trials_run", "passed", "max_slack", "violations", "extras")),
+]
+each_record = pytest.mark.parametrize("cls, make, names", RECORDS, ids=[cls.__name__ for cls, _, _ in RECORDS])
+each_hashable = pytest.mark.parametrize("cls, make, names", HASHABLE, ids=[cls.__name__ for cls, _, _ in HASHABLE])
 
 
 def _fields(obj, names):
@@ -58,20 +72,29 @@ def _round_trip(obj, how):
     return pickle.loads(pickle.dumps(obj, protocol=int(how[len("pickle"):])))
 
 
-@pytest.mark.parametrize("cls, make, names", RECORDS, ids=RECORD_IDS)
 class TestRecords:
+    @each_record
     def test_equality_on_fields(self, cls, make, names):
         a, b, c = make(), make(), make(OTHER)
         assert a is not b
         assert a == b and not a != b
         assert a != c and not a == c
 
+    @each_hashable
     def test_hash_on_fields(self, cls, make, names):
         a, b = make(), make()
         assert hash(a) == hash(b)
         assert hash(a) == hash(_fields(a, names))
         assert len({a, b, make(OTHER)}) == 2
 
+    def test_check_report_has_no_hash(self):
+        # its extras, and its violation records, are dicts
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(_report())
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(CheckReport("reverse_amgm", 1, True, 0.0, ()))
+
+    @each_record
     def test_same_class_only(self, cls, make, names):
         # a subclass instance with the same fields is another value
         a = make()
@@ -83,11 +106,13 @@ class TestRecords:
         assert a.__eq__(_fields(a, names)) is NotImplemented
         assert a.__eq__(other) is NotImplemented
 
+    @each_record
     def test_repr_lists_fields(self, cls, make, names):
         a = make()
         shown = ", ".join(f"{name}={getattr(a, name)!r}" for name in names)
         assert repr(a) == f"{cls.__name__}({shown})"
 
+    @each_record
     def test_no_assignment_or_deletion(self, cls, make, names):
         a = make()
         before = _fields(a, names)
@@ -100,15 +125,27 @@ class TestRecords:
             a.extra = 1
         assert _fields(a, names) == before
 
+    @each_record
     @pytest.mark.parametrize("how", ROUND_TRIPS)
     def test_round_trip(self, cls, make, names, how):
         a = make()
         b = _round_trip(a, how)
         assert type(b) is cls
-        assert b == a and hash(b) == hash(a)
+        assert b == a
         assert _fields(b, names) == _fields(a, names)
         with pytest.raises(AttributeError):
             setattr(b, names[0], None)
+
+    @each_hashable
+    @pytest.mark.parametrize("how", ROUND_TRIPS)
+    def test_round_trip_keeps_hash(self, cls, make, names, how):
+        a = make()
+        assert hash(_round_trip(a, how)) == hash(a)
+
+
+def test_check_report_extras_default_to_a_new_dict():
+    a, b = CheckReport("x", 1, True, 0.0, ()), CheckReport("x", 1, True, 0.0, ())
+    assert a.extras == {} and a.extras is not b.extras
 
 
 def test_repr_examples():
