@@ -28,7 +28,6 @@ __all__ = ["format_float", "render_json"]
 _needs_escape = re.compile(r'[\x00-\x1f"\\]').search
 
 _FLOATS_ONLY = frozenset((float,))
-_STRINGS_ONLY = frozenset((str,))
 
 
 def format_float(value: float) -> str:
@@ -117,8 +116,6 @@ class _Renderer:
         if text is not None:
             return text
         if not _FLOATS_ONLY.issuperset(map(type, o)):
-            if _STRINGS_ONLY.issuperset(map(type, o)):
-                return "[" + ", ".join(map(self.strings.__getitem__, o)) + "]"
             return "[" + ", ".join(map(self.value, o)) + "]"
         # "%.12g" % v is format(v, ".12g"), for the whole row at once
         text = _row_format(len(o)) % (o if type(o) is tuple else tuple(o))
@@ -142,8 +139,7 @@ def render_json(obj) -> str:
     floats: a reduction trace lists a vector as one move's output and the
     next move's input.
     A list of floats only is formatted by one ``%`` call from a template
-    cached per length, and a list of strings only is joined from the
-    rendered strings directly.  The call leaves no reference cycle: its
+    cached per length.  The call leaves no reference cycle: its
     state is one `_Renderer`, freed when it returns.
     """
     return _Renderer().value(obj) + "\n"

@@ -108,21 +108,15 @@ def eigh_desc(n, a):
 
 
 def sv_desc(rows, cols, a):
-    """Singular values of a rows x cols matrix, descending.
+    """Singular values of a rows x cols matrix, rows >= cols, descending.
 
-    `a` is the row-major flat list of complex entries.  Returns the
-    min(rows, cols) singular values via one-sided Jacobi, which keeps
-    small singular values at high relative accuracy.  Only swap_sv
-    calls it.
+    `a` is the row-major flat list of complex entries.  Returns the cols
+    singular values via one-sided Jacobi on the columns, which keeps
+    small singular values at high relative accuracy.  Only swap_sv calls
+    it, with a square matrix.
     """
-    if rows < cols:
-        # work on the conjugate transpose, same singular values
-        at = [complex(a[r * cols + c]).conjugate() for c in range(cols) for r in range(rows)]
-        return sv_desc(cols, rows, at)
     # column-major storage: u[k] is column k
     u = [[complex(a[r * cols + k]) for r in range(rows)] for k in range(cols)]
-    if cols == 1:
-        return [math.sqrt(sum(abs(v) ** 2 for v in u[0]))]
     # squared column norms, refreshed only by the rotation that changes a
     # column and summed there in the same row order
     sq = []

@@ -296,6 +296,26 @@ def _hits(records) -> list:
 # spectral-map identities
 
 
+def _mixing_slack(acc, rule, xs, ps, d, **record):
+    """Record on ``acc`` whether the ``ps``-weighted sum of ``rule`` (d
+    entries) over the inputs ``xs`` majorizes ``rule`` of their weighted
+    sum; the record is weights, inputs, ``record``, then both sides."""
+    mix_of_maps = np.zeros(d)
+    mixed_input = np.zeros(len(xs[0]))
+    for p, x in zip(ps, xs):
+        mix_of_maps += p * np.asarray(rule(x))
+        mixed_input += p * np.asarray(x)
+    map_of_mix = rule(mixed_input.tolist())
+    acc.slack(
+        majorization_slack(mix_of_maps, map_of_mix),
+        weights=ps,
+        inputs=xs,
+        **record,
+        mix_of_maps=mix_of_maps,
+        map_of_mix=map_of_mix,
+    )
+
+
 @_trials("lemma_convexity_swap", "lemmas")
 def _(cfg, t, rng, acc):
     """Mixing swap inputs spreads the output spectrum upward: the
@@ -306,20 +326,7 @@ def _(cfg, t, rng, acc):
     xs = [sorted(sampling.random_positive(d, rng), reverse=True) for _ in range(count)]
     ps = rng.uniform(0.2, 2.0, size=count).tolist()
     z = sampling.random_positive(d, rng)
-    mix_of_maps = np.zeros(d)
-    mixed_input = np.zeros(d)
-    for p, x in zip(ps, xs):
-        mix_of_maps += p * np.asarray(_swap_raw(x, z))
-        mixed_input += p * np.asarray(x)
-    map_of_mix = _swap_raw(mixed_input.tolist(), z)
-    acc.slack(
-        majorization_slack(mix_of_maps, map_of_mix),
-        weights=ps,
-        inputs=xs,
-        z=z,
-        mix_of_maps=mix_of_maps,
-        map_of_mix=map_of_mix,
-    )
+    _mixing_slack(acc, lambda x: _swap_raw(x, z), xs, ps, d, z=z)
 
 
 @_trials("lemma_det_preserving", "lemmas")
@@ -391,19 +398,7 @@ def _(cfg, t, rng, acc):
     count = int(rng.integers(2, 5))
     xs = [sorted(sampling.random_positive(m, rng), reverse=True) for _ in range(count)]
     ps = rng.uniform(0.2, 2.0, size=count).tolist()
-    mix_of_maps = np.zeros(d)
-    mixed_input = np.zeros(m)
-    for p, x in zip(ps, xs):
-        mix_of_maps += p * np.asarray(_purify_raw(x, d))
-        mixed_input += p * np.asarray(x)
-    map_of_mix = _purify_raw(mixed_input.tolist(), d)
-    acc.slack(
-        majorization_slack(mix_of_maps, map_of_mix),
-        weights=ps,
-        inputs=xs,
-        mix_of_maps=mix_of_maps,
-        map_of_mix=map_of_mix,
-    )
+    _mixing_slack(acc, lambda x: _purify_raw(x, d), xs, ps, d)
 
 
 @_trials("lemma_sum_product", "lemmas")

@@ -211,7 +211,8 @@ def _series_pair_from_network(net):
     shared = ends1 & ends2
     if len(shared) != 1 or (ends1 | ends2) - shared != set(net.terminals):
         raise QnetdetError("the two links must form a chain between the terminals")
-    return e1.link, e2.link
+    # the link at the first terminal is LA of --links, whatever the file's edge order
+    return (e1.link, e2.link) if net.terminals[0] in ends1 else (e2.link, e1.link)
 
 
 def _build_povm(spec: str, dimension: int, seed: int):

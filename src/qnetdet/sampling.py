@@ -102,14 +102,17 @@ def _orthonormalized(stack):
     return np.linalg.solve(np.conj(low, out=low), stack.T).T
 
 
-def _draws(shape, width, rng):
-    # up to RESAMPLE_BUDGET complex-Gaussian arrays of the given shape,
-    # each orthonormalized as a stack of rows of ``width`` entries; a
-    # draw with a singular Gram matrix is skipped
+def _complete(shape, width, rng):
+    # the first of up to RESAMPLE_BUDGET complex-Gaussian draws of this
+    # shape, orthonormalized as rows of ``width`` entries, that passes
+    # validate_povm's test _isometric, or None; a singular draw is skipped
     for _ in range(RESAMPLE_BUDGET):
         out = _orthonormalized(_complex_gaussian(shape, rng).reshape(-1, width))
         if out is not None:
-            yield out.reshape(shape)
+            els = out.reshape(shape)
+            if _isometric(els.reshape(-1, width)):
+                return els
+    return None
 
 
 def sample_povm_arrays(dimension, count, rng):
@@ -136,27 +139,17 @@ def sample_povm_arrays(dimension, count, rng):
         raise SingularNormalizer(
             f"{count} elements cannot complete a measurement at dimension {dimension}, which needs {n}"
         )
-    for els in _draws((count, dimension, dimension), n, rng):
-        if _isometric(els.reshape(count, n)):
-            return els
-    raise SingularNormalizer(
-        f"no complete {count}-element measurement at dimension {dimension} in {RESAMPLE_BUDGET} draws"
-    )
+    els = _complete((count, dimension, dimension), n, rng)
+    if els is None:
+        raise SingularNormalizer(
+            f"no complete {count}-element measurement at dimension {dimension} in {RESAMPLE_BUDGET} draws"
+        )
+    return els
 
 
 def sample_povm(dimension, count, rng):
     """sample_povm_arrays as a Povm."""
     return Povm(sample_povm_arrays(dimension, count, rng))
-
-
-def _kraus(shape, rng):
-    # the first draw whose operators satisfy sum_a K_a^dagger K_a =
-    # identity within validate_povm's tolerance, or None: the operators
-    # stacked vertically are orthonormalized as one matrix
-    for ops in _draws(shape, shape[-1], rng):
-        if _isometric(ops.reshape(-1, shape[-1])):
-            return ops
-    return None
 
 
 def sample_local_kraus(dimension, count, rng):
@@ -172,7 +165,7 @@ def sample_local_kraus(dimension, count, rng):
     SingularNormalizer
         No complete draw within RESAMPLE_BUDGET.
     """
-    out = _kraus((count, dimension, dimension), rng)
+    out = _complete((count, dimension, dimension), dimension, rng)
     if out is None:
         raise SingularNormalizer(f"no complete one-sided Kraus measurement in {RESAMPLE_BUDGET} draws")
     return out
@@ -192,7 +185,7 @@ def sample_wide_kraus(dimension, count, rng):
     n = dimension * dimension
     if count < dimension:
         raise SingularNormalizer(f"{count} operators cannot complete a {n}-level measurement")
-    out = _kraus((count, dimension, n), rng)
+    out = _complete((count, dimension, n), n, rng)
     if out is None:
         raise SingularNormalizer(f"no complete rank-reducing Kraus measurement in {RESAMPLE_BUDGET} draws")
     return out

@@ -75,8 +75,8 @@ def _screened(values) -> list:
     finite, nonnegative floats with a finite sum, zeros of either sign
     and roundoff negatives down to -1e-12 set to ``0.0``.  One ``min``
     and one plain ``sum`` (which carries NaN and the infinities) tell
-    whether every entry is positive and finite; only when they do not,
-    the entries go through the per-entry clamp.
+    whether every entry is positive and finite; only when they do not
+    are the entries checked, non-finite before negative, and clamped.
 
     Raises
     ------
@@ -89,10 +89,11 @@ def _screened(values) -> list:
     vals = _floats(values)
     if min(vals, default=0.0) > 0.0 and sum(vals) < _SUM_BOUND:
         return vals
-    out = []
     for v in vals:
         if not math.isfinite(v):
             raise NonFiniteEntry(f"entry {v!r} is not finite")
+    out = []
+    for v in vals:
         if v < -_NEG_EPS:
             raise NegativeEntry(f"entry {v!r} below zero")
         out.append(v if v > 0.0 else 0.0)

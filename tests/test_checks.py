@@ -229,6 +229,34 @@ class TestNanSlack:
         assert all(v["lhs"] == v["rhs"] == "nan" for v in rep["violations"])
 
 
+class TestMixingSlack:
+    """The one mixing comparison behind both convexity lemmas."""
+
+    def test_violation_record_keys_in_order(self):
+        # a rule that flattens each input but peaks the mixture breaks
+        # the claim: the mix of maps [1, 1] does not majorize [2, 0]
+        def rule(x):
+            return [sum(x), 0.0] if x[0] == x[1] else [sum(x) / 2] * 2
+
+        acc = checks._Acc(1e-9)
+        acc.trial = 3
+        xs = [[0.75, 0.25], [0.25, 0.75]]
+        checks._mixing_slack(acc, rule, xs, [1.0, 1.0], 2, z=[0.5, 0.5])
+        rep = acc.report("mix", 4)
+        assert not rep.passed
+        assert rep.max_slack == majorization_slack([1.0, 1.0], [2.0, 0.0]) > 0
+        (v,) = rep.violations
+        assert list(v) == ["trial", "weights", "inputs", "z", "mix_of_maps", "map_of_mix"]
+        assert v == {
+            "trial": 3,
+            "weights": [1.0, 1.0],
+            "inputs": xs,
+            "z": [0.5, 0.5],
+            "mix_of_maps": [1.0, 1.0],
+            "map_of_mix": [2.0, 0.0],
+        }
+
+
 class TestGroupRuns:
     def test_all_order_and_names(self):
         reports = run_checks("all", FAST)

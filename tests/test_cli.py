@@ -262,6 +262,33 @@ class TestOutcomes:
         assert a["outcomes"] == b["outcomes"]
         assert a["averages"] == b["averages"]
 
+    def test_chain_file_edge_order_does_not_matter(self, run, tmp_path):
+        # the link at the first terminal is LA, whatever the order of the
+        # edges in the file or of the endpoints in each edge
+        am, mb = [0.7, 0.2, 0.1], [0.5, 0.3, 0.2]
+        variants = {
+            "ordered": [("A", "M", am), ("M", "B", mb)],
+            "reversed": [("M", "B", mb), ("A", "M", am)],
+            "swapped": [("M", "A", am), ("B", "M", mb)],
+            "both": [("B", "M", mb), ("M", "A", am)],
+        }
+        docs = []
+        for name, edges in variants.items():
+            path = tmp_path / f"{name}.json"
+            edge_docs = [{"u": u, "v": v, "schmidt": x} for u, v, x in edges]
+            path.write_text(json.dumps({"dimension": 3, "terminals": ["A", "B"], "edges": edge_docs}))
+            code, text = run("outcomes", str(path), "--povm", "random:9", "--seed", "5", out_name=f"{name}.out")
+            assert code == EXIT_OK
+            doc = json.loads(text)
+            assert doc["manifest"]["inputs"].pop("network") == str(path)
+            docs.append(doc)
+        assert all(doc == docs[0] for doc in docs[1:])
+        _, text = run("outcomes", "--links", "0.7,0.2,0.1", "0.5,0.3,0.2", "--povm", "random:9", "--seed", "5")
+        from_links = json.loads(text)
+        assert from_links["outcomes"] == docs[0]["outcomes"]
+        assert from_links["averages"] == docs[0]["averages"]
+        assert round(docs[0]["averages"]["C_2"], 12) == 0.601618288519
+
     def test_random_povm_seed_determinism(self, run):
         args = ("outcomes", "--links", "0.9,0.1", "0.9,0.1", "--povm", "random:6", "--seed", "5")
         _, a = run(*args, out_name="a.json")

@@ -162,6 +162,25 @@ class TestScreen:
         assert math.isnan(majorization_slack([math.nan, 0.5], [0.5, 0.5]))
         assert math.isnan(majorization_slack([0.5, 0.5], [0.5, math.nan]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "route",
+        [SchmidtVector, normalize_descending, lambda vals: purify_rule(vals, 2)],
+        ids=["vector", "normalize", "purify"],
+    )
+    def test_non_finite_entry_reported_before_a_negative_one(self, route, bad):
+        # as network documents do: the error does not depend on which of
+        # the two bad entries comes first
+        for d in (2, 3, 4):
+            for i in range(d):
+                for j in range(d):
+                    if j != i:
+                        vals = [1.0 / d] * d
+                        vals[i] = bad
+                        vals[j] = -0.5
+                        with pytest.raises(NonFiniteEntry, match=r"^entry .* is not finite$"):
+                            route(vals)
+
 
 def _zeroed(rng, links):
     """The links, every third one with up to all but one entry set to

@@ -213,12 +213,19 @@ class TestWhitening:
 
 
 class TestKrausRedraw:
+    """The three samplers share one draw-and-accept loop: a draw the
+    completeness check rejects is followed by the stream's next one."""
+
     @pytest.mark.parametrize(
-        "sampler,shape",
-        [(sample_local_kraus, (3, 2, 2)), (sample_wide_kraus, (3, 2, 4))],
-        ids=["local", "wide"],
+        "sampler,shape,width",
+        [
+            (sample_local_kraus, (3, 2, 2), 2),
+            (sample_wide_kraus, (3, 2, 4), 4),
+            (sample_povm_arrays, (4, 2, 2), 4),
+        ],
+        ids=["local", "wide", "povm"],
     )
-    def test_rejected_draw_is_drawn_again(self, monkeypatch, sampler, shape):
+    def test_rejected_draw_is_drawn_again(self, monkeypatch, sampler, shape, width):
         # the completeness check rejects the first draw; the second is
         # returned, as the next draw of the same stream
         seen = []
@@ -229,18 +236,23 @@ class TestKrausRedraw:
 
         monkeypatch.setattr(sampling, "_isometric", reject_first)
         ks = sampler(shape[1], shape[0], substream(SEED, "redraw", 0))
+        assert ks.shape == shape
         assert len(seen) == 2
-        assert np.array_equal(ks.reshape(-1, shape[-1]), seen[1])
+        assert np.array_equal(ks.reshape(-1, width), seen[1])
         rng = substream(SEED, "redraw", 0)
         _, second = (sampling._complex_gaussian(shape, rng) for _ in range(2))
-        assert np.max(np.abs(ks - _mezzadri_q(second.reshape(-1, shape[-1])).reshape(shape))) <= 1e-12
+        assert np.max(np.abs(ks - _mezzadri_q(second.reshape(-1, width)).reshape(shape))) <= 1e-12
 
-    @pytest.mark.parametrize("sampler", [sample_local_kraus, sample_wide_kraus])
-    def test_never_complete_exhausts_the_budget(self, monkeypatch, sampler):
+    @pytest.mark.parametrize(
+        "sampler,count",
+        [(sample_local_kraus, 3), (sample_wide_kraus, 3), (sample_povm_arrays, 4)],
+        ids=["sample_local_kraus", "sample_wide_kraus", "sample_povm_arrays"],
+    )
+    def test_never_complete_exhausts_the_budget(self, monkeypatch, sampler, count):
         calls = []
         monkeypatch.setattr(sampling, "_isometric", lambda stack: calls.append(1) and False)
-        with pytest.raises(SingularNormalizer):
-            sampler(2, 3, substream(SEED, "redraw", 1))
+        with pytest.raises(SingularNormalizer, match="draws"):
+            sampler(2, count, substream(SEED, "redraw", 1))
         assert len(calls) == sampling.RESAMPLE_BUDGET
 
     def test_no_local_kraus_operators_is_no_measurement(self):
