@@ -14,7 +14,8 @@ The output is compact (`", "` between items, `": "` after a key) and
 newline-terminated, so identical data produce identical bytes across
 runs; golden files can then be compared verbatim.  Values computed with
 numpy, such as the series rule from d = 4 up, are reproducible for one
-numpy/LAPACK build.
+numpy/LAPACK build.  A call keeps its state in one dict, the text of
+each string, key and float list rendered so far.
 """
 
 import functools
@@ -48,87 +49,61 @@ def _string(s: str) -> str:
     return json.dumps(s, ensure_ascii=False)
 
 
-def _key(k) -> str:
-    return _string(str(k)) + ": "
-
-
 @functools.lru_cache(maxsize=64)
 def _row_format(n: int) -> str:
     """The %-template of a JSON list of n floats, each as ``%.12g``."""
     return "[" + ", ".join(["%.12g"] * n) + "]"
 
 
-class _Texts(dict):
-    """Exact strings mapped to their rendered text, filled on lookup.
-    A key of any other type is rendered but not stored: True and 1 are
-    equal dict keys, yet render as "True" and "1"."""
-
-    def __init__(self, render):
-        super().__init__()
-        self.render = render
-
-    def __missing__(self, s):
-        text = self.render(s)
-        if type(s) is str:
-            self[s] = text
+def _value(o, memo):
+    """The JSON text of o.  memo maps each exact string to its text, each
+    exact-string key k, as (k,), to its `"k": ` text, and the id of each
+    list or tuple of floats to its text.  A key of another type is
+    rendered each time: True and 1 are equal keys but not equal texts."""
+    t = type(o)
+    if t is str:
+        text = memo.get(o)
+        if text is None:
+            text = memo[o] = _string(o)
         return text
-
-
-class _Renderer:
-    """The state of one render_json call: each string, key and float
-    list object rendered so far.  Its methods call each other through
-    the instance, which holds none of them, so a call leaves no
-    reference cycle behind for the garbage collector."""
-
-    __slots__ = ("strings", "keys", "float_lists")
-
-    def __init__(self):
-        self.strings = _Texts(_string)
-        self.keys = _Texts(_key)
-        self.float_lists = {}  # id of a list or tuple of floats inside obj -> its text
-
-    def value(self, o):
-        t = type(o)
-        if t is str:
-            return self.strings[o]
-        if t is list or t is tuple:
-            return self.sequence(o)
-        if t is float:
-            return format_float(o)
-        if t is dict:
-            return self.mapping(o)
-        if t is int:
-            return str(o)
-        if o is None:
-            return "null"
-        if o is True:
-            return "true"
-        if o is False:
-            return "false"
-        if t.__module__ == "numpy":
-            raise TypeError(f"cannot serialize numpy {t.__name__}; convert it to a Python value")
-        raise TypeError(f"cannot serialize {t.__name__}")
-
-    def sequence(self, o):
+    if t is list or t is tuple:
         if not o:
             return "[]"
-        text = self.float_lists.get(id(o))
+        text = memo.get(id(o))
         if text is not None:
             return text
         if not _FLOATS_ONLY.issuperset(map(type, o)):
-            return "[" + ", ".join(map(self.value, o)) + "]"
+            return "[" + ", ".join([_value(v, memo) for v in o]) + "]"
         # "%.12g" % v is format(v, ".12g"), for the whole row at once
-        text = _row_format(len(o)) % (o if type(o) is tuple else tuple(o))
+        text = _row_format(len(o)) % (o if t is tuple else tuple(o))
         if "n" in text or 0.0 in o:
             # "nan" or "inf", which raise, or a zero of either sign
             text = "[" + ", ".join(map(format_float, o)) + "]"
-        self.float_lists[id(o)] = text
+        memo[id(o)] = text
         return text
-
-    def mapping(self, o):
-        keys = self.keys
-        value = self.value
-        return "{" + ", ".join([keys[k] + value(v) for k, v in o.items()]) + "}"
+    if t is float:
+        return format_float(o)
+    if t is dict:
+        items = []
+        for k, v in o.items():
+            key = memo.get((k,))
+            if key is None:
+                key = _string(str(k)) + ": "
+                if type(k) is str:
+                    memo[(k,)] = key
+            items.append(key + _value(v, memo))
+        return "{" + ", ".join(items) + "}"
+    if t is int:
+        return str(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if t.__module__ == "numpy":
+        raise TypeError(f"cannot serialize numpy {t.__name__}; convert it to a Python value")
+    raise TypeError(f"cannot serialize {t.__name__}")
 
 
 def render_json(obj) -> str:
@@ -139,7 +114,7 @@ def render_json(obj) -> str:
     floats: a reduction trace lists a vector as one move's output and the
     next move's input.
     A list of floats only is formatted by one ``%`` call from a template
-    cached per length.  The call leaves no reference cycle: its
-    state is one `_Renderer`, freed when it returns.
+    cached per length.  The call's state is one dict, dropped when it
+    returns, so the call leaves no reference cycle behind.
     """
-    return _Renderer().value(obj) + "\n"
+    return _value(obj, {}) + "\n"

@@ -60,6 +60,7 @@ from .schmidt import (
     majorizes,
     normalize_descending,
     submajorization_slack,
+    _unit,
 )
 
 logger = logging.getLogger(__name__)
@@ -577,7 +578,7 @@ def _(cfg, t, rng, acc):
         most -= 1
     links = [_fold_link(d, rng) for _ in range(int(rng.integers(2, most + 1)))]
     product = [math.prod(p) for p in itertools.product(*(v.entries for v in links))]
-    full = purify_rule(product, d).entries
+    full = _unit(_purify_raw(product, d)).entries
     folded = [
         reduce_series_parallel(
             QuantumNetwork(d, ("A", "B"), [Edge("A", "B", v) for v in members])
@@ -735,7 +736,7 @@ def _(cfg, t, rng, acc):
     count = 1 if t % 10 == 0 else int(rng.integers(2, 5))
     kraus = sampling.sample_local_kraus(d, count, rng)
     ens = _outcome_spectra(np.ones(kraus.shape[1]), lam.entries, kraus)
-    states = [normalize_descending(vec) for _, vec in ens]
+    states = [_unit(vec.tolist()) for _, vec in ens]
 
     mix = np.sum([p * vec for p, vec in ens], axis=0)
     s_local = majorization_slack(mix, lam.entries)
@@ -774,7 +775,7 @@ def _series_low_order_witness(d: int) -> dict:
     for a, (i, j) in enumerate(units, start=4):
         els[a, i, j] = 1.0
     outs = _outcome_spectra(link.entries, link.entries, els)
-    avg = math.fsum(p * concurrence(normalize_descending(v), 2) for p, v in outs)
+    avg = math.fsum(p * concurrence(_unit(v.tolist()), 2) for p, v in outs)
     rule_value = concurrence(swap_rule(link, link), 2)
     return {
         "order": 2,
@@ -812,7 +813,7 @@ def _(cfg, t, rng, acc):
     outs = _outcome_spectra(la.entries, lb.entries, els)
     base = swap_rule(la, lb)
     cd_base = concurrence(base, d)
-    avg = math.fsum(p * concurrence(normalize_descending(v), d) for p, v in outs)
+    avg = math.fsum(p * concurrence(_unit(v.tolist()), d) for p, v in outs)
     s_avg = avg - cd_base
     prod = concurrence(la, d) * concurrence(lb, d)
     rel_mult = abs(cd_base - prod) / max(prod, 1e-300)
@@ -841,7 +842,7 @@ def _(cfg, t, rng, acc):
     count = int(rng.integers(d, d + 3))
     kraus = sampling.sample_wide_kraus(d, count, rng)
     ens = _outcome_spectra(np.ones(kraus.shape[1]), joint.entries, kraus)
-    states = [normalize_descending(vec) for _, vec in ens]
+    states = [_unit(vec.tolist()) for _, vec in ens]
     pur = purify_rule(joint, d)
 
     mix = np.sum([p * vec for p, vec in ens], axis=0)
@@ -913,7 +914,7 @@ def _(cfg, t, rng, acc):
     else:
         els = sampling.sample_povm_arrays(d * d, d**4, rng)
     outs = _outcome_spectra(joint_left.entries, joint_right.entries, els)
-    avg = math.fsum(p * concurrence(purify_rule(vec.tolist(), d), d) for p, vec in outs)
+    avg = math.fsum(p * concurrence(_unit(_purify_raw(vec.tolist(), d)), d) for p, vec in outs)
     bound = concurrence(
         swap_rule(purify_rule(joint_left, d), purify_rule(joint_right, d)), d
     )
@@ -948,7 +949,7 @@ def _(cfg, t, rng, acc):
     worst_branch = math.inf
     for _, vec in ens:
         branch = list(links)
-        branch[idx] = normalize_descending(vec)
+        branch[idx] = _unit(vec.tolist())
         worst_branch = min(worst_branch, reduced(branch))
     acc.slack(
         worst_branch - base,

@@ -287,8 +287,8 @@ def cmd_outcomes(args) -> int:
             averages[n] += p * cks[n]
         outcomes.append(
             {
-                "probability": float(p),
-                "vector": [float(v) for v in vec.entries],
+                "probability": p,
+                "vector": list(vec.entries),
                 "concurrence": cks,
             }
         )

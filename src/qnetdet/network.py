@@ -206,6 +206,8 @@ def parse_network(text: str) -> QuantumNetwork:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError("invalid JSON: nested too deeply") from exc
     return network_from_dict(obj)
 
 

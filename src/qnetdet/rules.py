@@ -29,7 +29,7 @@ from .errors import (
     LengthMismatchAfterPadding,
     ShapeMismatch,
 )
-from .schmidt import MAJORIZATION_ATOL, SchmidtVector, ProbabilisticEnsemble, _screened, _unit, _values_of
+from .schmidt import MAJORIZATION_ATOL, SchmidtVector, ProbabilisticEnsemble, _screened, _total, _unit, _values_of
 
 # Measurement outcomes below this probability carry no statistical
 # weight and are numerically unstable to renormalize.
@@ -268,6 +268,8 @@ def conversion_probability(source: SchmidtVector, target: SchmidtVector) -> floa
     LengthMismatchAfterPadding
         Target strictly longer than the source; padding cannot reconcile
         a rank increase.
+    NonFiniteEntry
+        A total, once compared, overflows or adds infinities of both signs.
     """
     src = _descending(source)
     tgt = _descending(target)
@@ -295,7 +297,7 @@ def conversion_probability(source: SchmidtVector, target: SchmidtVector) -> floa
         ratio = num / den
         if ratio < best:
             best = ratio
-    if deficit <= MAJORIZATION_ATOL and abs(math.fsum(tgt) - math.fsum(src)) <= MAJORIZATION_ATOL:
+    if deficit <= MAJORIZATION_ATOL and abs(_total(tgt) - _total(src)) <= MAJORIZATION_ATOL:
         return 1.0
     return best
 

@@ -164,6 +164,15 @@ class TestReduceFailures:
         assert code == EXIT_USAGE and text == ""
         assert capsys.readouterr().err == f"qnetdet: {err}\n"
 
+    @pytest.mark.parametrize("command", ["reduce", "outcomes"])
+    def test_deeply_nested_file_is_usage_error(self, tmp_path, run, capsys, command):
+        # json.loads raises RecursionError here, not JSONDecodeError
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 1000 + "\n", encoding="utf-8")
+        code, text = run(command, str(path))
+        assert code == EXIT_USAGE and text == ""
+        assert capsys.readouterr().err == "qnetdet: invalid JSON: nested too deeply\n"
+
 
 class TestVerify:
     def test_bytes_identical_across_runs(self, run):

@@ -135,6 +135,8 @@ class TestDifferential:
             {True: 1, None: 0, 2: [], 1.5: {}, "": ()},
             {"k": "é 量 \U0001f600", 'q"': "\x00\n\\"},
             [[], {}, (), ""],
+            # bool, int and str keys, and a string value equal to a key
+            [{True: 0}, {1: 0}, {"1": "1"}, {"True": ("True",)}],
         ],
     )
     def test_edge_values(self, doc):

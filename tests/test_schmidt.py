@@ -261,6 +261,8 @@ class TestReaders:
             lambda: submajorization_slack([10**400], [1.0]),
             lambda: _swap_raw([10**400, 1], [1, 1]),
             lambda: majorizes([math.inf, -math.inf], [0.5, 0.5]),
+            lambda: conversion_probability([0.5, 0.5], [1e308, 1e308]),
+            lambda: conversion_probability([0.5, 0.5], [math.inf, -math.inf]),
         ],
         ids=[
             "majorizes-big-int",
@@ -272,6 +274,8 @@ class TestReaders:
             "submajorization-big-int",
             "swap-raw-big-int",
             "majorizes-both-infinities",
+            "conversion-overflowing-total",
+            "conversion-both-infinities",
         ],
     )
     def test_raises_non_finite_entry(self, call):
