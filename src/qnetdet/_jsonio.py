@@ -15,7 +15,8 @@ newline-terminated, so identical data produce identical bytes across
 runs; golden files can then be compared verbatim.  Values computed with
 numpy, such as the series rule from d = 4 up, are reproducible for one
 numpy/LAPACK build.  A call keeps its state in one dict, the text of
-each string, key and float list rendered so far.
+each string and key rendered so far.  `_float_row` is the one route from
+a list of floats to its text, shared with the `reduce` report writer.
 """
 
 import functools
@@ -55,11 +56,22 @@ def _row_format(n: int) -> str:
     return "[" + ", ".join(["%.12g"] * n) + "]"
 
 
+def _float_row(row: tuple) -> str:
+    """The JSON text of a non-empty tuple of floats, each as
+    `format_float` prints it."""
+    # "%.12g" % v is format(v, ".12g"), for the whole row at once
+    text = _row_format(len(row)) % row
+    if "n" in text or 0.0 in row:
+        # "nan" or "inf", which raise, or a zero of either sign
+        text = "[" + ", ".join(map(format_float, row)) + "]"
+    return text
+
+
 def _value(o, memo):
-    """The JSON text of o.  memo maps each exact string to its text, each
-    exact-string key k, as (k,), to its `"k": ` text, and the id of each
-    list or tuple of floats to its text.  A key of another type is
-    rendered each time: True and 1 are equal keys but not equal texts."""
+    """The JSON text of o.  memo maps each exact string to its text, and
+    each exact-string key k, as (k,), to its `"k": ` text.  A key of
+    another type is rendered each time: True and 1 are equal keys but
+    not equal texts."""
     t = type(o)
     if t is str:
         text = memo.get(o)
@@ -69,18 +81,9 @@ def _value(o, memo):
     if t is list or t is tuple:
         if not o:
             return "[]"
-        text = memo.get(id(o))
-        if text is not None:
-            return text
         if not _FLOATS_ONLY.issuperset(map(type, o)):
             return "[" + ", ".join([_value(v, memo) for v in o]) + "]"
-        # "%.12g" % v is format(v, ".12g"), for the whole row at once
-        text = _row_format(len(o)) % (o if t is tuple else tuple(o))
-        if "n" in text or 0.0 in o:
-            # "nan" or "inf", which raise, or a zero of either sign
-            text = "[" + ", ".join(map(format_float, o)) + "]"
-        memo[id(o)] = text
-        return text
+        return _float_row(o if t is tuple else tuple(o))
     if t is float:
         return format_float(o)
     if t is dict:
@@ -110,11 +113,8 @@ def render_json(obj) -> str:
     """Serialize to a compact JSON string, newline-terminated.
 
     One pass dispatches on the exact type of each value.  Within a call
-    each string and key is rendered once, and so is each list object of
-    floats: a reduction trace lists a vector as one move's output and the
-    next move's input.
-    A list of floats only is formatted by one ``%`` call from a template
-    cached per length.  The call's state is one dict, dropped when it
-    returns, so the call leaves no reference cycle behind.
+    each string and key is rendered once.  A list of floats only is
+    formatted by `_float_row`.  The call's state is one dict, dropped
+    when it returns, so the call leaves no reference cycle behind.
     """
     return _value(obj, {}) + "\n"

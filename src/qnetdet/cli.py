@@ -37,7 +37,7 @@ from .errors import (
     QnetdetError,
     SingularNormalizer,
 )
-from .network import parse_network, report as network_report
+from .network import _head, parse_network, render_report
 from .rules import (
     bell_povm_d2,
     deterministic_swap_povm,
@@ -130,16 +130,12 @@ def _reduce_pretty(rep: dict) -> str:
 def cmd_reduce(args) -> int:
     with open(args.network, encoding="utf-8") as fh:
         net = parse_network(fh.read())
-    rep = network_report(net)
-    if args.format == "csv":
-        _emit(_reduce_csv(rep), args.out)
+    if args.format == "csv" or args.pretty:
+        head = _head(net)[0]
+        _emit(_reduce_csv(head) if args.format == "csv" else _reduce_pretty(head), args.out)
         return EXIT_OK
-    if args.pretty:
-        _emit(_reduce_pretty(rep), args.out)
-        return EXIT_OK
-    doc = {"manifest": _manifest("reduce", {"network": args.network}, {}, args.timestamp)}
-    doc.update(rep)
-    _emit(render_json(doc), args.out)
+    manifest = _manifest("reduce", {"network": args.network}, {}, args.timestamp)
+    _emit(render_report(net, manifest), args.out)
     return EXIT_OK
 
 

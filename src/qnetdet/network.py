@@ -37,6 +37,12 @@ direction changes a bit of the answer.  The same moves fold
 scalar scores into the probabilistic conversion figure, and the
 topology class is read off the move list.
 
+One decomposition and fold feeds `reduce_series_parallel`, `report`
+and `render_report`.  `report` returns the reduction trace as event
+dicts.  `render_report` writes the JSON text of `qnetdet reduce`, byte
+for byte `render_json({"manifest": manifest, **report(network)})`, with
+the trace written straight from the moves and edge vectors instead.
+
 The decomposition logs one DEBUG line to the `qnetdet.network` logger
 (edges dropped, moves by operator, the largest bundle arity), but only
 when `logging` is already in `sys.modules`: a handler can exist only
@@ -53,6 +59,7 @@ from collections.abc import Iterable
 from enum import Enum
 
 from ._frozen import Frozen
+from ._jsonio import _float_row, _string, render_json
 from .errors import (
     DanglingEndpoint,
     DisconnectedTerminals,
@@ -449,11 +456,15 @@ def _det_parallel(links: list[SchmidtVector]) -> SchmidtVector:
     return acc
 
 
-def _reduce(network, moves, root):
-    links = _fold(moves, [e.link for e in network.edges], swap_rule, _det_parallel)
-    # one list per edge id: a vector is shown as one move's output and
-    # the next move's input, and the renderer formats each list once
-    shown = [list(vec.entries) for vec in links]
+def _folded(network: QuantumNetwork):
+    """One decomposition and its fold: (moves, root, links), where
+    links[i] is the vector of edge id i."""
+    moves, root = _decompose(network)
+    return moves, root, _fold(moves, [e.link for e in network.edges], swap_rule, _det_parallel)
+
+
+def _trace(moves, links) -> list[dict]:
+    """The reduction trace as event dicts, each with lists of its own."""
     trace = []
     for move in moves:
         op = move["op"]
@@ -463,8 +474,8 @@ def _reduce(network, moves, root):
                 "op": op,
                 "node": move["node"],
                 "through": move["through"],
-                "inputs": [shown[a], shown[b]],
-                "output": shown[move["output"]],
+                "inputs": [list(links[a].entries), list(links[b].entries)],
+                "output": list(links[move["output"]].entries),
             }
         elif op == "parallel":
             event = {
@@ -472,13 +483,13 @@ def _reduce(network, moves, root):
                 "nodes": move["nodes"],
                 "arity": move["arity"],
                 # a bundle is listed in the order _det_parallel folds it
-                "inputs": sorted([shown[e] for e in move["inputs"]]),
-                "output": shown[move["output"]],
+                "inputs": sorted([list(links[e].entries) for e in move["inputs"]]),
+                "output": list(links[move["output"]].entries),
             }
         else:
-            event = {"op": op, "nodes": move["nodes"], "link": shown[move["link"]]}
+            event = {"op": op, "nodes": move["nodes"], "link": list(links[move["link"]].entries)}
         trace.append(event)
-    return links[root], trace
+    return trace
 
 
 def reduce_series_parallel(network: QuantumNetwork):
@@ -495,7 +506,8 @@ def reduce_series_parallel(network: QuantumNetwork):
     ------
     DisconnectedTerminals, NotSeriesParallel
     """
-    return _reduce(network, *_decompose(network))
+    moves, root, links = _folded(network)
+    return links[root], _trace(moves, links)
 
 
 def _cep(network, moves, root) -> float:
@@ -565,6 +577,24 @@ def classify_topology(network: QuantumNetwork) -> TopologyClass:
     return _classify(moves)
 
 
+def _head(network: QuantumNetwork):
+    """(head, moves, links): the report without its reduction trace, and
+    the moves and edge vectors the trace is read from."""
+    moves, root, links = _folded(network)
+    vec = links[root]
+    d = network.dimension
+    head = {
+        "dimension": d,
+        "terminals": list(network.terminals),
+        "edge_count": len(network.edges),
+        "topology": _classify(moves).value,
+        "det_vector": list(vec.entries),
+        "concurrence": {f"C_{k}": concurrence(vec, k) for k in range(1, d + 1)},
+        "cep_probability": _cep(network, moves, root),
+    }
+    return head, moves, links
+
+
 def report(network: QuantumNetwork) -> dict:
     """Full reduction report: topology class, final Schmidt vector, its
     concurrences, the conversion figure and the reduction trace.
@@ -573,16 +603,48 @@ def report(network: QuantumNetwork) -> dict:
     ------
     DisconnectedTerminals, NotSeriesParallel
     """
-    moves, root = _decompose(network)
-    vec, trace = _reduce(network, moves, root)
-    d = network.dimension
-    return {
-        "dimension": d,
-        "terminals": list(network.terminals),
-        "edge_count": len(network.edges),
-        "topology": _classify(moves).value,
-        "det_vector": list(vec.entries),
-        "concurrence": {f"C_{k}": concurrence(vec, k) for k in range(1, d + 1)},
-        "cep_probability": _cep(network, moves, root),
-        "reduction_trace": trace,
-    }
+    rep, moves, links = _head(network)
+    rep["reduction_trace"] = _trace(moves, links)
+    return rep
+
+
+_SERIES = '{"op": "series", "node": %s, "through": [%s, %s], "inputs": [%s, %s], "output": %s}'
+_PARALLEL = '{"op": "parallel", "nodes": [%s, %s], "arity": %d, "inputs": [%s], "output": %s}'
+_DROP = '{"op": "drop", "nodes": [%s, %s], "link": %s}'
+
+
+def render_report(network: QuantumNetwork, manifest: dict) -> str:
+    """The JSON text of `qnetdet reduce`: byte for byte
+    ``render_json({"manifest": manifest, **report(network)})``.
+
+    The head goes through `render_json`.  The trace is written from the
+    moves and edge vectors, without event dicts: each edge id's row of
+    floats and each node name is rendered once, and each event fills
+    the template of its operator.
+
+    Raises
+    ------
+    DisconnectedTerminals, NotSeriesParallel
+    """
+    head, moves, links = _head(network)
+    rows = [_float_row(vec.entries) for vec in links]
+    # every node a move names is an edge's end
+    names = {n: _string(n) for n in {e.u for e in network.edges} | {e.v for e in network.edges}}
+    events = []
+    for move in moves:
+        op = move["op"]
+        if op == "series":
+            a, b = move["inputs"]
+            p, q = move["through"]
+            events.append(_SERIES % (names[move["node"]], names[p], names[q], rows[a], rows[b], rows[move["output"]]))
+        elif op == "parallel":
+            p, q = move["nodes"]
+            # a bundle is listed in the order _det_parallel folds it
+            ins = ", ".join([rows[e] for e in sorted(move["inputs"], key=lambda e: links[e].entries)])
+            events.append(_PARALLEL % (names[p], names[q], move["arity"], ins, rows[move["output"]]))
+        else:
+            p, q = move["nodes"]
+            events.append(_DROP % (names[p], names[q], rows[move["link"]]))
+    text = render_json({"manifest": manifest, **head})
+    # the head ends with "}\n"; the trace is its last key
+    return text[:-2] + ', "reduction_trace": [' + ", ".join(events) + "]}\n"

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from qnetdet import cli
+from qnetdet import cli, network
 from qnetdet.cli import (
     EXIT_DISCONNECTED,
     EXIT_INVALID_POVM,
@@ -66,6 +66,29 @@ class TestReduceGoldens:
     def test_json_validates_against_schema(self, run, schema_validator, name):
         _, text = run("reduce", f"networks/{name}.json")
         schema_validator("reduce_output.schema.json").validate(json.loads(text))
+
+    def test_csv_and_pretty_skip_the_trace(self, run, monkeypatch, repo_root, golden_dir):
+        """--format csv and --pretty read the report's head only: with the
+        trace builder and the writer broken, their bytes do not change."""
+        names = [p.stem for p in sorted((repo_root / "networks").glob("*.json")) if p.stem != "bridge"]
+        pretty = {}
+        for name in names:
+            net = network.parse_network((repo_root / "networks" / f"{name}.json").read_text(encoding="utf-8"))
+            pretty[name] = cli._reduce_pretty(network.report(net))
+
+        def broken(*args):
+            raise AssertionError("the trace was built")
+
+        monkeypatch.setattr(network, "_trace", broken)
+        monkeypatch.setattr(network, "render_report", broken)
+        monkeypatch.setattr(cli, "render_report", broken)
+        code, text = run("reduce", "networks/parallel_then_series.json", "--format", "csv")
+        assert code == EXIT_OK
+        assert text == (golden_dir / "reduce_parallel_then_series.csv").read_text(encoding="utf-8")
+        for name in names:
+            assert run("reduce", f"networks/{name}.json", "--pretty") == (EXIT_OK, pretty[name])
+        with pytest.raises(AssertionError, match="the trace was built"):
+            run("reduce", "networks/chain.json")
 
     def test_pretty_is_not_json(self, run):
         code, text = run("reduce", "networks/triangle.json", "--pretty")

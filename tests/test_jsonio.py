@@ -11,9 +11,9 @@ import pytest
 from _render_oracle import render_json as oracle_render
 
 from qnetdet import checks
-from qnetdet import cli
+from qnetdet import cli, network
 from qnetdet._jsonio import format_float, render_json
-from qnetdet.network import report
+from qnetdet.network import parse_network, report
 from qnetdet.sampling import random_network, substream
 
 SEED = 20261018
@@ -151,7 +151,8 @@ class TestDifferential:
         assert '"again": [0.8, 0.1]' in render_json(doc)
 
     def test_goldens(self, monkeypatch, repo_root, golden_dir, tmp_path):
-        """Every JSON golden, with the documents the CLI actually renders."""
+        """Every JSON golden: the oracle renders each from the documents
+        the CLI renders, plus, for reduce, the trace it writes itself."""
         monkeypatch.chdir(repo_root)
         docs = []
 
@@ -160,6 +161,7 @@ class TestDifferential:
             return render_json(doc)
 
         monkeypatch.setattr(cli, "render_json", spy)
+        monkeypatch.setattr(network, "render_json", spy)
         commands = {
             f"reduce_{path.stem}.json": ["reduce", f"networks/{path.stem}.json"]
             for path in sorted((repo_root / "networks").glob("*.json"))
@@ -172,7 +174,13 @@ class TestDifferential:
             assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_OK
             expected = (golden_dir / golden).read_text(encoding="utf-8")
             assert out.read_text(encoding="utf-8") == expected
-            assert oracle_render(docs[-1]) == expected
+            doc = docs[-1]
+            if argv[0] == "reduce":
+                # render_json sees the head only; the writer adds the trace
+                manifest = cli._manifest("reduce", {"network": argv[1]}, {}, False)
+                doc = {"manifest": manifest, **report(parse_network((repo_root / argv[1]).read_text(encoding="utf-8")))}
+                assert docs[-1] == {k: v for k, v in doc.items() if k != "reduction_trace"}
+            assert oracle_render(doc) == expected
         assert len(docs) == len(commands)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])

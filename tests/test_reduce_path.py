@@ -1,6 +1,7 @@
 """The reduce path reads each Schmidt vector as it was validated: every
 shortcut gives the bits, or the error, of the code it replaced (kept in
-_reduce_path_oracle.py), and a reduce leaves no cyclic garbage."""
+_reduce_path_oracle.py), the report writer gives the bytes of
+render_json(report()), and a reduce leaves no cyclic garbage."""
 
 import gc
 import json
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 import _reduce_path_oracle as oracle
 
+from qnetdet import cli
 from qnetdet._jsonio import _row_format, render_json
 from qnetdet.errors import NegativeEntry, NonFiniteEntry, NotSeriesParallel, QnetdetError, SchemaError
 from qnetdet.network import (
@@ -22,10 +24,12 @@ from qnetdet.network import (
     _decompose,
     _det_parallel,
     _fold,
-    _reduce,
+    _folded,
+    _trace,
     classify_topology,
     network_from_dict,
     parse_network,
+    render_report,
     report,
 )
 from qnetdet.rules import (
@@ -439,10 +443,10 @@ class TestFold:
         rng = substream(SEED, "trace", d)
         for _ in range(8):
             net = _with_drops(random_network(d, 12, rng), rng)
-            moves, root = _decompose(net)
-            vec, trace = _reduce(net, moves, root)
+            moves, root, links = _folded(net)
+            trace = _trace(moves, links)
             want_vec, want_trace = oracle._reduce(net, moves, root)
-            assert vec == want_vec
+            assert links[root] == want_vec
             assert [list(event) for event in trace] == [list(event) for event in want_trace]
             assert render_json(trace) == render_json(want_trace)
 
@@ -475,6 +479,115 @@ class TestClassify:
         assert seen == set(TopologyClass) - {TopologyClass.NOT_SERIES_PARALLEL}
 
 
+_MANIFEST = cli._manifest("reduce", {"network": "net.json"}, {}, False)
+
+
+def _writes_report(net, manifest=_MANIFEST):
+    """The writer's text, checked against render_json of report()."""
+    text = render_report(net, manifest)
+    assert text == render_json({"manifest": manifest, **report(net)})
+    return text
+
+
+def _net(d, terminals, edges):
+    return QuantumNetwork(d, terminals, [Edge(u, v, SchmidtVector(vec)) for u, v, vec in edges])
+
+
+# every edge off the A-B paths (a self-loop, a pendant and an island),
+# zero entries and product links, bundles of equal vectors, and node
+# names that JSON escapes or that only look unusual
+HAND_BUILT = {
+    "drops": _net(
+        2,
+        ("A", "B"),
+        [
+            ("A", "A", [0.6, 0.4]),
+            ("A", "m", [0.7, 0.3]),
+            ("m", "m", [0.5, 0.5]),
+            ("m", "B", [0.8, 0.2]),
+            ("B", "pendant", [0.9, 0.1]),
+            ("x", "y", [0.55, 0.45]),
+        ],
+    ),
+    "zeros_and_products": _net(
+        3,
+        ("A", "B"),
+        [
+            ("A", "m", [1.0, 0.0, 0.0]),
+            ("A", "m", [0.5, 0.5, 0.0]),
+            ("m", "B", [0.6, 0.4, 0.0]),
+            ("m", "B", [1.0, 0.0, 0.0]),
+            ("A", "B", [0.5, 0.3, 0.2]),
+        ],
+    ),
+    "equal_bundles": _net(
+        4,
+        ("A", "B"),
+        [("A", "m", [0.4, 0.3, 0.2, 0.1])] * 3 + [("m", "B", [0.7, 0.1, 0.1, 0.1])] * 2 + [("A", "B", [0.25] * 4)],
+    ),
+    "escaped_names": _net(
+        2,
+        ('A"', "B\\"),
+        [
+            ('A"', "\x01", [0.9, 0.1]),
+            ("\x01", "é量", [0.8, 0.2]),
+            ("é量", "B\\", [0.7, 0.3]),
+            ('A"', "\u2028", [0.6, 0.4]),
+            ("\u2028", "B\\", [0.6, 0.4]),
+            ("\u2028", "\u2028", [0.5, 0.5]),
+            ("\t", "B\\", [0.95, 0.05]),
+        ],
+    ),
+}
+
+
+class TestReportWriter:
+    """`render_report` writes the bytes of render_json(report()) under
+    the same manifest."""
+
+    def test_bundled_networks_and_goldens(self, monkeypatch, repo_root, network_dir, golden_dir):
+        monkeypatch.chdir(repo_root)
+        goldens = 0
+        for path in sorted(network_dir.glob("*.json")):
+            arg = f"networks/{path.name}"
+            net = parse_network(path.read_text(encoding="utf-8"))
+            manifest = cli._manifest("reduce", {"network": arg}, {}, False)
+            if path.stem == "bridge":
+                for route in (lambda: report(net), lambda: render_report(net, manifest)):
+                    with pytest.raises(NotSeriesParallel):
+                        route()
+                assert cli.main(["reduce", arg]) == cli.EXIT_NOT_SERIES_PARALLEL
+                continue
+            text = _writes_report(net, manifest)
+            golden = golden_dir / f"reduce_{path.stem}.json"
+            if golden.exists():
+                assert text == golden.read_text(encoding="utf-8")
+                goldens += 1
+        assert goldens == len(list(golden_dir.glob("reduce_*.json")))
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_random_networks(self, d):
+        rng = substream(SEED, "report_writer", d)
+        for t in range(30 if d <= 4 else 10):
+            net = random_network(d, 30, rng)
+            _writes_report(_with_drops(net, rng) if t % 3 == 0 else net)
+
+    @pytest.mark.parametrize("name", sorted(HAND_BUILT))
+    def test_hand_built(self, name):
+        net = HAND_BUILT[name]
+        trace = json.loads(_writes_report(net))["reduction_trace"]
+        ops = [event["op"] for event in trace]
+        assert ops.count("drop") == {"drops": 4, "escaped_names": 2}.get(name, 0)
+        assert "parallel" in ops or name == "drops"
+
+    def test_events_share_no_list(self):
+        # a vector is one move's output and the next move's input; the
+        # dict route gives each its own list
+        trace = report(HAND_BUILT["equal_bundles"])["reduction_trace"]
+        lists = [vec for event in trace for vec in (*event["inputs"], event["output"])]
+        assert len({id(vec) for vec in lists}) == len(lists)
+
+
 def _qubit_ladder(levels, rng):
     """G_k = series(parallel(G_(k-1), e), e) from one link: 2 * levels + 1
     qubit links, levels deep."""
@@ -501,6 +614,7 @@ def test_reduce_leaves_no_cyclic_garbage(network_dir):
             if classify_topology(net).value == "NotSeriesParallel":
                 continue
             render_json(report(net))
+            render_report(net, _MANIFEST)
         assert gc.collect() == 0
     finally:
         gc.enable()
