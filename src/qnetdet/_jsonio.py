@@ -14,9 +14,9 @@ The output is compact (`", "` between items, `": "` after a key) and
 newline-terminated, so identical data produce identical bytes across
 runs; golden files can then be compared verbatim.  Values computed with
 numpy, such as the series rule from d = 4 up, are reproducible for one
-numpy/LAPACK build.  A call keeps its state in one dict, the text of
-each string and key rendered so far.  `_float_row` is the one route from
-a list of floats to its text, shared with the `reduce` report writer.
+numpy/LAPACK build.  A call keeps no state: each string and key is
+escaped where it occurs.  `_float_row` is the one route from a list of
+floats to its text, shared with the `reduce` report writer.
 """
 
 import functools
@@ -67,35 +67,21 @@ def _float_row(row: tuple) -> str:
     return text
 
 
-def _value(o, memo):
-    """The JSON text of o.  memo maps each exact string to its text, and
-    each exact-string key k, as (k,), to its `"k": ` text.  A key of
-    another type is rendered each time: True and 1 are equal keys but
-    not equal texts."""
+def _value(o):
+    """The JSON text of o."""
     t = type(o)
     if t is str:
-        text = memo.get(o)
-        if text is None:
-            text = memo[o] = _string(o)
-        return text
+        return _string(o)
     if t is list or t is tuple:
         if not o:
             return "[]"
         if not _FLOATS_ONLY.issuperset(map(type, o)):
-            return "[" + ", ".join([_value(v, memo) for v in o]) + "]"
+            return "[" + ", ".join([_value(v) for v in o]) + "]"
         return _float_row(o if t is tuple else tuple(o))
     if t is float:
         return format_float(o)
     if t is dict:
-        items = []
-        for k, v in o.items():
-            key = memo.get((k,))
-            if key is None:
-                key = _string(str(k)) + ": "
-                if type(k) is str:
-                    memo[(k,)] = key
-            items.append(key + _value(v, memo))
-        return "{" + ", ".join(items) + "}"
+        return "{" + ", ".join([_string(str(k)) + ": " + _value(v) for k, v in o.items()]) + "}"
     if t is int:
         return str(o)
     if o is None:
@@ -112,9 +98,9 @@ def _value(o, memo):
 def render_json(obj) -> str:
     """Serialize to a compact JSON string, newline-terminated.
 
-    One pass dispatches on the exact type of each value.  Within a call
-    each string and key is rendered once.  A list of floats only is
-    formatted by `_float_row`.  The call's state is one dict, dropped
-    when it returns, so the call leaves no reference cycle behind.
+    One pass dispatches on the exact type of each value; a list of
+    floats only is formatted by `_float_row`.  A call keeps no state
+    and builds no container but the texts it joins, so it leaves no
+    reference cycle behind.
     """
-    return _value(obj, {}) + "\n"
+    return _value(obj) + "\n"

@@ -38,8 +38,8 @@ from .network import (
     _decompose,
     _det_parallel,
     _fold,
+    _head,
     reduce_series_parallel,
-    report,
 )
 from .rules import (
     _outcome_spectra,
@@ -80,6 +80,13 @@ _VIOLATION_CAP = 25
 _REJECTION_BUDGET = 200
 
 
+def _integer(field, value) -> int:
+    """value, an int or numpy integer but not a bool, as an int."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{field} must be an integer, got {value!r}")
+
+
 class CheckConfig(Frozen):
     """Shared knobs for one verification run.
 
@@ -101,6 +108,9 @@ class CheckConfig(Frozen):
     __slots__ = ("dimension", "trials", "seed", "tolerance", "povm_size")
 
     def __init__(self, dimension=2, trials=1000, seed=0, tolerance=1e-9, povm_size=None):
+        dimension, trials, seed = _integer("dimension", dimension), _integer("trials", trials), _integer("seed", seed)
+        if povm_size is not None:
+            povm_size = _integer("povm_size", povm_size)
         if dimension < 2:
             raise DimensionTooSmall(f"dimension {dimension} below 2")
         if dimension > 8:
@@ -649,8 +659,8 @@ def _(cfg, t, rng, acc):
         x, y = f"off{i}x", f"off{i}y"
         pairs = ([(n, n)], [(n, x)], [(n, x), (x, y), (y, n)], [(x, y)])[int(rng.integers(4))]
         edges += [Edge(u, v, sampling.random_schmidt(d, rng)) for u, v in pairs]
-    base = report(net)
-    other = report(_scrambled(edges, net.terminals, rng))
+    base = _head(net)[0]
+    other = _head(_scrambled(edges, net.terminals, rng))[0]
     acc.slack(
         max(
             float(base["topology"] != other["topology"]),

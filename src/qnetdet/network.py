@@ -38,9 +38,10 @@ scalar scores into the probabilistic conversion figure, and the
 topology class is read off the move list.
 
 One decomposition and fold feeds `reduce_series_parallel`, `report`
-and `render_report`.  `report` returns the reduction trace as event
-dicts.  `render_report` writes the JSON text of `qnetdet reduce`, byte
-for byte `render_json({"manifest": manifest, **report(network)})`, with
+and `render_report`.  `report` returns the reduction trace as copies
+of the moves, each edge id replaced by a new list of its entries.
+`render_report` writes the JSON text of `qnetdet reduce`, byte for
+byte `render_json({"manifest": manifest, **report(network)})`, with
 the trace written straight from the moves and edge vectors instead.
 
 The decomposition logs one DEBUG line to the `qnetdet.network` logger
@@ -464,30 +465,18 @@ def _folded(network: QuantumNetwork):
 
 
 def _trace(moves, links) -> list[dict]:
-    """The reduction trace as event dicts, each with lists of its own."""
+    """The reduction trace: each move as a dict of its own, every edge
+    id in it replaced by a new list of that edge's entries."""
     trace = []
     for move in moves:
-        op = move["op"]
-        if op == "series":
-            a, b = move["inputs"]
-            event = {
-                "op": op,
-                "node": move["node"],
-                "through": move["through"],
-                "inputs": [list(links[a].entries), list(links[b].entries)],
-                "output": list(links[move["output"]].entries),
-            }
-        elif op == "parallel":
-            event = {
-                "op": op,
-                "nodes": move["nodes"],
-                "arity": move["arity"],
-                # a bundle is listed in the order _det_parallel folds it
-                "inputs": sorted([list(links[e].entries) for e in move["inputs"]]),
-                "output": list(links[move["output"]].entries),
-            }
+        event = dict(move)
+        if "link" in event:
+            event["link"] = list(links[event["link"]].entries)
         else:
-            event = {"op": op, "nodes": move["nodes"], "link": list(links[move["link"]].entries)}
+            inputs = [list(links[e].entries) for e in event["inputs"]]
+            # a bundle is listed in the order _det_parallel folds it
+            event["inputs"] = sorted(inputs) if event["op"] == "parallel" else inputs
+            event["output"] = list(links[event["output"]].entries)
         trace.append(event)
     return trace
 

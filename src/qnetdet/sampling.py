@@ -102,17 +102,18 @@ def _orthonormalized(stack):
     return np.linalg.solve(np.conj(low, out=low), stack.T).T
 
 
-def _complete(shape, width, rng):
+def _complete(shape, width, rng, what):
     # the first of up to RESAMPLE_BUDGET complex-Gaussian draws of this
     # shape, orthonormalized as rows of ``width`` entries, that passes
-    # validate_povm's test _isometric, or None; a singular draw is skipped
+    # validate_povm's test _isometric; a singular draw is skipped, and
+    # SingularNormalizer names the complete ``what`` none of them gave
     for _ in range(RESAMPLE_BUDGET):
         out = _orthonormalized(_complex_gaussian(shape, rng).reshape(-1, width))
         if out is not None:
             els = out.reshape(shape)
             if _isometric(els.reshape(-1, width)):
                 return els
-    return None
+    raise SingularNormalizer(f"no complete {what} in {RESAMPLE_BUDGET} draws")
 
 
 def sample_povm_arrays(dimension, count, rng):
@@ -139,12 +140,7 @@ def sample_povm_arrays(dimension, count, rng):
         raise SingularNormalizer(
             f"{count} elements cannot complete a measurement at dimension {dimension}, which needs {n}"
         )
-    els = _complete((count, dimension, dimension), n, rng)
-    if els is None:
-        raise SingularNormalizer(
-            f"no complete {count}-element measurement at dimension {dimension} in {RESAMPLE_BUDGET} draws"
-        )
-    return els
+    return _complete((count, dimension, dimension), n, rng, f"{count}-element measurement at dimension {dimension}")
 
 
 def sample_povm(dimension, count, rng):
@@ -165,10 +161,7 @@ def sample_local_kraus(dimension, count, rng):
     SingularNormalizer
         No complete draw within RESAMPLE_BUDGET.
     """
-    out = _complete((count, dimension, dimension), dimension, rng)
-    if out is None:
-        raise SingularNormalizer(f"no complete one-sided Kraus measurement in {RESAMPLE_BUDGET} draws")
-    return out
+    return _complete((count, dimension, dimension), dimension, rng, "one-sided Kraus measurement")
 
 
 def sample_wide_kraus(dimension, count, rng):
@@ -185,10 +178,7 @@ def sample_wide_kraus(dimension, count, rng):
     n = dimension * dimension
     if count < dimension:
         raise SingularNormalizer(f"{count} operators cannot complete a {n}-level measurement")
-    out = _complete((count, dimension, n), n, rng)
-    if out is None:
-        raise SingularNormalizer(f"no complete rank-reducing Kraus measurement in {RESAMPLE_BUDGET} draws")
-    return out
+    return _complete((count, dimension, n), n, rng, "rank-reducing Kraus measurement")
 
 
 def dominated_vector(base, steps, rng):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qnetdet import checks, cli
+from qnetdet._jsonio import render_json
 from qnetdet.checks import (
     CHECKS,
     GROUPS,
@@ -51,6 +52,37 @@ class TestConfig:
     def test_frozen(self):
         with pytest.raises(Exception):
             CheckConfig().trials = 5
+
+    @pytest.mark.parametrize("field", ["dimension", "trials", "seed", "povm_size"])
+    @pytest.mark.parametrize(
+        "value",
+        [3.0, 2.5, np.float64(3.0), "3", True, np.True_],
+        ids=["float", "fraction", "np-float", "str", "bool", "np-bool"],
+    )
+    def test_non_integer_field_names_itself(self, field, value):
+        # a plain ValueError naming the field, never a TypeError from
+        # deep in a check, nor a float taken as it is
+        with pytest.raises(ValueError) as info:
+            CheckConfig(**{field: value})
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"{field} must be an integer, got {value!r}"
+
+    def test_numpy_integers_stored_as_int(self):
+        cfg = CheckConfig(dimension=np.int64(3), trials=np.int32(2), seed=np.uint8(7), povm_size=np.int16(12))
+        fields = ("dimension", "trials", "seed", "povm_size")
+        assert [(type(getattr(cfg, f)), getattr(cfg, f)) for f in fields] == [(int, 3), (int, 2), (int, 7), (int, 12)]
+        assert [r.trials_run for r in run_checks("lemma_det_preserving", cfg)] == [2]
+        # the verify manifest renders the config as it is stored
+        assert render_json({f: getattr(cfg, f) for f in cfg.__slots__}).startswith('{"dimension": 3, ')
+
+    def test_range_errors_keep_their_classes(self):
+        with pytest.raises(DimensionTooSmall):
+            CheckConfig(dimension=np.int64(1))
+        with pytest.raises(DimensionTooLarge):
+            CheckConfig(dimension=np.int64(9))
+        for field in ("trials", "povm_size"):
+            with pytest.raises(ValueError, match=f"^{field} must be at least 1$"):
+                CheckConfig(**{field: np.int64(0)})
 
 
 LEMMAS = (

@@ -393,6 +393,24 @@ class TestOutcomes:
         assert code == EXIT_USAGE
         assert "two links" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["--links", "a,b", "0.5,0.5"], "link must be comma-separated numbers, got 'a,b'"),
+            (["PAIR", "--povm", "bell"], "the two links must form a chain between the terminals"),
+            (["--links", "0.9,0.1", "0.9,0.1", "--povm", "random:x"], "malformed element count in 'random:x'"),
+        ],
+        ids=["non-numeric-link", "two-links-not-a-chain", "non-numeric-count"],
+    )
+    def test_malformed_input_is_one_usage_line(self, tmp_path, run, capsys, argv, err):
+        # two links that both join A and B: two edges, but no chain
+        pair = tmp_path / "pair.json"
+        edge = {"u": "A", "v": "B", "schmidt": [0.5, 0.5]}
+        pair.write_text(json.dumps({"dimension": 2, "terminals": ["A", "B"], "edges": [edge, edge]}))
+        code, text = run("outcomes", *(str(pair) if a == "PAIR" else a for a in argv))
+        assert code == EXIT_USAGE and text == ""
+        assert capsys.readouterr().err == f"qnetdet: {err}\n"
+
     def test_pretty_table(self, run):
         code, text = run(
             "outcomes", "--links", "0.9,0.1", "0.9,0.1", "--povm", "bell", "--pretty"

@@ -126,6 +126,20 @@ class TestIngestion:
         with pytest.raises(MissingTerminal):
             QuantumNetwork(2, ("A", "A"), [])
 
+    @pytest.mark.parametrize("terminal", [7, None, ""])
+    def test_terminal_must_be_named(self, terminal):
+        with pytest.raises(MissingTerminal, match=f"^terminal {terminal!r} is not a non-empty string$"):
+            QuantumNetwork(2, ("A", terminal), [])
+
+    def test_edge_of_another_dimension(self):
+        edge = Edge("A", "B", SchmidtVector([0.5, 0.3, 0.2]))
+        with pytest.raises(MixedDimensions, match="^link A-B has dimension 3, network has 2$"):
+            QuantumNetwork(2, ("A", "B"), [edge])
+
+    def test_edges_must_be_a_list(self):
+        with pytest.raises(SchemaError, match="^edges must be a list$"):
+            network_from_dict({"dimension": 2, "terminals": ["A", "B"], "edges": {}})
+
 
 # One network per class, then shapes at the edges of the classes:
 # off-path loops and cycles, pendants, islands and nested bundles.  An

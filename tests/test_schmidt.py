@@ -7,6 +7,7 @@ import pytest
 import _reduce_path_oracle as oracle
 
 from qnetdet.errors import (
+    DimensionMismatch,
     EmptyEnsemble,
     EmptyInput,
     KOutOfRange,
@@ -224,6 +225,11 @@ class TestEnsemble:
     def test_empty_rejected(self):
         with pytest.raises(EmptyEnsemble):
             ProbabilisticEnsemble([])
+
+    def test_members_share_a_dimension(self):
+        members = [(0.5, SchmidtVector([0.9, 0.1])), (0.5, SchmidtVector([0.5, 0.3, 0.2]))]
+        with pytest.raises(DimensionMismatch, match="^ensemble members must share a dimension$"):
+            ProbabilisticEnsemble(members)
 
 
 class TestVectorAlgebra:
