@@ -12,13 +12,9 @@ of 60-digit values on entries spread down to 1e-12.  The rule at d = 2
 is a closed form in rules and from d = 4 up one LAPACK SVD; measurement
 outcomes go through one stacked LAPACK SVD (rules._outcome_spectra).
 
-swap_eig and eigh_desc, a two-sided cyclic Jacobi iteration on the
-Hermitian form, are on no library path.  They stop once the
-off-diagonal mass falls below OFF_TOL times the Frobenius norm, an
-absolute criterion, so small eigenvalues lose relative accuracy (up to
-8e-5 relative at d = 2 and 3 on entries spread down to 1e-12).  They are
-kept only because the profiler in perfbench/tracer.py looks them up by
-name.
+swap_eig and eigh_desc, once a two-sided Jacobi route for the series
+rule, are retired: their bodies are gone, and each only raises.  The
+names stay because the profiler in perfbench/tracer.py wraps them.
 """
 
 from __future__ import annotations
@@ -27,84 +23,9 @@ import cmath
 import functools
 import math
 
-# Convergence threshold on relative off-diagonal mass.
+# sv_desc's convergence threshold on the relative overlap of a column pair.
 OFF_TOL = 1e-14
 MAX_SWEEPS = 60
-
-
-def eigh_desc(n, a):
-    """Eigenvalues of a Hermitian n x n matrix, descending.
-
-    Parameters
-    ----------
-    n : int
-        Matrix dimension.
-    a : list of complex
-        Row-major entries, length n*n.  Only the Hermitian part
-        (A + A^H)/2 is diagonalized, so tiny anti-Hermitian noise in
-        the input is harmless.
-
-    Returns
-    -------
-    list of float
-        The n eigenvalues sorted in descending order.
-    """
-    if n == 1:
-        return [complex(a[0]).real]
-    b = [0j] * (n * n)
-    for j in range(n):
-        b[j * n + j] = complex(complex(a[j * n + j]).real)
-        for k in range(j + 1, n):
-            h = 0.5 * (complex(a[j * n + k]) + complex(a[k * n + j]).conjugate())
-            b[j * n + k] = h
-            b[k * n + j] = h.conjugate()
-    fro = math.sqrt(sum(abs(v) * abs(v) for v in b))
-    if fro == 0.0:
-        return [0.0] * n
-    stop = OFF_TOL * fro
-    for _ in range(MAX_SWEEPS):
-        off = 0.0
-        for j in range(n):
-            for k in range(j + 1, n):
-                off += 2.0 * abs(b[j * n + k]) ** 2
-        if math.sqrt(off) <= stop:
-            break
-        for p in range(n):
-            for q in range(p + 1, n):
-                apq = b[p * n + q]
-                g = abs(apq)
-                if g <= 1e-300:
-                    continue
-                alpha = b[p * n + p].real
-                beta = b[q * n + q].real
-                phase = apq / g
-                tau = (beta - alpha) / (2.0 * g)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                sp = s * phase
-                spc = sp.conjugate()
-                for m in range(n):
-                    if m == p or m == q:
-                        continue
-                    bmp = b[m * n + p]
-                    bmq = b[m * n + q]
-                    nmp = c * bmp - spc * bmq
-                    nmq = sp * bmp + c * bmq
-                    b[m * n + p] = nmp
-                    b[m * n + q] = nmq
-                    b[p * n + m] = nmp.conjugate()
-                    b[q * n + m] = nmq.conjugate()
-                b[p * n + p] = complex(alpha - t * g)
-                b[q * n + q] = complex(beta + t * g)
-                b[p * n + q] = 0j
-                b[q * n + p] = 0j
-    vals = [b[j * n + j].real for j in range(n)]
-    vals.sort(reverse=True)
-    return vals
 
 
 def sv_desc(rows, cols, a):
@@ -169,43 +90,14 @@ def sv_desc(rows, cols, a):
     return sv
 
 
-def swap_eig(x, y):
-    """Spectrum of the series (swapping) rule, unnormalized inputs allowed.
+def eigh_desc(*args):
+    """Retired; kept only because perfbench/tracer.py wraps it by name."""
+    raise NotImplementedError("eigh_desc is retired; the series rule is rules.swap_rule")
 
-    Computes d * eig(A) with A = diag(sqrt(x)) W diag(sqrt(x)) where
-    W = V diag(y) V^H and V is the d-dimensional Fourier matrix with
-    1-based indices.  Entries of W depend only on index differences, so
-    the matrix is assembled from d circulant coefficients.
 
-    Both inputs must be sorted descending; they are used as given.
-    Returns a descending list of length d scaled so that the total
-    equals sum(x) * sum(y).  The eigenvalue relative accuracy is
-    governed by the conditioning of the inner vector y, so a caller
-    passes the flatter vector as y.  On no library path; see the module
-    docstring.
-    """
-    d = len(x)
-    if d == 1:
-        return [x[0] * y[0]]
-    coef = [0j] * d
-    for m in range(d):
-        acc = 0j
-        for l in range(1, d + 1):
-            acc += y[l - 1] * cmath.exp(-2j * cmath.pi * m * l / d)
-        coef[m] = acc / d
-    rx = [math.sqrt(v) if v > 0.0 else 0.0 for v in x]
-    a = [0j] * (d * d)
-    for j in range(d):
-        for k in range(d):
-            a[j * d + k] = rx[j] * rx[k] * coef[(j - k) % d]
-    vals = eigh_desc(d, a)
-    out = []
-    for v in vals:
-        w = d * v
-        if w < 0.0:
-            w = 0.0
-        out.append(w)
-    return out
+def swap_eig(*args):
+    """Retired; kept only because perfbench/tracer.py wraps it by name."""
+    raise NotImplementedError("swap_eig is retired; the series rule is rules.swap_rule")
 
 
 @functools.lru_cache(maxsize=None)

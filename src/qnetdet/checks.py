@@ -60,6 +60,7 @@ from .schmidt import (
     majorizes,
     normalize_descending,
     submajorization_slack,
+    _integer,
     _unit,
 )
 
@@ -80,13 +81,6 @@ _VIOLATION_CAP = 25
 _REJECTION_BUDGET = 200
 
 
-def _integer(field, value) -> int:
-    """value, an int or numpy integer but not a bool, as an int."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    raise ValueError(f"{field} must be an integer, got {value!r}")
-
-
 class CheckConfig(Frozen):
     """Shared knobs for one verification run.
 
@@ -99,7 +93,8 @@ class CheckConfig(Frozen):
     seed : int
         Root seed; every (check, trial) pair derives its own substream.
     tolerance : float
-        One-sided slack above which a trial counts as a violation.
+        One-sided slack above which a trial counts as a violation: a
+        finite positive int or float (numpy floats too), kept as a float.
     povm_size : int, optional
         Element count for sampled swap measurements.  None picks the
         completeness minimum, dimension squared.
@@ -117,8 +112,16 @@ class CheckConfig(Frozen):
             raise DimensionTooLarge(f"dimension {dimension} above 8")
         if trials < 1:
             raise ValueError("trials must be at least 1")
+        if isinstance(tolerance, bool) or not isinstance(tolerance, (int, float, np.floating)):
+            raise ValueError(f"tolerance must be a number, got {tolerance!r}")
+        try:
+            tolerance = float(tolerance)
+        except OverflowError:  # an integer past the float range
+            tolerance = math.inf
         if not tolerance > 0.0:
             raise ValueError("tolerance must be positive")
+        if tolerance == math.inf:
+            raise ValueError("tolerance must be finite")
         if povm_size is not None and povm_size < 1:
             raise ValueError("povm_size must be at least 1")
         for field, value in zip(self.__slots__, (dimension, trials, seed, tolerance, povm_size)):

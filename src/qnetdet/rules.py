@@ -29,7 +29,9 @@ from .errors import (
     LengthMismatchAfterPadding,
     ShapeMismatch,
 )
-from .schmidt import MAJORIZATION_ATOL, SchmidtVector, ProbabilisticEnsemble, _screened, _total, _unit, _values_of
+from .schmidt import (
+    MAJORIZATION_ATOL, SchmidtVector, ProbabilisticEnsemble, _integer, _screened, _total, _unit, _values_of
+)
 
 # Measurement outcomes below this probability carry no statistical
 # weight and are numerically unstable to renormalize.
@@ -233,11 +235,15 @@ def purify_rule(x, d: int) -> SchmidtVector:
 
     Raises
     ------
+    ValueError
+        d is not an integer (see schmidt._integer).
     DimensionTooSmall
         d < 1 or x shorter than d.
     NonFiniteEntry, NegativeEntry
         The entries of a plain iterable fail the screen.
     """
+    if type(d) is not int:
+        d = _integer("d", d)
     xs = x.entries if isinstance(x, SchmidtVector) else _screened(x)
     if d < 1 or len(xs) < d:
         raise DimensionTooSmall(f"cannot map length {len(xs)} to dimension {d}")

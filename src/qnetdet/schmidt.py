@@ -16,6 +16,7 @@ against a tolerance, and the verification suite reports both.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable
 
 from ._frozen import Frozen
@@ -68,6 +69,17 @@ def _floats(values) -> list:
         return [float(v) for v in values]
     except OverflowError:
         raise NonFiniteEntry("entry beyond the largest float") from None
+
+
+def _integer(field, value) -> int:
+    """value, an int or numpy integer but not a bool, as an int; any
+    other value raises a plain ValueError naming the field."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{field} must be an integer, got {value!r}")
 
 
 def _screened(values) -> list:
@@ -316,8 +328,11 @@ def concurrence(x, k: int) -> float:
 
     Raises
     ------
+    ValueError
+        k is not an integer (see ``_integer``).
     EmptyInput, KOutOfRange
     """
+    k = _integer("k", k)
     vals = _values_of(x)
     if not vals:
         raise EmptyInput("no entries")

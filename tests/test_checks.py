@@ -75,6 +75,36 @@ class TestConfig:
         # the verify manifest renders the config as it is stored
         assert render_json({f: getattr(cfg, f) for f in cfg.__slots__}).startswith('{"dimension": 3, ')
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (True, "tolerance must be a number, got True"),
+            (np.True_, "tolerance must be a number, got np.True_"),
+            ("1e-9", "tolerance must be a number, got '1e-9'"),
+            (None, "tolerance must be a number, got None"),
+            (math.inf, "tolerance must be finite"),
+            (np.float64(math.inf), "tolerance must be finite"),
+            (10**400, "tolerance must be finite"),
+            (math.nan, "tolerance must be positive"),
+            (-math.inf, "tolerance must be positive"),
+            (0, "tolerance must be positive"),
+        ],
+        ids=["bool", "np-bool", "str", "none", "inf", "np-inf", "big-int", "nan", "minus-inf", "zero"],
+    )
+    def test_tolerance_must_be_a_finite_positive_number(self, value, message):
+        # a plain ValueError, never a TypeError, and never a value that
+        # the manifest cannot render after every check has run
+        with pytest.raises(ValueError) as info:
+            CheckConfig(tolerance=value)
+        assert type(info.value) is ValueError
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("value", [np.float64(1e-9), np.float32(0.5), 1], ids=["np-float64", "np-float32", "int"])
+    def test_tolerance_stored_as_float(self, value):
+        cfg = CheckConfig(tolerance=value)
+        assert type(cfg.tolerance) is float and cfg.tolerance == float(value)
+        assert render_json({f: getattr(cfg, f) for f in cfg.__slots__}).startswith('{"dimension": 2, ')
+
     def test_range_errors_keep_their_classes(self):
         with pytest.raises(DimensionTooSmall):
             CheckConfig(dimension=np.int64(1))

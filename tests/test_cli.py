@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from qnetdet import cli, network
+from qnetdet import checks, cli, network
 from qnetdet.cli import (
     EXIT_DISCONNECTED,
     EXIT_INVALID_POVM,
@@ -256,6 +256,15 @@ class TestVerify:
         assert code == EXIT_USAGE
         code, _ = run("verify", "all", "--trials", "0")
         assert code == EXIT_USAGE
+
+    def test_infinite_tolerance_rejected_before_any_check(self, monkeypatch, capsys):
+        def no_checks(*args):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(checks, "run_checks", no_checks)
+        assert main(["verify", "all", "--tol", "inf"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "qnetdet: tolerance must be finite\n"
 
 
 class TestOutcomes:

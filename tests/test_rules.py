@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from _series_oracle import esym, series_esym
 
+from qnetdet._jsonio import render_json
 from qnetdet.backend import kernels
 from qnetdet.errors import (
     DimensionMismatch,
@@ -77,18 +78,6 @@ class TestSwapRule:
         lhs = det_vec(swap_rule(x, y))
         rhs = d**d * det_vec(x) * det_vec(y)
         assert lhs == pytest.approx(rhs, rel=1e-10)
-
-    @pytest.mark.parametrize("trial", range(100))
-    def test_eig_and_sv_routes_agree(self, trial):
-        # kernels.swap_eig is on no library path any more; the profiler
-        # still looks it up by name, so it stays pinned to swap_sv
-        rng = substream(SEED, "swap_routes", trial)
-        d = int(rng.integers(2, 7))
-        x = sorted(rng.dirichlet(np.ones(d)).tolist(), reverse=True)
-        y = sorted(rng.dirichlet(np.ones(d)).tolist(), reverse=True)
-        a = kernels.swap_eig(y, x)
-        b = kernels.swap_sv(x, y)
-        assert np.allclose(a, b, atol=1e-11)
 
 
 def _hard_links(d, rng, n):
@@ -350,6 +339,26 @@ class TestPurifyRule:
     def test_too_short(self):
         with pytest.raises(DimensionTooSmall):
             purify_rule([0.6, 0.4], 3)
+        with pytest.raises(DimensionTooSmall):
+            purify_rule([0.6, 0.4], np.int64(0))
+
+    def test_numpy_integer_d_gives_plain_floats(self):
+        joint = kron(SchmidtVector([0.9, 0.1]), SchmidtVector([0.9, 0.1]))
+        out = purify_rule(joint, np.int64(2))
+        assert out == purify_rule(joint, 2)
+        assert [type(v) for v in out.entries] == [float, float]
+        assert render_json({"link": out.entries}) == render_json({"link": purify_rule(joint, 2).entries})
+
+    @pytest.mark.parametrize(
+        "d",
+        [2.0, 2.5, np.float64(2.0), "2", True, np.True_],
+        ids=["float", "fraction", "np-float", "str", "bool", "np-bool"],
+    )
+    def test_non_integer_d_names_itself(self, d):
+        with pytest.raises(ValueError) as info:
+            purify_rule([0.25, 0.25, 0.25, 0.25], d)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"d must be an integer, got {d!r}"
 
 
 class TestConversionProbability:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import _reduce_path_oracle as oracle
 
+from qnetdet._jsonio import render_json
 from qnetdet.errors import (
     DimensionMismatch,
     EmptyEnsemble,
@@ -204,6 +205,24 @@ class TestSymmetricAndConcurrence:
     def test_k_out_of_range(self):
         with pytest.raises(KOutOfRange):
             concurrence([0.5, 0.5], 3)
+        with pytest.raises(KOutOfRange):
+            concurrence([0.5, 0.5], np.int64(3))
+
+    def test_numpy_integer_k_gives_a_plain_float(self):
+        c = concurrence(SchmidtVector([0.9, 0.1]), np.int64(2))
+        assert type(c) is float and c == concurrence(SchmidtVector([0.9, 0.1]), 2)
+        assert render_json({"concurrence": c}) == '{"concurrence": 0.6}\n'
+
+    @pytest.mark.parametrize(
+        "k",
+        [2.0, 2.5, np.float64(2.0), "2", True, np.True_],
+        ids=["float", "fraction", "np-float", "str", "bool", "np-bool"],
+    )
+    def test_non_integer_k_names_itself(self, k):
+        with pytest.raises(ValueError) as info:
+            concurrence([0.5, 0.5], k)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"k must be an integer, got {k!r}"
 
     @pytest.mark.parametrize("trial", range(TRIALS))
     def test_monotone_under_domination(self, trial):
