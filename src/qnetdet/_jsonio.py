@@ -15,8 +15,8 @@ newline-terminated, so identical data produce identical bytes across
 runs; golden files can then be compared verbatim.  Values computed with
 numpy, such as the series rule from d = 4 up, are reproducible for one
 numpy/LAPACK build.  A call keeps no state: each string and key is
-escaped where it occurs.  `_float_row` is the one route from a list of
-floats to its text, shared with the `reduce` report writer.
+escaped where it occurs.  `_float_rows` is the one route from lists of
+floats to their texts, shared with the `reduce` report writer.
 """
 
 import functools
@@ -56,15 +56,16 @@ def _row_format(n: int) -> str:
     return "[" + ", ".join(["%.12g"] * n) + "]"
 
 
-def _float_row(row: tuple) -> str:
-    """The JSON text of a non-empty tuple of floats, each as
-    `format_float` prints it."""
-    # "%.12g" % v is format(v, ".12g"), for the whole row at once
-    text = _row_format(len(row)) % row
-    if "n" in text or 0.0 in row:
+def _float_rows(rows: list, n: int) -> list:
+    """The JSON texts of a list of tuples of n floats each, every float
+    as `format_float` prints it."""
+    flat = tuple([v for row in rows for v in row])
+    # "%.12g" % v is format(v, ".12g"), for all the rows at once
+    text = "\n".join([_row_format(n)] * len(rows)) % flat
+    if "n" in text or 0.0 in flat:
         # "nan" or "inf", which raise, or a zero of either sign
-        text = "[" + ", ".join(map(format_float, row)) + "]"
-    return text
+        return ["[" + ", ".join(map(format_float, row)) + "]" for row in rows]
+    return text.split("\n")
 
 
 def _value(o):
@@ -73,11 +74,9 @@ def _value(o):
     if t is str:
         return _string(o)
     if t is list or t is tuple:
-        if not o:
-            return "[]"
         if not _FLOATS_ONLY.issuperset(map(type, o)):
             return "[" + ", ".join([_value(v) for v in o]) + "]"
-        return _float_row(o if t is tuple else tuple(o))
+        return _float_rows([o], len(o))[0]
     if t is float:
         return format_float(o)
     if t is dict:
@@ -99,7 +98,7 @@ def render_json(obj) -> str:
     """Serialize to a compact JSON string, newline-terminated.
 
     One pass dispatches on the exact type of each value; a list of
-    floats only is formatted by `_float_row`.  A call keeps no state
+    floats only is formatted by `_float_rows`.  A call keeps no state
     and builds no container but the texts it joins, so it leaves no
     reference cycle behind.
     """

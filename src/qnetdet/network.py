@@ -19,7 +19,8 @@ to one A-B edge, read off its series-parallel decomposition tree
 Edges are ordered by id: the network's edges in input order, then the
 edges the moves create, in emission order.  Each step costs time linear
 in the network's size, with no recursion: a 4001-edge qubit ladder,
-2000 levels deep, decomposes in about 30 ms.
+2000 levels deep, decomposes in about 33 ms on a shared 2-CPU virtual
+machine (median of 15).
 
 The reduction folds these moves over the links.  A series move swaps
 its two vectors.  A parallel move folds its bundle pairwise, members in
@@ -55,12 +56,13 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import sys
 from collections.abc import Iterable
 from enum import Enum
 
 from ._frozen import Frozen
-from ._jsonio import _float_row, _string, render_json
+from ._jsonio import _float_rows, _string, render_json
 from .errors import (
     DanglingEndpoint,
     DisconnectedTerminals,
@@ -70,7 +72,7 @@ from .errors import (
     SchemaError,
 )
 from .rules import conversion_probability, purify_rule, swap_rule
-from .schmidt import _NEG_EPS, SchmidtVector, concurrence, normalize_descending
+from .schmidt import _NEG_EPS, SchmidtVector, _unit, concurrence, normalize_descending
 
 
 class TopologyClass(Enum):
@@ -156,7 +158,8 @@ def network_from_dict(obj) -> QuantumNetwork:
 
     Link vectors must hold finite, nonnegative numbers (roundoff
     negatives down to -1e-12 are clamped) that sum to 1 within 1e-9,
-    and are renormalized on ingest.
+    and are renormalized on ingest: by `schmidt._unit` when every entry
+    is a positive int or float, else by `normalize_descending`.
 
     Raises
     ------
@@ -183,9 +186,9 @@ def network_from_dict(obj) -> QuantumNetwork:
         u = _check_endpoint(re_["u"])
         v = _check_endpoint(re_["v"])
         vec = re_["schmidt"]
+        exact = isinstance(vec, list) and _NUMBER_TYPES.issuperset(map(type, vec))
         if not isinstance(vec, list) or not vec or not (
-            _NUMBER_TYPES.issuperset(map(type, vec))
-            or all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in vec)
+            exact or all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in vec)
         ):
             raise SchemaError(f"edge {i} schmidt must be a non-empty list of numbers")
         if len(vec) != d:
@@ -200,11 +203,12 @@ def network_from_dict(obj) -> QuantumNetwork:
         # comparison below, so non-finite entries are rejected first
         if not -math.inf < total < math.inf and not all(-math.inf < x < math.inf for x in vec):
             raise SchemaError(f"edge {i} schmidt has a non-finite entry")
-        if min(vec) < -_NEG_EPS:
+        low = min(vec)
+        if low < -_NEG_EPS:
             raise SchemaError(f"edge {i} schmidt has a negative entry")
         if abs(total - 1.0) > 1e-9:
             raise SchemaError(f"edge {i} schmidt sums to {total!r}, expected 1 within 1e-9")
-        edges.append(Edge(u, v, normalize_descending(vec)))
+        edges.append(Edge(u, v, _unit(vec) if exact and low > 0 else normalize_descending(vec)))
     return QuantumNetwork(d, terms, edges)
 
 
@@ -344,7 +348,7 @@ def _emit(root, a, b, next_id):
             done.append(t)
             continue
         if cls is _Bundle:
-            tasks.append(("parallel", len(t.parts), sorted((p, q))))
+            tasks.append(("parallel", len(t.parts), [p, q] if p < q else [q, p]))
             tasks.extend((s, p, q) for s in sorted(t.parts, key=_key, reverse=True))
             continue
         if cls is _Series:
@@ -450,8 +454,8 @@ def _fold(moves, values, series_fn, parallel_fn) -> list:
 def _det_parallel(links: list[SchmidtVector]) -> SchmidtVector:
     """Parallel rule on a bundle, folded pairwise in ascending order of
     the members' vectors; no purify call sees more than d*d entries."""
-    d = links[0].dimension
-    acc, *rest = sorted(links, key=lambda vec: vec.entries)
+    acc, *rest = sorted(links, key=operator.attrgetter("entries"))
+    d = len(acc.entries)
     for vec in rest:
         acc = purify_rule([a * b for a in acc.entries for b in vec.entries], d)
     return acc
@@ -607,16 +611,16 @@ def render_report(network: QuantumNetwork, manifest: dict) -> str:
     ``render_json({"manifest": manifest, **report(network)})``.
 
     The head goes through `render_json`.  The trace is written from the
-    moves and edge vectors, without event dicts: each edge id's row of
-    floats and each node name is rendered once, and each event fills
-    the template of its operator.
+    moves and edge vectors, without event dicts: the rows of floats of
+    all edge ids are rendered in one `_float_rows` call and each node
+    name once, and each event fills the template of its operator.
 
     Raises
     ------
     DisconnectedTerminals, NotSeriesParallel
     """
     head, moves, links = _head(network)
-    rows = [_float_row(vec.entries) for vec in links]
+    rows = _float_rows([vec.entries for vec in links], network.dimension)
     # every node a move names is an edge's end
     names = {n: _string(n) for n in {e.u for e in network.edges} | {e.v for e in network.edges}}
     events = []

@@ -154,7 +154,8 @@ def _series(xs, ys) -> list:
       diag(sqrt x) F diag(sqrt y) (F from _fourier, x on the rows), from
       one np.linalg.svd call.  Zero entries are dropped from the matrix,
       so the output has exactly d - min(#nonzero x, #nonzero y) trailing
-      zeros (a leading rows-by-columns block of F has full rank).
+      zeros (a leading rows-by-columns block of F has full rank), counted
+      only when a vector's last entry is zero.  One np.sqrt covers both.
     """
     if (_flatness(ys), ys) > (_flatness(xs), xs):
         xs, ys = ys, xs
@@ -165,9 +166,11 @@ def _series(xs, ys) -> list:
         return kernels.swap_sv(xs, ys)
     import numpy as np
 
-    p = sum(v > 0.0 for v in xs)
-    q = sum(v > 0.0 for v in ys)
-    m = np.sqrt(xs[:p])[:, None] * _fourier(d)[:p, :q] * np.sqrt(ys[:q])
+    p = d if xs[-1] > 0.0 else sum(v > 0.0 for v in xs)
+    q = d if ys[-1] > 0.0 else sum(v > 0.0 for v in ys)
+    roots = np.sqrt(xs + ys)
+    m = roots[:p, None] * _fourier(d)[:p, :q]
+    m *= roots[d : d + q]
     s = np.linalg.svd(m, compute_uv=False)
     return (s * s).tolist() + [0.0] * (d - min(p, q))
 
@@ -381,12 +384,17 @@ def validate_povm(povm: Povm, tol: float = COMPLETENESS_TOL) -> bool:
     return _isometric(povm.elements.reshape(len(povm), d * d), tol)
 
 
-@functools.lru_cache(maxsize=None)
 def deterministic_swap_povm(d: int) -> Povm:
     """The d*d-element measurement whose every outcome reproduces the
     series rule exactly: element alpha = 1..d^2 has entries
     exp(-alpha(d mu + nu) 2 pi i / d^2 - 2 pi i mu nu / d) / d
-    for mu, nu = 1..d.  Cached per d; the elements are read-only."""
+    for mu, nu = 1..d.  Cached per int d, as schmidt._integer reads it
+    (np.int64(3) gets the object of 3); the elements are read-only."""
+    return _swap_povm(_integer("d", d))
+
+
+@functools.lru_cache(maxsize=None)
+def _swap_povm(d: int) -> Povm:
     if d < 1:
         raise ShapeMismatch("dimension must be positive")
 

@@ -13,7 +13,7 @@ import numpy as np
 from .errors import RejectionBudgetExceeded, SingularNormalizer
 from .network import Edge, QuantumNetwork
 from .rules import Povm, _isometric
-from .schmidt import SchmidtVector, majorizes
+from .schmidt import SchmidtVector, _integer, majorizes
 
 __all__ = [
     "substream",
@@ -66,7 +66,7 @@ def substream(seed, name, trial):
 
 def random_schmidt(dimension, rng):
     """Random Schmidt vector from the flat Dirichlet measure."""
-    return SchmidtVector(rng.dirichlet(np.ones(dimension)))
+    return SchmidtVector(rng.dirichlet(np.ones(_integer("dimension", dimension))))
 
 
 def random_positive(length, rng):

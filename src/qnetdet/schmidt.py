@@ -120,9 +120,10 @@ def _check_unit_total(entries: list) -> None:
 
 
 def _unit(clean: list) -> SchmidtVector:
-    """The vector of screened entries (see ``_screened``) or of entries a
-    rule computed from them: each divided by their correctly rounded
-    total, sorted descending.  The quotients are nonnegative and finite
+    """The vector of screened entries (see ``_screened``), of the positive
+    ints and floats ``network_from_dict`` checked (an int divides as
+    ``float()`` converts it) or of entries a rule computed from them:
+    each divided by their correctly rounded total, sorted descending.  The quotients are nonnegative and finite
     (never ``-0.0``), so only the 1e-12 total check remains; a zero
     total raises ZeroSum."""
     total = _total(clean)
@@ -151,9 +152,9 @@ class SchmidtVector(Frozen):
     floats (no ``-0.0``) that sum to 1 within 1e-12.  It is established
     once, where a vector is made: by this constructor or
     ``normalize_descending``, which check the entries handed in with
-    ``_screened``, by ``_unit`` from the outputs the rules compute out
-    of checked entries, or by ``_frozen._rebuild`` from the entries of a
-    vector that had it.  Every reader relies on it and takes the tuple
+    ``_screened``, by ``_unit`` from entries ``network_from_dict`` checked
+    or the rules computed, or by ``_frozen._rebuild`` from the entries of
+    a vector that had it.  Every reader relies on it and takes the tuple
     as it is; nothing re-sorts, re-clamps or converts it again.
 
     Parameters

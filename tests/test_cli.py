@@ -1,6 +1,7 @@
 """Command-line behavior: golden outputs, exit codes, formats, seeds."""
 
 import errno
+import gc
 import json
 import logging
 import math
@@ -103,6 +104,25 @@ class TestReduceGoldens:
         captured = capsys.readouterr()
         expected = (golden_dir / "reduce_chain.json").read_text(encoding="utf-8")
         assert captured.out == expected
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize(
+        "net, flags, code",
+        [("chain", [], EXIT_OK), ("chain", ["--format", "csv"], EXIT_OK), ("bridge", [], EXIT_NOT_SERIES_PARALLEL)],
+        ids=["json", "csv", "bridge"],
+    )
+    def test_reduce_runs_without_the_collector(self, run, monkeypatch, enabled, net, flags, code):
+        # the command collects no garbage and leaves the collector as it found it
+        seen = []
+        parse = network.parse_network
+        monkeypatch.setattr(cli, "parse_network", lambda text: seen.append(gc.isenabled()) or parse(text))
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert run("reduce", f"networks/{net}.json", *flags)[0] == code
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+        assert seen == [False]
 
 
 class TestReduceFailures:

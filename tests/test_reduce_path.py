@@ -4,8 +4,10 @@ _reduce_path_oracle.py), the report writer gives the bytes of
 render_json(report()), and a reduce leaves no cyclic garbage."""
 
 import gc
+import hashlib
 import json
 import math
+import random
 import struct
 import sys
 
@@ -14,7 +16,7 @@ import pytest
 import _reduce_path_oracle as oracle
 
 from qnetdet import cli
-from qnetdet._jsonio import _row_format, render_json
+from qnetdet._jsonio import _float_rows, _row_format, format_float, render_json
 from qnetdet.errors import NegativeEntry, NonFiniteEntry, NotSeriesParallel, QnetdetError, SchemaError
 from qnetdet.network import (
     Edge,
@@ -33,6 +35,8 @@ from qnetdet.network import (
     report,
 )
 from qnetdet.rules import (
+    _flatness,
+    _fourier,
     _outcome_spectra,
     _series,
     _swap_raw,
@@ -245,6 +249,33 @@ class TestUnit:
                     self._same(spec.tolist(), spec)
 
 
+def _series_before(xs, ys):
+    """The d >= 4 series rule as it was written before the zero count
+    and the roots were shared: the reference for its bits."""
+    if (_flatness(ys), ys) > (_flatness(xs), xs):
+        xs, ys = ys, xs
+    d = len(xs)
+    p = sum(v > 0.0 for v in xs)
+    q = sum(v > 0.0 for v in ys)
+    m = np.sqrt(xs[:p])[:, None] * _fourier(d)[:p, :q] * np.sqrt(ys[:q])
+    s = np.linalg.svd(m, compute_uv=False)
+    return (s * s).tolist() + [0.0] * (d - min(p, q))
+
+
+@pytest.mark.parametrize("d", range(4, 9))
+def test_series_bits_as_before(d):
+    rng = substream(SEED, "series_bits", d)
+    links = _links(rng, d, 120)
+    links += _zeroed(rng, links[:60])
+    zeros = 0
+    for x, y in zip(links[::2], links[1::2]):
+        zeros += 0.0 in x.entries or 0.0 in y.entries
+        for xs, ys in ((x.entries, y.entries), (list(x.entries), list(y.entries))):
+            want = [v.hex() for v in _series_before(xs, ys)]
+            assert [v.hex() for v in _series(xs, ys)] == want
+    assert zeros >= 10
+
+
 def _random_floats(rng, count):
     """Floats of uniformly random bit patterns: every exponent, NaNs and
     infinities included."""
@@ -265,6 +296,18 @@ class TestFloatRows:
             assert _row_format(len(row)) % tuple(row) == want
             start += n
             n = n % 9 + 1
+
+    def test_many_rows_in_one_call(self):
+        rng = substream(SEED, "float_rows", 2)
+        finite = [v for v in _random_floats(rng, 9000) if math.isfinite(v)]
+        for n in (1, 2, 3, 8):
+            rows = [tuple(finite[i : i + n]) for i in range(0, len(finite) - n, n)]
+            for extra in ([], [(0.0,) * n], [(-0.0,) + rows[0][1:]]):
+                want = ["[" + ", ".join(map(format_float, row)) + "]" for row in rows + extra]
+                assert _float_rows(rows + extra, n) == want
+            for bad in (math.nan, math.inf):
+                with pytest.raises(ValueError, match="non-finite"):
+                    _float_rows(rows + [(bad,) + rows[0][1:]], n)
 
     def test_rows_render_as_the_oracle_does(self):
         from _render_oracle import render_json as oracle_render
@@ -358,6 +401,64 @@ class TestIngestion:
                             SchemaError,
                             "edge 0 schmidt has a non-finite entry",
                         )
+
+    def test_positive_vectors_skip_the_screen(self):
+        # positive ints and floats go straight to _unit; a zero, -0.0, a
+        # roundoff negative or a subclass entry takes normalize_descending
+        rng = substream(SEED, "ingest_routes", 0)
+        vecs = [
+            [1],
+            [1, 5e-10],
+            [1, 1e-10, 2e-10],
+            [0.25, 0.75],
+            [0.1, 0.6, 0.3],
+            [1.0, 5e-324],
+            [1.0 - 1e-10, 1e-310, 1e-10],
+            [0.6, 0.4 + 1e-9],
+            [0.6, 0.4 - 1e-9],
+            [0.6, 0.4 + 0.999e-9],
+            [0.6, 0.4 - 0.999e-9],
+            [0.6, 0.4 + 1.001e-9],
+            [1.0, 0.0],
+            [1.0, -0.0],
+            [0, 1.0],
+            [0.7, 0.0, 0.3],
+            [1.0 + 5e-13, -5e-13],
+            [0.5, 0.5 + 1e-12, -1e-12],
+        ]
+        for d in range(1, 9):
+            for t in range(20):
+                special = d > 1 and t % 4 == 0
+                vals = _spread(rng, d - special)
+                total = math.fsum(vals)
+                vec = [v / total for v in vals]
+                if special:
+                    vec.insert(int(rng.integers(0, d)), (0.0, -0.0, -4e-13, 5e-324)[t // 4 % 4])
+                vecs.append(vec)
+        built = 0
+        for vec in vecs:
+            doc = _net_doc(_edge_doc(vec), d=len(vec))
+            got = _built(network_from_dict, doc)
+            assert got == _built(oracle.network_from_dict, doc), vec
+            if type(got) is list:
+                built += 1
+                assert got[0][2] == [v.hex() for v in normalize_descending(vec).entries], vec
+        # only the three sums beyond 1 +- 1e-9 are rejected
+        assert built == len(vecs) - 3
+
+    def test_float_subclass_entries_go_through_float(self):
+        calls = []
+
+        class Loud(float):
+            def __float__(self):
+                calls.append(self)
+                return float.__float__(self)
+
+        for vec in ([Loud(0.6), Loud(0.4)], [Loud(0.6), 0.4]):
+            net = network_from_dict(_net_doc(_edge_doc(vec)))
+            assert [type(v) for v in net.edges[0].link.entries] == [float, float]
+            assert net.edges[0].link == normalize_descending([0.6, 0.4])
+        assert len(calls) == 3
 
     def test_overflowing_sum(self):
         for vec in ([1e308, 1e308], [10**400, 0], [0.5, 10**400]):
@@ -586,6 +687,57 @@ class TestReportWriter:
         trace = report(HAND_BUILT["equal_bundles"])["reduction_trace"]
         lists = [vec for event in trace for vec in (*event["inputs"], event["output"])]
         assert len({id(vec) for vec in lists}) == len(lists)
+
+
+def _digest_networks():
+    """Three networks at d <= 3 drawn with random.Random, so that their
+    reports need no numpy and their bytes do not depend on its build."""
+    rng = random.Random(SEED)
+
+    def qubit():
+        top = rng.uniform(0.6, 0.995)
+        return [top, 1.0 - top]
+
+    def qutrit():
+        vals = [rng.uniform(0.01, 1.0) for _ in range(3)]
+        return [v / math.fsum(vals) for v in vals]
+
+    def doc(d, edges):
+        return {"dimension": d, "terminals": ["A", "B"], "edges": [{"u": u, "v": v, "schmidt": x} for u, v, x in edges]}
+
+    # G_k = series(parallel(G_(k-1), e), e): 401 edges, 200 levels deep
+    ladder = [("A", "n0", qubit())]
+    for level in range(200):
+        far = "B" if level == 199 else f"n{level + 1}"
+        ladder += [("A", f"n{level}", qubit()), (f"n{level}", far, qubit())]
+    # a chain of 40 hops, each a bundle of 2-4 qutrit links
+    bundles = []
+    for hop in range(40):
+        u, v = ("A" if hop == 0 else f"h{hop}"), ("B" if hop == 39 else f"h{hop + 1}")
+        bundles += [(u, v, qutrit()) for _ in range(rng.randint(2, 4))]
+    rng.shuffle(bundles)
+    # a series-parallel core with a self-loop, a pendant and an island
+    drops = [("A", "m", qubit()), ("m", "m", qubit()), ("m", "B", qubit()), ("B", "p", qubit())]
+    drops += [("A", "B", qubit()), ("i0", "i1", qubit()), ("A", "k", qubit()), ("k", "B", qubit())]
+    return {"ladder": doc(2, ladder), "bundles": doc(3, bundles), "drops": doc(2, drops)}
+
+
+# render_report of each network under _DIGEST_MANIFEST, recorded at the
+# code before the per-edge shortcuts of the parser, fold and writer
+REPORT_DIGESTS = {
+    "ladder": "d594623c6634e1ce0ee5aac2efee275e28528703465519dc4fdfcd9424572fb4",
+    "bundles": "98019df8d628315cceae1fed1fe166bae6267b88025968c2f06be6ed66387daa",
+    "drops": "578ebb360d1a89da99389723f50e80ffa9cde8b2564f6f07f85d88df80910fbe",
+}
+_DIGEST_MANIFEST = {"tool": "qnetdet", "subcommand": "reduce", "inputs": {"network": "net.json"}}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+def test_report_bytes_as_recorded(name):
+    # render_report and render_json(report()) share the fold and the row
+    # formatting, so only recorded bytes can show a change to both
+    text = render_report(parse_network(json.dumps(_digest_networks()[name])), _DIGEST_MANIFEST)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == REPORT_DIGESTS[name]
 
 
 def _qubit_ladder(levels, rng):

@@ -433,7 +433,17 @@ class TestPovmContainer:
 
     def test_deterministic_povm_cached(self):
         assert deterministic_swap_povm(3) is deterministic_swap_povm(3)
+        assert deterministic_swap_povm(np.int64(3)) is deterministic_swap_povm(3)
         assert not deterministic_swap_povm(3).elements.flags.writeable
+
+    @pytest.mark.parametrize("d", [True, 2.0, 2.5, "2"], ids=["bool", "float", "fraction", "str"])
+    def test_deterministic_povm_non_integer_d_names_itself(self, d):
+        # no cache entry is made or served for it: True is no d = 1
+        # measurement, 2.0 not the d = 2 one
+        with pytest.raises(ValueError) as info:
+            deterministic_swap_povm(d)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"d must be an integer, got {d!r}"
 
     def test_bell_povm_complete(self):
         assert validate_povm(bell_povm_d2())

@@ -78,6 +78,18 @@ class TestVectors:
         assert math.fsum(out) == pytest.approx(1.0)
         assert out == sorted(out, reverse=True)
 
+    @pytest.mark.parametrize("dimension", [True, 2.0, 2.5, "2"], ids=["bool", "float", "fraction", "str"])
+    def test_random_schmidt_non_integer_dimension_names_itself(self, dimension):
+        with pytest.raises(ValueError) as info:
+            random_schmidt(dimension, substream(SEED, "schmidt_dim", 0))
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"dimension must be an integer, got {dimension!r}"
+
+    def test_random_schmidt_numpy_integer_dimension(self):
+        x = random_schmidt(np.int64(3), substream(SEED, "schmidt_dim", 1))
+        assert x == random_schmidt(3, substream(SEED, "schmidt_dim", 1))
+        assert [type(v) for v in x.entries] == [float] * 3
+
     def test_dominating_candidate_contract(self):
         rng = substream(SEED, "domc", 0)
         values = random_schmidt(4, rng).entries
