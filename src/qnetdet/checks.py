@@ -96,8 +96,8 @@ class CheckConfig(Frozen):
         One-sided slack above which a trial counts as a violation: a
         finite positive int or float (numpy floats too), kept as a float.
     povm_size : int, optional
-        Element count for sampled swap measurements.  None picks the
-        completeness minimum, dimension squared.
+        Element count for sampled swap measurements, at least the
+        completeness minimum, dimension squared.  None picks that minimum.
     """
 
     __slots__ = ("dimension", "trials", "seed", "tolerance", "povm_size")
@@ -124,6 +124,8 @@ class CheckConfig(Frozen):
             raise ValueError("tolerance must be finite")
         if povm_size is not None and povm_size < 1:
             raise ValueError("povm_size must be at least 1")
+        if povm_size is not None and povm_size < dimension * dimension:
+            raise ValueError(f"povm_size must be at least {dimension * dimension}, dimension squared, got {povm_size}")
         for field, value in zip(self.__slots__, (dimension, trials, seed, tolerance, povm_size)):
             object.__setattr__(self, field, value)
 
@@ -230,10 +232,6 @@ def _average_gap(weights, states, base) -> float:
         math.fsum(p * concurrence(v, k) for p, v in zip(weights, states)) - concurrence(base, k)
         for k in range(1, base.dimension + 1)
     )
-
-
-def _purify_raw(xs, d) -> list:
-    return kernels.purify_kernel([float(v) for v in xs], d)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +410,7 @@ def _(cfg, t, rng, acc):
     count = int(rng.integers(2, 5))
     xs = [sorted(sampling.random_positive(m, rng), reverse=True) for _ in range(count)]
     ps = rng.uniform(0.2, 2.0, size=count).tolist()
-    _mixing_slack(acc, lambda x: _purify_raw(x, d), xs, ps, d)
+    _mixing_slack(acc, lambda x: kernels.purify_kernel(x, d), xs, ps, d)
 
 
 @_trials("lemma_sum_product", "lemmas")
@@ -435,8 +433,8 @@ def _(cfg, t, rng, acc):
         steps = int(rng.integers(0, 3))
         if steps:
             z = np.exp(sampling.dominated_vector(np.log(z), steps, rng)).tolist()
-    lhs = np.log(_purify_raw(x, d)) + np.log(_purify_raw(y, d))
-    rhs = np.log(_purify_raw(z, d))
+    lhs = np.log(kernels.purify_kernel(x, d)) + np.log(kernels.purify_kernel(y, d))
+    rhs = np.log(kernels.purify_kernel(z, d))
     acc.slack(submajorization_slack(rhs, lhs), x=x, y=y, z=z, lhs_logs=lhs, rhs_logs=rhs)
 
 
@@ -472,7 +470,7 @@ def _(cfg, t, rng, acc):
     m = d + 1 + (t % 2)
     xm = sorted(sampling.random_positive(m, rng), reverse=True)
     ym = sampling.dominated_vector(xm, int(rng.integers(1, 5)), rng)
-    s_pur = majorization_slack(_purify_raw(xm, d), _purify_raw(ym, d))
+    s_pur = majorization_slack(kernels.purify_kernel(xm, d), kernels.purify_kernel(ym, d))
 
     tot = math.fsum(x)
     lam_hi = SchmidtVector([v / tot for v in x])
@@ -591,7 +589,7 @@ def _(cfg, t, rng, acc):
         most -= 1
     links = [_fold_link(d, rng) for _ in range(int(rng.integers(2, most + 1)))]
     product = [math.prod(p) for p in itertools.product(*(v.entries for v in links))]
-    full = _unit(_purify_raw(product, d)).entries
+    full = _unit(kernels.purify_kernel(product, d)).entries
     folded = [
         reduce_series_parallel(
             QuantumNetwork(d, ("A", "B"), [Edge("A", "B", v) for v in members])
@@ -927,7 +925,7 @@ def _(cfg, t, rng, acc):
     else:
         els = sampling.sample_povm_arrays(d * d, d**4, rng)
     outs = _outcome_spectra(joint_left.entries, joint_right.entries, els)
-    avg = math.fsum(p * concurrence(_unit(_purify_raw(vec.tolist(), d)), d) for p, vec in outs)
+    avg = math.fsum(p * concurrence(_unit(kernels.purify_kernel(vec.tolist(), d)), d) for p, vec in outs)
     bound = concurrence(
         swap_rule(purify_rule(joint_left, d), purify_rule(joint_right, d)), d
     )

@@ -113,25 +113,23 @@ def _screened(values) -> list:
     return out
 
 
-def _check_unit_total(entries: list) -> None:
-    total = _total(entries)
-    if abs(total - 1.0) > 1e-12:
-        raise ValueError(f"entries sum to {total!r}, expected 1 within 1e-12")
-
-
 def _unit(clean: list) -> SchmidtVector:
     """The vector of screened entries (see ``_screened``), of the positive
     ints and floats ``network_from_dict`` checked (an int divides as
     ``float()`` converts it) or of entries a rule computed from them:
-    each divided by their correctly rounded total, sorted descending.  The quotients are nonnegative and finite
-    (never ``-0.0``), so only the 1e-12 total check remains; a zero
-    total raises ZeroSum."""
+    each divided by their correctly rounded total, sorted descending; a
+    zero total raises ZeroSum.  The quotients need no check: they are
+    finite and nonnegative (never ``-0.0``), and their ``fsum`` is within
+    2u of 1 at any length n, u = 2**-53.  The total is T = S(1 + e) for
+    the exact sum S, |e| <= u, and each quotient (x/T)(1 + e'), |e'| <= u,
+    or x/T within 2**-1075 below the normal range; so the quotients'
+    exact sum is within 2u/(1 - u) + n 2**-1075 of 1 and rounds to
+    1 - 2u, 1 - u, 1 or 1 + 2u."""
     total = _total(clean)
     if total <= 0.0:
         raise ZeroSum("entries sum to zero")
     out = [v / total for v in clean]
     out.sort(reverse=True)
-    _check_unit_total(out)
     vec = object.__new__(SchmidtVector)
     object.__setattr__(vec, "entries", tuple(out))
     return vec
@@ -150,12 +148,13 @@ class SchmidtVector(Frozen):
 
     Invariant: ``entries`` is a descending tuple of finite, nonnegative
     floats (no ``-0.0``) that sum to 1 within 1e-12.  It is established
-    once, where a vector is made: by this constructor or
-    ``normalize_descending``, which check the entries handed in with
-    ``_screened``, by ``_unit`` from entries ``network_from_dict`` checked
-    or the rules computed, or by ``_frozen._rebuild`` from the entries of
-    a vector that had it.  Every reader relies on it and takes the tuple
-    as it is; nothing re-sorts, re-clamps or converts it again.
+    once, where a vector is made: by this constructor, which screens the
+    entries handed in (``_screened``) and is the one test of their total
+    against 1 within 1e-12; by ``_unit`` (so ``normalize_descending``),
+    whose quotients meet it by construction; or by ``_frozen._rebuild``
+    from the entries of a vector that had it.  Every reader relies on it
+    and takes the tuple as it is; nothing re-sorts, re-clamps or converts
+    it again.
 
     Parameters
     ----------
@@ -177,7 +176,9 @@ class SchmidtVector(Frozen):
         if not vals:
             raise EmptyInput("SchmidtVector needs at least one entry")
         vals.sort(reverse=True)
-        _check_unit_total(vals)
+        total = math.fsum(vals)  # finite: _screened checked it
+        if abs(total - 1.0) > 1e-12:
+            raise ValueError(f"entries sum to {total!r}, expected 1 within 1e-12")
         object.__setattr__(self, "entries", tuple(vals))
 
     @property
@@ -243,8 +244,6 @@ def normalize_descending(values: Iterable[float]) -> SchmidtVector:
         The entries fail the screen.
     ZeroSum
         All entries vanish, nothing to normalize.
-    ValueError
-        The quotients sum to 1 only beyond 1e-12.
     """
     clean = _screened(values)
     if not clean:

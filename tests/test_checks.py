@@ -35,6 +35,16 @@ class TestConfig:
         assert CheckConfig(dimension=3).resolved_povm_size == 9
         assert CheckConfig(dimension=3, povm_size=12).resolved_povm_size == 12
 
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_povm_size_at_least_dimension_squared(self, d):
+        # a measurement needs d**2 elements to be complete; fewer fail
+        # here, before any check runs, not when a check first samples one
+        assert CheckConfig(dimension=d, povm_size=d * d).povm_size == d * d
+        with pytest.raises(ValueError) as info:
+            CheckConfig(dimension=d, povm_size=d * d - 1)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"povm_size must be at least {d * d}, dimension squared, got {d * d - 1}"
+
     def test_dimension_bounds(self):
         with pytest.raises(DimensionTooSmall):
             CheckConfig(dimension=1)

@@ -286,6 +286,25 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == "qnetdet: tolerance must be finite\n"
 
+    def test_small_povm_size_rejected_before_any_check(self, monkeypatch, capsys):
+        # run_checks itself stays; every check it could call raises
+        def no_check(cfg):
+            raise AssertionError("a check ran")
+
+        for name in checks.CHECKS:
+            monkeypatch.setitem(checks.CHECKS, name, no_check)
+        assert main(["verify", "all", "--d", "3", "--povm-size", "4"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "qnetdet: povm_size must be at least 9, dimension squared, got 4\n"
+
+    def test_povm_size_at_dimension_squared_runs(self, run):
+        code, text = run("verify", "theorem_simple_series", "--d", "3", "--trials", "3", "--povm-size", "9")
+        assert code == EXIT_OK
+        doc = json.loads(text)
+        assert doc["manifest"]["config"]["povm_size"] == 9
+        assert [r["passed"] for r in doc["reports"]] == [True]
+
 
 class TestOutcomes:
     def test_bell_golden_bytes(self, run, golden_dir):

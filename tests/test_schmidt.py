@@ -22,6 +22,7 @@ from qnetdet.sampling import dominated_vector, random_schmidt, substream
 from qnetdet.schmidt import (
     ProbabilisticEnsemble,
     SchmidtVector,
+    _unit,
     adjugate_vec,
     concurrence,
     det_vec,
@@ -49,8 +50,12 @@ class TestSchmidtVector:
             SchmidtVector([1.1, -0.1])
 
     def test_rejects_bad_total(self):
+        # the package's one test of a total against 1 within 1e-12
         with pytest.raises(ValueError):
             SchmidtVector([0.5, 0.4])
+        with pytest.raises(ValueError, match=r"expected 1 within 1e-12$"):
+            SchmidtVector([0.5, 0.5 + 2e-12])
+        assert SchmidtVector([0.5, 0.5 + 5e-13]).entries == (0.5 + 5e-13, 0.5)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite(self, bad):
@@ -117,6 +122,42 @@ class TestNormalize:
             assert [v.hex() for v in got.entries] == [v.hex() for v in want.entries]
             assert got == want and hash(got) == hash(want)
             assert all(math.copysign(1.0, v) > 0.0 for v in got.entries)
+
+
+class TestUnitBound:
+    """``_unit`` does not re-sum its quotients: their ``fsum`` lies within
+    2u of 1 at any length, u = 2**-53 (the proof is in its docstring),
+    and the constructor's 1e-12 test accepts every output."""
+
+    U = 2.0**-53
+    MAX_LEN = 200_000
+    KINDS = ("scaled", "spread", "subnormal", "dominant")
+
+    def _draws(self, kind, rng):
+        if kind == "subnormal":
+            yield from ([5e-324], [1e-310], [5e-324, 1e-310], [5e-324] * 7, [1e-310, 1e-310, 5e-324])
+        lengths = [1, self.MAX_LEN] + [int(10 ** rng.uniform(0, math.log10(self.MAX_LEN))) for _ in range(6)]
+        for n in lengths:
+            if kind == "scaled":  # one magnitude per vector, 1e-300 to 1e300
+                yield (rng.exponential(size=n) * 10.0 ** rng.uniform(-300, 300)).tolist()
+            elif kind == "spread":  # magnitudes from 1e-300 to 1e300 in one vector
+                yield (10.0 ** rng.uniform(-300, 300, size=n)).tolist()
+            elif kind == "subnormal":  # 5e-324 up to ~5e-312, with 1e-310
+                vals = (rng.integers(1, 2**40, size=n) * 5e-324).tolist()
+                vals[0] = 1e-310
+                yield vals
+            else:  # one dominant entry and a 1e-17 tail
+                yield [1.0] + [1e-17] * (n - 1)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_quotients_sum_to_one_within_4u(self, kind):
+        rng = np.random.default_rng([SEED, self.KINDS.index(kind)])
+        for vals in self._draws(kind, rng):
+            vec = _unit(vals)
+            assert abs(math.fsum(vec.entries) - 1.0) <= 4 * self.U
+            assert all(a >= b for a, b in zip(vec.entries, vec.entries[1:]))
+            assert math.copysign(1.0, vec.entries[-1]) > 0.0
+            assert SchmidtVector(vec.entries) == vec
 
 
 class TestMajorization:
