@@ -152,7 +152,9 @@ def purify_kernel(xs, d):
 
 
 def esym(xs, k):
-    """k-th elementary symmetric polynomial of the entries of xs."""
+    """k-th elementary symmetric polynomial of the entries of xs; given
+    equal-length float arrays as entries, it is taken elementwise, by
+    the same operations per element as on floats."""
     if k == 0:
         return 1.0
     e = [0.0] * (k + 1)

@@ -8,9 +8,9 @@ sampled measurement strategies) and reports one-sided slacks: a
 violation requires exceeding the configured tolerance, and the largest
 slack is reported even on success so equality cases stay visible.
 
-Identical configurations produce identical reports; trials draw from
-per-trial substreams, so they are order-independent and individually
-replayable.
+Identical configurations produce identical reports; each trial draws
+from its own seeded stream (sampling.substream; a run re-keys one
+generator to each), so trials are order-independent and replayable.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ from .schmidt import (
     majorizes,
     normalize_descending,
     submajorization_slack,
+    _concurrence_of,
     _integer,
     _unit,
 )
@@ -91,7 +92,7 @@ class CheckConfig(Frozen):
     trials : int
         Independent trials per check.
     seed : int
-        Root seed; every (check, trial) pair derives its own substream.
+        Root seed; every (check, trial) pair derives its own stream.
     tolerance : float
         One-sided slack above which a trial counts as a violation: a
         finite positive int or float (numpy floats too), kept as a float.
@@ -234,6 +235,16 @@ def _average_gap(weights, states, base) -> float:
     )
 
 
+def _mean_concurrence(weights, states, k) -> float:
+    """math.fsum(p * concurrence(v, k)) over ``states``, vectors of one
+    dimension, bit for bit: one kernels.esym call on the columns of
+    their stacked entries gives each vector's e_k by the same IEEE
+    operations, in the same order, as a call per vector."""
+    cols = np.array([v.entries for v in states]).T
+    sks = kernels.esym(cols, k).tolist()
+    return math.fsum(p * _concurrence_of(sk, len(cols), k) for p, sk in zip(weights, sks))
+
+
 # ---------------------------------------------------------------------------
 # registry and trial driver
 
@@ -258,9 +269,10 @@ def _trials(name: str, group: str, fold=None, qubit_only: str | None = None):
     """Register the decorated per-trial body as check ``name`` in
     ``group``.
 
-    ``trial(cfg, t, rng, acc)`` runs trial ``t`` on the substream
-    (seed, name, t), records its slacks on ``acc``, which stamps ``t``
-    on every violation record, and returns the trial's record.
+    ``trial(cfg, t, rng, acc)`` runs trial ``t`` on the run's one
+    generator, re-keyed to substream(seed, name, t) (_trial_streams),
+    records its slacks on ``acc``, which stamps ``t`` on every
+    violation record, and returns the trial's record.
     ``fold(cfg, records)`` turns the records of all trials, in trial
     order, into the report extras.  A check with a ``qubit_only``
     reason raises DimensionNotTwo at any other dimension."""
@@ -272,9 +284,9 @@ def _trials(name: str, group: str, fold=None, qubit_only: str | None = None):
                 raise DimensionNotTwo(why)
             acc = _Acc(cfg.tolerance)
             records = []
-            for t in range(cfg.trials):
+            for t, rng in zip(range(cfg.trials), sampling._trial_streams(cfg.seed, name)):
                 acc.trial = t
-                records.append(trial(cfg, t, sampling.substream(cfg.seed, name, t), acc))
+                records.append(trial(cfg, t, rng, acc))
             return acc.report(name, cfg.trials, fold and fold(cfg, records))
 
         _REGISTRY[name] = (group, run, qubit_only)
@@ -746,10 +758,10 @@ def _(cfg, t, rng, acc):
     lam = sampling.random_schmidt(d, rng)
     count = 1 if t % 10 == 0 else int(rng.integers(2, 5))
     kraus = sampling.sample_local_kraus(d, count, rng)
-    ens = _outcome_spectra(np.ones(kraus.shape[1]), lam.entries, kraus)
-    states = [_unit(vec.tolist()) for _, vec in ens]
+    probs, spectra = _outcome_spectra(np.ones(kraus.shape[1]), lam.entries, kraus)
+    states = [_unit(vec) for vec in spectra.tolist()]
 
-    mix = np.sum([p * vec for p, vec in ens], axis=0)
+    mix = np.sum([p * vec for p, vec in zip(probs, spectra)], axis=0)
     s_local = majorization_slack(mix, lam.entries)
 
     z = sampling.random_schmidt(d, rng)
@@ -758,7 +770,6 @@ def _(cfg, t, rng, acc):
     pur_base = purify_rule(kron(lam, w), d)
     swapped = [swap_rule(v, z) for v in states]
     purified = [purify_rule(kron(v, w), d) for v in states]
-    probs = [p for p, _ in ens]
     s_swap = _average_gap(probs, swapped, swap_base)
     s_pur = _average_gap(probs, purified, pur_base)
     worst = max(s_local, s_swap, s_pur)
@@ -785,8 +796,8 @@ def _series_low_order_witness(d: int) -> dict:
     units = [(i, j) for i in range(d) for j in range(d) if i >= 2 or j >= 2]
     for a, (i, j) in enumerate(units, start=4):
         els[a, i, j] = 1.0
-    outs = _outcome_spectra(link.entries, link.entries, els)
-    avg = math.fsum(p * concurrence(_unit(v.tolist()), 2) for p, v in outs)
+    probs, spectra = _outcome_spectra(link.entries, link.entries, els)
+    avg = _mean_concurrence(probs, [_unit(v) for v in spectra.tolist()], 2)
     rule_value = concurrence(swap_rule(link, link), 2)
     return {
         "order": 2,
@@ -821,10 +832,10 @@ def _(cfg, t, rng, acc):
         els = deterministic_swap_povm(d).elements
     else:
         els = sampling.sample_povm_arrays(d, cfg.resolved_povm_size, rng)
-    outs = _outcome_spectra(la.entries, lb.entries, els)
+    probs, spectra = _outcome_spectra(la.entries, lb.entries, els)
     base = swap_rule(la, lb)
     cd_base = concurrence(base, d)
-    avg = math.fsum(p * concurrence(_unit(v.tolist()), d) for p, v in outs)
+    avg = _mean_concurrence(probs, [_unit(v) for v in spectra.tolist()], d)
     s_avg = avg - cd_base
     prod = concurrence(la, d) * concurrence(lb, d)
     rel_mult = abs(cd_base - prod) / max(prod, 1e-300)
@@ -852,14 +863,14 @@ def _(cfg, t, rng, acc):
     joint = kron(la, lb)
     count = int(rng.integers(d, d + 3))
     kraus = sampling.sample_wide_kraus(d, count, rng)
-    ens = _outcome_spectra(np.ones(kraus.shape[1]), joint.entries, kraus)
-    states = [_unit(vec.tolist()) for _, vec in ens]
+    probs, spectra = _outcome_spectra(np.ones(kraus.shape[1]), joint.entries, kraus)
+    states = [_unit(vec) for vec in spectra.tolist()]
     pur = purify_rule(joint, d)
 
-    mix = np.sum([p * vec for p, vec in ens], axis=0)
+    mix = np.sum([p * vec for p, vec in zip(probs, spectra)], axis=0)
     s_joint = majorization_slack(mix, joint.entries)
     s_rule = majorization_slack(mix, pur.entries)
-    s_avg = _average_gap([p for p, _ in ens], states, pur)
+    s_avg = _average_gap(probs, states, pur)
     worst = max(s_joint, s_rule, s_avg)
     acc.slack(worst, links=[la, lb], joint_slack=s_joint, rule_slack=s_rule, average_slack=s_avg)
 
@@ -924,8 +935,8 @@ def _(cfg, t, rng, acc):
         els = _product_measurement(ys, zs)
     else:
         els = sampling.sample_povm_arrays(d * d, d**4, rng)
-    outs = _outcome_spectra(joint_left.entries, joint_right.entries, els)
-    avg = math.fsum(p * concurrence(_unit(kernels.purify_kernel(vec.tolist(), d)), d) for p, vec in outs)
+    probs, spectra = _outcome_spectra(joint_left.entries, joint_right.entries, els)
+    avg = _mean_concurrence(probs, [_unit(kernels.purify_kernel(v, d)) for v in spectra.tolist()], d)
     bound = concurrence(
         swap_rule(purify_rule(joint_left, d), purify_rule(joint_right, d)), d
     )
@@ -956,11 +967,10 @@ def _(cfg, t, rng, acc):
     idx = int(rng.integers(0, len(links)))
     count = 1 if t % 10 == 0 else int(rng.integers(2, 5))
     kraus = sampling.sample_local_kraus(2, count, rng)
-    ens = _outcome_spectra(np.ones(kraus.shape[1]), links[idx].entries, kraus)
     worst_branch = math.inf
-    for _, vec in ens:
+    for vec in _outcome_spectra(np.ones(kraus.shape[1]), links[idx].entries, kraus)[1].tolist():
         branch = list(links)
-        branch[idx] = _unit(vec.tolist())
+        branch[idx] = _unit(vec)
         worst_branch = min(worst_branch, reduced(branch))
     acc.slack(
         worst_branch - base,

@@ -166,6 +166,9 @@ def _verify_pretty(reports) -> str:
 
 
 def cmd_verify(args) -> int:
+    # before numpy loads; one BLAS thread ran the checks faster and steadier
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    os.environ.setdefault("OMP_NUM_THREADS", "1")
     from .checks import CheckConfig, run_checks
 
     seed = _default_seed(args.seed)

@@ -311,16 +311,17 @@ def conversion_probability(source: SchmidtVector, target: SchmidtVector) -> floa
     return best
 
 
-def _outcome_spectra(x_entries, y_entries, elements) -> list:
-    """(probability, descending spectrum) pairs of operators X_a acting
-    on a state: X_a becomes Psi_a = diag(sqrt(x)) X_a diag(sqrt(y)),
-    with probability |Psi_a|^2 and spectrum its squared singular values
-    over that probability, a float array.  Swap measurements pass both
-    link spectra, one-sided Kraus operators x = ones.  Outcomes below
-    OUTCOME_PROB_FLOOR are dropped; the rest go through one stacked
-    LAPACK SVD.  The stack is scaled C-contiguous and each probability
-    is one np.vdot per row, so the result equals that of a per-operator
-    loop bit for bit (a strided row or a batched sum rounds otherwise)."""
+def _outcome_spectra(x_entries, y_entries, elements) -> tuple:
+    """(probabilities, spectra) of operators X_a acting on a state: X_a
+    becomes Psi_a = diag(sqrt(x)) X_a diag(sqrt(y)), with probability
+    |Psi_a|^2, a float of the list, and spectrum its squared singular
+    values over that probability, descending, a row of the 2-D array.
+    Swap measurements pass both link spectra, one-sided Kraus operators
+    x = ones.  Outcomes below OUTCOME_PROB_FLOOR are dropped; the rest
+    go through one stacked LAPACK SVD.  The stack is scaled C-contiguous
+    and each probability is one np.vdot per row, so the result equals
+    that of a per-operator loop bit for bit (a strided row or a batched
+    sum rounds otherwise)."""
     import numpy as np
 
     rx = np.sqrt(np.asarray(x_entries, dtype=float))
@@ -333,8 +334,7 @@ def _outcome_spectra(x_entries, y_entries, elements) -> list:
     if len(keep) < len(probs):
         psi = psi[keep]
     sv = np.linalg.svd(psi, compute_uv=False)
-    spectra = np.sort(sv * sv, axis=-1)[:, ::-1] / np.array(kept)[:, None]
-    return list(zip(kept, spectra))
+    return kept, np.sort(sv * sv, axis=-1)[:, ::-1] / np.array(kept)[:, None]
 
 
 def enumerate_swap_outcomes(x: SchmidtVector, y: SchmidtVector, povm: Povm) -> ProbabilisticEnsemble:
@@ -345,9 +345,9 @@ def enumerate_swap_outcomes(x: SchmidtVector, y: SchmidtVector, povm: Povm) -> P
     sqrt(y_k); its squared Frobenius norm is the outcome probability and
     its squared singular values, renormalized, the outcome Schmidt
     vector.  Outcomes below probability OUTCOME_PROB_FLOOR are dropped.
-    One stacked LAPACK SVD per measurement (_outcome_spectra, shared
-    with the Monte Carlo checks), so the bits are those of one numpy
-    build.
+    One stacked LAPACK SVD and one tolist() of its spectra per
+    measurement (_outcome_spectra, shared with the Monte Carlo checks),
+    so the bits are those of one numpy build.
 
     Raises
     ------
@@ -362,8 +362,8 @@ def enumerate_swap_outcomes(x: SchmidtVector, y: SchmidtVector, povm: Povm) -> P
         raise DimensionMismatch("links and measurement must share one dimension")
     if not validate_povm(povm):
         raise InvalidPovm("completeness relation fails")
-    outcomes = _outcome_spectra(x.entries, y.entries, povm.elements)
-    return ProbabilisticEnsemble((p, _unit(spec.tolist())) for p, spec in outcomes)
+    probs, spectra = _outcome_spectra(x.entries, y.entries, povm.elements)
+    return ProbabilisticEnsemble(zip(probs, map(_unit, spectra.tolist())))
 
 
 def _isometric(stack, tol: float = COMPLETENESS_TOL) -> bool:

@@ -1,12 +1,13 @@
 """Seeded samplers feeding the Monte Carlo verification suite.
 
-Every function takes an explicit ``numpy.random.Generator``.  Generators
-are minted by :func:`substream` from a (seed, stream name, trial index)
-hash, so any single trial of any check can be replayed in isolation and
-full runs aggregate to identical reports regardless of evaluation order.
+Every function takes an explicit ``numpy.random.Generator``.  Each trial
+draws from the stream that :func:`substream` keys by a (seed, stream name,
+trial index) hash, so any single trial of any check can be replayed in
+isolation and full runs aggregate to identical reports in any order.
 """
 
 import hashlib
+import itertools
 
 import numpy as np
 
@@ -40,6 +41,12 @@ RESAMPLE_BUDGET = 8
 _COND_FLOOR = 1e-10
 
 
+def _key(seed, name, trial):
+    """Philox key of one trial: the first 16 bytes of a SHA-256 hash."""
+    digest = hashlib.sha256(f"{seed}|{name}|{trial}".encode()).digest()
+    return np.frombuffer(digest[:16], dtype=np.uint64)
+
+
 def substream(seed, name, trial):
     """Independent generator for one named trial.
 
@@ -59,9 +66,20 @@ def substream(seed, name, trial):
         arguments.  Distinct labels give independent streams, so trials
         never share state and may be evaluated in any order.
     """
-    digest = hashlib.sha256(f"{seed}|{name}|{trial}".encode()).digest()
-    key = np.frombuffer(digest[:16], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_key(seed, name, trial)))
+
+
+def _trial_streams(seed, name):
+    """substream(seed, name, t) for t = 0, 1, ..., as one generator
+    re-keyed before each yield through the bit_generator.state setter: a
+    fresh generator's state dict (counter, buffer, buffer_pos, has_uint32,
+    uinteger) under trial t's key.  Each is spent once the next is drawn."""
+    rng = substream(seed, name, 0)
+    start = rng.bit_generator.state
+    for t in itertools.count():
+        start["state"]["key"] = _key(seed, name, t)
+        rng.bit_generator.state = start
+        yield rng
 
 
 def random_schmidt(dimension, rng):

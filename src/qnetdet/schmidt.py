@@ -339,7 +339,13 @@ def concurrence(x, k: int) -> float:
     d = len(vals)
     if k < 1 or k > d:
         raise KOutOfRange(f"k={k} outside 1..{d}")
-    sk = kernels.esym(vals, k)
+    return _concurrence_of(kernels.esym(vals, k), d, k)
+
+
+def _concurrence_of(sk: float, d: int, k: int) -> float:
+    """C_k of a vector of d entries whose k-th elementary symmetric
+    polynomial is ``sk``, 1 <= k <= d: the last step of ``concurrence``,
+    shared with the checks that take e_k of many vectors at once."""
     if sk <= 0.0:
         return 0.0
     ref = math.comb(d, k) / float(d**k)

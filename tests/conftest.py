@@ -1,7 +1,13 @@
 """Shared test fixtures and corpus paths."""
 
 import json
+import os
 import pathlib
+
+# one BLAS thread, as `qnetdet verify` runs, unless the caller chose a
+# count; numpy reads it when it loads, after this module
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import pytest
 

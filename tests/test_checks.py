@@ -1,13 +1,14 @@
 """Verification suite plumbing: configs, reports, determinism, and the
 pass/fail behavior of every registered check."""
 
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
-from qnetdet import checks, cli
+from qnetdet import checks, cli, sampling
 from qnetdet._jsonio import render_json
 from qnetdet.checks import (
     CHECKS,
@@ -20,7 +21,7 @@ from qnetdet.checks import (
 from qnetdet.errors import DimensionNotTwo, DimensionTooLarge, DimensionTooSmall
 from qnetdet.network import Edge
 from qnetdet.rules import _swap_raw
-from qnetdet.schmidt import SchmidtVector, majorization_slack
+from qnetdet.schmidt import SchmidtVector, _unit, concurrence, majorization_slack
 
 FAST = CheckConfig(dimension=2, trials=25, seed=3)
 
@@ -232,6 +233,81 @@ class TestReportContract:
         a = CHECKS["lemma_det_preserving"](CheckConfig(trials=40, seed=1))
         b = CHECKS["lemma_det_preserving"](CheckConfig(trials=40, seed=2))
         assert a.max_slack != b.max_slack
+
+
+@pytest.mark.parametrize("dimension", [2, 3])
+def test_rekeyed_runs_match_fresh_substreams(dimension, monkeypatch):
+    # every check, run on one re-keyed generator, reports what a run on a
+    # new substream per trial reports
+    cfg = CheckConfig(dimension=dimension, trials=6, seed=11)
+
+    def run():
+        return json.dumps([r.to_dict() for r in run_checks("all", cfg)])
+
+    rekeyed = run()
+    made = []
+
+    def fresh(seed, name):
+        for t in itertools.count():
+            made.append(name)
+            yield sampling.substream(seed, name, t)
+
+    monkeypatch.setattr(sampling, "_trial_streams", fresh)
+    assert run() == rekeyed
+    ran = [name for name in CHECKS if not checks._unmet(name, cfg) and name != "counterexample"]
+    assert sorted(set(made)) == sorted(ran)
+
+
+def test_every_trial_starts_in_its_substream_state(monkeypatch):
+    # a trial whose draws did not move its check's report, the first of a
+    # check run after another one included, still starts where
+    # substream(seed, name, t) starts, in a run of every check
+    cfg = CheckConfig(dimension=2, trials=4, seed=5)
+    rekey = sampling._trial_streams
+    seen = []
+
+    def spy(seed, name):
+        for t, rng in enumerate(rekey(seed, name)):
+            assert repr(rng.bit_generator.state) == repr(sampling.substream(seed, name, t).bit_generator.state)
+            seen.append(name)
+            yield rng
+
+    monkeypatch.setattr(sampling, "_trial_streams", spy)
+    run_checks("all", cfg)
+    assert len(seen) == 4 * (len(CHECKS) - 1)
+
+
+class TestMeanConcurrence:
+    """`_mean_concurrence` scores a stack of outcome spectra in one
+    `esym` pass, bit for bit the per-outcome `concurrence` sum."""
+
+    @staticmethod
+    def _rows(d, n, rng):
+        # flat draws, entries spread down to 1e-12, and rows cut to fewer
+        # nonzero entries than the order, whose e_k is 0
+        rows = rng.dirichlet(np.ones(d), size=n)
+        spread = rng.random(n) < 0.3
+        rows[spread] = 10.0 ** rng.uniform(-12.0, 0.0, size=(int(spread.sum()), d))
+        for i in range(n):
+            if rng.random() < 0.3:
+                rows[i, int(rng.integers(1, d)):] = 0.0
+        return rows.tolist()
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_equals_the_per_outcome_sum(self, d):
+        zero_orders = 0
+        for t in range(20):
+            rng = sampling.substream(20261019, f"mean_concurrence{d}", t)
+            n = int(rng.integers(1, 40))
+            rows = self._rows(d, n, rng)
+            probs = rng.dirichlet(np.ones(n)).tolist()
+            states = [_unit(row) for row in rows]
+            for k in sorted({2, d}):
+                want = math.fsum(p * concurrence(_unit(row), k) for p, row in zip(probs, rows))
+                got = checks._mean_concurrence(probs, states, k)
+                assert type(got) is float and got.hex() == want.hex()
+                zero_orders += sum(concurrence(v, k) == 0.0 for v in states)
+        assert zero_orders > 0
 
 
 class TestPlain:

@@ -33,8 +33,23 @@ def _assert_same(got, want):
         assert spec.tobytes() == ref.tobytes()
 
 
+def _pairs(ensemble):
+    """The (probability, spectrum) pairs of `_outcome_spectra`'s
+    (probabilities, spectra): a list of floats and one 2-D float array
+    with a row per probability."""
+    probs, spectra = ensemble
+    assert type(probs) is list
+    assert spectra.ndim == 2 and spectra.dtype == float and len(spectra) == len(probs)
+    return list(zip(probs, spectra))
+
+
+def _stacked(pairs):
+    """The oracle's pairs in `_outcome_spectra`'s shape."""
+    return [p for p, _ in pairs], np.array([spec for _, spec in pairs])
+
+
 def _both(x, y, elements):
-    got = _outcome_spectra(x, y, elements)
+    got = _pairs(_outcome_spectra(x, y, elements))
     _assert_same(got, oracle_outcomes(x, y, elements))
     return got
 
@@ -123,6 +138,19 @@ class TestDifferential:
         els = np.array([_unit(2, 1, 1), _unit(2, 0, 1), _unit(2, 1, 0), _unit(2, 0, 0, 1e-8)])
         assert _both(x, y, els) == []
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_fixed_measurements(self, d):
+        # the deterministic and Bell measurements, whose elements are
+        # C-contiguous, on random and on rank-cut links
+        povms = [deterministic_swap_povm(d)] + ([bell_povm_d2()] if d == 2 else [])
+        for t in range(DRAWS):
+            rng = _rng(f"fixed{d}", t)
+            x, y = _link(d, rng), _link(d, rng)
+            if t % 3 == 1:
+                x = (*x[:-1], 0.0)
+            for povm in povms:
+                _both(x, y, povm.elements)
+
 
 def test_one_svd_per_call(monkeypatch):
     calls = []
@@ -167,7 +195,7 @@ def test_theorem_reports_match_the_per_operator_route(d, monkeypatch):
         return json.dumps([r.to_dict() for r in checks.run_checks("theorems", cfg)], sort_keys=True)
 
     batched = run()
-    monkeypatch.setattr(checks, "_outcome_spectra", oracle_outcomes)
+    monkeypatch.setattr(checks, "_outcome_spectra", lambda *args: _stacked(oracle_outcomes(*args)))
     monkeypatch.setattr(
         checks, "_product_measurement", lambda ys, zs: [np.kron(yi, zj) for yi in ys for zj in zs]
     )

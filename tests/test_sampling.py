@@ -41,6 +41,46 @@ class TestSubstream:
             assert not np.array_equal(base, other.standard_normal(4))
 
 
+class TestTrialStreams:
+    """`_trial_streams` re-keys one generator per trial: each trial draws
+    exactly what a new `substream(seed, name, t)` draws."""
+
+    @staticmethod
+    def _draws(rng, t):
+        # a 32-bit draw first, which would return a leftover half of the
+        # previous trial's draw if the re-key kept it
+        out = [rng.integers(0, 2**32 - 1, size=2, dtype=np.uint32)]
+        out.append(rng.standard_normal(5))
+        out.append(rng.dirichlet(np.ones(2 + t % 5)))
+        out.append(rng.integers(0, 1000, size=3))
+        out.append(rng.uniform(0.2, 2.0, size=3))
+        out.append(rng.exponential(1.0, size=1 + t % 4))
+        out.append(rng.choice(7, size=2, replace=False))
+        if t % 2:
+            # one more 32-bit draw leaves half a 64-bit word in the state
+            out.append(rng.random(dtype=np.float32))
+            assert rng.bit_generator.state["has_uint32"] == 1
+        return out
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    @pytest.mark.parametrize("name", ["lemma_duality", "theorem_parallel_then_series", "x"])
+    def test_rekeyed_draws_equal_fresh_substreams(self, seed, name):
+        used = set()
+        for t, rng in zip(range(50), sampling._trial_streams(seed, name)):
+            used.add(id(rng))
+            fresh = substream(seed, name, t)
+            assert repr(rng.bit_generator.state) == repr(fresh.bit_generator.state)
+            for got, want in zip(self._draws(rng, t), self._draws(fresh, t)):
+                assert np.asarray(got).dtype == np.asarray(want).dtype
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert len(used) == 1
+
+    def test_runs_share_no_generator(self):
+        a = next(sampling._trial_streams(1, "x"))
+        b = next(sampling._trial_streams(1, "x"))
+        assert a is not b
+
+
 class TestVectors:
     def test_random_schmidt_valid(self):
         rng = substream(SEED, "rs", 0)
