@@ -97,8 +97,8 @@ class CheckConfig(Frozen):
         One-sided slack above which a trial counts as a violation: a
         finite positive int or float (numpy floats too), kept as a float.
     povm_size : int, optional
-        Element count for sampled swap measurements, at least the
-        completeness minimum, dimension squared.  None picks that minimum.
+        Element count for sampled swap measurements, bounded by one test:
+        at least dimension squared, the completeness minimum, which None picks.
     """
 
     __slots__ = ("dimension", "trials", "seed", "tolerance", "povm_size")
@@ -123,8 +123,6 @@ class CheckConfig(Frozen):
             raise ValueError("tolerance must be positive")
         if tolerance == math.inf:
             raise ValueError("tolerance must be finite")
-        if povm_size is not None and povm_size < 1:
-            raise ValueError("povm_size must be at least 1")
         if povm_size is not None and povm_size < dimension * dimension:
             raise ValueError(f"povm_size must be at least {dimension * dimension}, dimension squared, got {povm_size}")
         for field, value in zip(self.__slots__, (dimension, trials, seed, tolerance, povm_size)):

@@ -120,7 +120,10 @@ def _check_endpoint(name) -> str:
 
 
 class QuantumNetwork(Frozen):
-    """Immutable two-terminal network of Schmidt-vector links."""
+    """Immutable two-terminal network of Schmidt-vector links.  Its
+    constructor is the one check of structure: MissingTerminal unless two
+    distinct non-empty string terminals, DanglingEndpoint unless every edge
+    endpoint is one, MixedDimensions unless every link has the network's dimension."""
 
     __slots__ = ("dimension", "terminals", "edges")
     dimension: int
@@ -161,9 +164,8 @@ def network_from_dict(obj) -> QuantumNetwork:
     and are renormalized on ingest: by `schmidt._unit` when every entry
     is a positive int or float, else by `normalize_descending`.
 
-    Raises
-    ------
-    SchemaError, DanglingEndpoint, MixedDimensions, MissingTerminal
+    Checks only what JSON adds, raising SchemaError or MixedDimensions edge
+    by edge; `QuantumNetwork` then raises MissingTerminal or DanglingEndpoint.
     """
     if not isinstance(obj, dict):
         raise SchemaError("top level must be an object")
@@ -174,7 +176,7 @@ def network_from_dict(obj) -> QuantumNetwork:
     if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise SchemaError(f"dimension must be a positive integer, got {d!r}")
     terms = obj["terminals"]
-    if not isinstance(terms, list) or len(terms) != 2:
+    if not isinstance(terms, list):
         raise MissingTerminal("terminals must be a list of two node names")
     raw_edges = obj["edges"]
     if not isinstance(raw_edges, list):
@@ -183,8 +185,6 @@ def network_from_dict(obj) -> QuantumNetwork:
     for i, re_ in enumerate(raw_edges):
         if not isinstance(re_, dict) or "u" not in re_ or "v" not in re_ or "schmidt" not in re_:
             raise SchemaError(f"edge {i} must be an object with keys u, v, schmidt")
-        u = _check_endpoint(re_["u"])
-        v = _check_endpoint(re_["v"])
         vec = re_["schmidt"]
         exact = isinstance(vec, list) and _NUMBER_TYPES.issuperset(map(type, vec))
         if not isinstance(vec, list) or not vec or not (
@@ -208,7 +208,7 @@ def network_from_dict(obj) -> QuantumNetwork:
             raise SchemaError(f"edge {i} schmidt has a negative entry")
         if abs(total - 1.0) > 1e-9:
             raise SchemaError(f"edge {i} schmidt sums to {total!r}, expected 1 within 1e-9")
-        edges.append(Edge(u, v, _unit(vec) if exact and low > 0 else normalize_descending(vec)))
+        edges.append(Edge(re_["u"], re_["v"], _unit(vec) if exact and low > 0 else normalize_descending(vec)))
     return QuantumNetwork(d, terms, edges)
 
 

@@ -275,10 +275,12 @@ def majorization_slack(big, small) -> float:
 
 
 def submajorization_slack(lo, hi) -> float:
-    """Slack of the claim lo is weakly submajorized by hi (equal
-    lengths): the worst sorted-prefix excess of lo over hi."""
+    """Slack of the claim lo is weakly submajorized by hi: the worst
+    sorted-prefix excess of lo over hi.  LengthMismatch unless equal lengths."""
     a = sorted(_values_of(lo), reverse=True)
     b = sorted(_values_of(hi), reverse=True)
+    if len(a) != len(b):
+        raise LengthMismatch(f"lengths {len(a)} and {len(b)} differ")
     pa = pb = 0.0
     worst = -math.inf
     for x, y in zip(a, b):

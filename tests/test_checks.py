@@ -121,9 +121,11 @@ class TestConfig:
             CheckConfig(dimension=np.int64(1))
         with pytest.raises(DimensionTooLarge):
             CheckConfig(dimension=np.int64(9))
-        for field in ("trials", "povm_size"):
-            with pytest.raises(ValueError, match=f"^{field} must be at least 1$"):
-                CheckConfig(**{field: np.int64(0)})
+        with pytest.raises(ValueError, match="^trials must be at least 1$"):
+            CheckConfig(trials=np.int64(0))
+        # the one povm_size bound: dimension >= 2 makes it at least 4
+        with pytest.raises(ValueError, match="^povm_size must be at least 4, dimension squared, got 0$"):
+            CheckConfig(povm_size=np.int64(0))
 
 
 LEMMAS = (
@@ -194,6 +196,13 @@ def test_every_check_passes(name, dimension):
     # randomized checks sit at the floating-point floor; the fixed-instance
     # check compares against rounded reference values
     assert rep.max_slack < (1e-3 if name == "counterexample" else 1e-6)
+
+
+def test_parallel_fold_under_the_product_cap():
+    # at d = 6 the 4096-entry cap on the full product lowers the largest
+    # bundle from 5 links to 4
+    rep = CHECKS["lemma_parallel_fold"](CheckConfig(dimension=6, trials=3, seed=3))
+    assert rep.passed and rep.max_slack == 0.0
 
 
 class TestReportContract:

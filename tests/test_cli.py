@@ -207,6 +207,27 @@ class TestReduceFailures:
         assert code == EXIT_USAGE and text == ""
         assert capsys.readouterr().err == f"qnetdet: {err}\n"
 
+    @pytest.mark.parametrize(
+        "terminals, edges, err",
+        [
+            (
+                '["A", "B"]',
+                '{"u": "", "v": "B", "schmidt": [0.5, 0.5]}, {"u": "A", "v": "B", "schmidt": [NaN, 0.5]}',
+                "edge 1 schmidt has a non-finite entry",
+            ),
+            ('["A"]', '{"u": "A", "v": "B", "schmidt": [0.5, 0.5]}', "exactly two distinct terminals are required"),
+        ],
+        ids=["empty-endpoint-then-nan", "one-terminal"],
+    )
+    def test_doubly_malformed_file_reports_one_error(self, tmp_path, run, capsys, terminals, edges, err):
+        # link vectors are checked edge by edge first, then terminals and
+        # endpoints; either way one line on stderr and exit 2
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"dimension": 2, "terminals": {terminals}, "edges": [{edges}]}}', encoding="utf-8")
+        code, text = run("reduce", str(path))
+        assert code == EXIT_USAGE and text == ""
+        assert capsys.readouterr().err == f"qnetdet: {err}\n"
+
     @pytest.mark.parametrize("command", ["reduce", "outcomes"])
     def test_deeply_nested_file_is_usage_error(self, tmp_path, run, capsys, command):
         # json.loads raises RecursionError here, not JSONDecodeError

@@ -73,8 +73,55 @@ class TestIngestion:
             network_from_dict({"dimension": 0, "terminals": ["A", "B"], "edges": []})
 
     def test_terminal_count(self):
-        with pytest.raises(MissingTerminal):
-            network_from_dict({"dimension": 2, "terminals": ["A"], "edges": []})
+        # QuantumNetwork counts the terminals, for a parsed file as for a built one
+        for terms in (["A"], ["A", "B", "C"], []):
+            with pytest.raises(MissingTerminal, match="^exactly two distinct terminals are required$"):
+                network_from_dict({"dimension": 2, "terminals": terms, "edges": []})
+
+    def test_terminals_must_be_a_list(self):
+        # a string of two letters is no pair of terminals
+        with pytest.raises(MissingTerminal, match="^terminals must be a list of two node names$"):
+            network_from_dict({"dimension": 2, "terminals": "AB", "edges": []})
+
+    @pytest.mark.parametrize(
+        "doc, error",
+        [
+            (
+                {"terminals": ["A"], "edges": [{"u": "A", "v": "B", "schmidt": [0.6, 0.5]}]},
+                (SchemaError, "edge 0 schmidt sums to 1.1, expected 1 within 1e-9"),
+            ),
+            (
+                {"terminals": ["A", "B"], "edges": [{"u": "A", "v": 7, "schmidt": [0.5, 0.3, 0.2]}]},
+                (MixedDimensions, "edge 0 has 3 entries, dimension is 2"),
+            ),
+            (
+                {"terminals": ["A"], "edges": [{"u": "", "v": "B", "schmidt": LAM}]},
+                (MissingTerminal, "exactly two distinct terminals are required"),
+            ),
+        ],
+        ids=["terminals-and-vector", "endpoint-and-length", "terminals-then-endpoint"],
+    )
+    def test_link_vectors_are_checked_first(self, doc, error):
+        # every link vector is checked edge by edge during the parse;
+        # terminals, then endpoints, only afterwards, in QuantumNetwork
+        with pytest.raises(error[0]) as info:
+            network_from_dict({"dimension": 2, **doc})
+        assert (type(info.value), str(info.value)) == error
+
+    def test_endpoints_checked_once(self, monkeypatch):
+        calls = []
+
+        def spy(name):
+            calls.append(name)
+            return name
+
+        monkeypatch.setattr(network_module, "_check_endpoint", spy)
+        for n in (1, 5, 40):
+            calls.clear()
+            edges = [{"u": f"n{i}", "v": f"n{i + 1}", "schmidt": LAM} for i in range(n)]
+            net = network_from_dict({"dimension": 2, "terminals": ["n0", f"n{n}"], "edges": edges})
+            # two calls per edge, both from QuantumNetwork
+            assert calls == [name for e in net.edges for name in (e.u, e.v)]
 
     def test_edge_shape(self):
         with pytest.raises(SchemaError):

@@ -263,6 +263,16 @@ class TestWhitening:
             warnings.simplefilter("error")
             assert sampling._orthonormalized(stack) is None
 
+    def test_ill_conditioned_stack_gives_none(self):
+        # two columns 1e-7 apart: the Gram matrix has a Cholesky factor,
+        # whose squared diagonal spans more than the condition floor
+        rng = substream(SEED, "cond_floor", 0)
+        stack = sampling._complex_gaussian((9, 3), rng)
+        stack[:, 2] = stack[:, 1] + 1e-7 * sampling._complex_gaussian(9, rng)
+        diag = np.linalg.cholesky(stack.conj().T @ stack).diagonal().real
+        assert diag.min() ** 2 < sampling._COND_FLOOR * diag.max() ** 2
+        assert sampling._orthonormalized(stack) is None
+
 
 class TestKrausRedraw:
     """The three samplers share one draw-and-accept loop: a draw the

@@ -204,6 +204,12 @@ class TestMajorization:
         b = [math.log(0.8), math.log(0.1)]
         assert submajorization_slack(b, a) <= 0.0
 
+    def test_weak_needs_equal_lengths(self):
+        # zip would drop the third prefix, which exceeds by 0.3
+        for lo, hi in (([0.5, 0.4, 0.3], [0.5, 0.4]), ([0.5], [0.5, 0.5])):
+            with pytest.raises(LengthMismatch, match=f"^lengths {len(lo)} and {len(hi)} differ$"):
+                submajorization_slack(lo, hi)
+
 
 class TestKron:
     def test_known_product(self):
@@ -242,6 +248,15 @@ class TestSymmetricAndConcurrence:
 
     def test_qubit_value(self):
         assert concurrence(SchmidtVector([0.9, 0.1]), 2) == pytest.approx(0.6, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: concurrence([], 2), lambda: det_vec([]), lambda: adjugate_vec([])],
+        ids=["concurrence", "det", "adjugate"],
+    )
+    def test_empty_input(self, call):
+        with pytest.raises(EmptyInput, match="^no entries$"):
+            call()
 
     def test_k_out_of_range(self):
         with pytest.raises(KOutOfRange):
@@ -290,6 +305,10 @@ class TestEnsemble:
         members = [(0.5, SchmidtVector([0.9, 0.1])), (0.5, SchmidtVector([0.5, 0.3, 0.2]))]
         with pytest.raises(DimensionMismatch, match="^ensemble members must share a dimension$"):
             ProbabilisticEnsemble(members)
+
+    def test_dimension_is_the_members(self):
+        ens = ProbabilisticEnsemble([(0.5, [0.9, 0.1, 0.0]), (0.5, SchmidtVector([0.5, 0.3, 0.2]))])
+        assert ens.dimension == 3
 
 
 class TestVectorAlgebra:
