@@ -12,6 +12,14 @@ of 60-digit values on entries spread down to 1e-12.  The rule at d = 2
 is a closed form in rules and from d = 4 up one LAPACK SVD; measurement
 outcomes go through one stacked LAPACK SVD (rules._outcome_spectra).
 
+sv_desc has two bodies.  _sv_jacobi is the iteration for any shape.
+_sv_3x3, the series rule's shape at d = 3, is the same iteration
+straight-lined: the columns and their squared norms held in locals, no
+index arithmetic, and the same floating-point operations in the same
+order, so its bits are _sv_jacobi's.  _sv_jacobi is its oracle:
+tests/_jacobi3_cases.py compares the two by float.hex, in tier-1 and,
+on 100,000 seeded cases, in CI.
+
 swap_eig and eigh_desc, once a two-sided Jacobi route for the series
 rule, are retired: their bodies are gone, and each only raises.  The
 names stay because the profiler in perfbench/tracer.py wraps them.
@@ -34,8 +42,17 @@ def sv_desc(rows, cols, a):
     `a` is the row-major flat list of complex entries.  Returns the cols
     singular values via one-sided Jacobi on the columns, which keeps
     small singular values at high relative accuracy.  Only swap_sv calls
-    it, with a square matrix.
+    it, with a square matrix.  The 3 x 3 shape runs _sv_3x3, a
+    straight-line copy of the iteration that returns _sv_jacobi's bits;
+    every other shape runs _sv_jacobi.
     """
+    if rows == 3 and cols == 3:
+        return _sv_3x3(a)
+    return _sv_jacobi(rows, cols, a)
+
+
+def _sv_jacobi(rows, cols, a):
+    """sv_desc's iteration for any shape; the bit oracle of _sv_3x3."""
     # column-major storage: u[k] is column k
     u = [[complex(a[r * cols + k]) for r in range(rows)] for k in range(cols)]
     # squared column norms, refreshed only by the rotation that changes a
@@ -86,6 +103,86 @@ def sv_desc(rows, cols, a):
         if rotated == 0:
             break
     sv = [math.sqrt(v) for v in sq]
+    sv.sort(reverse=True)
+    return sv
+
+
+def _sv_3x3(a):
+    """_sv_jacobi(3, 3, a), straight-lined: columns u, v, w held as three
+    complex entries each, with squared norms nu, nv, nw, and the pairs
+    (u, v), (u, w), (v, w) in every sweep.  Each sum starts where the
+    loop's does (0j, 0.0) and adds in row order, and each rotation is
+    the loop's float * complex products, so the bits are the loop's."""
+    u0, v0, w0, u1, v1, w1, u2, v2, w2 = map(complex, a)
+    nu = 0.0 + (u0.real * u0.real + u0.imag * u0.imag) + (u1.real * u1.real + u1.imag * u1.imag)
+    nu += u2.real * u2.real + u2.imag * u2.imag
+    nv = 0.0 + (v0.real * v0.real + v0.imag * v0.imag) + (v1.real * v1.real + v1.imag * v1.imag)
+    nv += v2.real * v2.real + v2.imag * v2.imag
+    nw = 0.0 + (w0.real * w0.real + w0.imag * w0.imag) + (w1.real * w1.real + w1.imag * w1.imag)
+    nw += w2.real * w2.real + w2.imag * w2.imag
+    sqrt = math.sqrt
+    for _ in range(MAX_SWEEPS):
+        rotated = False
+        apq = 0j + u0.conjugate() * v0 + u1.conjugate() * v1 + u2.conjugate() * v2
+        g = abs(apq)
+        if not (g <= OFF_TOL * sqrt(nu * nv) or g == 0.0):
+            rotated = True
+            tau = (nv - nu) / (2.0 * g)
+            if tau >= 0.0:
+                t = 1.0 / (tau + sqrt(1.0 + tau * tau))
+            else:
+                t = -1.0 / (-tau + sqrt(1.0 + tau * tau))
+            c = 1.0 / sqrt(1.0 + t * t)
+            sp = t * c * (apq / g)
+            spc = sp.conjugate()
+            u0, v0 = c * u0 - spc * v0, sp * u0 + c * v0
+            u1, v1 = c * u1 - spc * v1, sp * u1 + c * v1
+            u2, v2 = c * u2 - spc * v2, sp * u2 + c * v2
+            nu = 0.0 + (u0.real * u0.real + u0.imag * u0.imag) + (u1.real * u1.real + u1.imag * u1.imag)
+            nu += u2.real * u2.real + u2.imag * u2.imag
+            nv = 0.0 + (v0.real * v0.real + v0.imag * v0.imag) + (v1.real * v1.real + v1.imag * v1.imag)
+            nv += v2.real * v2.real + v2.imag * v2.imag
+        apq = 0j + u0.conjugate() * w0 + u1.conjugate() * w1 + u2.conjugate() * w2
+        g = abs(apq)
+        if not (g <= OFF_TOL * sqrt(nu * nw) or g == 0.0):
+            rotated = True
+            tau = (nw - nu) / (2.0 * g)
+            if tau >= 0.0:
+                t = 1.0 / (tau + sqrt(1.0 + tau * tau))
+            else:
+                t = -1.0 / (-tau + sqrt(1.0 + tau * tau))
+            c = 1.0 / sqrt(1.0 + t * t)
+            sp = t * c * (apq / g)
+            spc = sp.conjugate()
+            u0, w0 = c * u0 - spc * w0, sp * u0 + c * w0
+            u1, w1 = c * u1 - spc * w1, sp * u1 + c * w1
+            u2, w2 = c * u2 - spc * w2, sp * u2 + c * w2
+            nu = 0.0 + (u0.real * u0.real + u0.imag * u0.imag) + (u1.real * u1.real + u1.imag * u1.imag)
+            nu += u2.real * u2.real + u2.imag * u2.imag
+            nw = 0.0 + (w0.real * w0.real + w0.imag * w0.imag) + (w1.real * w1.real + w1.imag * w1.imag)
+            nw += w2.real * w2.real + w2.imag * w2.imag
+        apq = 0j + v0.conjugate() * w0 + v1.conjugate() * w1 + v2.conjugate() * w2
+        g = abs(apq)
+        if not (g <= OFF_TOL * sqrt(nv * nw) or g == 0.0):
+            rotated = True
+            tau = (nw - nv) / (2.0 * g)
+            if tau >= 0.0:
+                t = 1.0 / (tau + sqrt(1.0 + tau * tau))
+            else:
+                t = -1.0 / (-tau + sqrt(1.0 + tau * tau))
+            c = 1.0 / sqrt(1.0 + t * t)
+            sp = t * c * (apq / g)
+            spc = sp.conjugate()
+            v0, w0 = c * v0 - spc * w0, sp * v0 + c * w0
+            v1, w1 = c * v1 - spc * w1, sp * v1 + c * w1
+            v2, w2 = c * v2 - spc * w2, sp * v2 + c * w2
+            nv = 0.0 + (v0.real * v0.real + v0.imag * v0.imag) + (v1.real * v1.real + v1.imag * v1.imag)
+            nv += v2.real * v2.real + v2.imag * v2.imag
+            nw = 0.0 + (w0.real * w0.real + w0.imag * w0.imag) + (w1.real * w1.real + w1.imag * w1.imag)
+            nw += w2.real * w2.real + w2.imag * w2.imag
+        if not rotated:
+            break
+    sv = [sqrt(nu), sqrt(nv), sqrt(nw)]
     sv.sort(reverse=True)
     return sv
 
@@ -151,16 +248,23 @@ def purify_kernel(xs, d):
     return out
 
 
-def esym(xs, k):
-    """k-th elementary symmetric polynomial of the entries of xs; given
-    equal-length float arrays as entries, it is taken elementwise, by
-    the same operations per element as on floats."""
-    if k == 0:
-        return 1.0
+def esyms(xs, k):
+    """[e_0, ..., e_k], the elementary symmetric polynomials of the
+    entries of xs up to order k, from one pass; given equal-length float
+    arrays as entries, they are taken elementwise, by the same
+    operations per element as on floats.  Entry j gets exactly the
+    updates, in the same order, that a pass up to order j would make,
+    so it does not depend on k."""
     e = [0.0] * (k + 1)
     e[0] = 1.0
     for idx, v in enumerate(xs):
         top = min(k, idx + 1)
         for i in range(top, 0, -1):
             e[i] += v * e[i - 1]
-    return e[k]
+    return e
+
+
+def esym(xs, k):
+    """k-th elementary symmetric polynomial of the entries of xs: entry k
+    of esyms(xs, k)."""
+    return esyms(xs, k)[k]

@@ -61,6 +61,7 @@ from .schmidt import (
     normalize_descending,
     submajorization_slack,
     _concurrence_of,
+    _concurrences,
     _integer,
     _unit,
 )
@@ -227,9 +228,10 @@ class _Acc:
 def _average_gap(weights, states, base) -> float:
     """Largest gap, over the concurrence orders k, of the weighted
     average of C_k over ``states`` above C_k(base)."""
+    rows = [_concurrences(v) for v in states]
     return max(
-        math.fsum(p * concurrence(v, k) for p, v in zip(weights, states)) - concurrence(base, k)
-        for k in range(1, base.dimension + 1)
+        math.fsum(p * row[k] for p, row in zip(weights, rows)) - ck
+        for k, ck in enumerate(_concurrences(base))
     )
 
 
@@ -485,9 +487,7 @@ def _(cfg, t, rng, acc):
     tot = math.fsum(x)
     lam_hi = SchmidtVector([v / tot for v in x])
     lam_lo = SchmidtVector([v / tot for v in y])
-    s_mono = max(
-        concurrence(lam_hi, k) - concurrence(lam_lo, k) for k in range(1, d + 1)
-    )
+    s_mono = max(hi - lo for hi, lo in zip(_concurrences(lam_hi), _concurrences(lam_lo)))
 
     count = int(rng.integers(2, 5))
     members = [sampling.random_schmidt(d, rng) for _ in range(count)]

@@ -44,7 +44,7 @@ from .rules import (
     deterministic_swap_povm,
     enumerate_swap_outcomes,
 )
-from .schmidt import concurrence, normalize_descending
+from .schmidt import _concurrences, normalize_descending
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -289,7 +289,7 @@ def cmd_outcomes(args) -> int:
     outcomes = []
     averages = {n: 0.0 for n in ck_names}
     for p, vec in ensemble:
-        cks = {f"C_{k}": concurrence(vec, k) for k in range(1, d + 1)}
+        cks = dict(zip(ck_names, _concurrences(vec)))
         for n in ck_names:
             averages[n] += p * cks[n]
         outcomes.append(

@@ -72,7 +72,7 @@ from .errors import (
     SchemaError,
 )
 from .rules import conversion_probability, purify_rule, swap_rule
-from .schmidt import _NEG_EPS, SchmidtVector, _unit, concurrence, normalize_descending
+from .schmidt import _NEG_EPS, SchmidtVector, _concurrences, _unit, normalize_descending
 
 
 class TopologyClass(Enum):
@@ -582,7 +582,7 @@ def _head(network: QuantumNetwork):
         "edge_count": len(network.edges),
         "topology": _classify(moves).value,
         "det_vector": list(vec.entries),
-        "concurrence": {f"C_{k}": concurrence(vec, k) for k in range(1, d + 1)},
+        "concurrence": {f"C_{k}": ck for k, ck in enumerate(_concurrences(vec), start=1)},
         "cep_probability": _cep(network, moves, root),
     }
     return head, moves, links

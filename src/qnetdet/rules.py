@@ -89,9 +89,10 @@ class Povm(Frozen):
 
 # The series rule goes through one LAPACK SVD from this dimension up.
 # Below it, d = 2 is a closed form and d = 3 the pure-Python one-sided
-# Jacobi kernels.swap_sv, so that reducing a network of d <= 3 never
-# loads numpy and its cold start stays short.  Every route keeps small
-# entries at a few ulps relative (see swap_rule).
+# Jacobi kernels.swap_sv, its 3 x 3 sweep straight-lined, so that
+# reducing a network of d <= 3 never loads numpy and its cold start
+# stays short.  Every route keeps small entries at a few ulps relative
+# (see swap_rule).
 SERIES_LAPACK_MIN_D = 4
 
 

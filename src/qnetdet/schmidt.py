@@ -344,6 +344,16 @@ def concurrence(x, k: int) -> float:
     return _concurrence_of(kernels.esym(vals, k), d, k)
 
 
+def _concurrences(x) -> list:
+    """[C_1(x), ..., C_d(x)] of a vector of d >= 1 entries, bit for bit
+    ``concurrence(x, k)`` for each k: every order from one
+    kernels.esyms pass."""
+    vals = _values_of(x)
+    d = len(vals)
+    sks = kernels.esyms(vals, d)
+    return [_concurrence_of(sks[k], d, k) for k in range(1, d + 1)]
+
+
 def _concurrence_of(sk: float, d: int, k: int) -> float:
     """C_k of a vector of d entries whose k-th elementary symmetric
     polynomial is ``sk``, 1 <= k <= d: the last step of ``concurrence``,

@@ -1,9 +1,13 @@
-"""Pure-Python kernels: singular values against numpy, the elementary
-symmetric polynomials, and the two retired names the profiler wraps."""
+"""Pure-Python kernels: singular values against numpy, the 3 x 3 path
+against the generic loop, the elementary symmetric polynomials, and the
+two retired names the profiler wraps."""
+
+import random
 
 import numpy as np
 import pytest
 
+import _jacobi3_cases as cases
 from qnetdet import _kernels_py as kpy
 from qnetdet.sampling import substream
 
@@ -29,6 +33,45 @@ class TestSpectra:
         assert all(x >= y - 1e-15 for x, y in zip(got, got[1:]))
 
 
+class TestJacobi3x3:
+    """sv_desc's 3 x 3 path returns the generic loop's bits, on every
+    kind of input in tests/_jacobi3_cases.py."""
+
+    @pytest.mark.parametrize("kind", sorted(cases.MATRIX_KINDS))
+    def test_raw_matrices(self, kind):
+        rng = random.Random(f"sv3/{kind}")
+        for _ in range(100):
+            m = cases.MATRIX_KINDS[kind](rng)
+            assert cases.hexes(kpy.sv_desc(3, 3, m)) == cases.hexes(kpy._sv_jacobi(3, 3, m)), m
+
+    @pytest.mark.parametrize("x_kind", sorted(cases.LINK_KINDS))
+    @pytest.mark.parametrize("y_kind", sorted(cases.LINK_KINDS))
+    def test_link_pairs(self, x_kind, y_kind):
+        rng = random.Random(f"swap3/{x_kind}/{y_kind}")
+        for _ in range(30):
+            x = cases.LINK_KINDS[x_kind](rng)
+            y = cases.LINK_KINDS[y_kind](rng)
+            assert cases.hexes(kpy.swap_sv(x, y)) == cases.hexes(cases.generic_swap_sv(x, y)), (x, y)
+
+    def test_only_the_3x3_shape_leaves_the_generic_loop(self, monkeypatch):
+        generic = kpy._sv_jacobi
+        shapes = []
+
+        def spy(rows, cols, a):
+            shapes.append((rows, cols))
+            return generic(rows, cols, a)
+
+        monkeypatch.setattr(kpy, "_sv_jacobi", spy)
+        rng = random.Random("sv3/route")
+        kpy.sv_desc(3, 3, cases.MATRIX_KINDS["gaussian"](rng))
+        kpy.swap_sv([0.5, 0.3, 0.2], [0.6, 0.3, 0.1])
+        assert shapes == []
+        kpy.sv_desc(3, 2, cases.MATRIX_KINDS["gaussian"](rng)[:6])
+        kpy.swap_sv([0.5, 0.5], [0.9, 0.1])
+        kpy.swap_sv([0.25] * 4, [0.4, 0.3, 0.2, 0.1])
+        assert shapes == [(3, 2), (2, 2), (4, 4)]
+
+
 class TestElementarySymmetric:
     def test_esym_known(self):
         vals = [1.0, 2.0, 3.0]
@@ -36,6 +79,28 @@ class TestElementarySymmetric:
         assert kpy.esym(vals, 1) == pytest.approx(6.0)
         assert kpy.esym(vals, 2) == pytest.approx(11.0)
         assert kpy.esym(vals, 3) == pytest.approx(6.0)
+
+    @pytest.mark.parametrize("trial", range(20))
+    def test_esyms_entries_equal_esym(self, trial):
+        # entry j of one pass up to order k is esym(xs, j), bit for bit,
+        # on lists, tuples and numpy columns, with zeros and spread entries
+        rng = substream(SEED, "esyms", trial)
+        n = int(rng.integers(1, 9))
+        rows = 10.0 ** rng.uniform(-12.0, 0.0, size=(5, n))
+        rows[rng.random((5, n)) < 0.25] = 0.0
+        k = int(rng.integers(0, n + 1))
+        for xs in (rows[0].tolist(), tuple(rows[1].tolist())):
+            got = kpy.esyms(xs, k)
+            assert len(got) == k + 1
+            assert [v.hex() for v in got] == [kpy.esym(xs, j).hex() for j in range(k + 1)]
+        # the columns as entries: e_0 is the float 1.0, every other e_j
+        # an array with one value per row
+        cols = rows.T
+        got = kpy.esyms(cols, k)
+        for j in range(k + 1):
+            assert [float(v).hex() for v in np.broadcast_to(got[j], 5)] == [
+                float(v).hex() for v in np.broadcast_to(kpy.esym(cols, j), 5)
+            ]
 
 
 def test_retired_kernels_only_raise():

@@ -22,6 +22,7 @@ from qnetdet.sampling import dominated_vector, random_schmidt, substream
 from qnetdet.schmidt import (
     ProbabilisticEnsemble,
     SchmidtVector,
+    _concurrences,
     _unit,
     adjugate_vec,
     concurrence,
@@ -245,6 +246,18 @@ class TestSymmetricAndConcurrence:
         v = SchmidtVector([0.5, 0.5, 0.0])
         assert concurrence(v, 2) > 0.0
         assert concurrence(v, 3) == 0.0
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_all_orders_at_once_equal_each_order(self, d):
+        # one esyms pass gives every C_k bit for bit as concurrence(x, k),
+        # on flat, spread and cut-support vectors
+        rng = substream(SEED, "all_orders", d)
+        for t in range(20):
+            x = 10.0 ** rng.uniform(-12.0, 0.0, size=d) if t % 2 else rng.dirichlet(np.ones(d))
+            if t % 3 == 0:
+                x[int(rng.integers(1, d + 1)):] = 0.0
+            v = normalize_descending(x.tolist())
+            assert [c.hex() for c in _concurrences(v)] == [concurrence(v, k).hex() for k in range(1, d + 1)]
 
     def test_qubit_value(self):
         assert concurrence(SchmidtVector([0.9, 0.1]), 2) == pytest.approx(0.6, abs=1e-12)
