@@ -7,18 +7,33 @@ shows its fields in its repr, refuses assignment and deletion, and
 copies and pickles through ``__reduce__``.  This is what a frozen
 dataclass gives, without importing ``dataclasses`` and, through it,
 ``inspect``: a cold ``qnetdet reduce`` loads neither.
+
+``_maker(cls)`` makes instances in one step from checked values: a
+function generated once per class, as ``namedtuple`` does its methods,
+that calls ``object.__new__`` and each slot's member descriptor.
 """
 
 from __future__ import annotations
+
+import functools
+
+
+@functools.lru_cache(maxsize=None)
+def _maker(cls):
+    """``make(*values)``: a new instance of cls with its fields set, in
+    slot order (see the module docstring); cached per class."""
+    args = [f"v{i}" for i in range(len(cls.__slots__))]
+    scope = {"new": object.__new__, "cls": cls}
+    scope.update((f"set_{a}", getattr(cls, name).__set__) for a, name in zip(args, cls.__slots__))
+    sets = "".join(f"    set_{a}(obj, {a})\n" for a in args)
+    exec(f"def make({', '.join(args)}):\n    obj = new(cls)\n{sets}    return obj\n", scope)
+    return scope["make"]
 
 
 def _rebuild(cls, values):
     """An instance of cls with the given field values, set directly;
     the target of ``Frozen.__reduce__``."""
-    obj = object.__new__(cls)
-    for name, value in zip(cls.__slots__, values):
-        object.__setattr__(obj, name, value)
-    return obj
+    return _maker(cls)(*values)
 
 
 class Frozen:

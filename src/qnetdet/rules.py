@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 
 from ._frozen import Frozen
@@ -206,9 +207,10 @@ def swap_rule(x: SchmidtVector, y: SchmidtVector) -> SchmidtVector:
         x = SchmidtVector(x)
     if not isinstance(y, SchmidtVector):
         y = SchmidtVector(y)
-    if x.dimension != y.dimension:
-        raise DimensionMismatch(f"dimensions {x.dimension} and {y.dimension} differ")
-    return _unit(_series(x.entries, y.entries))
+    xs, ys = x.entries, y.entries
+    if len(xs) != len(ys):
+        raise DimensionMismatch(f"dimensions {len(xs)} and {len(ys)} differ")
+    return _unit(_series(xs, ys))
 
 
 def _swap_raw(xs, ys) -> list:
@@ -273,6 +275,11 @@ def conversion_probability(source: SchmidtVector, target: SchmidtVector) -> floa
     exactly 1.0 when every prefix deficit and the total mismatch are
     <= MAJORIZATION_ATOL, the condition for a deterministic conversion.
 
+    The walk is split in two, ``_target_side`` and ``_source_walk``:
+    ``network._cep``, which converts every link to the uniform vector,
+    takes the target's side once and runs the source walk per link, in
+    the same operations and order, so the same bits, as this function.
+
     Raises
     ------
     LengthMismatchAfterPadding
@@ -282,31 +289,36 @@ def conversion_probability(source: SchmidtVector, target: SchmidtVector) -> floa
         A total, once compared, overflows or adds infinities of both signs.
     """
     src = _descending(source)
-    tgt = _descending(target)
-    m = len(src)
+    return _source_walk(src, _target_side(_descending(target), len(src)))
+
+
+def _target_side(tgt, m: int) -> tuple:
+    """The walk's part that reads no source: (prefix sums pt, 1 - pt,
+    entries) of descending target entries zero-padded to length m."""
     if len(tgt) > m:
         raise LengthMismatchAfterPadding(f"target length {len(tgt)} exceeds source length {m}")
-    if len(tgt) < m:
-        tgt = list(tgt) + [0.0] * (m - len(tgt))
+    tgt = list(tgt) + [0.0] * (m - len(tgt))
+    pts = list(itertools.accumulate(tgt[: m - 1], initial=0.0))
+    return pts, [1.0 - pt for pt in pts], tgt
+
+
+def _source_walk(src, side) -> float:
+    """The conversion probability of descending source entries to the
+    target whose ``_target_side`` at their length is side."""
+    pts, dens, tgt = side
     best = 1.0
     deficit = -math.inf
     ps = 0.0
-    pt = 0.0
-    for k in range(m):
-        if k > 0:
-            ps += src[k - 1]
-            pt += tgt[k - 1]
-            if ps - pt > deficit:
-                deficit = ps - pt
-        den = 1.0 - pt
-        if den <= 1e-15:
-            continue
+    # the empty prefix leaves both as they are: its ratio is 1.0 / 1.0
+    for k in range(1, len(dens)):
+        ps += src[k - 1]
+        if ps - pts[k] > deficit:
+            deficit = ps - pts[k]
         num = 1.0 - ps
         if num < 0.0:
             num = 0.0
-        ratio = num / den
-        if ratio < best:
-            best = ratio
+        if dens[k] > 1e-15 and num / dens[k] < best:
+            best = num / dens[k]
     if deficit <= MAJORIZATION_ATOL and abs(_total(tgt) - _total(src)) <= MAJORIZATION_ATOL:
         return 1.0
     return best

@@ -19,7 +19,7 @@ import math
 import operator
 from collections.abc import Iterable
 
-from ._frozen import Frozen
+from ._frozen import Frozen, _maker
 from .backend import kernels
 from .errors import (
     DimensionMismatch,
@@ -66,7 +66,7 @@ def _floats(values) -> list:
     """The values as a new list of floats; an integer beyond the float
     range raises NonFiniteEntry."""
     try:
-        return [float(v) for v in values]
+        return list(map(float, values))
     except OverflowError:
         raise NonFiniteEntry("entry beyond the largest float") from None
 
@@ -99,7 +99,7 @@ def _screened(values) -> list:
         An entry below -1e-12.
     """
     vals = _floats(values)
-    if min(vals, default=0.0) > 0.0 and sum(vals) < _SUM_BOUND:
+    if vals and min(vals) > 0.0 and sum(vals) < _SUM_BOUND:
         return vals
     for v in vals:
         if not math.isfinite(v):
@@ -113,26 +113,25 @@ def _screened(values) -> list:
     return out
 
 
-def _unit(clean: list) -> SchmidtVector:
+def _unit(clean: list, total=None) -> SchmidtVector:
     """The vector of screened entries (see ``_screened``), of the positive
     ints and floats ``network_from_dict`` checked (an int divides as
     ``float()`` converts it) or of entries a rule computed from them:
-    each divided by their correctly rounded total, sorted descending; a
-    zero total raises ZeroSum.  The quotients need no check: they are
-    finite and nonnegative (never ``-0.0``), and their ``fsum`` is within
-    2u of 1 at any length n, u = 2**-53.  The total is T = S(1 + e) for
-    the exact sum S, |e| <= u, and each quotient (x/T)(1 + e'), |e'| <= u,
-    or x/T within 2**-1075 below the normal range; so the quotients'
-    exact sum is within 2u/(1 - u) + n 2**-1075 of 1 and rounds to
-    1 - 2u, 1 - u, 1 or 1 + 2u."""
-    total = _total(clean)
+    each divided by their correctly rounded total (passed in by a caller
+    that took it), sorted descending; a zero total raises ZeroSum.  The
+    quotients need no check: they are finite and nonnegative (never
+    ``-0.0``), and their ``fsum`` is within 2u of 1 at any length n,
+    u = 2**-53.  The total is T = S(1 + e) for the exact sum S, |e| <= u,
+    and each quotient (x/T)(1 + e'), |e'| <= u, or x/T within 2**-1075
+    below the normal range; so the quotients' exact sum is within
+    2u/(1 - u) + n 2**-1075 of 1 and rounds to 1 - 2u, 1 - u, 1 or 1 + 2u."""
+    if total is None:
+        total = _total(clean)
     if total <= 0.0:
         raise ZeroSum("entries sum to zero")
     out = [v / total for v in clean]
     out.sort(reverse=True)
-    vec = object.__new__(SchmidtVector)
-    object.__setattr__(vec, "entries", tuple(out))
-    return vec
+    return _vector(tuple(out))
 
 
 def _values_of(x):
@@ -151,10 +150,10 @@ class SchmidtVector(Frozen):
     once, where a vector is made: by this constructor, which screens the
     entries handed in (``_screened``) and is the one test of their total
     against 1 within 1e-12; by ``_unit`` (so ``normalize_descending``),
-    whose quotients meet it by construction; or by ``_frozen._rebuild``
-    from the entries of a vector that had it.  Every reader relies on it
-    and takes the tuple as it is; nothing re-sorts, re-clamps or converts
-    it again.
+    whose quotients meet it by construction and which makes the vector in
+    one step (``_frozen._maker``); or by ``_frozen._rebuild`` from the
+    entries of a vector that had it.  Every reader relies on it and takes
+    the tuple as it is; nothing re-sorts, re-clamps or converts it again.
 
     Parameters
     ----------
@@ -193,6 +192,9 @@ class SchmidtVector(Frozen):
 
     def __getitem__(self, i):
         return self.entries[i]
+
+
+_vector = _maker(SchmidtVector)  # of entries that meet the invariant
 
 
 class ProbabilisticEnsemble(Frozen):

@@ -4,6 +4,10 @@ engine's cost stays linear on deep ladders."""
 
 import json
 import math
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 
@@ -143,6 +147,49 @@ class TestInvariance:
                 assert _outcome(_network(_scrambled(edges, rng), 4)) == want
 
 
+# A cold `qnetdet reduce` of the 100,004-edge ladder below peaked at
+# 210 MB and took 4.0 s on Linux under Python 3.11 (203-213 MB under
+# 3.10-3.13) at the code before the one-step value construction.  The
+# budget leaves 40 MB, a fifth, as headroom: holding the trace as event
+# dicts while the text is written (261 MB) fails it.  The time limit, 30
+# times the time, only stops a run that has stalled.
+LADDER_RSS_BUDGET_MB = 250
+LADDER_TIMEOUT_S = 120
+
+# the child reduces; its parent, a fresh process with no other child,
+# reads the child's peak resident set
+_PEAK_RSS = """
+import resource, subprocess, sys
+*args, timeout = sys.argv[1:]
+code = subprocess.run([sys.executable, "-m", "qnetdet", "reduce", *args], timeout=float(timeout)).returncode
+scale = 1 if sys.platform == "darwin" else 1024  # ru_maxrss: bytes on macOS, KiB on Linux
+print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * scale / 2**20)
+"""
+
+
+def _ci_ladder(levels):
+    """The JSON text of the qubit ladder the CI step reduces, with
+    `levels` levels in place of 5,000: G_k = series(parallel(G_(k-1), e),
+    e) from one link, link tops from U(0.97, 0.995) of random.Random(0),
+    and a self-loop, a pendant and an island on no A-B path."""
+    rng = random.Random(0)
+
+    def link():
+        top = rng.uniform(0.97, 0.995)
+        return [top, 1.0 - top]
+
+    edges = [{"u": "A", "v": "n0", "schmidt": link()}]
+    for level in range(levels):
+        far = "B" if level == levels - 1 else f"n{level + 1}"
+        edges.append({"u": "A", "v": f"n{level}", "schmidt": link()})
+        edges.append({"u": f"n{level}", "v": far, "schmidt": link()})
+    scale = levels // 5000
+    edges.insert(2500 * scale, {"u": f"n{1200 * scale}", "v": f"n{1200 * scale}", "schmidt": link()})
+    edges.insert(7000 * scale, {"u": f"n{3100 * scale}", "v": "p0", "schmidt": link()})
+    edges.append({"u": "i0", "v": "i1", "schmidt": link()})
+    return json.dumps({"dimension": 2, "terminals": ["A", "B"], "edges": edges})
+
+
 LADDERS = [
     pytest.param(1000, False, True, id="nested_2001"),
     pytest.param(600, True, False, id="a_side_1201"),
@@ -197,3 +244,23 @@ class TestCost:
         schema_validator("reduce_output.schema.json").validate(doc)
         assert doc["edge_count"] == 4001
         assert math.fsum(doc["det_vector"]) == pytest.approx(1.0, abs=1e-9)
+
+    def test_cold_reduce_of_a_100k_edge_ladder_stays_in_its_memory_budget(self, tmp_path, repo_root):
+        pytest.importorskip("resource")
+        path = tmp_path / "ladder.json"
+        path.write_text(_ci_ladder(50_000), encoding="utf-8")
+        paths = [str(repo_root / "src"), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS, str(path), "--out", str(tmp_path / "out.json"), str(LADDER_TIMEOUT_S)],
+            capture_output=True,
+            text=True,
+            timeout=LADDER_TIMEOUT_S + 30,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, peak_mb = proc.stdout.split()
+        assert int(code) == EXIT_OK
+        assert float(peak_mb) <= LADDER_RSS_BUDGET_MB
+        doc = json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))
+        assert doc["edge_count"] == 100_004
+        assert sum(event["op"] == "drop" for event in doc["reduction_trace"]) == 3

@@ -13,6 +13,7 @@ import sys
 
 import numpy as np
 import pytest
+import _reduce_corpus as corpus
 import _reduce_path_oracle as oracle
 
 from qnetdet import cli
@@ -28,6 +29,7 @@ from qnetdet.network import (
     _fold,
     _folded,
     _trace,
+    cep_probability,
     classify_topology,
     network_from_dict,
     parse_network,
@@ -39,6 +41,8 @@ from qnetdet.rules import (
     _fourier,
     _outcome_spectra,
     _series,
+    _source_walk,
+    _target_side,
     _swap_raw,
     bell_povm_d2,
     conversion_probability,
@@ -512,6 +516,68 @@ class TestVectorReaders:
                 assert concurrence(x, k).hex() == concurrence(list(x.entries), k).hex()
 
 
+def _cep_links(rng, d):
+    """Links of each kind the conversion walk treats apart: the uniform
+    and the product vector, and spread, tiny-tailed (tails down to
+    1e-300 and subnormal) and cut-support ones."""
+    out = [SchmidtVector([1.0 / d] * d), SchmidtVector([1.0] + [0.0] * (d - 1))]
+    for _ in range(8):
+        out.append(normalize_descending(_spread(rng, d)))
+        tails = (10.0 ** rng.uniform(-300.0, -1.0, d - 1)).tolist()
+        if d > 1:
+            tails[int(rng.integers(0, d - 1))] = float(rng.choice([5e-324, 1e-310, 2.5e-308]))
+        out.append(normalize_descending([1.0] + tails))
+        keep = int(rng.integers(1, d + 1))
+        out.append(normalize_descending(_spread(rng, keep) + [0.0] * (d - keep)))
+    return out
+
+
+def _weak(rng, d):
+    """A link whose top entry lies within 1e-12..1e-2 of 1."""
+    tail = 10.0 ** rng.uniform(-12.0, -2.0)
+    rest = rng.dirichlet(np.ones(d - 1)).tolist() if d > 1 else []
+    return normalize_descending([1.0 - tail] + [tail * v for v in rest])
+
+
+def _cep_before(net):
+    """cep_probability as it was computed before the uniform target's
+    side of the walk was shared: the reference conversion probability
+    of each link, folded over the moves."""
+    d = net.dimension
+    uniform = SchmidtVector([1.0 / d] * d)
+    moves, root = _decompose(net)
+    scores = [oracle.conversion_probability(e.link, uniform) for e in net.edges]
+    return oracle._fold(moves, scores, lambda p, q: p * q, lambda ps: 1.0 - math.prod(sorted(1.0 - p for p in ps)))[root]
+
+
+class TestCepWalk:
+    """_cep takes the uniform target's side of the conversion walk once
+    per network and runs the source walk per link: the bits of
+    conversion_probability(link, uniform), and of the fold before."""
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_link_scores(self, d):
+        rng = substream(SEED, "cep_walk", d)
+        uniform = SchmidtVector([1.0 / d] * d)
+        side = _target_side(uniform.entries, d)
+        for link in _cep_links(rng, d):
+            want = conversion_probability(link, uniform).hex()
+            assert _source_walk(link.entries, side).hex() == want, link
+            assert oracle.conversion_probability(link, uniform).hex() == want, link
+            # a single link's figure is its score
+            single = QuantumNetwork(d, ("A", "B"), [Edge("A", "B", link)])
+            assert cep_probability(single).hex() == want, link
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_networks(self, d):
+        rng = substream(SEED, "cep_networks", d)
+        for t in range(30):
+            net = random_network(d, 16, rng)
+            if t % 2:
+                net = QuantumNetwork(d, net.terminals, [Edge(e.u, e.v, _weak(rng, d)) for e in net.edges])
+            assert cep_probability(net).hex() == _cep_before(net).hex()
+
+
 def _with_drops(net, rng):
     """The network with a self-loop at A and a pendant edge at B."""
     d = net.dimension
@@ -738,6 +804,21 @@ def test_report_bytes_as_recorded(name):
     # formatting, so only recorded bytes can show a change to both
     text = render_report(parse_network(json.dumps(_digest_networks()[name])), _DIGEST_MANIFEST)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == REPORT_DIGESTS[name]
+
+
+# sha256 of the `qnetdet reduce` outputs of the first 100 networks of
+# tests/_reduce_corpus.py, recorded at the code before the one-step value
+# construction and the shared conversion walk; at d = 2 and 3 the
+# reduction runs in pure Python, so the bytes hold on any platform
+CORPUS_DIGESTS = {
+    2: "4984270c00320155b99607dfc1c0ed141055a73931708c8db575571d0c26865f",
+    3: "9e2e60e852048903a7fbbfbaf2821cbe1c53b43dd0685b0e959167f536f79eaa",
+}
+
+
+@pytest.mark.parametrize("d", sorted(CORPUS_DIGESTS))
+def test_reduce_corpus_bytes_as_recorded(d):
+    assert corpus.digest(d, 100) == CORPUS_DIGESTS[d]
 
 
 def _qubit_ladder(levels, rng):
