@@ -373,10 +373,10 @@ def _(cfg, t, rng, acc):
     Sampled on interior vectors so the reciprocals stay conditioned."""
     d = cfg.dimension
     scale = d ** (d - 2)
-    raw = rng.dirichlet(np.ones(d)) + 0.02
-    x = SchmidtVector(raw / raw.sum())
-    raw = rng.dirichlet(np.ones(d)) + 0.02
-    y = SchmidtVector(raw / raw.sum())
+    raw = np.array(sampling._flat(d, rng)) + 0.02
+    x = SchmidtVector((raw / raw.sum()).tolist())
+    raw = np.array(sampling._flat(d, rng)) + 0.02
+    y = SchmidtVector((raw / raw.sum()).tolist())
     lhs = sorted(adjugate_vec(swap_rule(x, y)), reverse=True)
     rhs = [scale * v for v in _swap_raw(adjugate_vec(x), adjugate_vec(y))]
     ref = max(abs(v) for v in lhs)
@@ -491,7 +491,7 @@ def _(cfg, t, rng, acc):
 
     count = int(rng.integers(2, 5))
     members = [sampling.random_schmidt(d, rng) for _ in range(count)]
-    weights = rng.dirichlet(np.ones(count)).tolist()
+    weights = sampling._flat(count, rng)
     mix = SchmidtVector(
         np.sum([p * np.asarray(v.entries) for p, v in zip(weights, members)], axis=0)
     )
@@ -562,7 +562,7 @@ def _fold_link(d, rng) -> SchmidtVector:
     elif kind == 3:
         w = np.ones(d)
     else:
-        w = rng.dirichlet(np.ones(d))
+        w = np.array(sampling._flat(d, rng))
         w[int(rng.integers(1, d)):] = 0.0
     return normalize_descending(w)
 

@@ -4,6 +4,10 @@ Every function takes an explicit ``numpy.random.Generator``.  Each trial
 draws from the stream that :func:`substream` keys by a (seed, stream name,
 trial index) hash, so any single trial of any check can be replayed in
 isolation and full runs aggregate to identical reports in any order.
+
+Every flat-Dirichlet draw is ``_flat``: unit exponentials times the
+reciprocal of their left-to-right sum, as ``Generator.dirichlet`` computes
+them; the tests hold it to that method's bits and stream position.
 """
 
 import hashlib
@@ -11,7 +15,7 @@ import itertools
 
 import numpy as np
 
-from .errors import RejectionBudgetExceeded, SingularNormalizer
+from .errors import DimensionTooSmall, RejectionBudgetExceeded, SingularNormalizer
 from .network import Edge, QuantumNetwork
 from .rules import Povm, _isometric
 from .schmidt import SchmidtVector, _integer, majorizes
@@ -82,9 +86,22 @@ def _trial_streams(seed, name):
         yield rng
 
 
+def _flat(n, rng):
+    """n flat-Dirichlet floats, bit for bit ``rng.dirichlet(np.ones(n))``:
+    its path for alphas of 0.1 and above draws n standard gammas, at shape
+    1 unit exponentials, and scales each by the reciprocal of their
+    left-to-right sum (a loop: ``sum()`` compensates from Python 3.12 on)."""
+    draws = rng.standard_exponential(n).tolist()
+    acc = 0.0
+    for x in draws:
+        acc += x
+    return [x * (1.0 / acc) for x in draws]  # at n = 0, [] and no division
+
+
 def random_schmidt(dimension, rng):
-    """Random Schmidt vector from the flat Dirichlet measure."""
-    return SchmidtVector(rng.dirichlet(np.ones(_integer("dimension", dimension))))
+    """Random Schmidt vector from the flat Dirichlet measure, drawn by
+    ``_flat`` bit for bit as ``rng.dirichlet(np.ones(dimension))``."""
+    return SchmidtVector(_flat(_integer("dimension", dimension), rng))
 
 
 def random_positive(length, rng):
@@ -205,10 +222,11 @@ def dominated_vector(base, steps, rng):
 
     Transfers preserve the total and can only lower sorted partial
     sums, so the result is majorized by the input for any step count.
+    Fewer than two entries admit no transfer and return, as floats, undrawn.
     """
     out = np.array(base, dtype=float)
     n = len(out)
-    for _ in range(steps):
+    for _ in range(steps if n > 1 else 0):
         i, j = rng.choice(n, size=2, replace=False)
         t = rng.uniform(0.0, 0.5)
         a, b = out[i], out[j]
@@ -229,8 +247,12 @@ def log_damped(base, rng):
 
 def tail_collapse(values, dimension):
     """Shortest deterministic dominator: keep the dimension-1 largest
-    entries and merge the remaining tail mass into one entry."""
+    entries and merge the remaining tail mass into one entry, zero-padded
+    to exactly ``dimension`` entries.  DimensionTooSmall below 1."""
+    if dimension < 1:
+        raise DimensionTooSmall(f"cannot collapse to dimension {dimension}")
     xs = sorted((float(v) for v in values), reverse=True)
+    xs += [0.0] * (dimension - len(xs))
     head = xs[: dimension - 1]
     head.append(float(np.sum(xs[dimension - 1 :])))
     return sorted(head, reverse=True)

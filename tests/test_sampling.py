@@ -1,13 +1,15 @@
 """Seeded samplers: determinism, constructed premises, completeness."""
 
+import json
 import math
 import warnings
 
+import _sampling_oracle as oracle
 import numpy as np
 import pytest
 
-from qnetdet import rules, sampling
-from qnetdet.errors import RejectionBudgetExceeded, SingularNormalizer
+from qnetdet import checks, rules, sampling
+from qnetdet.errors import DimensionTooSmall, EmptyInput, RejectionBudgetExceeded, SingularNormalizer
 from qnetdet.network import reduce_series_parallel
 from qnetdet.rules import Povm, validate_povm
 from qnetdet.sampling import (
@@ -118,6 +120,43 @@ class TestVectors:
         assert math.fsum(out) == pytest.approx(1.0)
         assert out == sorted(out, reverse=True)
 
+    @pytest.mark.parametrize(
+        "values,dimension,want",
+        [
+            ([0.5, 0.5], 4, [0.5, 0.5, 0.0, 0.0]),
+            ([0.5, 0.5], 2, [0.5, 0.5]),
+            ([0.5, 0.3, 0.2], 1, [1.0]),
+            ([0.2, 0.5, 0.3], 3, [0.5, 0.3, 0.2]),
+            ([1.0], 3, [1.0, 0.0, 0.0]),
+            ([], 2, [0.0, 0.0]),
+        ],
+    )
+    def test_tail_collapse_has_exactly_dimension_entries(self, values, dimension, want):
+        assert tail_collapse(values, dimension) == want
+
+    @pytest.mark.parametrize("dimension", [0, -1])
+    def test_tail_collapse_below_one_entry_raises(self, dimension):
+        with pytest.raises(DimensionTooSmall):
+            tail_collapse([0.5, 0.3, 0.2], dimension)
+
+    @pytest.mark.parametrize("base", [[0.7], [1], []])
+    def test_dominated_vector_without_a_pair_draws_nothing(self, base):
+        rng = substream(SEED, "dom1", 0)
+        before = repr(rng.bit_generator.state)
+        out = dominated_vector(base, 2, rng)
+        assert out == [float(v) for v in base]
+        assert [type(v) for v in out] == [float] * len(base)
+        assert repr(rng.bit_generator.state) == before
+
+    def test_random_schmidt_of_no_entries_is_empty_input(self):
+        with pytest.raises(EmptyInput):
+            random_schmidt(0, substream(SEED, "schmidt_dim", 0))
+
+    def test_random_schmidt_negative_dimension(self):
+        with pytest.raises(ValueError) as info:
+            random_schmidt(-1, substream(SEED, "schmidt_dim", 0))
+        assert str(info.value) == "negative dimensions are not allowed"
+
     @pytest.mark.parametrize("dimension", [True, 2.0, 2.5, "2"], ids=["bool", "float", "fraction", "str"])
     def test_random_schmidt_non_integer_dimension_names_itself(self, dimension):
         with pytest.raises(ValueError) as info:
@@ -144,6 +183,47 @@ class TestVectors:
         values = [1.0 - 3e-9, 1e-9, 1e-9, 1e-9]
         with pytest.raises(RejectionBudgetExceeded):
             dominating_candidate(values, 3, 5, rng)
+
+
+class TestFlatDirichlet:
+    """`sampling._flat` draws what `Generator.dirichlet` on unit alphas
+    draws, bit for bit, and leaves the generator at the same position."""
+
+    @pytest.mark.parametrize("n", [*range(1, 10), 16, 81])
+    def test_bits_and_stream_position_equal_generator_dirichlet(self, n):
+        for seed in range(300):
+            a = np.random.default_rng([n, seed])
+            b = np.random.default_rng([n, seed])
+            got = sampling._flat(n, a)
+            assert [type(v) for v in got] == [float] * n
+            assert [v.hex() for v in got] == [v.hex() for v in oracle.dirichlet(n, b)]
+            assert a.random() == b.random()
+
+    def test_substream_draws_equal_generator_dirichlet(self):
+        # the check suite's Philox substreams, not only default_rng's PCG64
+        for t in range(200):
+            a, b = substream(SEED, "flat", t), substream(SEED, "flat", t)
+            n = 2 + t % 7
+            assert [v.hex() for v in sampling._flat(n, a)] == [v.hex() for v in oracle.dirichlet(n, b)]
+            assert a.random() == b.random()
+
+    def test_no_entries(self):
+        rng = np.random.default_rng(0)
+        assert sampling._flat(0, rng) == []
+        assert rng.random() == np.random.default_rng(0).random()
+
+    @pytest.mark.parametrize("d,trials,seed", [(2, 12, 0), (3, 8, 0), (4, 4, 3)])
+    def test_reports_equal_those_of_generator_dirichlet(self, monkeypatch, d, trials, seed):
+        cfg = checks.CheckConfig(d, trials, seed)
+
+        def rendered():
+            return [json.dumps(r.to_dict(), sort_keys=True) for r in checks.run_checks("all", cfg)]
+
+        shipped = rendered()
+        monkeypatch.setattr(sampling, "_flat", oracle.dirichlet)
+        retired = rendered()
+        assert len(shipped) == len(checks.CHECKS)
+        assert shipped == retired
 
 
 class TestMeasurements:
