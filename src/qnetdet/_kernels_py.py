@@ -15,10 +15,10 @@ outcomes go through one stacked LAPACK SVD (rules._outcome_spectra).
 sv_desc has two bodies.  _sv_jacobi is the iteration for any shape.
 _sv_3x3, the series rule's shape at d = 3, is the same iteration
 straight-lined: the columns and their squared norms held in locals, no
-index arithmetic, and the same floating-point operations in the same
-order, so its bits are _sv_jacobi's.  _sv_jacobi is its oracle:
-tests/_jacobi3_cases.py compares the two by float.hex, in tier-1 and,
-on 100,000 seeded cases, in CI.
+index arithmetic, and the same values, so its bits are _sv_jacobi's.
+_sv_jacobi is its oracle: tests/_jacobi3_cases.py compares the two by
+float.hex, in tier-1 and, on 100,000 seeded cases under each supported
+Python, in CI.
 
 swap_eig and eigh_desc, once a two-sided Jacobi route for the series
 rule, are retired: their bodies are gone, and each only raises.  The
@@ -110,20 +110,25 @@ def _sv_jacobi(rows, cols, a):
 def _sv_3x3(a):
     """_sv_jacobi(3, 3, a), straight-lined: columns u, v, w held as three
     complex entries each, with squared norms nu, nv, nw, and the pairs
-    (u, v), (u, w), (v, w) in every sweep.  Each sum starts where the
-    loop's does (0j, 0.0) and adds in row order, and each rotation is
-    the loop's float * complex products, so the bits are the loop's."""
+    (u, v), (u, w), (v, w) in every sweep.  Each sum adds in row order
+    and each rotation is the loop's float * complex products, so the
+    values are the loop's, bit for bit.
+
+    A squared entry is (z * z.conjugate()).real, one complex product in
+    place of the loop's x * x + y * y.  CPython forms its real part as
+    x * x - y * (-y); negation and a - (-b) = a + b are exact in IEEE
+    arithmetic, so it is x * x + y * y for every finite or infinite
+    part.  The sums start at their first term, not at the loop's 0.0
+    and 0j: adding a zero first changes at most the sign of a zero, and
+    neither a squared norm nor abs(apq) keeps that sign."""
     u0, v0, w0, u1, v1, w1, u2, v2, w2 = map(complex, a)
-    nu = 0.0 + (u0.real * u0.real + u0.imag * u0.imag) + (u1.real * u1.real + u1.imag * u1.imag)
-    nu += u2.real * u2.real + u2.imag * u2.imag
-    nv = 0.0 + (v0.real * v0.real + v0.imag * v0.imag) + (v1.real * v1.real + v1.imag * v1.imag)
-    nv += v2.real * v2.real + v2.imag * v2.imag
-    nw = 0.0 + (w0.real * w0.real + w0.imag * w0.imag) + (w1.real * w1.real + w1.imag * w1.imag)
-    nw += w2.real * w2.real + w2.imag * w2.imag
+    nu = (u0 * u0.conjugate()).real + (u1 * u1.conjugate()).real + (u2 * u2.conjugate()).real
+    nv = (v0 * v0.conjugate()).real + (v1 * v1.conjugate()).real + (v2 * v2.conjugate()).real
+    nw = (w0 * w0.conjugate()).real + (w1 * w1.conjugate()).real + (w2 * w2.conjugate()).real
     sqrt = math.sqrt
     for _ in range(MAX_SWEEPS):
         rotated = False
-        apq = 0j + u0.conjugate() * v0 + u1.conjugate() * v1 + u2.conjugate() * v2
+        apq = u0.conjugate() * v0 + u1.conjugate() * v1 + u2.conjugate() * v2
         g = abs(apq)
         if not (g <= OFF_TOL * sqrt(nu * nv) or g == 0.0):
             rotated = True
@@ -138,11 +143,9 @@ def _sv_3x3(a):
             u0, v0 = c * u0 - spc * v0, sp * u0 + c * v0
             u1, v1 = c * u1 - spc * v1, sp * u1 + c * v1
             u2, v2 = c * u2 - spc * v2, sp * u2 + c * v2
-            nu = 0.0 + (u0.real * u0.real + u0.imag * u0.imag) + (u1.real * u1.real + u1.imag * u1.imag)
-            nu += u2.real * u2.real + u2.imag * u2.imag
-            nv = 0.0 + (v0.real * v0.real + v0.imag * v0.imag) + (v1.real * v1.real + v1.imag * v1.imag)
-            nv += v2.real * v2.real + v2.imag * v2.imag
-        apq = 0j + u0.conjugate() * w0 + u1.conjugate() * w1 + u2.conjugate() * w2
+            nu = (u0 * u0.conjugate()).real + (u1 * u1.conjugate()).real + (u2 * u2.conjugate()).real
+            nv = (v0 * v0.conjugate()).real + (v1 * v1.conjugate()).real + (v2 * v2.conjugate()).real
+        apq = u0.conjugate() * w0 + u1.conjugate() * w1 + u2.conjugate() * w2
         g = abs(apq)
         if not (g <= OFF_TOL * sqrt(nu * nw) or g == 0.0):
             rotated = True
@@ -157,11 +160,9 @@ def _sv_3x3(a):
             u0, w0 = c * u0 - spc * w0, sp * u0 + c * w0
             u1, w1 = c * u1 - spc * w1, sp * u1 + c * w1
             u2, w2 = c * u2 - spc * w2, sp * u2 + c * w2
-            nu = 0.0 + (u0.real * u0.real + u0.imag * u0.imag) + (u1.real * u1.real + u1.imag * u1.imag)
-            nu += u2.real * u2.real + u2.imag * u2.imag
-            nw = 0.0 + (w0.real * w0.real + w0.imag * w0.imag) + (w1.real * w1.real + w1.imag * w1.imag)
-            nw += w2.real * w2.real + w2.imag * w2.imag
-        apq = 0j + v0.conjugate() * w0 + v1.conjugate() * w1 + v2.conjugate() * w2
+            nu = (u0 * u0.conjugate()).real + (u1 * u1.conjugate()).real + (u2 * u2.conjugate()).real
+            nw = (w0 * w0.conjugate()).real + (w1 * w1.conjugate()).real + (w2 * w2.conjugate()).real
+        apq = v0.conjugate() * w0 + v1.conjugate() * w1 + v2.conjugate() * w2
         g = abs(apq)
         if not (g <= OFF_TOL * sqrt(nv * nw) or g == 0.0):
             rotated = True
@@ -176,10 +177,8 @@ def _sv_3x3(a):
             v0, w0 = c * v0 - spc * w0, sp * v0 + c * w0
             v1, w1 = c * v1 - spc * w1, sp * v1 + c * w1
             v2, w2 = c * v2 - spc * w2, sp * v2 + c * w2
-            nv = 0.0 + (v0.real * v0.real + v0.imag * v0.imag) + (v1.real * v1.real + v1.imag * v1.imag)
-            nv += v2.real * v2.real + v2.imag * v2.imag
-            nw = 0.0 + (w0.real * w0.real + w0.imag * w0.imag) + (w1.real * w1.real + w1.imag * w1.imag)
-            nw += w2.real * w2.real + w2.imag * w2.imag
+            nv = (v0 * v0.conjugate()).real + (v1 * v1.conjugate()).real + (v2 * v2.conjugate()).real
+            nw = (w0 * w0.conjugate()).real + (w1 * w1.conjugate()).real + (w2 * w2.conjugate()).real
         if not rotated:
             break
     sv = [sqrt(nu), sqrt(nv), sqrt(nw)]

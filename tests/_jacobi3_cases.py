@@ -1,14 +1,16 @@
 """Seeded inputs for sv_desc's 3 x 3 path, and its bit-for-bit
-comparison with the generic one-sided Jacobi loop it copies.
+comparison with the generic one-sided Jacobi loop it straight-lines.
 
 The path (`_kernels_py._sv_3x3`) must return exactly the bits of
 `_kernels_py._sv_jacobi(3, 3, a)`.  This module draws the inputs that
 stress the two differently: link pairs for `swap_sv` (Dirichlet links,
 entries spread down to 1e-12, near-uniform links, product and rank-2
 links, exact ties) and raw complex matrices for `sv_desc` (Gaussian,
-columns spread down to 1e-12, real, rank 1 and 2, zero columns).  It
-needs no numpy and imports `qnetdet._kernels_py` only, so it also runs
-as a script on any Python:
+columns spread down to 1e-12, real, rank 1 and 2, zero columns, and
+the inputs where a squared part is subnormal, zero or huge: columns
+near 1e-160, columns from 1e-160 to 1e150, parts that are signed
+zeros, entries near 5e-320).  It needs no numpy and imports
+`qnetdet._kernels_py` only, so it also runs as a script on any Python:
 
     PYTHONPATH=src python tests/_jacobi3_cases.py 100000 [SEED]
 
@@ -74,9 +76,13 @@ def _gaussian(rng):
     return [_entry(rng) for _ in range(9)]
 
 
-def _spread_columns(rng):
-    scale = [10.0 ** rng.uniform(-12.0, 0.0) for _ in range(3)]
+def _scaled_columns(rng, low, high):
+    scale = [10.0 ** rng.uniform(low, high) for _ in range(3)]
     return [_entry(rng) * scale[i % 3] for i in range(9)]
+
+
+def _spread_columns(rng):
+    return _scaled_columns(rng, -12.0, 0.0)
 
 
 def _real(rng):
@@ -105,6 +111,30 @@ def _zero_columns(rng):
     return m
 
 
+def _subnormal_squares(rng):
+    # entries near 1e-160, whose squares and norm products are subnormal or 0
+    return _scaled_columns(rng, -170.0, -150.0)
+
+
+def _wide_columns(rng):
+    # column norms from 1e-160 to 1e150, squares from subnormal to 1e300
+    return _scaled_columns(rng, -160.0, 150.0)
+
+
+def _part(rng):
+    return rng.choice((0.0, -0.0, rng.gauss(0.0, 1.0)))
+
+
+def _signed_zeros(rng):
+    # parts that are +0.0 or -0.0 a third of the time each
+    return [complex(_part(rng), _part(rng)) for _ in range(9)]
+
+
+def _subnormal_entries(rng):
+    # entries near 5e-320, themselves subnormal, whose squares are 0.0
+    return [_entry(rng) * 5e-320 for _ in range(9)]
+
+
 # name -> draw(rng): a row-major 3 x 3 matrix as a flat list
 MATRIX_KINDS = {
     "gaussian": _gaussian,
@@ -113,6 +143,10 @@ MATRIX_KINDS = {
     "rank1": _rank1,
     "rank2": _rank2_matrix,
     "zero_columns": _zero_columns,
+    "subnormal_squares": _subnormal_squares,
+    "wide_columns": _wide_columns,
+    "signed_zeros": _signed_zeros,
+    "subnormal_entries": _subnormal_entries,
 }
 
 

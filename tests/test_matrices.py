@@ -2,7 +2,9 @@
 against the generic loop, the elementary symmetric polynomials, and the
 two retired names the profiler wraps."""
 
+import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -70,6 +72,21 @@ class TestJacobi3x3:
         kpy.swap_sv([0.5, 0.5], [0.9, 0.1])
         kpy.swap_sv([0.25] * 4, [0.4, 0.3, 0.2, 0.1])
         assert shapes == [(3, 2), (2, 2), (4, 4)]
+
+    def test_complex_square_is_the_sum_of_squared_parts(self):
+        # _sv_3x3 squares an entry as (z * z.conjugate()).real, the loop
+        # as x * x + y * y: CPython's product forms x * x - y * (-y),
+        # which is the same float for every finite or infinite part
+        big = sys.float_info.max
+        parts = [0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, 1e-310, 1e-170, 1e-154,
+                 0.3, -1.7, 1e154, -1e200, big, -big, math.inf, -math.inf]
+        differ = []
+        for x in parts:
+            for y in parts:
+                z = complex(x, y)
+                if (z * z.conjugate()).real.hex() != (x * x + y * y).hex():
+                    differ.append(z)
+        assert differ == []
 
 
 class TestElementarySymmetric:
