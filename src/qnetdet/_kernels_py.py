@@ -1,24 +1,25 @@
 """Dense numerical kernels in pure Python.
 
 All kernels operate on flat Python lists and are sized for the small
-matrices this package needs (dimension <= 16).  Library code reaches
-them through qnetdet.backend.kernels.
+vectors and matrices this package needs.  Library code reaches them
+through qnetdet.backend.kernels.
 
-Singular values use a one-sided Jacobi iteration on columns (sv_desc).
-It stops on a relative criterion per column pair and keeps small
-singular values at high relative accuracy.  swap_sv, built on it, is
-the series rule at d = 3 (see rules._series): within 1.6e-15 relative
-of 60-digit values on entries spread down to 1e-12.  The rule at d = 2
-is a closed form in rules and from d = 4 up one LAPACK SVD; measurement
-outcomes go through one stacked LAPACK SVD (rules._outcome_spectra).
+swap_sv is the series rule at d = 1 and 3 (see rules._series).  At
+d = 3 it takes the singular values of the 3 x 3 matrix
+diag(sqrt x) F diag(sqrt y) from sv_desc, a one-sided Jacobi sweep on
+columns, straight-lined for that shape: columns, their conjugates and
+their squared norms held in locals, no index arithmetic.  It stops on a
+relative criterion per column pair and keeps small singular values at
+high relative accuracy: within 1.6e-15 relative of 60-digit values on
+entries spread down to 1e-12.  The rule at d = 2 is a closed form in
+rules and from d = 4 up one LAPACK SVD; measurement outcomes go through
+one stacked LAPACK SVD (rules._outcome_spectra).
 
-sv_desc has two bodies.  _sv_jacobi is the iteration for any shape.
-_sv_3x3, the series rule's shape at d = 3, is the same iteration
-straight-lined: the columns and their squared norms held in locals, no
-index arithmetic, and the same values, so its bits are _sv_jacobi's.
-_sv_jacobi is its oracle: tests/_jacobi3_cases.py compares the two by
-float.hex, in tier-1 and, on 100,000 seeded cases under each supported
-Python, in CI.
+The generic loop for any shape, of which sv_desc is the 3 x 3 case, and
+the series rule on it at any d live in tests/_jacobi_oracle.py.
+tests/_jacobi3_cases.py holds sv_desc and swap_sv to them by float.hex,
+in tier-1 and, on 100,000 seeded cases under each supported Python, in
+CI.
 
 swap_eig and eigh_desc, once a two-sided Jacobi route for the series
 rule, are retired: their bodies are gone, and each only raises.  The
@@ -28,156 +29,128 @@ names stay because the profiler in perfbench/tracer.py wraps them.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
+import sys
 
 # sv_desc's convergence threshold on the relative overlap of a column pair.
 OFF_TOL = 1e-14
 MAX_SWEEPS = 60
+# below this, a product of two squared column norms has lost digits
+_NORMAL_MIN = sys.float_info.min
 
 
 def sv_desc(rows, cols, a):
-    """Singular values of a rows x cols matrix, rows >= cols, descending.
+    """Singular values of a 3 x 3 complex matrix, descending.
 
-    `a` is the row-major flat list of complex entries.  Returns the cols
-    singular values via one-sided Jacobi on the columns, which keeps
-    small singular values at high relative accuracy.  Only swap_sv calls
-    it, with a square matrix.  The 3 x 3 shape runs _sv_3x3, a
-    straight-line copy of the iteration that returns _sv_jacobi's bits;
-    every other shape runs _sv_jacobi.
+    `a` is the row-major flat sequence of its nine complex entries;
+    rows and cols must both be 3, the series rule's shape at d = 3, the
+    only one the library needs.  One-sided Jacobi on the columns u, v,
+    w, each held as three entries with their conjugates and squared
+    norm nu, nv, nw, rotating the pairs (u, v), (u, w), (v, w) in every
+    sweep.  A pair is left as it is once its overlap g is at most
+    OFF_TOL times the product of the two column norms, taken as
+    sqrt(nu * nv) where that product is a normal float and as
+    sqrt(nu) * sqrt(nv) where it underflows; the iteration stops after
+    a sweep that rotates no pair, or after MAX_SWEEPS.  A rotation's
+    tangent is 1 / (tau + sqrt(1 + tau^2)), or 1 / (2 tau), its value to
+    rounding, where tau * tau overflows and that formula gives 0.  The
+    values are those of the generic loop in tests/_jacobi_oracle.py, bit
+    for bit.
+
+    A conjugate is taken once per rotation of its column and serves both
+    the column's squared norm and the next overlap.  A squared entry is
+    (z * z.conjugate()).real, one complex product in place of the
+    loop's x * x + y * y.  CPython forms its real part as x * x - y * (-y);
+    negation and a - (-b) = a + b are exact in IEEE arithmetic, so it is
+    x * x + y * y for every finite or infinite part.  The sums start at
+    their first term, not at the loop's 0.0 and 0j: adding a zero first
+    changes at most the sign of a zero, and neither a squared norm nor
+    abs(apq) keeps that sign.
+
+    A product of squared norms that overflows (column norms near 1e154)
+    is outside the range this serves: the series rule's entries are at
+    most 1.
+
+    Raises
+    ------
+    ValueError
+        A shape other than 3 x 3.
     """
-    if rows == 3 and cols == 3:
-        return _sv_3x3(a)
-    return _sv_jacobi(rows, cols, a)
-
-
-def _sv_jacobi(rows, cols, a):
-    """sv_desc's iteration for any shape; the bit oracle of _sv_3x3."""
-    # column-major storage: u[k] is column k
-    u = [[complex(a[r * cols + k]) for r in range(rows)] for k in range(cols)]
-    # squared column norms, refreshed only by the rotation that changes a
-    # column and summed there in the same row order
-    sq = []
-    for col in u:
-        acc = 0.0
-        for v in col:
-            acc += v.real * v.real + v.imag * v.imag
-        sq.append(acc)
-    for _ in range(MAX_SWEEPS):
-        rotated = 0
-        for p in range(cols):
-            for q in range(p + 1, cols):
-                up = u[p]
-                uq = u[q]
-                app = sq[p]
-                aqq = sq[q]
-                apq = 0j
-                for i in range(rows):
-                    apq += up[i].conjugate() * uq[i]
-                g = abs(apq)
-                if g <= OFF_TOL * math.sqrt(app * aqq) or g == 0.0:
-                    continue
-                rotated += 1
-                phase = apq / g
-                tau = (aqq - app) / (2.0 * g)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                sp = s * phase
-                spc = sp.conjugate()
-                app = 0.0
-                aqq = 0.0
-                for i in range(rows):
-                    vp = up[i]
-                    vq = uq[i]
-                    vp, vq = c * vp - spc * vq, sp * vp + c * vq
-                    up[i] = vp
-                    uq[i] = vq
-                    app += vp.real * vp.real + vp.imag * vp.imag
-                    aqq += vq.real * vq.real + vq.imag * vq.imag
-                sq[p] = app
-                sq[q] = aqq
-        if rotated == 0:
-            break
-    sv = [math.sqrt(v) for v in sq]
-    sv.sort(reverse=True)
-    return sv
-
-
-def _sv_3x3(a):
-    """_sv_jacobi(3, 3, a), straight-lined: columns u, v, w held as three
-    complex entries each, with squared norms nu, nv, nw, and the pairs
-    (u, v), (u, w), (v, w) in every sweep.  Each sum adds in row order
-    and each rotation is the loop's float * complex products, so the
-    values are the loop's, bit for bit.
-
-    A squared entry is (z * z.conjugate()).real, one complex product in
-    place of the loop's x * x + y * y.  CPython forms its real part as
-    x * x - y * (-y); negation and a - (-b) = a + b are exact in IEEE
-    arithmetic, so it is x * x + y * y for every finite or infinite
-    part.  The sums start at their first term, not at the loop's 0.0
-    and 0j: adding a zero first changes at most the sign of a zero, and
-    neither a squared norm nor abs(apq) keeps that sign."""
-    u0, v0, w0, u1, v1, w1, u2, v2, w2 = map(complex, a)
-    nu = (u0 * u0.conjugate()).real + (u1 * u1.conjugate()).real + (u2 * u2.conjugate()).real
-    nv = (v0 * v0.conjugate()).real + (v1 * v1.conjugate()).real + (v2 * v2.conjugate()).real
+    if rows != 3 or cols != 3:
+        raise ValueError(f"sv_desc serves the 3 x 3 shape only, not {rows} x {cols}")
+    u0, v0, w0, u1, v1, w1, u2, v2, w2 = a
+    cu0, cu1, cu2 = u0.conjugate(), u1.conjugate(), u2.conjugate()
+    cv0, cv1, cv2 = v0.conjugate(), v1.conjugate(), v2.conjugate()
+    nu = (u0 * cu0).real + (u1 * cu1).real + (u2 * cu2).real
+    nv = (v0 * cv0).real + (v1 * cv1).real + (v2 * cv2).real
     nw = (w0 * w0.conjugate()).real + (w1 * w1.conjugate()).real + (w2 * w2.conjugate()).real
     sqrt = math.sqrt
+    tiny = _NORMAL_MIN
     for _ in range(MAX_SWEEPS):
         rotated = False
-        apq = u0.conjugate() * v0 + u1.conjugate() * v1 + u2.conjugate() * v2
+        apq = cu0 * v0 + cu1 * v1 + cu2 * v2
         g = abs(apq)
-        if not (g <= OFF_TOL * sqrt(nu * nv) or g == 0.0):
+        p = nu * nv
+        if not (g <= OFF_TOL * (sqrt(p) if p >= tiny else sqrt(nu) * sqrt(nv)) or g == 0.0):
             rotated = True
             tau = (nv - nu) / (2.0 * g)
             if tau >= 0.0:
                 t = 1.0 / (tau + sqrt(1.0 + tau * tau))
             else:
                 t = -1.0 / (-tau + sqrt(1.0 + tau * tau))
+            if t == 0.0:
+                t = 0.5 / tau
             c = 1.0 / sqrt(1.0 + t * t)
             sp = t * c * (apq / g)
             spc = sp.conjugate()
             u0, v0 = c * u0 - spc * v0, sp * u0 + c * v0
             u1, v1 = c * u1 - spc * v1, sp * u1 + c * v1
             u2, v2 = c * u2 - spc * v2, sp * u2 + c * v2
-            nu = (u0 * u0.conjugate()).real + (u1 * u1.conjugate()).real + (u2 * u2.conjugate()).real
-            nv = (v0 * v0.conjugate()).real + (v1 * v1.conjugate()).real + (v2 * v2.conjugate()).real
-        apq = u0.conjugate() * w0 + u1.conjugate() * w1 + u2.conjugate() * w2
+            cu0, cu1, cu2 = u0.conjugate(), u1.conjugate(), u2.conjugate()
+            cv0, cv1, cv2 = v0.conjugate(), v1.conjugate(), v2.conjugate()
+            nu = (u0 * cu0).real + (u1 * cu1).real + (u2 * cu2).real
+            nv = (v0 * cv0).real + (v1 * cv1).real + (v2 * cv2).real
+        apq = cu0 * w0 + cu1 * w1 + cu2 * w2
         g = abs(apq)
-        if not (g <= OFF_TOL * sqrt(nu * nw) or g == 0.0):
+        p = nu * nw
+        if not (g <= OFF_TOL * (sqrt(p) if p >= tiny else sqrt(nu) * sqrt(nw)) or g == 0.0):
             rotated = True
             tau = (nw - nu) / (2.0 * g)
             if tau >= 0.0:
                 t = 1.0 / (tau + sqrt(1.0 + tau * tau))
             else:
                 t = -1.0 / (-tau + sqrt(1.0 + tau * tau))
+            if t == 0.0:
+                t = 0.5 / tau
             c = 1.0 / sqrt(1.0 + t * t)
             sp = t * c * (apq / g)
             spc = sp.conjugate()
             u0, w0 = c * u0 - spc * w0, sp * u0 + c * w0
             u1, w1 = c * u1 - spc * w1, sp * u1 + c * w1
             u2, w2 = c * u2 - spc * w2, sp * u2 + c * w2
-            nu = (u0 * u0.conjugate()).real + (u1 * u1.conjugate()).real + (u2 * u2.conjugate()).real
+            cu0, cu1, cu2 = u0.conjugate(), u1.conjugate(), u2.conjugate()
+            nu = (u0 * cu0).real + (u1 * cu1).real + (u2 * cu2).real
             nw = (w0 * w0.conjugate()).real + (w1 * w1.conjugate()).real + (w2 * w2.conjugate()).real
-        apq = v0.conjugate() * w0 + v1.conjugate() * w1 + v2.conjugate() * w2
+        apq = cv0 * w0 + cv1 * w1 + cv2 * w2
         g = abs(apq)
-        if not (g <= OFF_TOL * sqrt(nv * nw) or g == 0.0):
+        p = nv * nw
+        if not (g <= OFF_TOL * (sqrt(p) if p >= tiny else sqrt(nv) * sqrt(nw)) or g == 0.0):
             rotated = True
             tau = (nw - nv) / (2.0 * g)
             if tau >= 0.0:
                 t = 1.0 / (tau + sqrt(1.0 + tau * tau))
             else:
                 t = -1.0 / (-tau + sqrt(1.0 + tau * tau))
+            if t == 0.0:
+                t = 0.5 / tau
             c = 1.0 / sqrt(1.0 + t * t)
             sp = t * c * (apq / g)
             spc = sp.conjugate()
             v0, w0 = c * v0 - spc * w0, sp * v0 + c * w0
             v1, w1 = c * v1 - spc * w1, sp * v1 + c * w1
             v2, w2 = c * v2 - spc * w2, sp * v2 + c * w2
-            nv = (v0 * v0.conjugate()).real + (v1 * v1.conjugate()).real + (v2 * v2.conjugate()).real
+            cv0, cv1, cv2 = v0.conjugate(), v1.conjugate(), v2.conjugate()
+            nv = (v0 * cv0).real + (v1 * cv1).real + (v2 * cv2).real
             nw = (w0 * w0.conjugate()).real + (w1 * w1.conjugate()).real + (w2 * w2.conjugate()).real
         if not rotated:
             break
@@ -196,35 +169,48 @@ def swap_eig(*args):
     raise NotImplementedError("swap_eig is retired; the series rule is rules.swap_rule")
 
 
-@functools.lru_cache(maxsize=None)
-def _fourier_factors(d):
-    """Row-major entries exp(-2 pi i jk / d), j, k = 1..d, of the
-    unit-modulus Fourier matrix; cached per d."""
-    return tuple(cmath.exp(-2j * cmath.pi * j * k / d) for j in range(1, d + 1) for k in range(1, d + 1))
+# Row-major entries exp(-2 pi i jk / 3), j, k = 1..3, of the unit-modulus
+# Fourier matrix at d = 3, and the scale 1 / sqrt(3) of its unitary form.
+_F3 = tuple(cmath.exp(-2j * cmath.pi * j * k / 3) for j in range(1, 4) for k in range(1, 4))
+_RD3 = 1.0 / math.sqrt(3)
 
 
 def swap_sv(x, y):
-    """Series rule spectrum via singular values of the asymmetric product.
+    """Series rule spectrum at d = 1 and 3, on descending inputs.
 
-    The squared singular values of diag(sqrt x) F diag(sqrt y), with F
-    the unit-modulus Fourier matrix (1-based indices, factors cached per
-    d) and both inputs sorted descending here; x goes on the rows.
-    Returns a descending list with total sum(x) * sum(y).  The series
-    rule at d = 1 and 3, and the tests' independent cross-check of the
-    production route at d = 2 and from d = 4 up.
+    x and y are descending sequences of nonnegative floats of one
+    length.  At d = 3 the result is 3 times the squared singular values
+    of diag(sqrt x) F diag(sqrt y), with F the unit-modulus Fourier
+    matrix (1-based indices) and x on the rows, from one sv_desc call;
+    at d = 1 it is x * y.  A descending list with total sum(x) * sum(y).
+
+    Raises
+    ------
+    ValueError
+        A length other than 1 or 3.
     """
     d = len(x)
-    xs = sorted(x, reverse=True)
-    ys = sorted(y, reverse=True)
     if d == 1:
-        return [xs[0] * ys[0]]
-    rx = [math.sqrt(v) if v > 0.0 else 0.0 for v in xs]
-    ry = [math.sqrt(v) if v > 0.0 else 0.0 for v in ys]
-    rd = 1.0 / math.sqrt(d)
-    f = _fourier_factors(d)
-    m = [rx[j] * ry[k] * rd * f[j * d + k] for j in range(d) for k in range(d)]
-    sv = sv_desc(d, d, m)
-    return [d * s * s for s in sv]
+        return [x[0] * y[0]]
+    if d != 3:
+        raise ValueError(f"swap_sv serves d = 1 and 3 only, not d = {d}")
+    x0, x1, x2 = x
+    y0, y1, y2 = y
+    sqrt = math.sqrt
+    rx0 = sqrt(x0) if x0 > 0.0 else 0.0
+    rx1 = sqrt(x1) if x1 > 0.0 else 0.0
+    rx2 = sqrt(x2) if x2 > 0.0 else 0.0
+    ry0 = sqrt(y0) if y0 > 0.0 else 0.0
+    ry1 = sqrt(y1) if y1 > 0.0 else 0.0
+    ry2 = sqrt(y2) if y2 > 0.0 else 0.0
+    rd = _RD3
+    f0, f1, f2, f3, f4, f5, f6, f7, f8 = _F3
+    s0, s1, s2 = sv_desc(3, 3, (
+        rx0 * ry0 * rd * f0, rx0 * ry1 * rd * f1, rx0 * ry2 * rd * f2,
+        rx1 * ry0 * rd * f3, rx1 * ry1 * rd * f4, rx1 * ry2 * rd * f5,
+        rx2 * ry0 * rd * f6, rx2 * ry1 * rd * f7, rx2 * ry2 * rd * f8,
+    ))
+    return [3 * s0 * s0, 3 * s1 * s1, 3 * s2 * s2]
 
 
 def purify_kernel(xs, d):

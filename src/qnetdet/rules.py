@@ -89,8 +89,8 @@ class Povm(Frozen):
 
 
 # The series rule goes through one LAPACK SVD from this dimension up.
-# Below it, d = 2 is a closed form and d = 3 the pure-Python one-sided
-# Jacobi kernels.swap_sv, its 3 x 3 sweep straight-lined, so that
+# Below it, d = 2 is a closed form and d = 3 kernels.swap_sv, a pure-Python
+# one-sided Jacobi sweep straight-lined for the 3 x 3 shape, so that
 # reducing a network of d <= 3 never loads numpy and its cold start
 # stays short.  Every route keeps small entries at a few ulps relative
 # (see swap_rule).
@@ -150,8 +150,10 @@ def _series(xs, ys) -> list:
     the arguments returns the same bits.
 
     * d = 2: the closed form _series_qubit; no kernel, no numpy.
-    * d = 1, 3: kernels.swap_sv, a one-sided Jacobi SVD of
-      diag(sqrt x) F diag(sqrt y) in pure Python, x on the rows.
+    * d = 1, 3: kernels.swap_sv, which takes the descending vectors as
+      they are; at d = 3 it builds diag(sqrt x) F diag(sqrt y), x on
+      the rows, and takes its singular values from kernels.sv_desc, a
+      one-sided Jacobi sweep in pure Python, straight-lined for 3 x 3.
     * d >= SERIES_LAPACK_MIN_D: the squared singular values of
       diag(sqrt x) F diag(sqrt y) (F from _fourier, x on the rows), from
       one np.linalg.svd call.  Zero entries are dropped from the matrix,
@@ -190,7 +192,8 @@ def swap_rule(x: SchmidtVector, y: SchmidtVector) -> SchmidtVector:
     error of an output entry is
 
     * d = 2, a closed form in pure Python: 6.0e-16;
-    * d = 3, the pure-Python one-sided Jacobi kernels.swap_sv: 1.6e-15;
+    * d = 3, kernels.swap_sv, a pure-Python one-sided Jacobi sweep
+      straight-lined for the 3 x 3 shape: 1.6e-15;
     * d >= 4, one LAPACK SVD of the sorted, scaled matrix: 5e-15 at
       d=4..8.  The bits are those of one numpy/LAPACK build, and do not
       depend on the number of BLAS threads.
@@ -331,7 +334,8 @@ def _outcome_spectra(x_entries, y_entries, elements) -> tuple:
     values over that probability, descending, a row of the 2-D array.
     Swap measurements pass both link spectra, one-sided Kraus operators
     x = ones.  Outcomes below OUTCOME_PROB_FLOOR are dropped; the rest
-    go through one stacked LAPACK SVD.  The stack is scaled C-contiguous
+    go through one stacked LAPACK SVD, which returns each matrix's
+    singular values in descending order.  The stack is scaled C-contiguous
     and each probability is one np.vdot per row, so the result equals
     that of a per-operator loop bit for bit (a strided row or a batched
     sum rounds otherwise)."""
@@ -347,7 +351,7 @@ def _outcome_spectra(x_entries, y_entries, elements) -> tuple:
     if len(keep) < len(probs):
         psi = psi[keep]
     sv = np.linalg.svd(psi, compute_uv=False)
-    return kept, np.sort(sv * sv, axis=-1)[:, ::-1] / np.array(kept)[:, None]
+    return kept, sv * sv / np.array(kept)[:, None]
 
 
 def enumerate_swap_outcomes(x: SchmidtVector, y: SchmidtVector, povm: Povm) -> ProbabilisticEnsemble:

@@ -1,16 +1,19 @@
-"""Seeded inputs for sv_desc's 3 x 3 path, and its bit-for-bit
-comparison with the generic one-sided Jacobi loop it straight-lines.
+"""Seeded inputs for the library's d = 3 series kernels, and their
+bit-for-bit comparison with the generic one-sided Jacobi loop.
 
-The path (`_kernels_py._sv_3x3`) must return exactly the bits of
-`_kernels_py._sv_jacobi(3, 3, a)`.  This module draws the inputs that
-stress the two differently: link pairs for `swap_sv` (Dirichlet links,
-entries spread down to 1e-12, near-uniform links, product and rank-2
-links, exact ties) and raw complex matrices for `sv_desc` (Gaussian,
-columns spread down to 1e-12, real, rank 1 and 2, zero columns, and
-the inputs where a squared part is subnormal, zero or huge: columns
-near 1e-160, columns from 1e-160 to 1e150, parts that are signed
-zeros, entries near 5e-320).  It needs no numpy and imports
-`qnetdet._kernels_py` only, so it also runs as a script on any Python:
+`_kernels_py.sv_desc`, the straight-line 3 x 3 sweep, must return
+exactly the bits of `_jacobi_oracle.sv_jacobi(3, 3, a)`, and
+`_kernels_py.swap_sv` those of `_jacobi_oracle.swap_sv`.  This module
+draws the inputs that stress the two differently: link pairs for
+`swap_sv` (Dirichlet links, entries spread down to 1e-12, near-uniform
+links, product and rank-2 links, exact ties, and weak links whose two
+small entries, between 1e-175 and 1e-150, make products of squared
+column norms underflow) and raw complex matrices for `sv_desc` (Gaussian, columns
+spread down to 1e-12, real, rank 1 and 2, zero columns, and the inputs
+where a squared part is subnormal, zero or huge: columns near 1e-160,
+columns from 1e-160 to 1e150, parts that are signed zeros, entries near
+5e-320).  It needs no numpy and imports `qnetdet._kernels_py` and the
+oracle only, so it also runs as a script on any Python:
 
     PYTHONPATH=src python tests/_jacobi3_cases.py 100000 [SEED]
 
@@ -23,6 +26,7 @@ import random
 import sys
 import time
 
+import _jacobi_oracle as oracle
 from qnetdet import _kernels_py as kpy
 
 
@@ -57,6 +61,12 @@ def _ties(rng):
     return rng.choice([[1.0 / 3.0] * 3, [a, a, 1.0 - 2.0 * a], [0.5, 0.5, 0.0]])
 
 
+def _weak(rng):
+    # two entries near 1e-160: squared column norms of the swap matrix
+    # near 1e-170, whose products underflow
+    return _normalized([1.0, 10.0 ** rng.uniform(-175.0, -150.0), 10.0 ** rng.uniform(-175.0, -150.0)])
+
+
 # name -> draw(rng): a link vector of length 3, in no particular order
 LINK_KINDS = {
     "dirichlet": _dirichlet,
@@ -65,6 +75,7 @@ LINK_KINDS = {
     "product": _product,
     "rank2": _rank2,
     "ties": _ties,
+    "weak": _weak,
 }
 
 
@@ -154,19 +165,14 @@ def hexes(values):
     return [v.hex() for v in values]
 
 
-def generic_swap_sv(x, y):
-    """swap_sv(x, y) with the generic loop in place of sv_desc."""
-    route = kpy.sv_desc
-    kpy.sv_desc = kpy._sv_jacobi
-    try:
-        return kpy.swap_sv(x, y)
-    finally:
-        kpy.sv_desc = route
+def library_swap_sv(x, y):
+    """The library's swap_sv on x and y sorted descending, as it takes them."""
+    return kpy.swap_sv(sorted(x, reverse=True), sorted(y, reverse=True))
 
 
 def mismatches(n, seed=0):
     """The inputs, among n link pairs and n matrices drawn from every
-    kind above, where the 3 x 3 path and the generic loop differ."""
+    kind above, where the library and the generic loop differ."""
     rng = random.Random(seed)
     links = list(LINK_KINDS.values())
     matrices = list(MATRIX_KINDS.values())
@@ -174,10 +180,10 @@ def mismatches(n, seed=0):
     for _ in range(n):
         x = rng.choice(links)(rng)
         y = rng.choice(links)(rng)
-        if hexes(kpy.swap_sv(x, y)) != hexes(generic_swap_sv(x, y)):
+        if hexes(library_swap_sv(x, y)) != hexes(oracle.swap_sv(x, y)):
             bad.append((x, y))
         m = rng.choice(matrices)(rng)
-        if hexes(kpy.sv_desc(3, 3, m)) != hexes(kpy._sv_jacobi(3, 3, m)):
+        if hexes(kpy.sv_desc(3, 3, m)) != hexes(oracle.sv_jacobi(3, 3, m)):
             bad.append(m)
     return bad
 

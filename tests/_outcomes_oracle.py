@@ -9,7 +9,8 @@ against it bit for bit.
 `per_element_outcomes` is the body of `enumerate_swap_outcomes` as it
 stood before that function went through the same stacked SVD: a
 pure-Python loop over the elements with one `math.fsum` probability and
-one one-sided Jacobi `sv_desc` per element.  The tests compare the
+one one-sided Jacobi SVD per element, the generic loop of
+_jacobi_oracle.py.  The tests compare the
 library against it within 1e-14.
 
 The package never imports this module.
@@ -18,8 +19,8 @@ The package never imports this module.
 import math
 
 import numpy as np
+from _jacobi_oracle import sv_jacobi
 
-from qnetdet._kernels_py import sv_desc
 from qnetdet.schmidt import normalize_descending
 
 # outcomes below this probability carry no statistical weight and are
@@ -57,6 +58,6 @@ def per_element_outcomes(x, y, povm) -> list:
         p = math.fsum(v.real * v.real + v.imag * v.imag for v in psi)
         if p < _PROB_FLOOR:
             continue
-        sv = sv_desc(d, d, psi)
+        sv = sv_jacobi(d, d, psi)
         outcomes.append((p, normalize_descending(s * s for s in sv)))
     return outcomes

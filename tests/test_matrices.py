@@ -1,15 +1,18 @@
-"""Pure-Python kernels: singular values against numpy, the 3 x 3 path
-against the generic loop, the elementary symmetric polynomials, and the
-two retired names the profiler wraps."""
+"""Pure-Python kernels: the generic Jacobi oracle against numpy, the
+library's 3 x 3 sweep and d = 3 series kernel against that oracle, the
+sweep where products of squared column norms underflow, the elementary
+symmetric polynomials, and the two retired names the profiler wraps."""
 
 import math
 import random
 import sys
 
+import _jacobi3_cases as cases
+import _jacobi_oracle as oracle
 import numpy as np
 import pytest
+from _series_oracle import esym, series_esym
 
-import _jacobi3_cases as cases
 from qnetdet import _kernels_py as kpy
 from qnetdet.sampling import substream
 
@@ -25,26 +28,27 @@ class TestSpectra:
     @pytest.mark.parametrize("trial", range(TRIALS))
     def test_singular_values_match_numpy(self, trial):
         rng = substream(SEED, "sv", trial)
-        # sv_desc's contract: at least as many rows as columns
+        # the generic loop's contract: at least as many rows as columns
         c = int(rng.integers(1, 7))
         r = int(rng.integers(c, 7))
         a = _random_complex((r, c), rng)
-        got = kpy.sv_desc(r, c, a.ravel().tolist())
+        got = oracle.sv_jacobi(r, c, a.ravel().tolist())
         want = np.linalg.svd(a, compute_uv=False)
         assert np.allclose(got, want, atol=1e-10)
         assert all(x >= y - 1e-15 for x, y in zip(got, got[1:]))
 
 
 class TestJacobi3x3:
-    """sv_desc's 3 x 3 path returns the generic loop's bits, on every
-    kind of input in tests/_jacobi3_cases.py."""
+    """The library's sv_desc and swap_sv return the bits of the generic
+    loop and series rule in tests/_jacobi_oracle.py, on every kind of
+    input in tests/_jacobi3_cases.py."""
 
     @pytest.mark.parametrize("kind", sorted(cases.MATRIX_KINDS))
     def test_raw_matrices(self, kind):
         rng = random.Random(f"sv3/{kind}")
         for _ in range(100):
             m = cases.MATRIX_KINDS[kind](rng)
-            assert cases.hexes(kpy.sv_desc(3, 3, m)) == cases.hexes(kpy._sv_jacobi(3, 3, m)), m
+            assert cases.hexes(kpy.sv_desc(3, 3, m)) == cases.hexes(oracle.sv_jacobi(3, 3, m)), m
 
     @pytest.mark.parametrize("x_kind", sorted(cases.LINK_KINDS))
     @pytest.mark.parametrize("y_kind", sorted(cases.LINK_KINDS))
@@ -53,28 +57,36 @@ class TestJacobi3x3:
         for _ in range(30):
             x = cases.LINK_KINDS[x_kind](rng)
             y = cases.LINK_KINDS[y_kind](rng)
-            assert cases.hexes(kpy.swap_sv(x, y)) == cases.hexes(cases.generic_swap_sv(x, y)), (x, y)
+            assert cases.hexes(cases.library_swap_sv(x, y)) == cases.hexes(oracle.swap_sv(x, y)), (x, y)
 
     def test_only_the_3x3_shape_leaves_the_generic_loop(self, monkeypatch):
-        generic = kpy._sv_jacobi
+        # the library keeps the 3 x 3 sweep alone; swap_sv reaches it
+        # through the module name sv_desc, which the profiler wraps, once
+        # per call at d = 3 and not at d = 1
+        sweep = kpy.sv_desc
         shapes = []
 
         def spy(rows, cols, a):
             shapes.append((rows, cols))
-            return generic(rows, cols, a)
+            return sweep(rows, cols, a)
 
-        monkeypatch.setattr(kpy, "_sv_jacobi", spy)
-        rng = random.Random("sv3/route")
-        kpy.sv_desc(3, 3, cases.MATRIX_KINDS["gaussian"](rng))
+        monkeypatch.setattr(kpy, "sv_desc", spy)
         kpy.swap_sv([0.5, 0.3, 0.2], [0.6, 0.3, 0.1])
-        assert shapes == []
-        kpy.sv_desc(3, 2, cases.MATRIX_KINDS["gaussian"](rng)[:6])
-        kpy.swap_sv([0.5, 0.5], [0.9, 0.1])
-        kpy.swap_sv([0.25] * 4, [0.4, 0.3, 0.2, 0.1])
-        assert shapes == [(3, 2), (2, 2), (4, 4)]
+        kpy.swap_sv([1.0], [1.0])
+        assert shapes == [(3, 3)]
+
+    def test_other_shapes_and_dimensions_raise(self):
+        rng = random.Random("sv3/shapes")
+        m = cases.MATRIX_KINDS["gaussian"](rng)
+        for rows, cols, a in ((3, 2, m[:6]), (2, 3, m[:6]), (4, 4, m + m[:7])):
+            with pytest.raises(ValueError, match="3 x 3"):
+                kpy.sv_desc(rows, cols, a)
+        for x, y in (([0.5, 0.5], [0.9, 0.1]), ([0.25] * 4, [0.4, 0.3, 0.2, 0.1]), ([], [])):
+            with pytest.raises(ValueError, match="d = 1 and 3"):
+                kpy.swap_sv(x, y)
 
     def test_complex_square_is_the_sum_of_squared_parts(self):
-        # _sv_3x3 squares an entry as (z * z.conjugate()).real, the loop
+        # sv_desc squares an entry as (z * z.conjugate()).real, the loop
         # as x * x + y * y: CPython's product forms x * x - y * (-y),
         # which is the same float for every finite or infinite part
         big = sys.float_info.max
@@ -87,6 +99,44 @@ class TestJacobi3x3:
                 if (z * z.conjugate()).real.hex() != (x * x + y * y).hex():
                     differ.append(z)
         assert differ == []
+
+
+def _weak(e):
+    return [1.0 - 2.0 * e, e, e]
+
+
+# (x, y) where a product of two squared column norms underflows: with a
+# uniform x at e = 1e-170 every pair kept rotating for 60 sweeps, and two
+# weak links at e = 1e-160 also overflow tau * tau, which left a rotation
+# at t = 0 and the smaller outputs 55 and 1.1 times too large.
+UNDERFLOW_CASES = {
+    "uniform_weak": ([1.0 / 3.0] * 3, _weak(1e-170)),
+    "weak_weak": (_weak(1e-160), _weak(1e-160)),
+}
+
+
+class TestUnderflowingNorms:
+    @pytest.mark.parametrize("case", sorted(UNDERFLOW_CASES))
+    def test_converges(self, case, monkeypatch):
+        x, y = UNDERFLOW_CASES[case]
+        full = kpy.swap_sv(x, y)
+        monkeypatch.setattr(kpy, "MAX_SWEEPS", 10)
+        assert cases.hexes(kpy.swap_sv(x, y)) == cases.hexes(full)
+
+    @pytest.mark.parametrize("case", sorted(UNDERFLOW_CASES))
+    def test_matches_the_exact_sums(self, case):
+        # both sides scaled by the exact power 2^600 (x and y by 2^300
+        # each, which the rule multiplies), so that no exact e_k
+        # underflows; the weak-weak outputs are subnormal floats, good to
+        # about 1e-4 relative, the others to a few ulps
+        x, y = UNDERFLOW_CASES[case]
+        out = kpy.swap_sv(x, y)
+        scale = 2.0**300
+        want = series_esym([v * scale for v in x], [v * scale for v in y])
+        got = [v * scale * scale for v in out]
+        tol = 1e-3 if min(out) < sys.float_info.min else 1e-13
+        for k, w in enumerate(want, start=1):
+            assert abs(esym(got, k) - w) <= tol * w, (k, out)
 
 
 class TestElementarySymmetric:

@@ -40,6 +40,9 @@ def _pairs(ensemble):
     probs, spectra = ensemble
     assert type(probs) is list
     assert spectra.ndim == 2 and spectra.dtype == float and len(spectra) == len(probs)
+    # LAPACK returns each matrix's singular values descending, and the
+    # route takes them as they come
+    assert (np.diff(spectra, axis=-1) <= 0.0).all()
     return list(zip(probs, spectra))
 
 

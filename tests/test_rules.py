@@ -3,6 +3,7 @@
 import math
 from decimal import Decimal, localcontext
 
+import _jacobi_oracle as jacobi
 import numpy as np
 import pytest
 from _series_oracle import esym, series_esym, weights
@@ -115,24 +116,24 @@ def _esym_rel_gaps(out, want):
     return [abs(esym(out, k) - w) / w for k, w in enumerate(want, start=1)]
 
 
-_JACOBI_DIMS = pytest.mark.parametrize("d", [4, 5, 6, 7, 8])
+_JACOBI_DIMS = pytest.mark.parametrize("d", [2, 4, 5, 6, 7, 8])
 _ORACLE_DIMS = pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 
 
 class TestSeriesAccuracy:
     """Small entries keep their relative accuracy (Demmel and Veselic).
     Every e_k of the output matches the exact Cauchy-Binet sums of
-    tests/_series_oracle.py, and from d = 4 up, where the one-sided
-    Jacobi route is independent of the production route, the output
-    matches it entrywise and keeps the determinant identity, on entries
-    spread down to 1e-12."""
+    tests/_series_oracle.py, and at d = 2 and from d = 4 up, where the
+    one-sided Jacobi route of tests/_jacobi_oracle.py is independent of
+    the production route, the output matches it entrywise and keeps the
+    determinant identity, on entries spread down to 1e-12."""
 
     @_JACOBI_DIMS
     def test_raw_matches_one_sided_jacobi(self, d):
         links = _hard_links(d, substream(SEED, "swap_hard_raw", d), 12)
         for x, y in zip(links[0::2], links[1::2]):
             out = _swap_raw(x, y)
-            assert _worst_rel(out, kernels.swap_sv(x, y)) <= 1e-13
+            assert _worst_rel(out, jacobi.swap_sv(x, y)) <= 1e-13
             assert _log_det_gap(out, x, y) <= 1e-12
 
     @_JACOBI_DIMS
@@ -141,7 +142,7 @@ class TestSeriesAccuracy:
         for a, b in zip(links[0::2], links[1::2]):
             x, y = normalize_descending(a), normalize_descending(b)
             out = swap_rule(x, y).entries
-            ref = kernels.swap_sv(x.entries, y.entries)
+            ref = jacobi.swap_sv(x.entries, y.entries)
             total = math.fsum(ref)
             assert _worst_rel(out, [v / total for v in ref]) <= 1e-13
             assert _log_det_gap(out, x.entries, y.entries) <= 1e-12
