@@ -15,11 +15,11 @@ entries spread down to 1e-12.  The rule at d = 2 is a closed form in
 rules and from d = 4 up one LAPACK SVD; measurement outcomes go through
 one stacked LAPACK SVD (rules._outcome_spectra).
 
-The generic loop for any shape, of which sv_desc is the 3 x 3 case, and
-the series rule on it at any d live in tests/_jacobi_oracle.py.
-tests/_jacobi3_cases.py holds sv_desc and swap_sv to them by float.hex,
-in tier-1 and, on 100,000 seeded cases under each supported Python, in
-CI.
+Recorded digests pin the bits of sv_desc and swap_sv, per kind of
+seeded input in tier-1 and over 100,000 seeded cases under each
+supported Python in CI (tests/_jacobi3_cases.py); exact values hold
+their accuracy (tests/_series_oracle.py).  The generic loop for any
+shape, of which sv_desc is the 3 x 3 case, is in tests/_jacobi_oracle.py.
 
 swap_eig and eigh_desc, once a two-sided Jacobi route for the series
 rule, are retired: their bodies are gone, and each only raises.  The
@@ -53,9 +53,9 @@ def sv_desc(rows, cols, a):
     sqrt(nu) * sqrt(nv) where it underflows; the iteration stops after
     a sweep that rotates no pair, or after MAX_SWEEPS.  A rotation's
     tangent is 1 / (tau + sqrt(1 + tau^2)), or 1 / (2 tau), its value to
-    rounding, where tau * tau overflows and that formula gives 0.  The
-    values are those of the generic loop in tests/_jacobi_oracle.py, bit
-    for bit.
+    rounding, where tau * tau overflows and that formula gives 0.  It
+    makes the floating-point operations of the generic loop in
+    tests/_jacobi_oracle.py in the loop's order, up to the two below.
 
     A conjugate is taken once per rotation of its column and serves both
     the column's squared norm and the next overlap.  A squared entry is

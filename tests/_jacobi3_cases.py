@@ -1,9 +1,8 @@
-"""Seeded inputs for the library's d = 3 series kernels, and their
-bit-for-bit comparison with the generic one-sided Jacobi loop.
+"""Seeded inputs for the library's d = 3 series kernels, and the recorded
+digests of their outputs.
 
-`_kernels_py.sv_desc`, the straight-line 3 x 3 sweep, must return
-exactly the bits of `_jacobi_oracle.sv_jacobi(3, 3, a)`, and
-`_kernels_py.swap_sv` those of `_jacobi_oracle.swap_sv`.  This module
+`_kernels_py.sv_desc` is the straight-line 3 x 3 one-sided Jacobi sweep
+and `_kernels_py.swap_sv` the d = 3 series rule on it.  This module
 draws the inputs that stress the two differently: link pairs for
 `swap_sv` (Dirichlet links, entries spread down to 1e-12, near-uniform
 links, product and rank-2 links, exact ties, and weak links whose two
@@ -12,26 +11,30 @@ column norms underflow) and raw complex matrices for `sv_desc` (Gaussian, column
 spread down to 1e-12, real, rank 1 and 2, zero columns, and the inputs
 where a squared part is subnormal, zero or huge: columns near 1e-160,
 columns from 1e-160 to 1e150, parts that are signed zeros, entries near
-5e-320).  It needs no numpy and imports `qnetdet._kernels_py` and the
-oracle only, so it also runs as a script on any Python:
+5e-320).  The draws use `random` alone and sum with `math.fsum`, so they
+are the same floats under Python 3.10 to 3.13.  tests/test_matrices.py
+pins the outputs per kind (tests/_digests.py).  It needs no numpy, so it
+also runs as a script on any Python:
 
-    PYTHONPATH=src python tests/_jacobi3_cases.py 100000 [SEED]
+    PYTHONPATH=src python tests/_jacobi3_cases.py
 
-draws that many link pairs and as many matrices, prints the number of
-results whose `float.hex` differs and the wall time, and exits 1 if
-any does.
+draws 100,000 link pairs and as many matrices, checks the digests of
+the draws and of the library's outputs against RECORDED, prints what
+moved and the wall time, and exits 1 if anything did.
 """
 
+import math
 import random
 import sys
 import time
 
-import _jacobi_oracle as oracle
+from _digests import Pin
 from qnetdet import _kernels_py as kpy
 
 
 def _normalized(values):
-    total = sum(values)
+    # fsum: from Python 3.12 on, sum() of floats rounds otherwise
+    total = math.fsum(values)
     return [v / total for v in values]
 
 
@@ -170,31 +173,41 @@ def library_swap_sv(x, y):
     return kpy.swap_sv(sorted(x, reverse=True), sorted(y, reverse=True))
 
 
-def mismatches(n, seed=0):
-    """The inputs, among n link pairs and n matrices drawn from every
-    kind above, where the library and the generic loop differ."""
-    rng = random.Random(seed)
+# digests of the draws and of the library's outputs for N link pairs and
+# N matrices, drawn in turn from random.Random(0), as _digests.Pin
+# writes them; recorded where both gave the generic loop's bits on
+# every case
+N = 100_000
+RECORDED = {
+    "link pairs": ("0ba3e685539bf033", "a4edf89847c7dacd"),
+    "matrices": ("cbe7bcc8141c0f7e", "56aace8424ccea71"),
+}
+
+
+def pins(n):
+    """Pins of n link pairs and n matrices drawn from every kind above."""
+    rng = random.Random(0)
     links = list(LINK_KINDS.values())
     matrices = list(MATRIX_KINDS.values())
-    bad = []
+    pairs = Pin()
+    raw = Pin()
     for _ in range(n):
         x = rng.choice(links)(rng)
         y = rng.choice(links)(rng)
-        if hexes(library_swap_sv(x, y)) != hexes(oracle.swap_sv(x, y)):
-            bad.append((x, y))
+        pairs.add((x, y), hexes(library_swap_sv(x, y)))
         m = rng.choice(matrices)(rng)
-        if hexes(kpy.sv_desc(3, 3, m)) != hexes(oracle.sv_jacobi(3, 3, m)):
-            bad.append(m)
-    return bad
+        raw.add(m, hexes(kpy.sv_desc(3, 3, m)))
+    return {"link pairs": pairs, "matrices": raw}
 
 
 if __name__ == "__main__":
-    n = int(sys.argv[1])
-    seed = int(sys.argv[2]) if len(sys.argv) > 2 else 0
     start = time.perf_counter()
-    bad = mismatches(n, seed)
+    drawn = pins(N)
     elapsed = time.perf_counter() - start
-    print(f"{n} link pairs and {n} matrices, seed {seed}: {len(bad)} mismatches in {elapsed:.1f} s")
-    for case in bad[:5]:
-        print("mismatch:", case)
-    sys.exit(1 if bad else 0)
+    failed = False
+    for kind, pin in drawn.items():
+        message = pin.mismatch(kind, RECORDED[kind])
+        failed |= message is not None
+        print(message or f"{kind}: {N} as recorded")
+    print(f"{elapsed:.1f} s")
+    sys.exit(1 if failed else 0)

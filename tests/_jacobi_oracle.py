@@ -1,15 +1,16 @@
 """The generic one-sided Jacobi loop and the series rule built on it, at
 any dimension, for tests only.
 
-`sv_jacobi(rows, cols, a)` is the iteration `_kernels_py.sv_desc` ran
-for every shape before that function became the straight-line 3 x 3
-sweep; `swap_sv(x, y)` is the series rule on it at any d, sorting its
-inputs as the library's d = 3 route once did.  Both keep their own
-constants and Fourier factors, so a change to the library's shows up
-as a mismatch.  The tests hold the library to them bit for bit at
-d = 3 (tests/_jacobi3_cases.py) and use them as an independent route
-at d = 2 and from d = 4 up, where the library runs a closed form or
-LAPACK.
+`sv_jacobi(rows, cols, a)` is the iteration `_kernels_py.sv_desc` runs
+straight-lined for the 3 x 3 shape; `swap_sv(x, y)` is the series rule
+on it at any d, sorting its inputs.  Both keep their own constants and
+Fourier factors.  They are an independent accuracy reference, not a
+pin of the library's bits: test_matrices.py checks the loop against
+numpy, test_rules.py holds the library's series rule to them at d = 2
+and from d = 4 up, where it runs a closed form or LAPACK, and
+_outcomes_oracle.py builds on `sv_jacobi`.  At d = 3, recorded digests
+pin the library's bits (test_matrices.py, _jacobi3_cases.py) and exact
+values its accuracy (_series_oracle.py).
 
 The package never imports this module.
 """

@@ -1,19 +1,21 @@
-"""The single-pass JSON renderer: the same bytes as the recursive
-renderer it replaced (kept in _render_oracle.py), one float format, and
-a closed set of accepted types."""
+"""The single-pass JSON renderer: the recorded bytes on seeded documents
+(tests/_digests.py) and literal text on short ones, documents that
+json.loads reads back at 12 significant digits, one float format, and a
+closed set of accepted types."""
 
+import json
 import math
 import random
 import struct
 
 import numpy as np
 import pytest
-from _render_oracle import render_json as oracle_render
+from _digests import check
 
 from qnetdet import checks
-from qnetdet import cli, network
+from qnetdet import cli
 from qnetdet._jsonio import format_float, render_json
-from qnetdet.network import parse_network, report
+from qnetdet.network import report
 from qnetdet.sampling import random_network, substream
 
 SEED = 20261018
@@ -115,53 +117,66 @@ def _value(rng, depth, shared):
     }
 
 
+# (draws, outcomes) digests, as _digests.check writes them, of the 3000
+# documents of random.Random(SEED), recorded while the recursive renderer
+# that the single pass replaced gave the same text on each
+RENDER_DIGESTS = {"documents": ("05c500076e349bea", "721fb62a74559acc")}
+
+
+def _as_read(obj):
+    """obj as json.loads reads render_json's text of it: each float at
+    12 significant digits, tuples as lists, keys as strings."""
+    if type(obj) is float:
+        return float(format_float(obj))
+    if type(obj) in (list, tuple):
+        return [_as_read(v) for v in obj]
+    if type(obj) is dict:
+        return {str(k): _as_read(v) for k, v in obj.items()}
+    return obj
+
+
+def _reads_back(doc):
+    assert json.loads(render_json(doc)) == _as_read(doc)
+
+
 class TestDifferential:
-    """Byte-for-byte agreement with the recursive renderer."""
+    """The recorded bytes, literal text, and text that json reads back."""
 
     def test_random_values(self):
         rng = random.Random(SEED)
-        for _ in range(3000):
-            doc = _value(rng, 0, [])
-            assert render_json(doc) == oracle_render(doc), doc
+        docs = [_value(rng, 0, []) for _ in range(3000)]
+        check(RENDER_DIGESTS, "documents", docs, render_json)
 
     @pytest.mark.parametrize(
-        "doc",
+        "doc, text",
         [
-            -0.0,
-            [0.0, -0.0, 1.0],
-            [5e-324, 1.7976931348623157e308, -1e-310],
-            [2**53 + 1, -(2**70), 1.0],
-            [True, 1, False, 0, 1.0],
-            {True: 1, None: 0, 2: [], 1.5: {}, "": ()},
-            {"k": "é 量 \U0001f600", 'q"': "\x00\n\\"},
-            [[], {}, (), ""],
+            (-0.0, "0"),
+            ([0.0, -0.0, 1.0], "[0, 0, 1]"),
+            ([5e-324, 1.7976931348623157e308, -1e-310], "[4.94065645841e-324, 1.79769313486e+308, -1e-310]"),
+            ([2**53 + 1, -(2**70), 1.0], "[9007199254740993, -1180591620717411303424, 1]"),
+            ([True, 1, False, 0, 1.0], "[true, 1, false, 0, 1]"),
+            ({True: 1, None: 0, 2: [], 1.5: {}, "": ()}, '{"True": 1, "None": 0, "2": [], "1.5": {}, "": []}'),
+            ({"k": "é 量 \U0001f600", 'q"': "\x00\n\\"}, '{"k": "é 量 \U0001f600", "q\\"": "\\u0000\\n\\\\"}'),
+            ([[], {}, (), ""], '[[], {}, [], ""]'),
             # bool, int and str keys, and a string value equal to a key
-            [{True: 0}, {1: 0}, {"1": "1"}, {"True": ("True",)}],
+            ([{True: 0}, {1: 0}, {"1": "1"}, {"True": ("True",)}], '[{"True": 0}, {"1": 0}, {"1": "1"}, {"True": ["True"]}]'),
         ],
+        # the ids pytest gives the documents alone
+        ids=["-0.0", *(f"doc{i}" for i in range(1, 9))],
     )
-    def test_edge_values(self, doc):
-        assert render_json(doc) == oracle_render(doc)
+    def test_edge_values(self, doc, text):
+        assert render_json(doc) == text + "\n"
 
     def test_reused_vector_rendered_the_same(self):
         vec = [0.9, 0.1]
         doc = {"output": vec, "next": {"inputs": [vec, vec]}, "again": vec}
-        assert render_json(doc) == oracle_render(doc)
+        assert render_json(doc) == '{"output": [0.9, 0.1], "next": {"inputs": [[0.9, 0.1], [0.9, 0.1]]}, "again": [0.9, 0.1]}\n'
         vec[0] = 0.8
-        assert render_json(doc) == oracle_render(doc)
-        assert '"again": [0.8, 0.1]' in render_json(doc)
+        assert render_json(doc) == '{"output": [0.8, 0.1], "next": {"inputs": [[0.8, 0.1], [0.8, 0.1]]}, "again": [0.8, 0.1]}\n'
 
     def test_goldens(self, monkeypatch, repo_root, golden_dir, tmp_path):
-        """Every JSON golden: the oracle renders each from the documents
-        the CLI renders, plus, for reduce, the trace it writes itself."""
+        """Every JSON golden, from the command that wrote it."""
         monkeypatch.chdir(repo_root)
-        docs = []
-
-        def spy(doc):
-            docs.append(doc)
-            return render_json(doc)
-
-        monkeypatch.setattr(cli, "render_json", spy)
-        monkeypatch.setattr(network, "render_json", spy)
         commands = {
             f"reduce_{path.stem}.json": ["reduce", f"networks/{path.stem}.json"]
             for path in sorted((repo_root / "networks").glob("*.json"))
@@ -172,29 +187,18 @@ class TestDifferential:
         for golden, argv in commands.items():
             out = tmp_path / golden
             assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_OK
-            expected = (golden_dir / golden).read_text(encoding="utf-8")
-            assert out.read_text(encoding="utf-8") == expected
-            doc = docs[-1]
-            if argv[0] == "reduce":
-                # render_json sees the head only; the writer adds the trace
-                manifest = cli._manifest("reduce", {"network": argv[1]}, {}, False)
-                doc = {"manifest": manifest, **report(parse_network((repo_root / argv[1]).read_text(encoding="utf-8")))}
-                assert docs[-1] == {k: v for k, v in doc.items() if k != "reduction_trace"}
-            assert oracle_render(doc) == expected
-        assert len(docs) == len(commands)
+            assert out.read_text(encoding="utf-8") == (golden_dir / golden).read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_random_reports(self, d):
         rng = substream(SEED, "render_reports", d)
         for _ in range(100):
-            doc = report(random_network(d, 30, rng))
-            assert render_json(doc) == oracle_render(doc)
+            _reads_back(report(random_network(d, 30, rng)))
 
     @pytest.mark.parametrize("d, trials", [(2, 40), (3, 10), (4, 4)])
     def test_verify_all_docs(self, d, trials):
         cfg = checks.CheckConfig(dimension=d, trials=trials, seed=3)
-        doc = {"reports": [r.to_dict() for r in checks.run_checks("all", cfg)]}
-        assert render_json(doc) == oracle_render(doc)
+        _reads_back({"reports": [r.to_dict() for r in checks.run_checks("all", cfg)]})
 
 
 class TestTypeContract:
@@ -213,8 +217,7 @@ class TestTypeContract:
             if "skipped" in r.extras:
                 continue
             assert not r.passed and r.violations, r.name
-            doc = r.to_dict()
-            assert render_json(doc) == oracle_render(doc)
+            _reads_back(r.to_dict())
 
     @pytest.mark.parametrize(
         "value",
