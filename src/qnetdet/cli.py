@@ -14,20 +14,23 @@ measurement.
 `sampling`, which need it, are imported inside the `verify` and
 `outcomes` code that uses them.  A module that serves one flag is
 imported where that flag is handled: `logging` for -v, `datetime` for
---timestamp.  So a cold `qnetdet reduce` imports the package,
-`argparse`, `json` and what those two import on top of the
-interpreter, and no `dataclasses`, `inspect`, `logging`, `datetime` or
-`typing`.
-From d = 4 up the series rule loads numpy for its SVD.  The argument
-parser is built once per process.
+--timestamp.  A plain argv (the subcommand, its exact flags with each
+value its own token, its positionals) is read by `_read` from the
+option table `_COMMANDS`; argparse, built from the same table, is
+imported and built only for any other argv, once per process, and
+prints the help, the version and every usage error.  So a cold
+`qnetdet reduce` imports the package, `json` and what it imports on
+top of the interpreter, and no `argparse` (nor its `gettext` and
+`locale`), `dataclasses`, `inspect`, `logging`, `datetime` or `typing`.
+From d = 4 up the series rule loads numpy for its SVD.
 """
 
-import argparse
 import contextlib
 import functools
 import gc
 import os
 import sys
+import types
 
 from . import __version__
 from ._jsonio import format_float, render_json
@@ -265,7 +268,9 @@ def _outcomes_pretty(doc: dict) -> str:
 
 
 def cmd_outcomes(args) -> int:
-    if (args.network is None) == (args.links is None):
+    if args.network is None and args.links is None:
+        return _fail("provide a network file or --links", EXIT_USAGE)
+    if args.network is not None and args.links is not None:
         return _fail("provide a network file or --links, not both", EXIT_USAGE)
     seed = _default_seed(args.seed)
     if args.network is not None:
@@ -316,77 +321,135 @@ def cmd_outcomes(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# arguments
 
 
-def _add_common(sub):
-    sub.add_argument("--pretty", action="store_true", help="human-readable output instead of JSON")
-    sub.add_argument("--out", metavar="PATH", help="write output to a file instead of stdout")
-    sub.add_argument(
-        "--timestamp",
-        action="store_true",
+def _arg(*flags, **kw):
+    """One argument: its flags (a positional's name), the dest argparse
+    derives from them, and the keywords `add_argument` takes."""
+    return flags, flags[-1].lstrip("-").replace("-", "_"), kw
+
+
+_VERBOSE = _arg(
+    "-v", "--verbose", action="count", default=0,
+    help="log to stderr: -v for notices such as skipped checks, -vv also for debug detail",
+)
+_VERBOSE_COUNTS = {"-v": 1, "-vv": 2, "--verbose": 1}  # the -v forms `_read` reads itself
+
+_COMMON = (
+    _arg("--pretty", action="store_true", help="human-readable output instead of JSON"),
+    _arg("--out", metavar="PATH", help="write output to a file instead of stdout"),
+    _arg(
+        "--timestamp", action="store_true",
         help="include the current UTC time in the manifest (off by default for reproducibility)",
-    )
+    ),
+)
+
+# each subcommand's help, handler and arguments, in the order the help lists them
+_COMMANDS = {
+    "reduce": ("reduce a network file to its final state report", cmd_reduce, (
+        _arg("network", help="network description JSON file"),
+        _arg("--format", choices=("json", "csv"), default="json"),
+        *_COMMON,
+    )),
+    "verify": ("run randomized property checks", cmd_verify, (
+        _arg(
+            "selector", nargs="?", default="all",
+            help="group (all, lemmas, theorems, amgm, counterexample) or one check name",
+        ),
+        _arg("--d", type=int, default=2, help="link dimension (default 2)"),
+        _arg("--trials", type=int, default=1000),
+        _arg("--seed", type=int, default=None, help=f"root seed (default ${_SEED_ENV} or 0)"),
+        _arg("--tol", type=float, default=1e-9, help="violation slack tolerance"),
+        _arg(
+            "--povm-size", type=int, default=None,
+            help="sampled measurement element count (default: dimension squared)",
+        ),
+        *_COMMON,
+    )),
+    "outcomes": ("enumerate swap outcomes of two links in series", cmd_outcomes, (
+        _arg("network", nargs="?", default=None, help="two-link chain network file"),
+        _arg(
+            "--links", nargs=2, metavar=("LA", "LB"),
+            help="two comma-separated Schmidt vectors, e.g. 0.9,0.1 0.9,0.1",
+        ),
+        _arg("--povm", default="deterministic", help="deterministic, bell, or random[:K] (default deterministic)"),
+        _arg("--seed", type=int, default=None, help=f"seed for random measurements (default ${_SEED_ENV} or 0)"),
+        *_COMMON,
+    )),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The argparse parser of `_VERBOSE` and `_COMMANDS`, which prints
+    the help, the version and every usage error."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="qnetdet",
         description="Deterministic entanglement transmission over series-parallel networks.",
     )
     parser.add_argument("--version", action="version", version=f"qnetdet {__version__}")
-    parser.add_argument(
-        "-v",
-        "--verbose",
-        action="count",
-        default=0,
-        help="log to stderr: -v for notices such as skipped checks, -vv also for debug detail",
-    )
+    parser.add_argument(*_VERBOSE[0], **_VERBOSE[2])
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    p_red = subs.add_parser("reduce", help="reduce a network file to its final state report")
-    p_red.add_argument("network", help="network description JSON file")
-    p_red.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_common(p_red)
-    p_red.set_defaults(func=cmd_reduce)
-
-    p_ver = subs.add_parser("verify", help="run randomized property checks")
-    p_ver.add_argument(
-        "selector",
-        nargs="?",
-        default="all",
-        help="group (all, lemmas, theorems, amgm, counterexample) or one check name",
-    )
-    p_ver.add_argument("--d", type=int, default=2, help="link dimension (default 2)")
-    p_ver.add_argument("--trials", type=int, default=1000)
-    p_ver.add_argument("--seed", type=int, default=None, help=f"root seed (default ${_SEED_ENV} or 0)")
-    p_ver.add_argument("--tol", type=float, default=1e-9, help="violation slack tolerance")
-    p_ver.add_argument(
-        "--povm-size",
-        type=int,
-        default=None,
-        help="sampled measurement element count (default: dimension squared)",
-    )
-    _add_common(p_ver)
-    p_ver.set_defaults(func=cmd_verify)
-
-    p_out = subs.add_parser("outcomes", help="enumerate swap outcomes of two links in series")
-    p_out.add_argument("network", nargs="?", default=None, help="two-link chain network file")
-    p_out.add_argument(
-        "--links",
-        nargs=2,
-        metavar=("LA", "LB"),
-        help="two comma-separated Schmidt vectors, e.g. 0.9,0.1 0.9,0.1",
-    )
-    p_out.add_argument(
-        "--povm",
-        default="deterministic",
-        help="deterministic, bell, or random[:K] (default deterministic)",
-    )
-    p_out.add_argument("--seed", type=int, default=None, help=f"seed for random measurements (default ${_SEED_ENV} or 0)")
-    _add_common(p_out)
-    p_out.set_defaults(func=cmd_outcomes)
+    for name, (text, func, table) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=text)
+        for flags, _, kw in table:
+            sub.add_argument(*flags, **kw)
+        sub.set_defaults(func=func)
     return parser
+
+
+def _read(argv):
+    """`vars(build_parser().parse_args(argv))` as a namespace, for the
+    argv that every supported Python parses alike: -v, -vv or --verbose,
+    the subcommand, then its exact flags, each value its own token, and
+    its positionals (an optional one before any flag).  None for any
+    other argv, which argparse answers: help, version, abbreviations,
+    --opt=value, --, dash-led values and every error."""
+    i = 0
+    while i < len(argv) and argv[i] in _VERBOSE_COUNTS:
+        i += 1
+    if i == len(argv) or argv[i] not in _COMMANDS:
+        return None
+    _, func, table = _COMMANDS[argv[i]]
+    ns = {"verbose": sum(_VERBOSE_COUNTS[tok] for tok in argv[:i]), "subcommand": argv[i], "func": func}
+    options, positionals = {}, []
+    for flags, dest, kw in table:
+        ns[dest] = kw.get("default", False if kw.get("action") == "store_true" else None)
+        if flags[0][0] == "-":
+            options.update(dict.fromkeys(flags, (dest, kw)))
+        else:
+            positionals.append((dest, kw))
+    rest = iter(argv[i + 1 :])
+    flagged = False
+    for tok in rest:
+        if tok[:1] == "-":
+            if tok not in options:
+                return None
+            dest, kw = options[tok]
+            flagged = True
+            if kw.get("action") == "store_true":
+                ns[dest] = True
+                continue
+            # a value missing at the end reads as "-", which defers
+            values = [next(rest, "-") for _ in range(kw.get("nargs") or 1)]
+            if any(v[:1] == "-" for v in values):
+                return None
+            try:
+                values = [kw.get("type", str)(v) for v in values]
+            except ValueError:
+                return None
+            if "choices" in kw and any(v not in kw["choices"] for v in values):
+                return None
+            ns[dest] = values if kw.get("nargs") else values[0]
+        elif positionals and not (flagged and positionals[0][1].get("nargs") == "?"):
+            ns[positionals.pop(0)[0]] = tok
+        else:
+            return None
+    if any(kw.get("nargs") != "?" for _, kw in positionals):
+        return None
+    return types.SimpleNamespace(**ns)
 
 
 @contextlib.contextmanager
@@ -412,14 +475,17 @@ def _log_to_stderr(verbosity: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
+def _parser():
     """The parser of this process, built on the first call: parsing
     leaves it unchanged, so every `main` call can share it."""
     return build_parser()
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read(argv)
+    if args is None:
+        args = _parser().parse_args(argv)
     with _log_to_stderr(args.verbose):
         try:
             return args.func(args)

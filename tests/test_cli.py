@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 
+import _argv_cases
 import pytest
 
 from qnetdet import checks, cli, network
@@ -400,6 +401,22 @@ class TestOutcomes:
         total = sum(e["probability"] for e in doc["outcomes"])
         assert total == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["outcomes"], "qnetdet: provide a network file or --links\n"),
+            (
+                ["outcomes", "networks/chain.json", "--links", "0.9,0.1", "0.9,0.1"],
+                "qnetdet: provide a network file or --links, not both\n",
+            ),
+        ],
+        ids=["neither", "both"],
+    )
+    def test_network_or_links(self, run, capsys, argv, err):
+        code, text = run(*argv)
+        assert (code, text) == (EXIT_USAGE, "")
+        assert capsys.readouterr().err == err
+
     def test_bell_needs_qubits(self, run, capsys):
         code, _ = run("outcomes", "--links", "0.5,0.3,0.2", "0.6,0.3,0.1", "--povm", "bell")
         assert code == EXIT_INVALID_POVM
@@ -621,38 +638,50 @@ def _fresh(repo_root, argv):
 # modules that a cold `reduce` at d <= 3 does not run
 _NOT_FOR_REDUCE = {"dataclasses", "inspect", "logging", "datetime", "csv", "typing"}
 
+# what argparse loads; only an argv that `cli` does not read itself needs it
+_ARGPARSE = {"argparse", "gettext", "locale"}
+
+# the plain argv of the cold-start tests, with their exit codes and the
+# flag modules they may load
+COLD_REDUCE = {
+    "json": (["reduce", "networks/chain.json"], EXIT_OK, set()),
+    "csv": (["reduce", "networks/parallel_then_series.json", "--format", "csv"], EXIT_OK, set()),
+    "pretty": (["reduce", "networks/nested_qutrit.json", "--pretty"], EXIT_OK, set()),
+    "verbose": (["-vv", "reduce", "networks/triangle.json"], EXIT_OK, {"logging"}),
+    "bridge": (["reduce", "networks/bridge.json"], EXIT_NOT_SERIES_PARALLEL, set()),
+    "info": (["-v", "reduce", "networks/triangle.json"], EXIT_OK, {"logging"}),
+    "timestamp": (["reduce", "networks/chain.json", "--timestamp"], EXIT_OK, {"datetime"}),
+}
+COLD_NUMPY = {
+    "verify": ["verify", "reverse_amgm", "--trials", "5"],
+    "outcomes-bell": ["outcomes", "--links", "0.9,0.1", "0.9,0.1", "--povm", "bell"],
+    "outcomes-random": ["outcomes", "networks/chain.json", "--povm", "random:6", "--seed", "5"],
+}
+
 
 class TestColdStart:
     """`reduce` runs without numpy, and loads a module that serves one
     flag only when that flag is given; the commands that need numpy
-    load it."""
+    load it.  No plain argv loads argparse."""
 
     def test_import_loads_no_numpy(self, repo_root):
         got = _fresh(repo_root, None)
         assert got["numpy"] is False
-        assert not set(got["new"]) & _NOT_FOR_REDUCE
+        assert not set(got["new"]) & (_NOT_FOR_REDUCE | _ARGPARSE)
 
     @pytest.mark.parametrize(
         "argv, code, allowed",
-        [
-            (["reduce", "networks/chain.json"], EXIT_OK, set()),
-            (["reduce", "networks/parallel_then_series.json", "--format", "csv"], EXIT_OK, set()),
-            (["reduce", "networks/nested_qutrit.json", "--pretty"], EXIT_OK, set()),
-            (["-vv", "reduce", "networks/triangle.json"], EXIT_OK, {"logging"}),
-            (["reduce", "networks/bridge.json"], EXIT_NOT_SERIES_PARALLEL, set()),
-            (["--help"], EXIT_OK, set()),
-            (["-v", "reduce", "networks/triangle.json"], EXIT_OK, {"logging"}),
-            (["reduce", "networks/chain.json", "--timestamp"], EXIT_OK, {"datetime"}),
-        ],
-        ids=["json", "csv", "pretty", "verbose", "bridge", "help", "info", "timestamp"],
+        [*COLD_REDUCE.values(), (["--help"], EXIT_OK, _ARGPARSE)],
+        ids=[*COLD_REDUCE, "help"],
     )
     def test_reduce_loads_no_numpy(self, repo_root, argv, code, allowed):
         got = _fresh(repo_root, argv)
         assert got["code"] == code
         assert got["out"] or got["err"]
         assert got["numpy"] is False
-        assert set(got["new"]) & _NOT_FOR_REDUCE <= allowed
-        assert allowed <= set(got["all"])
+        assert set(got["new"]) & (_NOT_FOR_REDUCE | _ARGPARSE) <= allowed
+        # what argparse itself imports differs from one Python to the next
+        assert allowed - {"gettext", "locale"} <= set(got["all"])
 
     @pytest.mark.parametrize(
         "flag, err",
@@ -671,20 +700,13 @@ class TestColdStart:
         assert got["err"] == err
         assert got["out"] == _fresh(repo_root, ["reduce", "networks/triangle.json"])["out"]
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["verify", "reverse_amgm", "--trials", "5"],
-            ["outcomes", "--links", "0.9,0.1", "0.9,0.1", "--povm", "bell"],
-            ["outcomes", "networks/chain.json", "--povm", "random:6", "--seed", "5"],
-        ],
-        ids=["verify", "outcomes-bell", "outcomes-random"],
-    )
+    @pytest.mark.parametrize("argv", COLD_NUMPY.values(), ids=COLD_NUMPY)
     def test_numpy_commands_still_run(self, repo_root, argv):
         got = _fresh(repo_root, argv)
         assert got["code"] == EXIT_OK, got["err"]
         assert json.loads(got["out"])["manifest"]["subcommand"] == argv[0]
         assert got["numpy"] is True
+        assert not set(got["new"]) & _ARGPARSE
 
     def test_verify_loads_no_dataclasses(self, repo_root):
         # its config and reports are __slots__ records, as the value classes are
@@ -729,8 +751,9 @@ class TestBlasThreads:
 
 
 class TestParserReuse:
-    """`main` builds its argument parser once per process, and reusing it
-    changes no output byte and no logger state."""
+    """`main` builds its argument parser at most once per process, only
+    for an argv it does not read itself, and reusing the parser changes
+    no output byte and no logger state."""
 
     SEQUENCE = [
         ["-vv", "reduce", "networks/triangle.json"],
@@ -742,6 +765,12 @@ class TestParserReuse:
         ["-v", "verify", "all", "--d", "3", "--trials", "2"],
         ["reduce", "networks/bridge.json"],
         ["outcomes", "--links", "0.9,0.1", "0.9,0.1", "--povm", "bell", "--pretty"],
+    ]
+    # argv that only argparse reads: an option with its value after "=",
+    # and an abbreviated option
+    ARGPARSE = [
+        ["reduce", "networks/chain.json", "--format=csv"],
+        ["reduce", "networks/triangle.json", "--pre"],
     ]
 
     def test_successive_calls_match_fresh_runs(self, monkeypatch, repo_root, capsys):
@@ -757,12 +786,54 @@ class TestParserReuse:
         monkeypatch.setattr(cli, "build_parser", counted)
         package = logging.getLogger("qnetdet")
         try:
-            for argv in self.SEQUENCE:
-                code = main(argv)
-                captured = capsys.readouterr()
-                fresh = _fresh(repo_root, argv)
-                assert (code, captured.out, captured.err) == (fresh["code"], fresh["out"], fresh["err"]), argv
-                assert [package.level, len(package.handlers)] == fresh["logger"], argv
+            # the plain sequence builds nothing; the argparse argv build
+            # the parser once, and the argv after them reuse it
+            for argvs, builds in ((self.SEQUENCE, 0), ([*self.ARGPARSE, *self.SEQUENCE[:2]], 1)):
+                for argv in argvs:
+                    code = main(argv)
+                    captured = capsys.readouterr()
+                    fresh = _fresh(repo_root, argv)
+                    assert (code, captured.out, captured.err) == (fresh["code"], fresh["out"], fresh["err"]), argv
+                    assert [package.level, len(package.handlers)] == fresh["logger"], argv
+                    assert len(built) <= 1, argv
+                assert len(built) == builds
         finally:
             cli._parser.cache_clear()
-        assert len(built) == 1
+
+
+class TestReader:
+    """`main` reads plain argv without argparse, to the namespace
+    argparse would return, and defers every other argv to it."""
+
+    def test_agrees_with_argparse_on_the_corpus(self):
+        cases = _argv_cases.corpus()
+        bad, answered = _argv_cases.disagreements(cases)
+        assert bad == []
+        # both routes are exercised
+        assert 0 < answered < len(cases)
+
+    def test_answers_the_tested_and_benchmarked_argv(self):
+        plain = [
+            *_argv_cases.ANSWERED,
+            *(argv for argv, _, _ in COLD_REDUCE.values()),
+            *COLD_NUMPY.values(),
+            *TestParserReuse.SEQUENCE,
+        ]
+        assert [argv for argv in plain if cli._read(argv) is None] == []
+        assert _argv_cases.disagreements(plain) == ([], len(plain))
+        assert [argv for argv in TestParserReuse.ARGPARSE if cli._read(argv) is not None] == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--help"],
+            ["--version"],
+            ["reduce", "-h"],
+            ["verify", "--seed", "-3"],
+            ["outcomes", "--links", "-0.1,1.1", "0.5,0.5"],
+            ["verify", "--", "all"],
+            ["verify", "--d", "3", "all"],
+        ],
+    )
+    def test_defers(self, argv):
+        assert cli._read(argv) is None
