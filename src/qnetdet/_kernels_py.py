@@ -4,16 +4,14 @@ All kernels operate on flat Python lists and are sized for the small
 vectors and matrices this package needs.  Library code reaches them
 through qnetdet.backend.kernels.
 
-swap_sv is the series rule at d = 1 and 3 (see rules._series).  At
-d = 3 it takes the singular values of the 3 x 3 matrix
+rules._series picks the series rule's route for every d; swap_sv is its
+d = 3 route.  It takes the singular values of the 3 x 3 matrix
 diag(sqrt x) F diag(sqrt y) from sv_desc, a one-sided Jacobi sweep on
 columns, straight-lined for that shape: columns, their conjugates and
 their squared norms held in locals, no index arithmetic.  It stops on a
 relative criterion per column pair and keeps small singular values at
 high relative accuracy: within 1.6e-15 relative of 60-digit values on
-entries spread down to 1e-12.  The rule at d = 2 is a closed form in
-rules and from d = 4 up one LAPACK SVD; measurement outcomes go through
-one stacked LAPACK SVD (rules._outcome_spectra).
+entries spread down to 1e-12.
 
 Recorded digests pin the bits of sv_desc and swap_sv, per kind of
 seeded input in tier-1 and over 100,000 seeded cases under each
@@ -39,14 +37,13 @@ MAX_SWEEPS = 60
 _NORMAL_MIN = sys.float_info.min
 
 
-def sv_desc(rows, cols, a):
+def sv_desc(a):
     """Singular values of a 3 x 3 complex matrix, descending.
 
-    `a` is the row-major flat sequence of its nine complex entries;
-    rows and cols must both be 3, the series rule's shape at d = 3, the
-    only one the library needs.  One-sided Jacobi on the columns u, v,
-    w, each held as three entries with their conjugates and squared
-    norm nu, nv, nw, rotating the pairs (u, v), (u, w), (v, w) in every
+    `a` is the row-major flat sequence of its nine complex entries, the
+    series rule's matrix at d = 3 (see swap_sv).  One-sided Jacobi on
+    the columns u, v, w, each held as three entries with their
+    conjugates and squared norm nu, nv, nw, rotating the pairs (u, v), (u, w), (v, w) in every
     sweep.  A pair is left as it is once its overlap g is at most
     OFF_TOL times the product of the two column norms, taken as
     sqrt(nu * nv) where that product is a normal float and as
@@ -70,14 +67,7 @@ def sv_desc(rows, cols, a):
     A product of squared norms that overflows (column norms near 1e154)
     is outside the range this serves: the series rule's entries are at
     most 1.
-
-    Raises
-    ------
-    ValueError
-        A shape other than 3 x 3.
     """
-    if rows != 3 or cols != 3:
-        raise ValueError(f"sv_desc serves the 3 x 3 shape only, not {rows} x {cols}")
     u0, v0, w0, u1, v1, w1, u2, v2, w2 = a
     cu0, cu1, cu2 = u0.conjugate(), u1.conjugate(), u2.conjugate()
     cv0, cv1, cv2 = v0.conjugate(), v1.conjugate(), v2.conjugate()
@@ -176,24 +166,15 @@ _RD3 = 1.0 / math.sqrt(3)
 
 
 def swap_sv(x, y):
-    """Series rule spectrum at d = 1 and 3, on descending inputs.
+    """Series rule spectrum at d = 3, on descending inputs.
 
-    x and y are descending sequences of nonnegative floats of one
-    length.  At d = 3 the result is 3 times the squared singular values
-    of diag(sqrt x) F diag(sqrt y), with F the unit-modulus Fourier
-    matrix (1-based indices) and x on the rows, from one sv_desc call;
-    at d = 1 it is x * y.  A descending list with total sum(x) * sum(y).
-
-    Raises
-    ------
-    ValueError
-        A length other than 1 or 3.
+    x and y are descending sequences of three nonnegative floats;
+    rules._series, which picks the route for every d, sends only these.
+    The result is 3 times the squared singular values of
+    diag(sqrt x) F diag(sqrt y), with F the unit-modulus Fourier matrix
+    (1-based indices) and x on the rows, from one sv_desc call: a
+    descending list with total sum(x) * sum(y).
     """
-    d = len(x)
-    if d == 1:
-        return [x[0] * y[0]]
-    if d != 3:
-        raise ValueError(f"swap_sv serves d = 1 and 3 only, not d = {d}")
     x0, x1, x2 = x
     y0, y1, y2 = y
     sqrt = math.sqrt
@@ -205,7 +186,7 @@ def swap_sv(x, y):
     ry2 = sqrt(y2) if y2 > 0.0 else 0.0
     rd = _RD3
     f0, f1, f2, f3, f4, f5, f6, f7, f8 = _F3
-    s0, s1, s2 = sv_desc(3, 3, (
+    s0, s1, s2 = sv_desc((
         rx0 * ry0 * rd * f0, rx0 * ry1 * rd * f1, rx0 * ry2 * rd * f2,
         rx1 * ry0 * rd * f3, rx1 * ry1 * rd * f4, rx1 * ry2 * rd * f5,
         rx2 * ry0 * rd * f6, rx2 * ry1 * rd * f7, rx2 * ry2 * rd * f8,

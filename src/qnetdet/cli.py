@@ -17,7 +17,7 @@ imported where that flag is handled: `logging` for -v, `datetime` for
 --timestamp.  A plain argv (the subcommand, its exact flags with each
 value its own token, its positionals) is read by `_read` from the
 option table `_COMMANDS`; argparse, built from the same table, is
-imported and built only for any other argv, once per process, and
+imported only for any other argv, built afresh for each such argv, and
 prints the help, the version and every usage error.  So a cold
 `qnetdet reduce` imports the package, `json` and what it imports on
 top of the interpreter, and no `argparse` (nor its `gettext` and
@@ -26,7 +26,6 @@ From d = 4 up the series rule loads numpy for its SVD.
 """
 
 import contextlib
-import functools
 import gc
 import os
 import sys
@@ -474,18 +473,11 @@ def _log_to_stderr(verbosity: int):
         package.setLevel(level)
 
 
-@functools.lru_cache(maxsize=None)
-def _parser():
-    """The parser of this process, built on the first call: parsing
-    leaves it unchanged, so every `main` call can share it."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _read(argv)
     if args is None:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     with _log_to_stderr(args.verbose):
         try:
             return args.func(args)

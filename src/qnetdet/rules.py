@@ -88,15 +88,6 @@ class Povm(Frozen):
         return iter(self.elements)
 
 
-# The series rule goes through one LAPACK SVD from this dimension up.
-# Below it, d = 2 is a closed form and d = 3 kernels.swap_sv, a pure-Python
-# one-sided Jacobi sweep straight-lined for the 3 x 3 shape, so that
-# reducing a network of d <= 3 never loads numpy and its cold start
-# stays short.  Every route keeps small entries at a few ulps relative
-# (see swap_rule).
-SERIES_LAPACK_MIN_D = 4
-
-
 @functools.lru_cache(maxsize=None)
 def _fourier(d: int):
     """The d x d Fourier matrix with 1-based indices and unit-modulus
@@ -144,17 +135,21 @@ def _series(xs, ys) -> list:
     nonnegative floats of one length d, both lists or both tuples; a
     descending list with total sum(xs) * sum(ys).
 
-    No route is bitwise symmetric in its operands, so the two vectors
-    are ordered once, for every route: the flatter vector (larger
-    min/max; ties broken by the entries) comes first, as x, and swapping
-    the arguments returns the same bits.
+    The one function that picks the series route, by d.  Up to d = 3 no
+    route loads numpy, so reducing such a network keeps its cold start
+    short; every route keeps small entries at a few ulps relative (see
+    swap_rule).  No route is bitwise symmetric in its operands, so the
+    two vectors are ordered once, for every route: the flatter vector
+    (larger min/max; ties broken by the entries) comes first, as x, and
+    swapping the arguments returns the same bits.
 
-    * d = 2: the closed form _series_qubit; no kernel, no numpy.
-    * d = 1, 3: kernels.swap_sv, which takes the descending vectors as
-      they are; at d = 3 it builds diag(sqrt x) F diag(sqrt y), x on
-      the rows, and takes its singular values from kernels.sv_desc, a
-      one-sided Jacobi sweep in pure Python, straight-lined for 3 x 3.
-    * d >= SERIES_LAPACK_MIN_D: the squared singular values of
+    * d = 1: the product x * y; no kernel.
+    * d = 2: the closed form _series_qubit; no kernel.
+    * d = 3: kernels.swap_sv, which takes the descending vectors as they
+      are, builds diag(sqrt x) F diag(sqrt y), x on the rows, and takes
+      its singular values from kernels.sv_desc, a one-sided Jacobi sweep
+      in pure Python, straight-lined for 3 x 3.
+    * d >= 4: the squared singular values of
       diag(sqrt x) F diag(sqrt y) (F from _fourier, x on the rows), from
       one np.linalg.svd call.  Zero entries are dropped from the matrix,
       so the output has exactly d - min(#nonzero x, #nonzero y) trailing
@@ -164,9 +159,11 @@ def _series(xs, ys) -> list:
     if (_flatness(ys), ys) > (_flatness(xs), xs):
         xs, ys = ys, xs
     d = len(xs)
+    if d == 1:
+        return [xs[0] * ys[0]]
     if d == 2:
         return _series_qubit(xs, ys)
-    if d < SERIES_LAPACK_MIN_D:
+    if d == 3:
         return kernels.swap_sv(xs, ys)
     import numpy as np
 
@@ -185,8 +182,9 @@ def swap_rule(x: SchmidtVector, y: SchmidtVector) -> SchmidtVector:
 
     Equals the squared singular values of diag(sqrt(x)) F diag(sqrt(y)),
     renormalized, with F the unit-modulus Fourier matrix and both
-    vectors sorted descending.  Three routes compute it (see _series),
-    each accurate to a few ulps relative on every entry, small ones
+    vectors sorted descending.  _series, the one function that picks
+    the route, takes the product at d = 1 and one of three routes above
+    it, each accurate to a few ulps relative on every entry, small ones
     included: against 60-digit values, over 150 pairs per d of entries
     spread down to 1e-12 and of near-uniform links, the worst relative
     error of an output entry is
@@ -259,13 +257,6 @@ def purify_rule(x, d: int) -> SchmidtVector:
     return _unit(kernels.purify_kernel(xs, d))
 
 
-def _descending(x):
-    """The entries of x in descending order: a SchmidtVector's tuple as
-    it is, any other iterable read by ``_values_of`` and sorted."""
-    vals = _values_of(x)
-    return vals if type(vals) is tuple else sorted(vals, reverse=True)
-
-
 def conversion_probability(source: SchmidtVector, target: SchmidtVector) -> float:
     """Greatest probability of converting the source pure state into the
     target by local operations and classical communication.
@@ -291,8 +282,8 @@ def conversion_probability(source: SchmidtVector, target: SchmidtVector) -> floa
     NonFiniteEntry
         A total, once compared, overflows or adds infinities of both signs.
     """
-    src = _descending(source)
-    return _source_walk(src, _target_side(_descending(target), len(src)))
+    src = sorted(_values_of(source), reverse=True)
+    return _source_walk(src, _target_side(sorted(_values_of(target), reverse=True), len(src)))
 
 
 def _target_side(tgt, m: int) -> tuple:

@@ -196,7 +196,7 @@ def pins(n):
         y = rng.choice(links)(rng)
         pairs.add((x, y), hexes(library_swap_sv(x, y)))
         m = rng.choice(matrices)(rng)
-        raw.add(m, hexes(kpy.sv_desc(3, 3, m)))
+        raw.add(m, hexes(kpy.sv_desc(m)))
     return {"link pairs": pairs, "matrices": raw}
 
 

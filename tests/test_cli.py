@@ -6,6 +6,7 @@ import json
 import logging
 import math
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -25,14 +26,11 @@ from qnetdet.cli import (
 )
 from qnetdet.rules import Povm, bell_povm_d2
 
-GOLDEN_REDUCE = [
-    "single_link",
-    "chain",
-    "parallel_pair",
-    "triangle",
-    "parallel_then_series",
-    "nested_qutrit",
-]
+# the bundled networks with a reduce golden, named by the golden files
+GOLDEN_REDUCE = sorted(
+    path.stem.removeprefix("reduce_")
+    for path in (pathlib.Path(__file__).resolve().parent / "golden").glob("reduce_*.json")
+)
 
 
 @pytest.fixture
@@ -63,6 +61,14 @@ class TestReduceGoldens:
         assert code == EXIT_OK
         expected = (golden_dir / "reduce_parallel_then_series.csv").read_text(encoding="utf-8")
         assert text == expected
+
+    def test_every_golden_has_a_command(self, repo_root, golden_dir):
+        # the goldens are exactly those the byte comparisons here and in
+        # TestOutcomes read, and each reduce golden has its network
+        compared = {f"reduce_{name}.json" for name in GOLDEN_REDUCE}
+        compared |= {"reduce_parallel_then_series.csv", "outcomes_bell.json"}
+        assert {path.name for path in golden_dir.iterdir()} == compared
+        assert [name for name in GOLDEN_REDUCE if not (repo_root / "networks" / f"{name}.json").is_file()] == []
 
     @pytest.mark.parametrize("name", GOLDEN_REDUCE)
     def test_json_validates_against_schema(self, run, schema_validator, name):
@@ -751,9 +757,9 @@ class TestBlasThreads:
 
 
 class TestParserReuse:
-    """`main` builds its argument parser at most once per process, only
-    for an argv it does not read itself, and reusing the parser changes
-    no output byte and no logger state."""
+    """`main` builds no argument parser for an argv it reads itself and
+    one for each argv it defers to argparse, and successive calls in one
+    process change no output byte and no logger state."""
 
     SEQUENCE = [
         ["-vv", "reduce", "networks/triangle.json"],
@@ -782,23 +788,16 @@ class TestParserReuse:
             built.append(1)
             return build()
 
-        cli._parser.cache_clear()
         monkeypatch.setattr(cli, "build_parser", counted)
         package = logging.getLogger("qnetdet")
-        try:
-            # the plain sequence builds nothing; the argparse argv build
-            # the parser once, and the argv after them reuse it
-            for argvs, builds in ((self.SEQUENCE, 0), ([*self.ARGPARSE, *self.SEQUENCE[:2]], 1)):
-                for argv in argvs:
-                    code = main(argv)
-                    captured = capsys.readouterr()
-                    fresh = _fresh(repo_root, argv)
-                    assert (code, captured.out, captured.err) == (fresh["code"], fresh["out"], fresh["err"]), argv
-                    assert [package.level, len(package.handlers)] == fresh["logger"], argv
-                    assert len(built) <= 1, argv
-                assert len(built) == builds
-        finally:
-            cli._parser.cache_clear()
+        for argv in [*self.SEQUENCE, *self.ARGPARSE, *self.SEQUENCE[:2]]:
+            built.clear()
+            code = main(argv)
+            captured = capsys.readouterr()
+            fresh = _fresh(repo_root, argv)
+            assert (code, captured.out, captured.err) == (fresh["code"], fresh["out"], fresh["err"]), argv
+            assert [package.level, len(package.handlers)] == fresh["logger"], argv
+            assert len(built) == (argv in self.ARGPARSE), argv
 
 
 class TestReader:

@@ -13,7 +13,6 @@ import pytest
 from _digests import check
 
 from qnetdet import checks
-from qnetdet import cli
 from qnetdet._jsonio import format_float, render_json
 from qnetdet.network import report
 from qnetdet.sampling import random_network, substream
@@ -173,21 +172,6 @@ class TestDifferential:
         assert render_json(doc) == '{"output": [0.9, 0.1], "next": {"inputs": [[0.9, 0.1], [0.9, 0.1]]}, "again": [0.9, 0.1]}\n'
         vec[0] = 0.8
         assert render_json(doc) == '{"output": [0.8, 0.1], "next": {"inputs": [[0.8, 0.1], [0.8, 0.1]]}, "again": [0.8, 0.1]}\n'
-
-    def test_goldens(self, monkeypatch, repo_root, golden_dir, tmp_path):
-        """Every JSON golden, from the command that wrote it."""
-        monkeypatch.chdir(repo_root)
-        commands = {
-            f"reduce_{path.stem}.json": ["reduce", f"networks/{path.stem}.json"]
-            for path in sorted((repo_root / "networks").glob("*.json"))
-            if (golden_dir / f"reduce_{path.stem}.json").exists()
-        }
-        commands["outcomes_bell.json"] = ["outcomes", "--links", "0.9,0.1", "0.9,0.1", "--povm", "bell"]
-        assert {p.name for p in golden_dir.glob("*.json")} == set(commands)
-        for golden, argv in commands.items():
-            out = tmp_path / golden
-            assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_OK
-            assert out.read_text(encoding="utf-8") == (golden_dir / golden).read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_random_reports(self, d):

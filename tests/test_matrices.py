@@ -115,7 +115,7 @@ class TestJacobi3x3:
         seed = f"sv3/{kind}"
         rng = random.Random(seed)
         draws = [cases.MATRIX_KINDS[kind](rng) for _ in range(100)]
-        check(DIGESTS, seed, draws, lambda m: cases.hexes(kpy.sv_desc(3, 3, m)))
+        check(DIGESTS, seed, draws, lambda m: cases.hexes(kpy.sv_desc(m)))
 
     @pytest.mark.parametrize("x_kind", sorted(cases.LINK_KINDS))
     @pytest.mark.parametrize("y_kind", sorted(cases.LINK_KINDS))
@@ -124,32 +124,6 @@ class TestJacobi3x3:
         rng = random.Random(seed)
         draws = [(cases.LINK_KINDS[x_kind](rng), cases.LINK_KINDS[y_kind](rng)) for _ in range(30)]
         check(DIGESTS, seed, draws, lambda xy: cases.hexes(cases.library_swap_sv(*xy)))
-
-    def test_only_the_3x3_shape_leaves_the_generic_loop(self, monkeypatch):
-        # the library keeps the 3 x 3 sweep alone; swap_sv reaches it
-        # through the module name sv_desc, which the profiler wraps, once
-        # per call at d = 3 and not at d = 1
-        sweep = kpy.sv_desc
-        shapes = []
-
-        def spy(rows, cols, a):
-            shapes.append((rows, cols))
-            return sweep(rows, cols, a)
-
-        monkeypatch.setattr(kpy, "sv_desc", spy)
-        kpy.swap_sv([0.5, 0.3, 0.2], [0.6, 0.3, 0.1])
-        kpy.swap_sv([1.0], [1.0])
-        assert shapes == [(3, 3)]
-
-    def test_other_shapes_and_dimensions_raise(self):
-        rng = random.Random("sv3/shapes")
-        m = cases.MATRIX_KINDS["gaussian"](rng)
-        for rows, cols, a in ((3, 2, m[:6]), (2, 3, m[:6]), (4, 4, m + m[:7])):
-            with pytest.raises(ValueError, match="3 x 3"):
-                kpy.sv_desc(rows, cols, a)
-        for x, y in (([0.5, 0.5], [0.9, 0.1]), ([0.25] * 4, [0.4, 0.3, 0.2, 0.1]), ([], [])):
-            with pytest.raises(ValueError, match="d = 1 and 3"):
-                kpy.swap_sv(x, y)
 
     def test_complex_square_is_the_sum_of_squared_parts(self):
         # sv_desc squares an entry as (z * z.conjugate()).real, the loop

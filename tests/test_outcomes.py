@@ -266,7 +266,7 @@ def test_enumerate_makes_one_stacked_svd(monkeypatch):
         return svd(*args, **kwargs)
 
     def sv_desc_spy(*args):
-        sv_desc_calls.append(args[:2])
+        sv_desc_calls.append(args)
         return sv_desc(*args)
 
     monkeypatch.setattr(np.linalg, "svd", svd_spy)

@@ -301,18 +301,20 @@ class TestSeriesRouteEdges:
 
 @pytest.mark.parametrize(
     "d, route",
-    [(2, {}), (3, {"swap_sv": 1, "sv_desc": 1}), (4, {"svd": 1}), (8, {"svd": 1})],
-    ids=["2", "3", "4", "8"],
+    [(1, []), (2, []), (3, ["swap_sv", "sv_desc"]), (4, ["svd"]), (8, ["svd"])],
+    ids=["1", "2", "3", "4", "8"],
 )
 def test_series_route_by_dimension(monkeypatch, d, route):
-    # d = 2 is the closed form, with no kernel; d = 3 is one swap_sv;
-    # from d = 4 up each swap is one LAPACK SVD
+    # rules._series picks every route: d = 1 is the product and d = 2 the
+    # closed form, with no kernel; d = 3 is one swap_sv, which reaches
+    # sv_desc through the module name the profiler wraps; from d = 4 up
+    # each swap is one LAPACK SVD
     names = ("swap_eig", "eigh_desc", "swap_sv", "sv_desc")
-    calls = dict.fromkeys(("svd", *names), 0)
+    calls = []
 
     def count(key, fn):
         def counted(*args, **kwargs):
-            calls[key] += 1
+            calls.append(key)
             return fn(*args, **kwargs)
 
         return counted
@@ -322,7 +324,10 @@ def test_series_route_by_dimension(monkeypatch, d, route):
         monkeypatch.setattr(kernels, name, count(name, getattr(kernels, name)))
     x = SchmidtVector([1.0 / d] * d)
     swap_rule(x, x)
-    assert calls == {**dict.fromkeys(calls, 0), **route}
+    assert calls == route
+    # raw uniform operands of totals 2 d and 3 d give 6 d per entry: at
+    # d = 1 the product 2.0 * 3.0
+    assert _swap_raw([2.0] * d, [3.0] * d) == pytest.approx([6.0 * d] * d, rel=1e-13)
 
 
 class TestAssociativity:
