@@ -19,9 +19,10 @@ to one A-B edge, read off its series-parallel decomposition tree
 Edges are ordered by id: the network's edges in input order, then the
 edges the moves create, in emission order.  Each step costs time linear
 in the network's size, with no recursion: a 4001-edge qubit ladder,
-2000 levels deep, decomposes in about 29 ms on a shared 2-CPU virtual
-machine (median of 15), and a cold `qnetdet reduce` of one costs about
-40 us per edge at 10^4 edges and 34 us at 10^5 (median of 7).
+2000 levels deep, decomposes in about 15 ms on a shared 2-CPU Xeon
+virtual machine (median of 15), and a cold `qnetdet reduce` of one
+costs about 18.5 us per edge at 10^4 edges and 17.4 us at 10^5, with
+a peak of about 1.9 KB per edge (medians of 5, Python 3.11).
 
 The reduction folds these moves over the links.  A series move swaps
 its two vectors.  A parallel move folds its bundle pairwise, members in
@@ -30,7 +31,10 @@ them): each member joins the running vector in a d*d tensor product
 that is purified back to d entries.  That costs O(k d^2 log d) for k
 links and equals purifying the full d^k product (the
 lemma_parallel_fold check of the verification suite), and no order of
-the bundle's edges changes a bit of it.  The order of a chain's folds
+the bundle's edges changes a bit of it.  At d = 2 each step is a closed
+form on floats, rules._purify_qubit, with the bits of purify_rule on
+the four products, and the bundle makes one vector; above d = 2 each
+step is a purify_rule call.  The order of a chain's folds
 is part of the answer, because from dimension 4 on the series rule is
 not associative (pinned by tests/test_rules.py::TestAssociativity and
 acceptance criterion 08); the reduction_invariance check of the
@@ -40,11 +44,12 @@ scalar scores into the probabilistic conversion figure, and the
 topology class is read off the move list.
 
 One decomposition and fold feeds `reduce_series_parallel`, `report`
-and `render_report`.  `report` returns the reduction trace as copies
-of the moves, each edge id replaced by a new list of its entries.
+and `render_report`.  Each move is one compact record (see
+`_decompose`); `report` builds the reduction trace's event dicts from
+them, each edge id replaced by a new list of its entries.
 `render_report` writes the JSON text of `qnetdet reduce`, byte for
 byte `render_json({"manifest": manifest, **report(network)})`, with
-the trace written straight from the moves and edge vectors instead.
+the trace written straight from the records and edge vectors instead.
 
 The decomposition logs one DEBUG line to the `qnetdet.network` logger
 (edges dropped, moves by operator, the largest bundle arity), but only
@@ -72,8 +77,8 @@ from .errors import (
     NotSeriesParallel,
     SchemaError,
 )
-from .rules import _source_walk, _target_side, purify_rule, swap_rule
-from .schmidt import _NEG_EPS, SchmidtVector, _concurrences, _unit, normalize_descending
+from .rules import _purify_qubit, _source_walk, _target_side, purify_rule, swap_rule
+from .schmidt import _NEG_EPS, SchmidtVector, _concurrences, _unit, _vector, normalize_descending
 
 
 class TopologyClass(Enum):
@@ -348,18 +353,18 @@ def _emit(root, a, b, next_id):
                 elif y == p:
                     push((s, p, x))
                 else:
-                    push(("series", y, [p, x]))
+                    push(("series", (y, p, x), None))
                     push((s, y, x))
         elif cls is _Bundle:
-            push(("parallel", len(t.parts), [p, q] if p < q else [q, p]))
+            push(("parallel", len(t.parts), (p, q) if p < q else (q, p)))
             for part in sorted(t.parts, key=_key, reverse=True):
                 push((part, p, q))
         else:
             if t == "series":
                 right = done.pop()
-                moves.append({"op": "series", "node": p, "through": q, "inputs": [done.pop(), right], "output": next_id})
+                moves.append(("series", (done.pop(), right, next_id), p))
             else:
-                moves.append({"op": "parallel", "nodes": q, "arity": p, "inputs": done[-p:], "output": next_id})
+                moves.append(("parallel", (*done[-p:], next_id), q))
                 del done[-p:]
             done.append(next_id)
             next_id += 1
@@ -370,10 +375,18 @@ def _decompose(network: QuantumNetwork):
     """Series-parallel decomposition of the network's shape.
 
     Returns (moves, root).  Edge i of the network has id i and every
-    series or parallel move creates the next id.  Each move is the
-    reduction-trace event with edge ids where the trace has vectors:
-    ``inputs`` and ``output`` of a series or parallel move, ``link`` of
-    a dropped edge.  ``root`` is the id of the final A-B edge.
+    series or parallel move creates the next id.  Each move is one
+    record (op, ids, nodes), the reduction-trace event with edge ids
+    where the trace has vectors:
+
+    * ("series", (left, right, output), (node, p, q)): the edges left,
+      from p to node, and right, from node to q, join into output;
+    * ("parallel", (*inputs, output), (p, q)): the bundle of edges
+      between p and q, p < q, in order of their smallest network edge
+      id, joins into output;
+    * ("drop", (link,), (u, v)): the edge link, on no A-B path, goes.
+
+    ``root`` is the id of the final A-B edge.
 
     Raises DisconnectedTerminals when B is unreachable from A and
     NotSeriesParallel when series and parallel moves cannot reduce the
@@ -385,11 +398,7 @@ def _decompose(network: QuantumNetwork):
     if not core:
         raise DisconnectedTerminals(f"no path between {a} and {b}")
     kept = set(core)
-    moves = [
-        {"op": "drop", "nodes": [e.u, e.v], "link": eid}
-        for eid, e in enumerate(edges)
-        if eid not in kept
-    ]
+    moves = [("drop", (eid,), (e.u, e.v)) for eid, e in enumerate(edges) if eid not in kept]
     # reduce the core in any order: each live edge carries its subtree
     graph: dict[str, dict] = {}
     for eid in core:
@@ -427,7 +436,7 @@ def _decompose(network: QuantumNetwork):
         logger = logging.getLogger(__name__)
         if logger.isEnabledFor(logging.DEBUG):
             dropped = len(edges) - len(core)
-            arities = [m["arity"] for m in moves if m["op"] == "parallel"]
+            arities = [len(ids) - 1 for op, ids, _ in moves if op == "parallel"]
             logger.debug(
                 "decomposed %d edges: dropped=%d series_moves=%d parallel_moves=%d max_bundle_arity=%d",
                 len(edges), dropped, len(moves) - dropped - len(arities), len(arities), max(arities, default=0),
@@ -441,13 +450,11 @@ def _fold(moves, values, series_fn, parallel_fn) -> list:
     series or parallel move makes the next id, so its value is appended
     (drop moves make none)."""
     values = list(values)
-    for move in moves:
-        op = move["op"]
+    for op, ids, _ in moves:
         if op == "series":
-            a, b = move["inputs"]
-            values.append(series_fn(values[a], values[b]))
+            values.append(series_fn(values[ids[0]], values[ids[1]]))
         elif op == "parallel":
-            values.append(parallel_fn([values[e] for e in move["inputs"]]))
+            values.append(parallel_fn([values[e] for e in ids[:-1]]))
     return values
 
 
@@ -456,9 +463,20 @@ _ENTRIES = operator.attrgetter("entries")
 
 def _det_parallel(links: list[SchmidtVector]) -> SchmidtVector:
     """Parallel rule on a bundle, folded pairwise in ascending order of
-    the members' vectors; no purify call sees more than d*d entries."""
+    the members' vectors; no step sees more than d*d products.
+
+    At d = 2 each step is the closed form rules._purify_qubit on pairs
+    of floats, with the bits of purify_rule on the four products, and
+    the bundle makes one vector.  Above d = 2 each step is a purify_rule
+    call on the d*d tensor product of the running vector and the next
+    member."""
     acc, *rest = sorted(links, key=_ENTRIES)
     d = len(acc.entries)
+    if d == 2:
+        xs = acc.entries
+        for vec in rest:
+            xs = _purify_qubit(xs, vec.entries)
+        return _vector(xs)
     for vec in rest:
         acc = purify_rule([a * b for a in acc.entries for b in vec.entries], d)
     return acc
@@ -472,19 +490,22 @@ def _folded(network: QuantumNetwork):
 
 
 def _trace(moves, links) -> list[dict]:
-    """The reduction trace: each move as a dict of its own, every edge
-    id in it replaced by a new list of that edge's entries."""
+    """The reduction trace: each move record as an event dict, every
+    edge id in it replaced by a new list of that edge's entries."""
     trace = []
-    for move in moves:
-        event = dict(move)
-        if "link" in event:
-            event["link"] = list(links[event["link"]].entries)
-        else:
-            inputs = [list(links[e].entries) for e in event["inputs"]]
+    for op, ids, nodes in moves:
+        if op == "series":
+            a, b, out = ids
+            node, p, q = nodes
+            ins = [list(links[a].entries), list(links[b].entries)]
+            trace.append({"op": op, "node": node, "through": [p, q], "inputs": ins, "output": list(links[out].entries)})
+        elif op == "parallel":
             # a bundle is listed in the order _det_parallel folds it
-            event["inputs"] = sorted(inputs) if event["op"] == "parallel" else inputs
-            event["output"] = list(links[event["output"]].entries)
-        trace.append(event)
+            ins = sorted([list(links[e].entries) for e in ids[:-1]])
+            out = list(links[ids[-1]].entries)
+            trace.append({"op": op, "nodes": list(nodes), "arity": len(ins), "inputs": ins, "output": out})
+        else:
+            trace.append({"op": op, "nodes": list(nodes), "link": list(links[ids[0]].entries)})
     return trace
 
 
@@ -545,17 +566,17 @@ def _classify(moves) -> TopologyClass:
     series-then-parallel.  A bundle's parts are never bundles and a
     chain's parts never chains, so it is enough to know which operator
     the root move has and which move feeds which."""
-    made = {m["output"]: m["op"] for m in moves if m["op"] != "drop"}
-    feeds = {(made.get(e), m["op"]) for m in moves if m["op"] != "drop" for e in m["inputs"]}
+    made = {ids[-1]: op for op, ids, _ in moves if op != "drop"}
+    feeds = {(made.get(e), op) for op, ids, _ in moves if op != "drop" for e in ids[:-1]}
     if "parallel" not in made.values():
         return TopologyClass.SIMPLE_SERIES
     if "series" not in made.values():
         return TopologyClass.SIMPLE_PARALLEL
-    last = moves[-1]  # the root's move, emitted last
-    if last["op"] == "series" and ("series", "parallel") not in feeds:
+    op, ids, _ = moves[-1]  # the root's move, emitted last
+    if op == "series" and ("series", "parallel") not in feeds:
         return TopologyClass.PARALLEL_THEN_SERIES
-    bare = sum(e not in made for e in last["inputs"])  # network edges
-    if last["op"] == "parallel" and ("parallel", "series") not in feeds and bare <= 1:
+    bare = sum(e not in made for e in ids[:-1])  # network edges
+    if op == "parallel" and ("parallel", "series") not in feeds and bare <= 1:
         return TopologyClass.SERIES_THEN_PARALLEL
     return TopologyClass.SERIES_PARALLEL
 
@@ -616,9 +637,10 @@ def render_report(network: QuantumNetwork, manifest: dict) -> str:
     ``render_json({"manifest": manifest, **report(network)})``.
 
     The head goes through `render_json`.  The trace is written from the
-    moves and edge vectors, without event dicts: the rows of floats of
-    all edge ids are rendered in one `_float_rows` call and each node
-    name once, and each event fills the template of its operator.
+    move records and edge vectors, without event dicts: the rows of
+    floats of all edge ids are rendered in one `_float_rows` call and
+    each node name once, each record adds the template of its operator
+    and its fields, and one `%` fills the joined templates.
 
     Raises
     ------
@@ -629,21 +651,25 @@ def render_report(network: QuantumNetwork, manifest: dict) -> str:
     rows = _float_rows(entries, network.dimension)
     # every node a move names is an edge's end
     names = {n: _string(n) for n in {e.u for e in network.edges} | {e.v for e in network.edges}}
-    events = []
-    for move in moves:
-        op = move["op"]
+    templates = []
+    args = []
+    for op, ids, nodes in moves:
         if op == "series":
-            a, b = move["inputs"]
-            p, q = move["through"]
-            events.append(_SERIES % (names[move["node"]], names[p], names[q], rows[a], rows[b], rows[move["output"]]))
+            a, b, out = ids
+            node, p, q = nodes
+            templates.append(_SERIES)
+            args += (names[node], names[p], names[q], rows[a], rows[b], rows[out])
         elif op == "parallel":
-            p, q = move["nodes"]
+            p, q = nodes
             # a bundle is listed in the order _det_parallel folds it
-            ins = ", ".join([rows[e] for e in sorted(move["inputs"], key=entries.__getitem__)])
-            events.append(_PARALLEL % (names[p], names[q], move["arity"], ins, rows[move["output"]]))
+            ins = ", ".join([rows[e] for e in sorted(ids[:-1], key=entries.__getitem__)])
+            templates.append(_PARALLEL)
+            args += (names[p], names[q], len(ids) - 1, ins, rows[ids[-1]])
         else:
-            p, q = move["nodes"]
-            events.append(_DROP % (names[p], names[q], rows[move["link"]]))
+            p, q = nodes
+            templates.append(_DROP)
+            args += (names[p], names[q], rows[ids[0]])
+    trace = ", ".join(templates) % tuple(args)
     text = render_json({"manifest": manifest, **head})
     # the head ends with "}\n"; the trace is its last key
-    return text[:-2] + ', "reduction_trace": [' + ", ".join(events) + "]}\n"
+    return text[:-2] + ', "reduction_trace": [' + trace + "]}\n"

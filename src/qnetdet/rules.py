@@ -130,6 +130,51 @@ def _series_qubit(xs: list, ys: list) -> list:
     return [top, low] if low <= top else [low, top]
 
 
+def _purify_qubit(xs, ys) -> tuple:
+    """The parallel rule at d = 2 in closed form: the entries of
+    purify_rule([a * b for a in xs for b in ys], 2), for descending
+    pairs xs and ys of nonnegative floats that sum to 1 within 1e-12,
+    as a descending tuple.
+
+    It makes the floating-point operations of purify_kernel and _unit
+    on the four products, so it gives their bits:
+
+    * the products: purify_rule screens them, which leaves nonnegative
+      floats as they are (a product of two is never -0.0), and
+      purify_kernel sorts them.  Rounding is monotone, so x1 >= x2 and
+      y1 >= y2 make top = x1 y1 the largest product and the larger of
+      x1 y2 and x2 y1 the second: srt[0] and srt[1] are top and mid.
+    * s, the fsum of the four products, in any order: fsum is correctly
+      rounded.
+    * entry 0: the kernel's cap s / 2 against srt[0], the larger kept.
+    * entry 1: the cap (s - v0) / 1 against srt[1]; a division by 1 is
+      exact, so the cap is s - v0.
+    * the total: _unit takes the fsum of the two entries, and the
+      correctly rounded sum of two floats is v0 + v1.  It is at least
+      top, which is near 1/4 or more, so _unit's ZeroSum cannot arise.
+    * two divisions by the total, and _unit's descending sort, which
+      leaves them in place: v1 <= v0.  For s, a normal float, s / 2 and
+      s - s / 2 are exact halves, and where top >= s / 2, s - top is
+      exact (Sterbenz) and at most top; mid <= top.  Rounding is
+      monotone, so v1 / total <= v0 / total.
+    """
+    x1, x2 = xs
+    y1, y2 = ys
+    top = x1 * y1
+    p = x1 * y2
+    q = x2 * y1
+    mid = p if p > q else q
+    s = math.fsum((top, p, q, x2 * y2))
+    v0 = s / 2
+    if top >= v0:
+        v0 = top
+    v1 = s - v0
+    if mid > v1:
+        v1 = mid
+    total = v0 + v1
+    return v0 / total, v1 / total
+
+
 def _series(xs, ys) -> list:
     """Spectrum of the series rule on descending sequences of
     nonnegative floats of one length d, both lists or both tuples; a
@@ -236,6 +281,8 @@ def purify_rule(x, d: int) -> SchmidtVector:
     bundle of links pairwise, applying this to the d*d tensor product of
     the running vector and the next link, which equals applying it once
     to the product of the whole bundle (the lemma_parallel_fold check).
+    At d = 2 the reduction takes _purify_qubit instead, a closed form
+    with the bits of this rule on the four products.
     A SchmidtVector is read as it is; any other iterable is screened
     first, as every value handed to the package is (schmidt._screened),
     and need not sum to one.

@@ -20,6 +20,7 @@ from qnetdet.errors import (
 )
 from qnetdet import network as network_module
 from qnetdet._jsonio import render_json
+from qnetdet.backend import kernels
 from qnetdet.cli import EXIT_OK, main
 from qnetdet.network import (
     Edge,
@@ -368,7 +369,7 @@ class TestBundles:
     """A bundle is folded pairwise, so its cost grows linearly in its
     size, and its answer does not depend on the order of its edges."""
 
-    @pytest.mark.parametrize("d, k", [(4, 9), (2, 12)])
+    @pytest.mark.parametrize("d, k", [(4, 9)])
     def test_purify_sees_at_most_d_squared_entries(self, monkeypatch, d, k):
         sizes = []
         purify = network_module.purify_rule
@@ -384,6 +385,26 @@ class TestBundles:
         )
         assert len(sizes) == k - 1
         assert max(sizes) <= d * d
+
+    def test_qubit_bundle_calls_no_purify_route(self, monkeypatch):
+        # at d = 2 each pairwise step is the closed form rules._purify_qubit
+        steps = []
+        closed_form = network_module._purify_qubit
+
+        def spy(xs, ys):
+            steps.append((xs, ys))
+            return closed_form(xs, ys)
+
+        def refuse(*args):
+            raise AssertionError("a qubit bundle reached the purify route")
+
+        monkeypatch.setattr(network_module, "_purify_qubit", spy)
+        monkeypatch.setattr(network_module, "purify_rule", refuse)
+        monkeypatch.setattr(kernels, "purify_kernel", refuse)
+        rng = substream(SEED, "bundle_spy", 2)
+        _, trace = reduce_series_parallel(_net(*[("A", "B", random_schmidt(2, rng)) for _ in range(12)]))
+        assert [event["arity"] for event in trace] == [12]
+        assert len(steps) == 11
 
     @pytest.mark.parametrize(
         "d, k, low, above",

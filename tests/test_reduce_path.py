@@ -16,6 +16,7 @@ import sys
 import numpy as np
 import pytest
 import _majorization_oracle as majorization
+import _qubit_bundle_cases as qubit_bundles
 import _reduce_corpus as corpus
 from _digests import check
 
@@ -52,7 +53,7 @@ from qnetdet.rules import (
     purify_rule,
     swap_rule,
 )
-from qnetdet.sampling import random_network, sample_povm, substream
+from qnetdet.sampling import random_network, random_schmidt, sample_povm, substream
 from qnetdet.schmidt import (
     ProbabilisticEnsemble,
     SchmidtVector,
@@ -606,13 +607,15 @@ def _with_drops(net, rng):
 
 
 def _dict_fold(moves, values, series_fn, parallel_fn) -> dict:
-    """The move list folded over a dict of edge values, by edge id."""
+    """The move records folded over a dict of edge values, by edge id:
+    a series or parallel record lists its input ids, then its output."""
     values = dict(enumerate(values))
-    for move in moves:
-        if move["op"] == "series":
-            values[move["output"]] = series_fn(*(values[e] for e in move["inputs"]))
-        elif move["op"] == "parallel":
-            values[move["output"]] = parallel_fn([values[e] for e in move["inputs"]])
+    for op, ids, _ in moves:
+        *inputs, out = ids
+        if op == "series":
+            values[out] = series_fn(*(values[e] for e in inputs))
+        elif op == "parallel":
+            values[out] = parallel_fn([values[e] for e in inputs])
     return values
 
 
@@ -632,6 +635,31 @@ class TestFold:
             got = _fold(moves, scores, lambda p, q: p * q + 1.0, sum)
             want = _dict_fold(moves, scores, lambda p, q: p * q + 1.0, sum)
             assert got == [want[eid] for eid in range(len(got))]
+
+
+class TestQubitBundle:
+    """At d = 2 _det_parallel folds a bundle by the closed form
+    rules._purify_qubit, in floats: each step and the bundle's vector
+    have the bits of the pairwise purify_rule route over the four
+    products (tests/_qubit_bundle_cases.py, run at 100,000 bundles in
+    CI)."""
+
+    def test_seeded_bundles(self):
+        assert qubit_bundles.first_mismatch(2000) is None
+
+    @pytest.mark.parametrize("kind", sorted(qubit_bundles.KINDS))
+    def test_bundles_of_one_kind(self, kind):
+        rng = random.Random(f"{SEED}-{kind}")
+        draw = qubit_bundles.KINDS[kind]
+        for k in range(2, qubit_bundles.MAX_ARITY + 1):
+            for _ in range(10):
+                assert qubit_bundles.mismatch([draw(rng) for _ in range(k)]) is None
+
+    def test_numpy_drawn_bundles(self):
+        rng = substream(SEED, "qubit_bundles", 0)
+        for _ in range(200):
+            links = [random_schmidt(2, rng) for _ in range(int(rng.integers(2, 13)))]
+            assert qubit_bundles.mismatch(links) is None
 
 
 _LEAF = (None, 0, 0, 0)
