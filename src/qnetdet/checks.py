@@ -37,6 +37,7 @@ from .network import (
     QuantumNetwork,
     _decompose,
     _det_parallel,
+    _det_series,
     _fold,
     _head,
     reduce_series_parallel,
@@ -959,7 +960,7 @@ def _(cfg, t, rng, acc):
     links = [e.link for e in net.edges]
 
     def reduced(values):
-        return concurrence(_fold(moves, values, swap_rule, _det_parallel)[root], 2)
+        return concurrence(_fold(moves, values, _det_series, _det_parallel)[root], 2)
 
     base = reduced(links)
     idx = int(rng.integers(0, len(links)))

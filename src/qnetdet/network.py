@@ -6,12 +6,19 @@ and B.  Its shape alone fixes an ordered list of moves that shrinks it
 to one A-B edge, read off its series-parallel decomposition tree
 (Valdes, Tarjan and Lawler, SIAM J. Comput. 11(2), 1982):
 
-* every edge on no simple A-B path transmits nothing and is dropped
-  first, in input order: self-loops, pendants, islands and anything
-  hanging off a single node.  One depth-first search finds the rest,
-  the block that would hold a virtual A-B edge (Hopcroft-Tarjan);
-* that block is reduced by parallel and series moves in any order,
-  each live edge carrying the subtree it stands for;
+* every edge but the self-loops is reduced by parallel and series
+  moves in any order, each live edge carrying the subtree it stands
+  for.  Two blocks share at most one node, so no move joins an edge on
+  a simple A-B path to one on none;
+* a network reduced to one A-B edge has every edge on a simple A-B
+  path, as a two-terminal series-parallel network does, and is never
+  searched.  Else one depth-first search of what is left finds the
+  block that would hold a virtual A-B edge (Hopcroft-Tarjan); the rest
+  transmits nothing, and the network edges under it go, with the
+  self-loops, as drop moves first, in input order: pendants, islands
+  and anything hanging off a single node.  The block's nodes left with
+  two neighbours are relayed again, and the reduction is confluent,
+  so the block ends as it would alone;
 * the moves are emitted post-order from A.  A chain folds left to
   right from its A-side end, and a bundle's parts go in order of their
   smallest network edge id.
@@ -20,18 +27,20 @@ Edges are ordered by id: the network's edges in input order, then the
 edges the moves create, in emission order.  Each step costs time linear
 in the network's size, with no recursion: a 4001-edge qubit ladder,
 2000 levels deep, decomposes in about 15 ms on a shared 2-CPU Xeon
-virtual machine (median of 15), and a cold `qnetdet reduce` of one
-costs about 18.5 us per edge at 10^4 edges and 17.4 us at 10^5, with
-a peak of about 1.9 KB per edge (medians of 5, Python 3.11).
+virtual machine (the median of five medians of 15), and a cold
+`qnetdet reduce` of one costs about 20 us per edge at 10^4 edges and
+16 us at 10^5, with a peak of about 1.9 KB per edge (medians of 5,
+Python 3.11).
 
 The reduction folds these moves over the links.  A series move swaps
-its two vectors.  A parallel move folds its bundle pairwise, members in
-ascending order of their vectors (the order its trace event lists
-them): each member joins the running vector in a d*d tensor product
-that is purified back to d entries.  That costs O(k d^2 log d) for k
-links and equals purifying the full d^k product (the
-lemma_parallel_fold check of the verification suite), and no order of
-the bundle's edges changes a bit of it.  At d = 2 each step is a closed
+its two vectors; at d = 2 by the closed form rules._series_qubit on
+floats, with the bits of swap_rule (see _det_series).  A parallel move
+folds its bundle pairwise, members in ascending order of their vectors
+(the order its trace event lists them): each member joins the running
+vector in a d*d tensor product that is purified back to d entries.
+That costs O(k d^2 log d) for k links and equals purifying the full
+d^k product (the lemma_parallel_fold check of the verification
+suite), and no order of the bundle's edges changes a bit of it.  At d = 2 each step is a closed
 form on floats, rules._purify_qubit, with the bits of purify_rule on
 the four products, and the bundle makes one vector; above d = 2 each
 step is a purify_rule call.  The order of a chain's folds
@@ -77,7 +86,7 @@ from .errors import (
     NotSeriesParallel,
     SchemaError,
 )
-from .rules import _purify_qubit, _source_walk, _target_side, purify_rule, swap_rule
+from .rules import _purify_qubit, _series_qubit, _source_walk, _target_side, purify_rule, swap_rule
 from .schmidt import _NEG_EPS, SchmidtVector, _concurrences, _unit, _vector, normalize_descending
 
 
@@ -265,37 +274,30 @@ def _key(tree) -> int:
     return tree if tree.__class__ is int else tree.key
 
 
-def _core(network: QuantumNetwork) -> list[int]:
-    """Ids of the edges that lie on a simple A-B path.
-
-    These are the edges of the block (Hopcroft-Tarjan) that would hold
-    a virtual A-B edge: one depth-first search enters B from A over that
-    edge, and every other block it closes hangs off the rest at a single
-    cut node, so no simple A-B path runs through it.  Empty when B is
-    unreachable from A."""
-    a, b = network.terminals
-    adj: dict[str, list] = {}
-    for eid, e in enumerate(network.edges):
-        if e.u != e.v:
-            adj.setdefault(e.u, []).append((eid, e.v))
-            adj.setdefault(e.v, []).append((eid, e.u))
+def _core(graph, a, b) -> list:
+    """The pairs of `graph`, a node -> {neighbour: subtree} dict, that
+    lie on a simple A-B path: those of the block (Hopcroft-Tarjan) that
+    would hold a virtual A-B edge.  One depth-first search enters B from
+    A over that edge, and every other block it closes hangs off the rest
+    at a single cut node, so no simple A-B path runs through it.  Each
+    pair is listed once; empty when B is unreachable from A."""
     order = {a: 0, b: 1}
     low = [0, 1]
-    path: list[int] = []  # edges of the blocks still open
-    stack = [(b, -1, iter(adj.get(b, ())), 0)]
+    path: list[tuple] = []  # pairs of the blocks still open
+    stack = [(b, None, iter(graph.get(b, ())), 0)]
     while stack:
-        node, via, todo, mark = stack[-1]
+        node, parent, todo, mark = stack[-1]
         here = order[node]
-        for eid, w in todo:
+        for w in todo:
             there = order.get(w)
             if there is None:
                 order[w] = len(low)
                 low.append(len(low))
-                stack.append((w, eid, iter(adj[w]), len(path)))
-                path.append(eid)
+                stack.append((w, node, iter(graph[w]), len(path)))
+                path.append((node, w))
                 break
-            if there < here and eid != via:
-                path.append(eid)
+            if there < here and w != parent:
+                path.append((node, w))
                 if there < low[here]:
                     low[here] = there
         else:
@@ -371,6 +373,27 @@ def _emit(root, a, b, next_id):
     return moves, done[0]
 
 
+def _relay(graph, a, b) -> None:
+    """Series moves on every node of two neighbours, terminals aside,
+    until none is left.  Degrees only fall, so a node is queued once;
+    it is skipped if it has lost a neighbour since, as a node of a
+    triangle hanging off the rest does when its twin goes first."""
+    work = [n for n, nbrs in graph.items() if len(nbrs) == 2 and n != a and n != b]
+    while work:
+        n = work.pop()
+        if len(graph[n]) != 2:
+            continue
+        (x, left), (y, right) = graph.pop(n).items()
+        gx, gy = graph[x], graph[y]
+        del gx[n], gy[n]
+        if _link(graph, x, y, _Series(x, n, left, right)):
+            # the merge took a neighbour from x and from y
+            if len(gx) == 2 and x != a and x != b:
+                work.append(x)
+            if len(gy) == 2 and y != a and y != b:
+                work.append(y)
+
+
 def _decompose(network: QuantumNetwork):
     """Series-parallel decomposition of the network's shape.
 
@@ -388,38 +411,50 @@ def _decompose(network: QuantumNetwork):
 
     ``root`` is the id of the final A-B edge.
 
+    Every edge but the self-loops is reduced first; `_core` searches
+    only a network that does not end as one A-B edge, and only what is
+    left of it (see the module docstring).
+
     Raises DisconnectedTerminals when B is unreachable from A and
     NotSeriesParallel when series and parallel moves cannot reduce the
     edges on A-B paths to a single A-B edge.
     """
     a, b = network.terminals
     edges = network.edges
-    core = _core(network)
-    if not core:
-        raise DisconnectedTerminals(f"no path between {a} and {b}")
-    kept = set(core)
-    moves = [("drop", (eid,), (e.u, e.v)) for eid, e in enumerate(edges) if eid not in kept]
-    # reduce the core in any order: each live edge carries its subtree
+    dropped = []
     graph: dict[str, dict] = {}
-    for eid in core:
-        e = edges[eid]
-        graph.setdefault(e.u, {})
-        graph.setdefault(e.v, {})
-        _link(graph, e.u, e.v, eid)
-    work = [n for n, nbrs in graph.items() if len(nbrs) == 2 and n != a and n != b]
-    while work:
-        # the core stays a block with the virtual A-B edge, so no
-        # relay's degree drops below two: each is queued once
-        n = work.pop()
-        (x, left), (y, right) = graph.pop(n).items()
-        gx, gy = graph[x], graph[y]
-        del gx[n], gy[n]
-        if _link(graph, x, y, _Series(x, n, left, right)):
-            # the merge took a neighbour from x and from y
-            if len(gx) == 2 and x != a and x != b:
-                work.append(x)
-            if len(gy) == 2 and y != a and y != b:
-                work.append(y)
+    for eid, e in enumerate(edges):
+        u, v = e.u, e.v
+        if u == v:
+            dropped.append(eid)
+            continue
+        graph.setdefault(u, {})
+        graph.setdefault(v, {})
+        _link(graph, u, v, eid)
+    _relay(graph, a, b)
+    if len(graph) != 2 or b not in graph.get(a, ()):
+        core = _core(graph, a, b)
+        if not core:
+            raise DisconnectedTerminals(f"no path between {a} and {b}")
+        block: dict[str, dict] = {}
+        for u, v in core:
+            tree = graph[u].pop(v)
+            del graph[v][u]
+            block.setdefault(u, {})[v] = block.setdefault(v, {})[u] = tree
+        # what the block did not take is off the A-B paths
+        off = [tree for u, nbrs in graph.items() for v, tree in nbrs.items() if u < v]
+        while off:
+            tree = off.pop()
+            cls = tree.__class__
+            if cls is int:
+                dropped.append(tree)
+            elif cls is _Series:
+                off += (tree.left, tree.right)
+            else:
+                off += tree.parts
+        dropped.sort()
+        graph = block
+        _relay(graph, a, b)
     if len(graph) > 2:
         remnant = sorted((u, v) for u, nbrs in graph.items() for v in nbrs if u < v)
         raise NotSeriesParallel(
@@ -428,6 +463,7 @@ def _decompose(network: QuantumNetwork):
             remnant=remnant,
         )
     emitted, root = _emit(graph[a][b], a, b, len(edges))
+    moves = [("drop", (eid,), (edges[eid].u, edges[eid].v)) for eid in dropped]
     moves += emitted
     # a handler needs logging imported, so without it no line is lost
     if "logging" in sys.modules:
@@ -435,11 +471,11 @@ def _decompose(network: QuantumNetwork):
 
         logger = logging.getLogger(__name__)
         if logger.isEnabledFor(logging.DEBUG):
-            dropped = len(edges) - len(core)
             arities = [len(ids) - 1 for op, ids, _ in moves if op == "parallel"]
             logger.debug(
                 "decomposed %d edges: dropped=%d series_moves=%d parallel_moves=%d max_bundle_arity=%d",
-                len(edges), dropped, len(moves) - dropped - len(arities), len(arities), max(arities, default=0),
+                len(edges), len(dropped), len(moves) - len(dropped) - len(arities), len(arities),
+                max(arities, default=0),
             )
     return moves, root
 
@@ -482,11 +518,30 @@ def _det_parallel(links: list[SchmidtVector]) -> SchmidtVector:
     return acc
 
 
+def _det_series(x: SchmidtVector, y: SchmidtVector) -> SchmidtVector:
+    """Series rule on two links, with the bits of swap_rule.  At d = 2
+    it makes swap_rule's float operations without its checks: the
+    flatter vector first, as rules._series orders them (a qubit link's
+    top entry is at least 1/2, so its flatness is the quotient of its
+    entries), the closed form rules._series_qubit, and _unit's division
+    by the fsum of the two outputs, for two floats their correctly
+    rounded sum; the outputs are descending, and rounding is monotone,
+    so _unit's sort leaves the quotients in place."""
+    xs, ys = x.entries, y.entries
+    if len(xs) != 2:
+        return swap_rule(x, y)
+    if (ys[1] / ys[0], ys) > (xs[1] / xs[0], xs):
+        xs, ys = ys, xs
+    top, low = _series_qubit(xs, ys)
+    total = top + low
+    return _vector((top / total, low / total))
+
+
 def _folded(network: QuantumNetwork):
     """One decomposition and its fold: (moves, root, links), where
     links[i] is the vector of edge id i."""
     moves, root = _decompose(network)
-    return moves, root, _fold(moves, [e.link for e in network.edges], swap_rule, _det_parallel)
+    return moves, root, _fold(moves, [e.link for e in network.edges], _det_series, _det_parallel)
 
 
 def _trace(moves, links) -> list[dict]:

@@ -1,30 +1,34 @@
-"""Seeded qubit bundles, and the check that the reduction's closed-form
-parallel step gives the bits of the pairwise `purify_rule` route.
+"""Seeded qubit links, and the check that the reduction's closed-form
+steps give the bits of the rules they stand for.
 
 `network._det_parallel` folds a d = 2 bundle in floats, each step the
 closed form `rules._purify_qubit`, and makes one vector.  The reference
 folds the same members in the same ascending order, each step a
 `purify_rule` call on the four products of the running vector and the
 next member.  Both the bundle's vector and every step must agree by
-`float.hex`.  The members are drawn by kind: Dirichlet links,
-near-uniform links, exact ties [0.5, 0.5], product links [1.0, 0.0],
-weak links with a tail of 10^U(-300, -1) and links with a subnormal
-tail; a bundle mixes them, at arity 2 to 12.  The draws use `random`
-alone, so they need no numpy and this module also runs as a script on
-any Python:
+`float.hex`.  `network._det_series` joins two qubit links in series by
+the closed form `rules._series_qubit` and one division by the sum of
+its two outputs; on each seeded pair it must give the bits of
+`swap_rule`, in both argument orders.  The links are drawn by kind:
+Dirichlet links, near-uniform links, exact ties [0.5, 0.5], product
+links [1.0, 0.0], weak links with a tail of 10^U(-300, -1) and links
+with a subnormal tail; a bundle mixes them, at arity 2 to 12, and so
+does a pair.  The draws use `random` alone, so they need no numpy and
+this module also runs as a script on any Python:
 
     PYTHONPATH=src python tests/_qubit_bundle_cases.py [COUNT]
 
-folds COUNT seeded bundles (100,000 by default) both ways, prints the
-counts and the wall time, and exits 1 naming the first mismatch.
+folds COUNT seeded bundles and joins COUNT seeded pairs (100,000 of
+each by default) both ways, prints the counts and the wall time, and
+exits 1 naming the first mismatch.
 """
 
 import random
 import sys
 import time
 
-from qnetdet.network import _det_parallel
-from qnetdet.rules import _purify_qubit, purify_rule
+from qnetdet.network import _det_parallel, _det_series
+from qnetdet.rules import _purify_qubit, purify_rule, swap_rule
 from qnetdet.schmidt import SchmidtVector
 
 SEED = 20261021
@@ -72,10 +76,12 @@ KINDS = {
 }
 
 
-def bundle(rng):
-    """A bundle of 2 to MAX_ARITY qubit links, of one kind or of a mix."""
+def bundle(rng, k=None):
+    """A bundle of k qubit links, 2 to MAX_ARITY if not given, of one
+    kind or of a mix."""
     kinds = list(KINDS.values())
-    k = rng.randint(2, MAX_ARITY)
+    if k is None:
+        k = rng.randint(2, MAX_ARITY)
     if rng.random() < 0.5:
         draw = rng.choice(kinds)
         return [draw(rng) for _ in range(k)]
@@ -104,6 +110,17 @@ def mismatch(links):
     return None
 
 
+def series_mismatch(x, y):
+    """None when _det_series joins x and y, in either order, with the
+    bits of swap_rule; else a line naming the first difference."""
+    want = _hex(swap_rule(x, y).entries)
+    for p, q in ((x, y), (y, x)):
+        got = _hex(_det_series(p, q).entries)
+        if got != want:
+            return f"series {p.entries!r} with {q.entries!r}: _det_series {got}, swap_rule {want}"
+    return None
+
+
 def first_mismatch(count, seed=SEED):
     """The first of `count` seeded bundles whose routes disagree, as a
     line, or None."""
@@ -115,12 +132,23 @@ def first_mismatch(count, seed=SEED):
     return None
 
 
+def first_series_mismatch(count, seed=SEED):
+    """The first of `count` seeded pairs whose routes disagree, as a
+    line, or None."""
+    rng = random.Random(f"{seed}-series")
+    for i in range(count):
+        bad = series_mismatch(*bundle(rng, 2))
+        if bad is not None:
+            return f"pair {i}: {bad}"
+    return None
+
+
 def main(argv):
     count = int(argv[0]) if argv else 100_000
     start = time.perf_counter()
-    bad = first_mismatch(count)
+    bad = first_mismatch(count) or first_series_mismatch(count)
     print(
-        f"python {sys.version.split()[0]}: {count} qubit bundles, "
+        f"python {sys.version.split()[0]}: {count} qubit bundles and {count} pairs, "
         f"{'a mismatch' if bad else 'no mismatch'} ({time.perf_counter() - start:.1f} s)"
     )
     if bad:

@@ -98,6 +98,25 @@ class TestReduceGoldens:
         with pytest.raises(AssertionError, match="the trace was built"):
             run("reduce", "networks/chain.json")
 
+    def test_json_bytes_match_without_event_dicts(self, run, monkeypatch, golden_dir):
+        """The writer fills its templates from the move records: with the
+        builders of event dicts broken, every bundled network still gives
+        its golden bytes, and bridge.json its exit code."""
+
+        def broken(*args):
+            raise AssertionError("event dicts were built")
+
+        monkeypatch.setattr(network, "_trace", broken)
+        monkeypatch.setattr(network, "report", broken)
+        for name in GOLDEN_REDUCE:
+            code, text = run("reduce", f"networks/{name}.json")
+            assert code == EXIT_OK
+            assert text == (golden_dir / f"reduce_{name}.json").read_text(encoding="utf-8")
+        code, text = run("reduce", "networks/parallel_then_series.json", "--format", "csv")
+        assert code == EXIT_OK
+        assert text == (golden_dir / "reduce_parallel_then_series.csv").read_text(encoding="utf-8")
+        assert run("reduce", "networks/bridge.json")[0] == EXIT_NOT_SERIES_PARALLEL
+
     def test_pretty_is_not_json(self, run):
         code, text = run("reduce", "networks/triangle.json", "--pretty")
         assert code == EXIT_OK

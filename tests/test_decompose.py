@@ -1,7 +1,9 @@
 """The decomposition is a function of the network's shape: the answer
-does not depend on node names, edge order or edge direction, and the
-engine's cost stays linear on deep ladders."""
+does not depend on node names, edge order or edge direction, edges off
+the A-B paths go whatever they hang off, and the engine's cost stays
+linear on deep ladders."""
 
+import hashlib
 import json
 import math
 import os
@@ -12,9 +14,9 @@ import sys
 import pytest
 
 from qnetdet import network as network_module
-from qnetdet.cli import EXIT_OK, main
+from qnetdet.cli import EXIT_DISCONNECTED, EXIT_NOT_SERIES_PARALLEL, EXIT_OK, main
 from qnetdet.errors import DisconnectedTerminals, NotSeriesParallel
-from qnetdet.network import Edge, QuantumNetwork, _decompose, report
+from qnetdet.network import Edge, QuantumNetwork, _decompose, parse_network, render_report, report
 from qnetdet.sampling import random_network, random_schmidt, substream
 from qnetdet.schmidt import SchmidtVector
 
@@ -147,13 +149,141 @@ class TestInvariance:
                 assert _outcome(_network(_scrambled(edges, rng), 4)) == want
 
 
+OFF_PATH_LINKS = ([0.9, 0.1], [0.8, 0.2], [0.7, 0.3], [0.6, 0.4], [0.95, 0.05])
+
+
+def _island_ladder(levels):
+    """A nested ladder from X to Y, neither a terminal, that reduces
+    to nothing but a bundle."""
+    pairs = [("X", "y0")]
+    for level in range(levels):
+        far = "Y" if level == levels - 1 else f"y{level + 1}"
+        pairs += [("X", f"y{level}"), (f"y{level}", far)]
+    return pairs
+
+
+def _off_path_text(pairs):
+    edges = [{"u": u, "v": v, "schmidt": OFF_PATH_LINKS[i % 5]} for i, (u, v) in enumerate(pairs)]
+    return json.dumps({"dimension": 2, "terminals": ["A", "B"], "edges": edges})
+
+
+# Shapes with edges on no A-B path, each with the moves, root and the
+# first 16 hex digits of the sha256 of render_report(net, {}) recorded
+# before the reduction ran ahead of the search for those edges
+OFF_PATH = {
+    # not series-parallel, so it reduces only once it is dropped
+    "k4_off_an_inner_node": (
+        [("A", "c"), ("c", "k1"), ("k1", "k2"), ("c", "k2"), ("k2", "k3"), ("c", "B"), ("k1", "k3"), ("c", "k3"), ("A", "B")],
+        [
+            ("drop", (1,), ("c", "k1")),
+            ("drop", (2,), ("k1", "k2")),
+            ("drop", (3,), ("c", "k2")),
+            ("drop", (4,), ("k2", "k3")),
+            ("drop", (6,), ("k1", "k3")),
+            ("drop", (7,), ("c", "k3")),
+            ("series", (0, 5, 9), ("c", "A", "B")),
+            ("parallel", (9, 8, 10), ("A", "B")),
+        ],
+        10,
+        "6baabb992086bffe",
+    ),
+    "triangle_off_a_terminal": (
+        [("A", "m"), ("A", "t1"), ("m", "B"), ("t1", "t2"), ("t2", "A"), ("A", "B")],
+        [
+            ("drop", (1,), ("A", "t1")),
+            ("drop", (3,), ("t1", "t2")),
+            ("drop", (4,), ("t2", "A")),
+            ("series", (0, 2, 6), ("m", "A", "B")),
+            ("parallel", (6, 5, 7), ("A", "B")),
+        ],
+        7,
+        "ea61c132e2b340fc",
+    ),
+    # t1 and t2 are both queued; the first relayed leaves the other one
+    # neighbour before it is popped
+    "triangle_off_an_inner_node": (
+        [("A", "c"), ("c", "t1"), ("c", "d"), ("t1", "t2"), ("d", "B"), ("t2", "c"), ("A", "d")],
+        [
+            ("drop", (1,), ("c", "t1")),
+            ("drop", (3,), ("t1", "t2")),
+            ("drop", (5,), ("t2", "c")),
+            ("series", (0, 2, 7), ("c", "A", "d")),
+            ("parallel", (7, 6, 8), ("A", "d")),
+            ("series", (8, 4, 9), ("d", "A", "B")),
+        ],
+        9,
+        "dbfb9f3d9dfcfc9a",
+    ),
+    "pendant_path": (
+        [("A", "c"), ("c", "p1"), ("p1", "p2"), ("c", "B"), ("p2", "p3"), ("A", "B")],
+        [
+            ("drop", (1,), ("c", "p1")),
+            ("drop", (2,), ("p1", "p2")),
+            ("drop", (4,), ("p2", "p3")),
+            ("series", (0, 3, 6), ("c", "A", "B")),
+            ("parallel", (6, 5, 7), ("A", "B")),
+        ],
+        7,
+        "6ae31d82e274c59e",
+    ),
+    "island_with_a_cycle": (
+        [("A", "m"), ("x", "y"), ("m", "B"), ("y", "z"), ("z", "x"), ("z", "w"), ("A", "B")],
+        [
+            ("drop", (1,), ("x", "y")),
+            ("drop", (3,), ("y", "z")),
+            ("drop", (4,), ("z", "x")),
+            ("drop", (5,), ("z", "w")),
+            ("series", (0, 2, 7), ("m", "A", "B")),
+            ("parallel", (7, 6, 8), ("A", "B")),
+        ],
+        8,
+        "92be3a3b414c36f7",
+    ),
+}
+
+
+class TestOffPath:
+    """Edges on no A-B path go as drop moves in input order, whatever
+    they hang off, and what they hang off reduces as if they had never
+    been there: the moves, and the reports' bytes, recorded on shapes
+    that the reduction meets before the search for such edges."""
+
+    @pytest.mark.parametrize("name", sorted(OFF_PATH))
+    def test_recorded_moves_and_bytes(self, name):
+        pairs, moves, root, digest = OFF_PATH[name]
+        net = parse_network(_off_path_text(pairs))
+        assert _decompose(net) == (moves, root)
+        assert hashlib.sha256(render_report(net, {}).encode()).hexdigest()[:16] == digest
+
+    def _reduce(self, tmp_path, capsys, pairs):
+        path = tmp_path / "net.json"
+        path.write_text(_off_path_text(pairs), encoding="utf-8")
+        code = main(["reduce", str(path), "--out", str(tmp_path / "out.json")])
+        return code, capsys.readouterr().err
+
+    def test_bridge_with_a_hanging_cycle_stalls_as_the_bridge(self, tmp_path, capsys):
+        pairs = [("A", "P"), ("A", "Q"), ("P", "h1"), ("P", "Q"), ("h1", "h2"), ("P", "B"), ("h2", "P"), ("Q", "B")]
+        assert self._reduce(tmp_path, capsys, pairs) == (
+            EXIT_NOT_SERIES_PARALLEL,
+            "qnetdet: reduction stalled with 5 edges, e.g. between A and P\n",
+        )
+        with pytest.raises(NotSeriesParallel) as info:
+            _decompose(parse_network(_off_path_text(pairs)))
+        assert info.value.remnant == [("A", "P"), ("A", "Q"), ("B", "P"), ("B", "Q"), ("P", "Q")]
+
+    def test_terminals_disconnected_beside_a_large_island(self, tmp_path, capsys):
+        pairs = [("A", "a1"), ("a1", "a2"), ("B", "b1"), *_island_ladder(400)]
+        assert self._reduce(tmp_path, capsys, pairs) == (EXIT_DISCONNECTED, "qnetdet: no path between A and B\n")
+
+
 # A cold `qnetdet reduce` of the 100,004-edge ladder below peaked at
-# 188 MB and took 1.7 s on Linux under Python 3.11 on a shared 2-CPU
-# Xeon host (median of 5).  The budget leaves 37 MB, a fifth, as
+# 186 MB and took 1.6 s on Linux under Python 3.11 on a shared 2-CPU
+# Xeon host (median of 5).  The budget leaves 39 MB, a fifth, as
 # headroom.  A writer that builds the trace as event dicts,
-# render_json(report()), peaks at 202 MB, within it: the writer's byte
-# tests hold that route.  The time limit only stops a run that has
-# stalled.
+# render_json(report()), peaks at about 201 MB, within it: the
+# writer's byte tests hold that route (tests/test_cli.py,
+# test_json_bytes_match_without_event_dicts).  The time limit only
+# stops a run that has stalled.
 LADDER_RSS_BUDGET_MB = 225
 LADDER_TIMEOUT_S = 120
 
@@ -199,18 +329,22 @@ LADDERS = [
 
 
 class TestCost:
-    """One depth-first search over the whole graph; then each edge joins
-    the reduction graph once and each contraction adds one edge, so a
-    ladder that unlocks one move at a time costs no rescan."""
+    """Each edge joins the reduction graph once and each contraction adds
+    one edge, so a ladder that unlocks one move at a time costs no
+    rescan.  A network that reduces to one A-B edge is never searched
+    for edges off the A-B paths; one that does not is searched once, on
+    what the reduction left."""
 
-    @pytest.mark.parametrize("levels, left, right", LADDERS)
-    def test_ladder_searches(self, monkeypatch, levels, left, right):
+    @staticmethod
+    def _spied(monkeypatch, net):
+        """(moves, the node count of each graph searched, the pairs
+        linked) of one decomposition of `net`."""
         searches, links = [], []
         core, link = network_module._core, network_module._link
 
-        def core_spy(net):
-            searches.append(net)
-            return core(net)
+        def core_spy(graph, a, b):
+            searches.append(len(graph))
+            return core(graph, a, b)
 
         def link_spy(*args):
             links.append(args[1:3])
@@ -218,16 +352,30 @@ class TestCost:
 
         monkeypatch.setattr(network_module, "_core", core_spy)
         monkeypatch.setattr(network_module, "_link", link_spy)
+        moves, _ = _decompose(net)
+        return [op for op, _, _ in moves], searches, links
+
+    @pytest.mark.parametrize("levels, left, right", LADDERS)
+    def test_ladder_searches(self, monkeypatch, levels, left, right):
         pairs = _scrambled(_ladder(levels, left, right), substream(SEED, "ladder_pin", levels))
         assert len(pairs) == 1 + levels * (1 + left + right)
         half = SchmidtVector([0.5, 0.5])
-        moves, _ = _decompose(_network([(u, v, half) for u, v in pairs], 2))
-        ops = [op for op, _, _ in moves]
+        ops, searches, links = self._spied(monkeypatch, _network([(u, v, half) for u, v in pairs], 2))
         series = ops.count("series")
         assert series == levels * (left + right)
         assert ops.count("parallel") == levels
-        assert len(searches) == 1
+        assert searches == []
         assert len(links) == len(pairs) + series
+
+    def test_ci_ladder_is_searched_once_on_what_is_left(self, monkeypatch):
+        # the pendant at n3100 stops the reduction there: the levels
+        # below it reduce, and the search sees the 1,900 nodes from
+        # n3100 up, the terminals, the pendant's end and the island
+        net = parse_network(_ci_ladder(5000))
+        ops, searches, links = self._spied(monkeypatch, net)
+        assert ops.count("drop") == 3
+        assert searches == [1900 + 5]
+        assert len(links) == len(net.edges) - 1 + ops.count("series")
 
     def test_cli_4001_edge_ladder(self, tmp_path, schema_validator):
         rng = substream(SEED, "ladder_cli", 0)

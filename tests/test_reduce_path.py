@@ -641,11 +641,16 @@ class TestQubitBundle:
     """At d = 2 _det_parallel folds a bundle by the closed form
     rules._purify_qubit, in floats: each step and the bundle's vector
     have the bits of the pairwise purify_rule route over the four
-    products (tests/_qubit_bundle_cases.py, run at 100,000 bundles in
+    products.  _det_series joins two qubit links by the closed form
+    rules._series_qubit with the bits of swap_rule, in either order
+    (tests/_qubit_bundle_cases.py, run at 100,000 bundles and pairs in
     CI)."""
 
     def test_seeded_bundles(self):
         assert qubit_bundles.first_mismatch(2000) is None
+
+    def test_seeded_pairs(self):
+        assert qubit_bundles.first_series_mismatch(2000) is None
 
     @pytest.mark.parametrize("kind", sorted(qubit_bundles.KINDS))
     def test_bundles_of_one_kind(self, kind):
@@ -655,11 +660,24 @@ class TestQubitBundle:
             for _ in range(10):
                 assert qubit_bundles.mismatch([draw(rng) for _ in range(k)]) is None
 
+    @pytest.mark.parametrize("kind", sorted(qubit_bundles.KINDS))
+    def test_pairs_with_one_kind(self, kind):
+        rng = random.Random(f"{SEED}-series-{kind}")
+        draw = qubit_bundles.KINDS[kind]
+        for other in qubit_bundles.KINDS.values():
+            for _ in range(20):
+                assert qubit_bundles.series_mismatch(draw(rng), other(rng)) is None
+
     def test_numpy_drawn_bundles(self):
         rng = substream(SEED, "qubit_bundles", 0)
         for _ in range(200):
             links = [random_schmidt(2, rng) for _ in range(int(rng.integers(2, 13)))]
             assert qubit_bundles.mismatch(links) is None
+
+    def test_numpy_drawn_pairs(self):
+        rng = substream(SEED, "qubit_series", 0)
+        for _ in range(200):
+            assert qubit_bundles.series_mismatch(random_schmidt(2, rng), random_schmidt(2, rng)) is None
 
 
 _LEAF = (None, 0, 0, 0)
