@@ -36,15 +36,17 @@ from .network import (
     Edge,
     QuantumNetwork,
     _decompose,
-    _det_parallel,
-    _det_series,
     _fold,
     _head,
+    _inputs,
+    _tail_parallel,
     reduce_series_parallel,
 )
 from .rules import (
     _outcome_spectra,
+    _series_tail,
     _swap_raw,
+    _tail,
     bell_povm_d2,
     deterministic_swap_povm,
     enumerate_swap_outcomes,
@@ -957,24 +959,25 @@ def _(cfg, t, rng, acc):
     net = sampling.random_network(2, 6, rng)
     # every branch has the network's shape: decompose it once
     moves, root = _decompose(net)
-    links = [e.link for e in net.edges]
+    tails = _inputs(net)
 
     def reduced(values):
-        return concurrence(_fold(moves, values, _det_series, _det_parallel)[root], 2)
+        t = _fold(moves, values, _series_tail, _tail_parallel)[root]
+        return 2.0 * math.sqrt(t * (1.0 - t))  # C_2
 
-    base = reduced(links)
-    idx = int(rng.integers(0, len(links)))
+    base = reduced(tails)
+    idx = int(rng.integers(0, len(tails)))
     count = 1 if t % 10 == 0 else int(rng.integers(2, 5))
     kraus = sampling.sample_local_kraus(2, count, rng)
     worst_branch = math.inf
-    for vec in _outcome_spectra(np.ones(kraus.shape[1]), links[idx].entries, kraus)[1].tolist():
-        branch = list(links)
-        branch[idx] = _unit(vec)
+    for vec in _outcome_spectra(np.ones(kraus.shape[1]), net.edges[idx].link.entries, kraus)[1].tolist():
+        branch = list(tails)
+        branch[idx] = _tail(vec)
         worst_branch = min(worst_branch, reduced(branch))
     acc.slack(
         worst_branch - base,
         edge=idx,
-        edge_count=len(links),
+        edge_count=len(tails),
         worst_branch=worst_branch,
         deterministic_value=base,
     )

@@ -29,28 +29,30 @@ in the network's size, with no recursion: a 4001-edge qubit ladder,
 2000 levels deep, decomposes in about 15 ms on a shared 2-CPU Xeon
 virtual machine (the median of five medians of 15), and a cold
 `qnetdet reduce` of one costs about 20 us per edge at 10^4 edges and
-16 us at 10^5, with a peak of about 1.9 KB per edge (medians of 5,
-Python 3.11).
+16 us at 10^5, with a peak of 184 MB at 10^5 edges, about 1.9 KB per
+edge (medians of 5, Python 3.11).
 
-The reduction folds these moves over the links.  A series move swaps
-its two vectors; at d = 2 by the closed form rules._series_qubit on
-floats, with the bits of swap_rule (see _det_series).  A parallel move
-folds its bundle pairwise, members in ascending order of their vectors
-(the order its trace event lists them): each member joins the running
-vector in a d*d tensor product that is purified back to d entries.
-That costs O(k d^2 log d) for k links and equals purifying the full
-d^k product (the lemma_parallel_fold check of the verification
-suite), and no order of the bundle's edges changes a bit of it.  At d = 2 each step is a closed
-form on floats, rules._purify_qubit, with the bits of purify_rule on
-the four products, and the bundle makes one vector; above d = 2 each
-step is a purify_rule call.  The order of a chain's folds
-is part of the answer, because from dimension 4 on the series rule is
-not associative (pinned by tests/test_rules.py::TestAssociativity and
+The reduction folds these moves over the links.  Above d = 2 each edge
+id holds a vector.  A series move swaps its two vectors.  A parallel
+move folds its bundle pairwise, members in ascending order of their
+vectors (the order its trace event lists them): each member joins the
+running vector in a d*d tensor product that is purified back to d
+entries.  That costs O(k d^2 log d) for k links and equals purifying
+the full d^k product (the lemma_parallel_fold check of the
+verification suite), and no order of the bundle's edges changes a bit
+of it.  At d = 2 each edge id holds one float, its tail t, the smaller
+entry of (1 - t, t): a series move is rules._series_tail, as in
+swap_rule, and a parallel move _tail_parallel, members in descending
+order of their tails.  Both are built from nonnegative terms, so every
+figure keeps its digits however weak the links
+(tests/_qubit_network_oracle.py).  The order of a chain's folds is part of
+the answer, because from dimension 4 on the series rule is not
+associative (pinned by tests/test_rules.py::TestAssociativity and
 acceptance criterion 08); the reduction_invariance check of the
 verification suite pins that no node name, edge order or edge
-direction changes a bit of the answer.  The same moves fold
-scalar scores into the probabilistic conversion figure, and the
-topology class is read off the move list.
+direction changes a bit of the answer.  The same moves fold scalar
+scores into the probabilistic conversion figure, a bundle by _union at
+every d, and the topology class is read off the move list.
 
 One decomposition and fold feeds `reduce_series_parallel`, `report`
 and `render_report`.  Each move is one compact record (see
@@ -86,7 +88,7 @@ from .errors import (
     NotSeriesParallel,
     SchemaError,
 )
-from .rules import _purify_qubit, _series_qubit, _source_walk, _target_side, purify_rule, swap_rule
+from .rules import _series_tail, _source_walk, _tail, _target_side, purify_rule, swap_rule
 from .schmidt import _NEG_EPS, SchmidtVector, _concurrences, _unit, _vector, normalize_descending
 
 
@@ -486,81 +488,96 @@ def _fold(moves, values, series_fn, parallel_fn) -> list:
     series or parallel move makes the next id, so its value is appended
     (drop moves make none)."""
     values = list(values)
+    append = values.append
     for op, ids, _ in moves:
         if op == "series":
-            values.append(series_fn(values[ids[0]], values[ids[1]]))
+            append(series_fn(values[ids[0]], values[ids[1]]))
         elif op == "parallel":
-            values.append(parallel_fn([values[e] for e in ids[:-1]]))
+            append(parallel_fn([values[e] for e in ids[:-1]]))
     return values
 
 
-_ENTRIES = operator.attrgetter("entries")
-
-
 def _det_parallel(links: list[SchmidtVector]) -> SchmidtVector:
-    """Parallel rule on a bundle, folded pairwise in ascending order of
-    the members' vectors; no step sees more than d*d products.
-
-    At d = 2 each step is the closed form rules._purify_qubit on pairs
-    of floats, with the bits of purify_rule on the four products, and
-    the bundle makes one vector.  Above d = 2 each step is a purify_rule
-    call on the d*d tensor product of the running vector and the next
-    member."""
-    acc, *rest = sorted(links, key=_ENTRIES)
+    """Parallel rule on a bundle of vectors, at every d but 2: folded
+    pairwise in ascending order of the members' vectors, each step a
+    purify_rule call on the d*d tensor product of the running vector and
+    the next member, so no step sees more than d*d products."""
+    acc, *rest = sorted(links, key=operator.attrgetter("entries"))
     d = len(acc.entries)
-    if d == 2:
-        xs = acc.entries
-        for vec in rest:
-            xs = _purify_qubit(xs, vec.entries)
-        return _vector(xs)
     for vec in rest:
         acc = purify_rule([a * b for a in acc.entries for b in vec.entries], d)
     return acc
 
 
-def _det_series(x: SchmidtVector, y: SchmidtVector) -> SchmidtVector:
-    """Series rule on two links, with the bits of swap_rule.  At d = 2
-    it makes swap_rule's float operations without its checks: the
-    flatter vector first, as rules._series orders them (a qubit link's
-    top entry is at least 1/2, so its flatness is the quotient of its
-    entries), the closed form rules._series_qubit, and _unit's division
-    by the fsum of the two outputs, for two floats their correctly
-    rounded sum; the outputs are descending, and rounding is monotone,
-    so _unit's sort leaves the quotients in place."""
-    xs, ys = x.entries, y.entries
-    if len(xs) != 2:
-        return swap_rule(x, y)
-    if (ys[1] / ys[0], ys) > (xs[1] / xs[0], xs):
-        xs, ys = ys, xs
-    top, low = _series_qubit(xs, ys)
-    total = top + low
-    return _vector((top / total, low / total))
+def _union(ps) -> float:
+    """1 - prod(1 - p_i) of values in [0, 1], folded as p <- p + p_i (1 - p)
+    in descending order: no subtraction from 1 cancels, however small."""
+    acc = 0.0
+    for p in sorted(ps, reverse=True):
+        acc += p * (1.0 - acc)
+    return acc
+
+
+def _tail_parallel(tails) -> float:
+    """The parallel rule at d = 2 on tails: the top entry is prod(1 - t_i)
+    or the level 1/2, so the tail is _union of the tails, capped at 1/2
+    once at the end (the cap commutes with the fold).
+
+    DET never does worse than CEP here: 2t >= p on every edge, for the
+    tail t the fold gives it and p its CEP figure.  A link scores p = 2t.
+    With f(C) = 1 - sqrt(1 - C^2) = 2t(C), a series move needs
+    f(ab) >= f(a) f(b), which holds since
+    (u + v + uv)^2 >= u^2 + v^2 - u^2 v^2 for u = sqrt(1 - a^2) and
+    v = sqrt(1 - b^2).  For members of tails a and b with p_a <= 2a and
+    p_b <= 2b, _union being monotone, a parallel move gives
+    2(a + b - ab) against at most 2a + 2b - 4ab, which differ by
+    2ab >= 0 below the cap, and p <= 1 at it."""
+    t = _union(tails)
+    return t if t < 0.5 else 0.5
+
+
+def _inputs(network: QuantumNetwork) -> list:
+    """The value of every network edge: at d = 2 its tail, else its
+    vector."""
+    if network.dimension == 2:
+        return [_tail(e.link.entries) for e in network.edges]
+    return [e.link for e in network.edges]
 
 
 def _folded(network: QuantumNetwork):
-    """One decomposition and its fold: (moves, root, links), where
-    links[i] is the vector of edge id i."""
+    """One decomposition and its fold: (moves, root, links, rows, order).
+    links[i] is the value of edge id i, folded from _inputs: at d = 2 a
+    tail, by _series_tail and _tail_parallel, else a vector.  rows[i]
+    are its entries, a network edge's as parsed and a made qubit edge's
+    (1 - t, t).  order is the (key, reverse) of the sort that lists a
+    bundle's edge ids in the order its fold takes them."""
     moves, root = _decompose(network)
-    return moves, root, _fold(moves, [e.link for e in network.edges], _det_series, _det_parallel)
+    if network.dimension == 2:
+        links = _fold(moves, _inputs(network), _series_tail, _tail_parallel)
+        rows = [e.link.entries for e in network.edges] + [(1.0 - t, t) for t in links[len(network.edges) :]]
+        return moves, root, links, rows, (links.__getitem__, True)
+    links = _fold(moves, _inputs(network), swap_rule, _det_parallel)
+    rows = [vec.entries for vec in links]
+    return moves, root, links, rows, (rows.__getitem__, False)
 
 
-def _trace(moves, links) -> list[dict]:
+def _trace(moves, rows, order) -> list[dict]:
     """The reduction trace: each move record as an event dict, every
     edge id in it replaced by a new list of that edge's entries."""
+    key, reverse = order
     trace = []
     for op, ids, nodes in moves:
         if op == "series":
             a, b, out = ids
             node, p, q = nodes
-            ins = [list(links[a].entries), list(links[b].entries)]
-            trace.append({"op": op, "node": node, "through": [p, q], "inputs": ins, "output": list(links[out].entries)})
+            ins = [list(rows[a]), list(rows[b])]
+            trace.append({"op": op, "node": node, "through": [p, q], "inputs": ins, "output": list(rows[out])})
         elif op == "parallel":
-            # a bundle is listed in the order _det_parallel folds it
-            ins = sorted([list(links[e].entries) for e in ids[:-1]])
-            out = list(links[ids[-1]].entries)
+            ins = [list(rows[e]) for e in sorted(ids[:-1], key=key, reverse=reverse)]
+            out = list(rows[ids[-1]])
             trace.append({"op": op, "nodes": list(nodes), "arity": len(ins), "inputs": ins, "output": out})
         else:
-            trace.append({"op": op, "nodes": list(nodes), "link": list(links[ids[0]].entries)})
+            trace.append({"op": op, "nodes": list(nodes), "link": list(rows[ids[0]])})
     return trace
 
 
@@ -578,22 +595,24 @@ def reduce_series_parallel(network: QuantumNetwork):
     ------
     DisconnectedTerminals, NotSeriesParallel
     """
-    moves, root, links = _folded(network)
-    return links[root], _trace(moves, links)
+    moves, root, _, rows, order = _folded(network)
+    return _vector(rows[root]), _trace(moves, rows, order)
 
 
-def _cep(network, moves, root) -> float:
+def _cep(network, moves, root, values) -> float:
+    """cep_probability over the decomposition, from `values`, whose
+    first entries are the network edges' _inputs."""
     d = network.dimension
-    # each link's score is conversion_probability(link, uniform), with
-    # the uniform target's side of the walk taken once
-    side = _target_side(SchmidtVector([1.0 / d] * d).entries, d)
-    return _fold(
-        moves,
-        [_source_walk(e.link.entries, side) for e in network.edges],
-        operator.mul,
-        # sorted, so that no order of a bundle's edges changes a bit
-        lambda ps: 1.0 - math.prod(sorted([1.0 - p for p in ps])),
-    )[root]
+    inputs = values[: len(network.edges)]
+    if d == 2:
+        # a qubit link converts to the singlet with probability 2t
+        scores = [2.0 * t for t in inputs]
+    else:
+        # each link's score is conversion_probability(link, uniform),
+        # with the uniform target's side of the walk taken once
+        side = _target_side(SchmidtVector([1.0 / d] * d).entries, d)
+        scores = [_source_walk(vec.entries, side) for vec in inputs]
+    return _fold(moves, scores, operator.mul, _union)[root]
 
 
 def cep_probability(network: QuantumNetwork) -> float:
@@ -602,15 +621,15 @@ def cep_probability(network: QuantumNetwork) -> float:
     probabilistically and successes are wired together.
 
     Each link succeeds with its conversion probability to the uniform
-    vector; the scores are folded over the same moves as the reduction,
-    series moves multiplying them and parallel bundles succeeding when
-    any member does.
+    vector, at d = 2 twice its tail; the scores are folded over the same
+    moves as the reduction, series moves multiplying them and parallel
+    bundles succeeding when any member does (_union).
 
     Raises
     ------
     DisconnectedTerminals, NotSeriesParallel
     """
-    return _cep(network, *_decompose(network))
+    return _cep(network, *_decompose(network), _inputs(network))
 
 
 def _classify(moves) -> TopologyClass:
@@ -652,21 +671,23 @@ def classify_topology(network: QuantumNetwork) -> TopologyClass:
 
 
 def _head(network: QuantumNetwork):
-    """(head, moves, links): the report without its reduction trace, and
-    the moves and edge vectors the trace is read from."""
-    moves, root, links = _folded(network)
-    vec = links[root]
+    """(head, moves, rows, order): the report without its reduction
+    trace, and what the trace is read from, as _folded gives them."""
+    moves, root, links, rows, order = _folded(network)
     d = network.dimension
+    t = links[root]
+    # C_1 is identically 1, and a qubit link's C_2 is 2 sqrt(t (1 - t))
+    concurrences = [1.0, 2.0 * math.sqrt(t * (1.0 - t))] if d == 2 else _concurrences(t)
     head = {
         "dimension": d,
         "terminals": list(network.terminals),
         "edge_count": len(network.edges),
         "topology": _classify(moves).value,
-        "det_vector": list(vec.entries),
-        "concurrence": {f"C_{k}": ck for k, ck in enumerate(_concurrences(vec), start=1)},
-        "cep_probability": _cep(network, moves, root),
+        "det_vector": list(rows[root]),
+        "concurrence": {f"C_{k}": ck for k, ck in enumerate(concurrences, start=1)},
+        "cep_probability": _cep(network, moves, root, links),
     }
-    return head, moves, links
+    return head, moves, rows, order
 
 
 def report(network: QuantumNetwork) -> dict:
@@ -677,8 +698,8 @@ def report(network: QuantumNetwork) -> dict:
     ------
     DisconnectedTerminals, NotSeriesParallel
     """
-    rep, moves, links = _head(network)
-    rep["reduction_trace"] = _trace(moves, links)
+    rep, moves, rows, order = _head(network)
+    rep["reduction_trace"] = _trace(moves, rows, order)
     return rep
 
 
@@ -701,8 +722,7 @@ def render_report(network: QuantumNetwork, manifest: dict) -> str:
     ------
     DisconnectedTerminals, NotSeriesParallel
     """
-    head, moves, links = _head(network)
-    entries = [vec.entries for vec in links]
+    head, moves, entries, (key, reverse) = _head(network)
     rows = _float_rows(entries, network.dimension)
     # every node a move names is an edge's end
     names = {n: _string(n) for n in {e.u for e in network.edges} | {e.v for e in network.edges}}
@@ -716,8 +736,7 @@ def render_report(network: QuantumNetwork, manifest: dict) -> str:
             args += (names[node], names[p], names[q], rows[a], rows[b], rows[out])
         elif op == "parallel":
             p, q = nodes
-            # a bundle is listed in the order _det_parallel folds it
-            ins = ", ".join([rows[e] for e in sorted(ids[:-1], key=entries.__getitem__)])
+            ins = ", ".join([rows[e] for e in sorted(ids[:-1], key=key, reverse=reverse)])
             templates.append(_PARALLEL)
             args += (names[p], names[q], len(ids) - 1, ins, rows[ids[-1]])
         else:

@@ -7,7 +7,7 @@ on it at any d, sorting its inputs.  Both keep their own constants and
 Fourier factors.  They are an independent accuracy reference, not a
 pin of the library's bits: test_matrices.py checks the loop against
 numpy, test_rules.py holds the library's series rule to them at d = 2
-and from d = 4 up, where it runs a closed form or LAPACK, and
+and from d = 4 up, where it runs the tail step or LAPACK, and
 _outcomes_oracle.py builds on `sv_jacobi`.  At d = 3, recorded digests
 pin the library's bits (test_matrices.py, _jacobi3_cases.py) and exact
 values its accuracy (_series_oracle.py).

@@ -278,13 +278,15 @@ class TestOffPath:
 
 # A cold `qnetdet reduce` of the 100,004-edge ladder below peaked at
 # 186 MB and took 1.6 s on Linux under Python 3.11 on a shared 2-CPU
-# Xeon host (median of 5).  The budget leaves 39 MB, a fifth, as
-# headroom.  A writer that builds the trace as event dicts,
-# render_json(report()), peaks at about 201 MB, within it: the
-# writer's byte tests hold that route (tests/test_cli.py,
+# Xeon host (median of 5); with one float per qubit edge id in place of
+# a vector, 184.2 MB against 184.7 MB before on that host (medians of 5,
+# alternating), the writer's strings still making the peak.  The budget
+# leaves 37 MB, a fifth, as headroom.  A writer that builds the trace
+# as event dicts, render_json(report()), peaks at about 201 MB, within
+# it: the writer's byte tests hold that route (tests/test_cli.py,
 # test_json_bytes_match_without_event_dicts).  The time limit only
 # stops a run that has stalled.
-LADDER_RSS_BUDGET_MB = 225
+LADDER_RSS_BUDGET_MB = 221
 LADDER_TIMEOUT_S = 120
 
 # the child reduces; its parent, a fresh process with no other child,

@@ -387,24 +387,24 @@ class TestBundles:
         assert max(sizes) <= d * d
 
     def test_qubit_bundle_calls_no_purify_route(self, monkeypatch):
-        # at d = 2 each pairwise step is the closed form rules._purify_qubit
+        # at d = 2 a bundle is one _tail_parallel call on its tails
         steps = []
-        closed_form = network_module._purify_qubit
+        on_tails = network_module._tail_parallel
 
-        def spy(xs, ys):
-            steps.append((xs, ys))
-            return closed_form(xs, ys)
+        def spy(tails):
+            steps.append(tails)
+            return on_tails(tails)
 
         def refuse(*args):
             raise AssertionError("a qubit bundle reached the purify route")
 
-        monkeypatch.setattr(network_module, "_purify_qubit", spy)
+        monkeypatch.setattr(network_module, "_tail_parallel", spy)
         monkeypatch.setattr(network_module, "purify_rule", refuse)
         monkeypatch.setattr(kernels, "purify_kernel", refuse)
         rng = substream(SEED, "bundle_spy", 2)
         _, trace = reduce_series_parallel(_net(*[("A", "B", random_schmidt(2, rng)) for _ in range(12)]))
         assert [event["arity"] for event in trace] == [12]
-        assert len(steps) == 11
+        assert [len(tails) for tails in steps] == [12]
 
     @pytest.mark.parametrize(
         "d, k, low, above",

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 import pytest
 import _majorization_oracle as majorization
-import _qubit_bundle_cases as qubit_bundles
+import _qubit_network_oracle as qubit_oracle
 import _reduce_corpus as corpus
 from _digests import check
 
@@ -31,6 +31,7 @@ from qnetdet.network import (
     _decompose,
     _det_parallel,
     _fold,
+    _union,
     cep_probability,
     classify_topology,
     network_from_dict,
@@ -44,6 +45,7 @@ from qnetdet.rules import (
     _outcome_spectra,
     _series,
     _source_walk,
+    _tail,
     _target_side,
     _swap_raw,
     bell_povm_d2,
@@ -508,7 +510,15 @@ class TestVectorReaders:
             xs, ys = list(x.entries), list(y.entries)
             rng.shuffle(xs)
             rng.shuffle(ys)
-            assert got == [v.hex() for v in normalize_descending(_swap_raw(xs, ys)).entries]
+            raw = _swap_raw(xs, ys)
+            assert [v.hex() for v in raw] == [v.hex() for v in _swap_raw(x.entries, y.entries)]
+            if d == 2:
+                # _swap_raw scales (1 - t, t) by the product of the totals,
+                # so normalized it is within rounding of swap_rule's
+                want = swap_rule(x, y).entries
+                assert normalize_descending(raw).entries == pytest.approx(want, rel=2**-51, abs=0.0)
+            else:
+                assert got == [v.hex() for v in normalize_descending(raw).entries]
             assert got == [v.hex() for v in swap_rule(xs, ys).entries]
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 6])
@@ -557,21 +567,25 @@ def _weak(rng, d):
     return normalize_descending([1.0 - tail] + [tail * v for v in rest])
 
 
-def _cep_before(net):
-    """cep_probability as it was computed before the uniform target's
-    side of the walk was shared: the reference conversion probability
-    of each link, folded over the moves."""
+def _cep_by_links(net):
+    """cep_probability folded from each link's own score: at d = 2 twice
+    its tail, else the reference conversion probability to the uniform
+    vector, without the walk's shared target side."""
     d = net.dimension
     uniform = SchmidtVector([1.0 / d] * d)
     moves, root = _decompose(net)
-    scores = [majorization.conversion_probability(e.link, uniform) for e in net.edges]
-    return _fold(moves, scores, lambda p, q: p * q, lambda ps: 1.0 - math.prod(sorted(1.0 - p for p in ps)))[root]
+    if d == 2:
+        scores = [2.0 * _tail(e.link.entries) for e in net.edges]
+    else:
+        scores = [majorization.conversion_probability(e.link, uniform) for e in net.edges]
+    return _fold(moves, scores, lambda p, q: p * q, _union)[root]
 
 
 class TestCepWalk:
-    """_cep takes the uniform target's side of the conversion walk once
-    per network and runs the source walk per link: the bits of
-    conversion_probability(link, uniform), and of the fold before."""
+    """Above d = 2 _cep takes the uniform target's side of the conversion
+    walk once per network and runs the source walk per link: the bits of
+    conversion_probability(link, uniform).  At d = 2 a link scores twice
+    its tail, its exact conversion probability to the singlet."""
 
     @pytest.mark.parametrize("d", range(1, 9))
     def test_link_scores(self, d):
@@ -584,7 +598,8 @@ class TestCepWalk:
             assert majorization.conversion_probability(link, uniform).hex() == want, link
             # a single link's figure is its score
             single = QuantumNetwork(d, ("A", "B"), [Edge("A", "B", link)])
-            assert cep_probability(single).hex() == want, link
+            score = (2.0 * _tail(link.entries)).hex() if d == 2 else want
+            assert cep_probability(single).hex() == score, link
 
     @pytest.mark.parametrize("d", range(1, 9))
     def test_networks(self, d):
@@ -593,7 +608,7 @@ class TestCepWalk:
             net = random_network(d, 16, rng)
             if t % 2:
                 net = QuantumNetwork(d, net.terminals, [Edge(e.u, e.v, _weak(rng, d)) for e in net.edges])
-            assert cep_probability(net).hex() == _cep_before(net).hex()
+            assert cep_probability(net).hex() == _cep_by_links(net).hex()
 
 
 def _with_drops(net, rng):
@@ -638,46 +653,44 @@ class TestFold:
 
 
 class TestQubitBundle:
-    """At d = 2 _det_parallel folds a bundle by the closed form
-    rules._purify_qubit, in floats: each step and the bundle's vector
-    have the bits of the pairwise purify_rule route over the four
-    products.  _det_series joins two qubit links by the closed form
-    rules._series_qubit with the bits of swap_rule, in either order
-    (tests/_qubit_bundle_cases.py, run at 100,000 bundles and pairs in
-    CI)."""
+    """At d = 2 a bundle folds on tails by network._tail_parallel, and a
+    series pair by rules._series_tail, which swap_rule takes at d = 2:
+    each is held within its bound of the vector rule in 60-digit Decimal
+    (tests/_qubit_network_oracle.py), on links drawn by kind, and a
+    series pair gives the same bits in either order."""
 
     def test_seeded_bundles(self):
-        assert qubit_bundles.first_mismatch(2000) is None
+        assert qubit_oracle.first_bundle_mismatch(2000) is None
 
     def test_seeded_pairs(self):
-        assert qubit_bundles.first_series_mismatch(2000) is None
+        assert qubit_oracle.first_series_mismatch(2000) is None
 
-    @pytest.mark.parametrize("kind", sorted(qubit_bundles.KINDS))
+    @pytest.mark.parametrize("kind", sorted(qubit_oracle.KINDS))
     def test_bundles_of_one_kind(self, kind):
         rng = random.Random(f"{SEED}-{kind}")
-        draw = qubit_bundles.KINDS[kind]
-        for k in range(2, qubit_bundles.MAX_ARITY + 1):
+        draw = qubit_oracle.KINDS[kind]
+        for k in range(2, qubit_oracle.MAX_ARITY + 1):
             for _ in range(10):
-                assert qubit_bundles.mismatch([draw(rng) for _ in range(k)]) is None
+                assert qubit_oracle.bundle_mismatch([draw(rng) for _ in range(k)]) is None
 
-    @pytest.mark.parametrize("kind", sorted(qubit_bundles.KINDS))
+    @pytest.mark.parametrize("kind", sorted(qubit_oracle.KINDS))
     def test_pairs_with_one_kind(self, kind):
         rng = random.Random(f"{SEED}-series-{kind}")
-        draw = qubit_bundles.KINDS[kind]
-        for other in qubit_bundles.KINDS.values():
+        draw = qubit_oracle.KINDS[kind]
+        for other in qubit_oracle.KINDS.values():
             for _ in range(20):
-                assert qubit_bundles.series_mismatch(draw(rng), other(rng)) is None
+                assert qubit_oracle.series_mismatch(draw(rng), other(rng)) is None
 
     def test_numpy_drawn_bundles(self):
         rng = substream(SEED, "qubit_bundles", 0)
         for _ in range(200):
             links = [random_schmidt(2, rng) for _ in range(int(rng.integers(2, 13)))]
-            assert qubit_bundles.mismatch(links) is None
+            assert qubit_oracle.bundle_mismatch(links) is None
 
     def test_numpy_drawn_pairs(self):
         rng = substream(SEED, "qubit_series", 0)
         for _ in range(200):
-            assert qubit_bundles.series_mismatch(random_schmidt(2, rng), random_schmidt(2, rng)) is None
+            assert qubit_oracle.series_mismatch(random_schmidt(2, rng), random_schmidt(2, rng)) is None
 
 
 _LEAF = (None, 0, 0, 0)
@@ -918,10 +931,16 @@ def test_report_bytes_as_recorded(name):
 # was recorded again when sv_desc stopped leaving a rotation at t = 0
 # where tau * tau overflows: in 8 of the 100 networks a product link
 # meets a rank-2 link, whose swap the old sweep left with a subnormal
-# residue (e.g. 9.9e-316) for an exact 0, and now returns 0
+# residue (e.g. 9.9e-316) for an exact 0, and now returns 0.  Both were
+# recorded again when qubit networks came to fold on tails (24 of the
+# 100 d = 2 outputs moved, in det_vector, C_2, cep_probability and trace
+# digits) and cep_probability came to fold every bundle as
+# p <- p + p_i (1 - p) (11 of the 100 d = 3 outputs moved, in
+# cep_probability only); exact references hold the new figures
+# (tests/test_qubit_route.py)
 CORPUS_DIGESTS = {
-    2: "4984270c00320155b99607dfc1c0ed141055a73931708c8db575571d0c26865f",
-    3: "5b0f61a9b15d7b5522293770fa29be945050b9bb3d7f029d264d30c659acf303",
+    2: "8e9d76973476a3f14bf6846a52c469ce798aca83a18b39bb7691bd316d188e00",
+    3: "78b1050ea74da7450dabc9f5557a91b3f2716a27274dbc0c40b6c39d445c33b1",
 }
 
 

@@ -223,7 +223,7 @@ def test_qubit_near_uniform_matches_decimal():
     assert worst <= 1e-15
 
 
-# d = 2 runs the closed form, d = 3 the one-sided Jacobi swap_sv, d >= 4
+# d = 2 runs the tail step, d = 3 the one-sided Jacobi swap_sv, d >= 4
 # the LAPACK route; the remaining tests describe the LAPACK route only
 _BOTH_ROUTES = pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
 _LAPACK_ROUTE = pytest.mark.parametrize("d", [4, 5, 8])
@@ -269,7 +269,7 @@ class TestSeriesRouteEdges:
 
     @pytest.mark.parametrize("d", [2, 3, 4, 6])
     def test_all_zero_operand_gives_zeros(self, d):
-        # at d = 2 the closed form's zero-sum branch
+        # at d = 2 the scaled tail step's zero-sum branch
         y = substream(SEED, "swap_zero_operand", d).dirichlet(np.ones(d)).tolist()
         assert _swap_raw([0.0] * d, y) == _swap_raw(y, [0.0] * d) == [0.0] * d
 
@@ -306,7 +306,7 @@ class TestSeriesRouteEdges:
 )
 def test_series_route_by_dimension(monkeypatch, d, route):
     # rules._series picks every route: d = 1 is the product and d = 2 the
-    # closed form, with no kernel; d = 3 is one swap_sv, which reaches
+    # tail step, with no kernel; d = 3 is one swap_sv, which reaches
     # sv_desc through the module name the profiler wraps; from d = 4 up
     # each swap is one LAPACK SVD
     names = ("swap_eig", "eigh_desc", "swap_sv", "sv_desc")
